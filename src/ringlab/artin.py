@@ -267,9 +267,6 @@ class LocalAlgebra:
         vec[i] = self.field.one()
         return tuple(vec)
 
-    def multiplication_table(self) -> list[list[tuple]]:
-        return [[self.product_mono(i, j) for j in range(self.dim_k)] for i in range(self.dim_k)]
-
     def __repr__(self) -> str:
         gens = ", ".join(self.presentation.gen_strings()) or "0"
         return (
@@ -284,9 +281,6 @@ class LinearForm:
 
     coeffs: tuple  # ((variable name, scalar), ...)
     vector: tuple
-
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
 
 
 # ---------------------------------------------------------------------------

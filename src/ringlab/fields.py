@@ -121,9 +121,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
 
-    def format_scalar(self, a) -> str:
-        return str(a)
-
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)

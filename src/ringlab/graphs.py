@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
+_MAX_ENUM_N = 8
+
 
 def _norm_edge(i: int, j: int) -> tuple[int, int]:
     if i == j:
@@ -126,12 +128,12 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
         pool = p | x
         # pick the pivot covering the most candidates
         u = _low_vertex(pool)
-        best_count = _popcount(p & adj[u])
+        best_count = (p & adj[u]).bit_count()
         scan = pool
         while scan:
             w = _low_vertex(scan)
             scan &= scan - 1
-            c = _popcount(p & adj[w])
+            c = (p & adj[w]).bit_count()
             if c > best_count:
                 best_count, u = c, w
         cand = p & ~adj[u]
@@ -150,8 +152,8 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
 
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled simple graphs on n vertices, in edge-mask order."""
-    if n > 8:
-        raise ValueError("corpus enumeration is capped at n <= 8")
+    if n > _MAX_ENUM_N:
+        raise ValueError(f"corpus enumeration is capped at n <= {_MAX_ENUM_N}")
     if n < 0:
         raise ValueError("negative vertex count")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -160,12 +162,24 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
         yield Graph(n, edges)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _low_vertex(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+def _component_mask(adj: list[int], seed: int, within: int) -> int:
+    """The connected component of the vertex mask ``seed`` inside the vertex
+    mask ``within``; ``adj[v]`` is the neighbour mask of vertex v (0-based)."""
+    comp = frontier = seed
+    while frontier:
+        nxt = 0
+        scan = frontier
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            nxt |= adj[bit.bit_length() - 1]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
 
 
 def _mask_vertices(mask: int) -> list[int]:

@@ -1,15 +1,16 @@
 """Dense exact linear algebra over GF(p) and the rationals.
 
 Matrices are immutable dense arrays of exact field elements.  Reduction is
-plain Gauss-Jordan; over GF(2) the rows are packed into Python ints so the
-row operations become single XORs, which is what makes the subset-homology
-scans elsewhere in the package affordable.  All three backends produce the
-identical reduced row echelon form, so callers never need to know which one
-ran.
+one plain Gauss-Jordan kernel for every field; over GF(2) the rows are
+packed into Python ints instead, so the row operations become single XORs,
+which is what makes the subset-homology scans elsewhere in the package
+affordable.  Both paths produce the identical reduced row echelon form, so
+callers never need to know which one ran.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,14 +23,7 @@ from .fields import FieldSpec
 
 def gf2_pack(rows: Iterable[Sequence[int]]) -> list[int]:
     """Pack 0/1 rows into ints, bit j <-> column j."""
-    packed = []
-    for row in rows:
-        acc = 0
-        for j, v in enumerate(row):
-            if v & 1:
-                acc |= 1 << j
-        packed.append(acc)
-    return packed
+    return [_pack_one(row) for row in rows]
 
 
 def gf2_rref(packed: list[int], ncols: int, pivot_limit: int | None = None) -> tuple[list[int], list[int]]:
@@ -75,36 +69,12 @@ def gf2_rank(packed: list[int]) -> int:
     return rank
 
 
-def _rref_modp(rows: list[list[int]], ncols: int, p: int, pivot_limit: int | None) -> tuple[list[list[int]], list[int]]:
-    m = len(rows)
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        pivot_row = -1
-        for i in range(r, m):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        pr = rows[r]
-        for i in range(m):
-            if i != r:
-                f = rows[i][c] % p
-                if f:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+def _rref_dense(rows: list[list], ncols: int, p: int | None, pivot_limit: int | None) -> tuple[list[list], list[int]]:
+    """Gauss-Jordan over GF(p), or over the rationals when p is None.
 
-
-def _rref_rational(rows: list[list[Fraction]], ncols: int, pivot_limit: int | None) -> tuple[list[list[Fraction]], list[int]]:
+    Entries must already be field elements (ints reduced mod p, or
+    Fractions): a zero entry is recognized by its truthiness.
+    """
     m = len(rows)
     limit = ncols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
@@ -118,14 +88,21 @@ def _rref_rational(rows: list[list[Fraction]], ncols: int, pivot_limit: int | No
         if pivot_row < 0:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
+        if p is None:
+            inv = 1 / rows[r][c]
+            rows[r] = [v * inv for v in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            rows[r] = [(v * inv) % p for v in rows[r]]
         pr = rows[r]
         for i in range(m):
             if i != r:
                 f = rows[i][c]
                 if f:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+                    if p is None:
+                        rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
+                    else:
+                        rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pr)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -136,10 +113,10 @@ def _rref_rational(rows: list[list[Fraction]], ncols: int, pivot_limit: int | No
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
     if p == 2:
         return gf2_rank(gf2_pack(rows))
-    work = [list(r) for r in rows]
+    work = [[v % p for v in r] for r in rows]
     if not work:
         return 0
-    _, pivots = _rref_modp(work, len(work[0]), p, None)
+    _, pivots = _rref_dense(work, len(work[0]), p, None)
     return len(pivots)
 
 
@@ -148,7 +125,7 @@ def rational_rank(rows: Iterable[Sequence]) -> int:
     work = [[Fraction(v) for v in r] for r in rows]
     if not work:
         return 0
-    _, pivots = _rref_rational(work, len(work[0]), None)
+    _, pivots = _rref_dense(work, len(work[0]), None, None)
     return len(pivots)
 
 
@@ -276,9 +253,7 @@ class Matrix:
             packed, pivots = gf2_rref(gf2_pack(self._rows), self.ncols, pivot_limit)
             rows = [[(r >> j) & 1 for j in range(self.ncols)] for r in packed]
             return rows, pivots
-        if f.p is not None:
-            return _rref_modp([list(r) for r in self._rows], self.ncols, f.p, pivot_limit)
-        return _rref_rational([list(r) for r in self._rows], self.ncols, pivot_limit)
+        return _rref_dense([list(r) for r in self._rows], self.ncols, f.p, pivot_limit)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
@@ -368,6 +343,12 @@ class Subspace:
                 vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, row)]
         return vec
 
+    def _insert(self, pc: int, row) -> None:
+        """Insert a reduced row under its pivot, keeping the pivots sorted."""
+        pos = bisect_left(self._pivots, pc)
+        self._rows.insert(pos, row)
+        self._pivots.insert(pos, pc)
+
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         if self._packed:
@@ -380,11 +361,7 @@ class Subspace:
             for i, row in enumerate(self._rows):
                 if (row >> pc) & 1:
                     self._rows[i] = row ^ v
-            pos = 0
-            while pos < len(self._pivots) and self._pivots[pos] < pc:
-                pos += 1
-            self._rows.insert(pos, v)
-            self._pivots.insert(pos, pc)
+            self._insert(pc, v)
             return True
         f = self.field
         v = self._reduce_dense([f.coerce(x) for x in vec])
@@ -397,11 +374,7 @@ class Subspace:
             c = row[pc]
             if c:
                 self._rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
-        pos = 0
-        while pos < len(self._pivots) and self._pivots[pos] < pc:
-            pos += 1
-        self._rows.insert(pos, v)
-        self._pivots.insert(pos, pc)
+        self._insert(pc, v)
         return True
 
     def contains(self, vec) -> bool:

@@ -183,8 +183,6 @@ def _quotient_of_free(a: LocalAlgebra, sub: Subspace, label: str | None = None) 
     f = a.field
     pivots = set(sub.pivots())
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
-    dim = len(free_coords)
-    where = {j: t for t, j in enumerate(free_coords)}
     actions = []
     for k in range(a.nvars):
         cols = []
@@ -194,10 +192,7 @@ def _quotient_of_free(a: LocalAlgebra, sub: Subspace, label: str | None = None) 
             image = sub.reduce(a.var_multiply(k, tuple(vec)))
             cols.append([image[t] for t in free_coords])
         actions.append(Matrix.from_columns(f, cols))
-    mod = FPModule(a, dim, actions, label=label)
-    mod._quotient_free_coords = free_coords  # used by tests for interpretation
-    mod._quotient_where = where
-    return mod
+    return FPModule(a, len(free_coords), actions, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +234,7 @@ def _resolution_init(m: FPModule) -> dict:
         if mm.add(tuple(vec)):
             gens.append(tuple(vec))
     beta0 = len(gens)
-    columns = _map_columns_module(m, gens)
+    columns = _map_columns(a, gens, m.var_multiply)
     kernel = _kernel_of_columns(f, columns, m.dim)
     return {"betti": [beta0], "diffs": [], "kernel": kernel, "width": beta0 * a.dim_k}
 
@@ -267,14 +262,14 @@ def _resolution_extend(m: FPModule, state: dict) -> None:
     )
     state["betti"].append(beta)
     state["diffs"].append(diff)
-    columns = _map_columns_ambient(a, gens, width)
+    columns = _map_columns(a, gens, lambda k, vec: _ambient_var_mult(a, k, vec))
     state["kernel"] = _kernel_of_columns(f, columns, width)
     state["width"] = beta * d
 
 
-def _map_columns_module(m: FPModule, gens) -> list[tuple]:
-    """Columns rho_M(b) g_j in basis-major order inside each generator block."""
-    a = m.algebra
+def _map_columns(a: LocalAlgebra, gens, mult) -> list[tuple]:
+    """Columns b * g_j in basis-major order inside each generator block,
+    built along the division tree with ``mult(var, vec)``."""
     parents = a.basis_parents()
     columns = []
     for g in gens:
@@ -284,22 +279,7 @@ def _map_columns_module(m: FPModule, gens) -> list[tuple]:
                 per_basis[b] = tuple(g)
             else:
                 var, parent = parents[b]
-                per_basis[b] = m.var_multiply(var, per_basis[parent])
-        columns.extend(per_basis)
-    return columns
-
-
-def _map_columns_ambient(a: LocalAlgebra, gens, width: int) -> list[tuple]:
-    parents = a.basis_parents()
-    columns = []
-    for g in gens:
-        per_basis: list[tuple] = [None] * a.dim_k
-        for b in range(a.dim_k):
-            if parents[b] is None:
-                per_basis[b] = tuple(g)
-            else:
-                var, parent = parents[b]
-                per_basis[b] = _ambient_var_mult(a, var, per_basis[parent])
+                per_basis[b] = mult(var, per_basis[parent])
         columns.extend(per_basis)
     return columns
 
@@ -357,55 +337,36 @@ def _entry_action(n: FPModule, entry, cache: dict) -> Matrix:
     return got
 
 
-def _hom_map_rank(res: Resolution, n: FPModule, t: int, cache: dict) -> int:
-    """Rank of Hom(F_{t-1}, N) -> Hom(F_t, N)."""
-    if t < 1 or t > len(res.differentials):
-        return 0
-    diff = res.differentials[t - 1]
-    beta_t = len(diff)
-    beta_prev = res.betti[t - 1]
-    if beta_t == 0 or beta_prev == 0 or n.dim == 0:
+def _hom_blocks(res: Resolution, t: int) -> tuple:
+    """d_t as the block grid of Hom(F_{t-1}, N) -> Hom(F_t, N): block (c, r)
+    is the action of d_t's entry in column c, row r; empty past the end."""
+    return res.differentials[t - 1] if 1 <= t <= len(res.differentials) else ()
+
+
+def _tensor_blocks(res: Resolution, t: int) -> tuple:
+    """d_t as the block grid of F_t (x) N -> F_{t-1} (x) N, the transpose."""
+    return tuple(zip(*_hom_blocks(res, t)))
+
+
+def _block_rank(n: FPModule, grid, cache: dict) -> int:
+    """Rank of the matrix whose (i, j) block is the action on N of grid[i][j]."""
+    if not grid or not grid[0] or n.dim == 0:
         return 0
     f = n.algebra.field
     nd = n.dim
+    width = len(grid[0]) * nd
     rows = []
-    for c in range(beta_t):
-        col = diff[c]
-        mats = [_entry_action(n, col[r], cache) for r in range(beta_prev)]
+    for line in grid:
+        mats = [_entry_action(n, entry, cache) for entry in line]
         for s in range(nd):
-            row = [f.zero()] * (beta_prev * nd)
-            for r in range(beta_prev):
-                mrow = mats[r].row(s)
+            row = [f.zero()] * width
+            for j, mat in enumerate(mats):
+                mrow = mat.row(s)
                 for s2 in range(nd):
                     if mrow[s2]:
-                        row[r * nd + s2] = mrow[s2]
+                        row[j * nd + s2] = mrow[s2]
             rows.append(row)
-    return Matrix(f, rows, beta_prev * nd).rank()
-
-
-def _tensor_map_rank(res: Resolution, n: FPModule, t: int, cache: dict) -> int:
-    """Rank of F_t (x) N -> F_{t-1} (x) N."""
-    if t < 1 or t > len(res.differentials):
-        return 0
-    diff = res.differentials[t - 1]
-    beta_t = len(diff)
-    beta_prev = res.betti[t - 1]
-    if beta_t == 0 or beta_prev == 0 or n.dim == 0:
-        return 0
-    f = n.algebra.field
-    nd = n.dim
-    rows = []
-    for r in range(beta_prev):
-        mats = [_entry_action(n, diff[c][r], cache) for c in range(beta_t)]
-        for s in range(nd):
-            row = [f.zero()] * (beta_t * nd)
-            for c in range(beta_t):
-                mrow = mats[c].row(s)
-                for s2 in range(nd):
-                    if mrow[s2]:
-                        row[c * nd + s2] = mrow[s2]
-            rows.append(row)
-    return Matrix(f, rows, beta_t * nd).rank()
+    return Matrix(f, rows, width).rank()
 
 
 def ext(m: FPModule, n: FPModule, i: int) -> int:
@@ -418,8 +379,8 @@ def ext(m: FPModule, n: FPModule, i: int) -> int:
     res = minimal_resolution(m, i + 1)
     cache: dict = {}
     beta_i = res.betti[i]
-    r_in = _hom_map_rank(res, n, i, cache)
-    r_out = _hom_map_rank(res, n, i + 1, cache)
+    r_in = _block_rank(n, _hom_blocks(res, i), cache)
+    r_out = _block_rank(n, _hom_blocks(res, i + 1), cache)
     return beta_i * n.dim - r_in - r_out
 
 
@@ -433,8 +394,8 @@ def tor(m: FPModule, n: FPModule, i: int) -> int:
     res = minimal_resolution(m, i + 1)
     cache: dict = {}
     beta_i = res.betti[i]
-    r_in = _tensor_map_rank(res, n, i + 1, cache)
-    r_out = _tensor_map_rank(res, n, i, cache)
+    r_in = _block_rank(n, _tensor_blocks(res, i + 1), cache)
+    r_out = _block_rank(n, _tensor_blocks(res, i), cache)
     return beta_i * n.dim - r_in - r_out
 
 
@@ -461,8 +422,8 @@ def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
     cache: dict = {}
     out = []
     for i in range(b + 1):
-        r_in = _hom_map_rank(res, m, i, cache)
-        r_out = _hom_map_rank(res, m, i + 1, cache)
+        r_in = _block_rank(m, _hom_blocks(res, i), cache)
+        r_out = _block_rank(m, _hom_blocks(res, i + 1), cache)
         out.append(res.betti[i] * m.dim - r_in - r_out)
     return out
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
-from .graphs import Graph
+from .graphs import Graph, _component_mask
 
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
@@ -215,19 +215,8 @@ def variable_partition_decomposable(ideal: MonomialIdeal):
             if not contains(ideal, tuple(e)):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    # connected component of the last variable
-    comp = 1 << (n - 1)
-    frontier = comp
-    while frontier:
-        nxt = 0
-        scan = frontier
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            nxt |= adj[v]
-        frontier = nxt & ~comp
-        comp |= frontier
     full = (1 << n) - 1
+    comp = _component_mask(adj, 1 << (n - 1), full)  # component of the last variable
     if comp == full:
         return None
     part1 = frozenset(ideal.ambient[k] for k in range(n) if comp >> k & 1)
@@ -473,7 +462,10 @@ def parse_poly(ambient: Sequence[str], text: str, field: FieldSpec) -> Poly:
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r}") from None
                 continue
             if "^" in factor:
                 name, _, power = factor.partition("^")
@@ -486,7 +478,11 @@ def parse_poly(ambient: Sequence[str], text: str, field: FieldSpec) -> Poly:
         key = tuple(expo)
         prev = acc.get(key, Fraction(0))
         acc[key] = prev + coeff
-    return Poly(field, len(ambient), {m: field.coerce(c) for m, c in acc.items() if c})
+    try:
+        terms = {m: field.coerce(c) for m, c in acc.items() if c}
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
+    return Poly(field, len(ambient), terms)
 
 
 def parse_monomial(ambient: Sequence[str], text: str) -> Monomial:
@@ -537,6 +533,8 @@ def presentation_to_json(p: Presentation) -> str:
 
 def presentation_from_json(text: str) -> Presentation:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or "vars" not in obj or "gens" not in obj:
+        raise ValueError('a presentation needs a JSON object with "vars" and "gens"')
     field = FieldSpec.parse(obj.get("field", "q"))
     ambient = [str(v) for v in obj["vars"]]
     gens = [parse_poly(ambient, g, field) for g in obj["gens"]]

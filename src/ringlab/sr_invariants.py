@@ -22,6 +22,7 @@ from math import comb
 from typing import Iterable
 
 from .fields import FieldSpec
+from .graphs import _component_mask, _mask_vertices
 from .linalg import gf2_rank, modp_rank, rational_rank
 from .monomials import MonomialIdeal, polarize
 
@@ -77,7 +78,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     all_faces = [m for sub in by_size for m in sub]
     face_set = set(all_faces)
     facets = [m for m in all_faces if _is_maximal(m, scan, face_set)]
-    return SimplicialComplex(scan.n, [_mask_to_set(m) for m in facets])
+    return SimplicialComplex(scan.n, [frozenset(_mask_vertices(m)) for m in facets])
 
 
 def _is_maximal(mask: int, scan: "_Scan", face_set: set[int]) -> bool:
@@ -88,17 +89,6 @@ def _is_maximal(mask: int, scan: "_Scan", face_set: set[int]) -> bool:
         if (mask | bit) in face_set:
             return False
     return True
-
-
-def _mask_to_set(mask: int) -> frozenset:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return frozenset(out)
 
 
 def f_vector(c: SimplicialComplex) -> tuple:
@@ -252,6 +242,15 @@ class _Scan:
 
     # -- faces ---------------------------------------------------------------
 
+    def _extend_ok(self, mask: int, v: int) -> bool:
+        """Does adding vertex v to the face ``mask`` avoid every generator of
+        degree >= 3 (the quadratic ones are handled by ``compat``)?"""
+        cand = mask | (1 << v)
+        for g in self.gens_by_vertex[v]:
+            if g & ~cand == 0:
+                return False
+        return True
+
     def faces_by_size(self, wfv: int, smax: int) -> list[list[int]]:
         """Face masks inside wfv grouped by size 0..smax (wfv: face vertices only)."""
         out: list[list[int]] = [[] for _ in range(smax + 1)]
@@ -260,13 +259,7 @@ class _Scan:
             return out
         compat = self.compat
         flag = self.flag
-
-        def extend_ok(mask: int, v: int) -> bool:
-            cand = mask | (1 << v)
-            for g in self.gens_by_vertex[v]:
-                if g & ~cand == 0:
-                    return False
-            return True
+        extend_ok = self._extend_ok
 
         def rec(mask: int, size: int, allowed: int) -> None:
             scan = allowed
@@ -294,13 +287,6 @@ class _Scan:
     def max_face_size(self) -> int:
         best = 0
 
-        def extend_ok(mask: int, v: int) -> bool:
-            cand = mask | (1 << v)
-            for g in self.gens_by_vertex[v]:
-                if g & ~cand == 0:
-                    return False
-            return True
-
         def rec(mask: int, size: int, allowed: int) -> None:
             nonlocal best
             if size > best:
@@ -312,7 +298,7 @@ class _Scan:
                 bit = scan & -scan
                 v = bit.bit_length() - 1
                 scan ^= bit
-                if self.flag or extend_ok(mask, v):
+                if self.flag or self._extend_ok(mask, v):
                     rec(mask | bit, size + 1, allowed & self.compat[v] & ~((bit << 1) - 1))
                 else:
                     rec(mask, size, scan)
@@ -326,22 +312,9 @@ class _Scan:
     def n_components(self, wfv: int) -> int:
         count = 0
         rem = wfv
-        compat = self.compat
         while rem:
-            seed = rem & -rem
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                scan = frontier
-                while scan:
-                    bit = scan & -scan
-                    scan ^= bit
-                    nxt |= compat[bit.bit_length() - 1]
-                frontier = nxt & wfv & ~comp
-                comp |= frontier
+            rem &= ~_component_mask(self.compat, rem & -rem, wfv)
             count += 1
-            rem &= ~comp
         return count
 
     def is_cone(self, w_mask: int, wfv: int) -> bool:
@@ -455,14 +428,13 @@ class _SubsetHomology:
     """Face lists and boundary ranks of one induced subcomplex, cached so that
     consecutive homology degrees share their boundary computations."""
 
-    __slots__ = ("faces", "_r2", "_rq", "_rp")
+    __slots__ = ("faces", "_r2", "_r_exact")
 
     def __init__(self, scan: "_Scan", wfv: int, max_degree: int):
         # faces of size s have dimension s-1; degree i needs sizes i..i+2
         self.faces = scan.faces_by_size(wfv, min(max_degree + 2, wfv.bit_count()))
         self._r2: dict[int, int] = {}
-        self._rq: dict[int, int] = {}
-        self._rp: dict[tuple[int, int], int] = {}
+        self._r_exact: dict[tuple[int, int | None], int] = {}
 
     def f(self, i: int) -> int:
         return len(self.faces[i + 1]) if i + 1 < len(self.faces) else 0
@@ -477,18 +449,13 @@ class _SubsetHomology:
             self._r2[t] = got
         return got
 
-    def rank_q(self, t: int) -> int:
-        got = self._rq.get(t)
+    def rank_exact(self, t: int, p: int | None) -> int:
+        """Rank of the signed boundary map over GF(p), or over q when p is None."""
+        got = self._r_exact.get((t, p))
         if got is None:
-            got = rational_rank(_signed_rows(self._faces_at(t + 1), self._faces_at(t)))
-            self._rq[t] = got
-        return got
-
-    def rank_p(self, t: int, p: int) -> int:
-        got = self._rp.get((t, p))
-        if got is None:
-            got = modp_rank(_signed_rows(self._faces_at(t + 1), self._faces_at(t)), p)
-            self._rp[(t, p)] = got
+            rows = _signed_rows(self._faces_at(t + 1), self._faces_at(t))
+            got = rational_rank(rows) if p is None else modp_rank(rows, p)
+            self._r_exact[(t, p)] = got
         return got
 
     def betti(self, i: int, field: FieldSpec) -> int:
@@ -496,9 +463,7 @@ class _SubsetHomology:
             return 0
         if field.p == 2:
             return self.f(i) - self.rank2(i) - self.rank2(i + 1)
-        if field.is_rational:
-            return self.f(i) - self.rank_q(i) - self.rank_q(i + 1)
-        return self.f(i) - self.rank_p(i, field.p) - self.rank_p(i + 1, field.p)
+        return self.f(i) - self.rank_exact(i, field.p) - self.rank_exact(i + 1, field.p)
 
     def betti_positive(self, i: int, field: FieldSpec) -> bool:
         """Exact test H~_i != 0; over q the mod-2 betti screens first (a rank

@@ -33,7 +33,17 @@ from .constructions import (
     whiskered_edge_ideal,
 )
 from .fields import GF2, QQ, FieldSpec
-from .graphs import Graph, complement, enumerate_graphs, is_star_vertex, maximal_cliques, star_vertices, whisker_all
+from .graphs import (
+    _MAX_ENUM_N,
+    Graph,
+    _component_mask,
+    complement,
+    enumerate_graphs,
+    is_star_vertex,
+    maximal_cliques,
+    star_vertices,
+    whisker_all,
+)
 from .modules import biduality_is_iso, cyclic_module, is_totally_reflexive_up_to, poincare_truncation
 from .monomials import (
     contains,
@@ -358,8 +368,15 @@ def check_example_5_4(b: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _corpus_sizes(first: int, max_n: int) -> range:
+    """The vertex counts first..max_n, refused before any enumeration starts."""
+    if max_n > _MAX_ENUM_N:
+        raise ValueError(f"corpus enumeration is capped at n <= {_MAX_ENUM_N}")
+    return range(first, max_n + 1)
+
+
 def starred_graphs(max_n: int):
-    for n in range(1, max_n + 1):
+    for n in _corpus_sizes(1, max_n):
         for g in enumerate_graphs(n):
             if star_vertices(g):
                 yield g
@@ -392,7 +409,7 @@ def _thmB_worker(args):
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     jobs = []
-    for n in range(2, max_n + 1):
+    for n in _corpus_sizes(2, max_n):
         for g in enumerate_graphs(n):
             for star in star_vertices(g):
                 for f in fields:
@@ -404,11 +421,8 @@ def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list
 
 
 def run_gorenstein_corpus(max_n: int) -> Report:
-    def corpus():
-        for n in range(1, max_n + 1):
-            yield from enumerate_graphs(n)
-
-    return check_gorenstein_exclusion(corpus())
+    sizes = _corpus_sizes(1, max_n)
+    return check_gorenstein_exclusion(g for n in sizes for g in enumerate_graphs(n))
 
 
 def run_socle_clique_corpus(max_n: int) -> Report:
@@ -416,7 +430,7 @@ def run_socle_clique_corpus(max_n: int) -> Report:
     start = time.perf_counter()
     total = 0
     violations = []
-    for n in range(1, max_n + 1):
+    for n in _corpus_sizes(1, max_n):
         for g in enumerate_graphs(n):
             total += 1
             kprime = edge_ideal_all_squares(g)
@@ -442,7 +456,7 @@ def run_star_split_corpus(max_n: int) -> Report:
     start = time.perf_counter()
     total = 0
     violations = []
-    for n in range(1, max_n + 1):
+    for n in _corpus_sizes(1, max_n):
         for g in enumerate_graphs(n):
             total += 1
             kprime = edge_ideal_all_squares(g)
@@ -465,18 +479,5 @@ def run_star_split_corpus(max_n: int) -> Report:
 
 
 def _is_disconnected(g: Graph) -> bool:
-    if g.n <= 1:
-        return False
-    adj = g.adjacency_masks()
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        scan = frontier
-        while scan:
-            v = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            nxt |= adj[v]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp != (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return g.n > 1 and _component_mask(g.adjacency_masks(), 1, full) != full

@@ -161,3 +161,50 @@ def test_golden_ring_invariants(capsys):
         "hilbert_numerator": [1, 3, 1],
         "multiplicity": 5,
     }
+
+
+def run_cli_error(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_presentation_without_vars_exits_two(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text('{"gens": ["x^2"]}')
+    code, err = run_cli_error(capsys, "ring", "invariants", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "vars" in err
+
+
+def test_zero_denominator_exits_two(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x"], "gens": ["1/0*x^2"]}')
+    code, err = run_cli_error(capsys, "ring", "invariants", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_denominator_divisible_by_p_exits_two(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x"], "gens": ["1/3*x^2"], "field": "fp:3"}')
+    code, err = run_cli_error(capsys, "artin", "--input", str(path), "--field", "fp:3")
+    assert code == 2
+    assert err.startswith("error:") and "mod 3" in err
+
+
+def test_input_directory_exits_two(tmp_path, capsys):
+    code, err = run_cli_error(capsys, "ring", "invariants", "--input", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, capsys):
+    import ringlab.verify
+
+    def refuse(n):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
+    code, err = run_cli_error(capsys, "verify", "thmA", "--max-n", "9")
+    assert code == 2
+    assert err.startswith("error:") and "n <= 8" in err

@@ -6,6 +6,7 @@ homology of its Hom complex directly.  It shares only the Matrix core with the
 production path.
 """
 
+import itertools
 import random
 
 import pytest
@@ -214,6 +215,19 @@ def test_tor_k_k_equals_betti():
     b = dual_numbers()
     kb = residue_field(b)
     assert tor(kb, kb, 1) == 1
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("make", [fat_point, ci_algebra], ids=["fat_point", "ci"])
+def test_tor_is_symmetric(make, field):
+    # tor(M, N) tensors a resolution of M with N and tor(N, M) one of N with M:
+    # the two sides resolve different modules and read the block grid of the
+    # differentials in transposed order
+    a = make(field)
+    modules = [residue_field(a), cyclic_module(a, [a.element_from_linear({"x": 1})]), canonical_module(a)]
+    for i in range(4):
+        for m, n in itertools.combinations(modules, 2):
+            assert tor(m, n, i) == tor(n, m, i), (m, n, i)
 
 
 def test_ext_mismatched_algebras():

@@ -132,3 +132,24 @@ def test_corpus_parallel_matches_serial():
     serial = run_theorem_A_corpus(3, threads=1)
     parallel = run_theorem_A_corpus(3, threads=2)
     assert [(r.instance, r.passed) for r in serial] == [(r.instance, r.passed) for r in parallel]
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_theorem_A_corpus,
+        run_theorem_B_corpus,
+        run_gorenstein_corpus,
+        run_socle_clique_corpus,
+        run_star_split_corpus,
+    ],
+)
+def test_corpus_size_refused_before_enumeration(runner, monkeypatch):
+    import ringlab.verify
+
+    def refuse(n):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
+    with pytest.raises(ValueError, match="n <= 8"):
+        runner(9)
