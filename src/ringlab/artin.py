@@ -523,7 +523,8 @@ def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
     for k, name in enumerate(a.var_names):
         if probe.add(a.var_images[k]):
             pivot_vars.append(k)
-    assert len(pivot_vars) == e
+    if len(pivot_vars) != e:
+        raise AssertionError(f"variables give {len(pivot_vars)} basis vectors of m/m^2, expected {e}")
     lines = []
     for coeffs in itertools.product(range(p), repeat=e):
         nz = next((c for c in coeffs if c), None)

@@ -222,4 +222,8 @@ def to_json(g: Graph) -> str:
 
 def from_json(text: str) -> Graph:
     obj = json.loads(text)
-    return Graph.from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+    if not isinstance(obj, dict) or type(obj.get("n")) is not int or not isinstance(obj.get("edges"), list):
+        raise ValueError('a graph needs a JSON object with an integer "n" and an "edges" list')
+    if not all(isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e) for e in obj["edges"]):
+        raise ValueError("each edge must be a pair of integer vertices")
+    return Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])

@@ -535,7 +535,10 @@ def presentation_from_json(text: str) -> Presentation:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "vars" not in obj or "gens" not in obj:
         raise ValueError('a presentation needs a JSON object with "vars" and "gens"')
-    field = FieldSpec.parse(obj.get("field", "q"))
-    ambient = [str(v) for v in obj["vars"]]
-    gens = [parse_poly(ambient, g, field) for g in obj["gens"]]
-    return Presentation(ambient, gens, field)
+    text_field, ambient, gen_texts = obj.get("field", "q"), obj["vars"], obj["gens"]
+    if not all(isinstance(x, list) and all(isinstance(t, str) for t in x) for x in (ambient, gen_texts)):
+        raise ValueError('"vars" and "gens" must be lists of strings')
+    if not isinstance(text_field, str):
+        raise ValueError('"field" must be a string such as "q" or "fp:5"')
+    field = FieldSpec.parse(text_field)
+    return Presentation(ambient, [parse_poly(ambient, g, field) for g in gen_texts], field)

@@ -7,12 +7,13 @@ degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
 Non-squarefree ideals are polarized first; dimension and depth drop by the
 number of added variables.
 
-The subset scan is exact but aggressively pruned: induced subcomplexes that
-are cones are contractible and contribute nothing, connectivity in degree
-zero is a union-find on bitmasks, and over the rationals a GF(2) rank screen
-settles vanishing (an r x r minor that is nonzero mod 2 is nonzero over the
-integers, so rational Betti numbers are bounded above by the mod-2 ones);
-only subsets that survive the screen pay for exact rational elimination.
+Depth and Cohen-Macaulayness share one exact, pruned subset scan: degrees -1
+and 0 are field-independent and settled for every W in one pass (degree 0 by
+bitmask BFS, ``graphs._component_mask``); cones are contractible and skipped;
+and over the rationals a GF(2) rank screen settles vanishing (an r x r minor
+that is nonzero mod 2 is nonzero over the integers, so rational Betti numbers
+are bounded above by the mod-2 ones); only subsets that survive the screen
+pay for exact rational elimination.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def krull_dim(ideal: MonomialIdeal) -> int:
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
-    work, added = _polarized(ideal)
-    if work.nvars > _MAX_VARS:
-        raise ValueError(f"size limit exceeded: {work.nvars} variables after polarization")
-    pd = _Scan(work).max_hochster_j(field)
+    work, added, scan = _hochster_prologue(ideal)
+    top = scan.top_hochster((field,), 0)[field]
+    pd = 0 if top is None else top[0].bit_count() - 1 - top[1]
     return work.nvars - pd - added
 
 
@@ -134,12 +134,9 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     the rationals vanishing is settled by the mod-2 screen), so checking q and
     fp:2 together costs about as much as one of them.
     """
-    work, added = _polarized(ideal)
-    if work.nvars > _MAX_VARS:
-        raise ValueError(f"size limit exceeded: {work.nvars} variables after polarization")
-    scan = _Scan(work)
+    work, added, scan = _hochster_prologue(ideal)
     d = scan.max_face_size()
-    found = scan.find_j_above(tuple(fields), work.nvars - d)
+    found = scan.top_hochster(tuple(fields), work.nvars - d)
     out = {}
     for f, witness in found.items():
         if witness is None:
@@ -197,6 +194,14 @@ def multiplicity(ideal: MonomialIdeal) -> int:
 def _polarized(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
     work = polarize(ideal)
     return work, work.nvars - ideal.nvars
+
+
+def _hochster_prologue(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int, "_Scan"]:
+    """Polarize, refuse rings too large for the subset scan, build the scan."""
+    work, added = _polarized(ideal)
+    if work.nvars > _MAX_VARS:
+        raise ValueError(f"size limit exceeded: {work.nvars} variables after polarization")
+    return work, added, _Scan(work)
 
 
 # ---------------------------------------------------------------------------
@@ -345,83 +350,48 @@ class _Scan:
         cache = _SubsetHomology(self, wfv, i + 2)
         return cache.betti(i, field)
 
-    # -- the Hochster scans ----------------------------------------------------
+    # -- the Hochster scan -----------------------------------------------------
 
-    def max_hochster_j(self, field: FieldSpec) -> int:
-        """max { j : beta_{j,W} != 0 } = projective dimension of the quotient."""
-        n = self.n
-        best = 0
-        deep: list[tuple[int, int]] = []
-        for w in range(1, 1 << n):
+    def top_hochster(self, fields, floor: int) -> dict:
+        """Per field, a witness (W, i) of the largest j = |W|-1-i > floor with
+        H~_i(Delta_W) != 0, or None; the largest j is the projective dimension.
+
+        Connected subsets that could beat the best j of degrees -1 and 0 are
+        walked in descending (size, mask) order, each with one _SubsetHomology
+        shared by all fields, so q reuses the GF(2) ranks."""
+        face_verts = self.face_verts
+        best, top = floor, None
+        queue: list[tuple[int, int]] = []
+        for w in range(1, 1 << self.n):
             size = w.bit_count()
-            wfv = w & self.face_verts
+            wfv = w & face_verts
             if wfv == 0:
                 if size > best:
-                    best = size
+                    best, top = size, (w, -1)
                 continue
-            if size - 1 > best and self.n_components(wfv) > 1:
-                best = size - 1
-            if size >= 3:
-                deep.append((size, w))
-        deep.sort(reverse=True)
-        for size, w in deep:
-            if size - 2 <= best:
-                break
-            wfv = w & self.face_verts
-            if self.n_components(wfv) != 1 or self.is_cone(w, wfv):
+            if size - 1 <= best:
                 continue
-            cache = _SubsetHomology(self, wfv, size - 2 - best)
-            i = 1
-            while size - 1 - i > best:
-                if cache.betti_positive(i, field):
-                    best = size - 1 - i
-                    break
-                i += 1
-        return best
-
-    def find_j_above(self, fields, threshold: int) -> dict:
-        """First witness (W, i) with |W|-1-i > threshold, per field.
-
-        Scans only subsets large enough to matter, largest first, sharing face
-        enumeration and GF(2) ranks between the requested fields.
-        """
-        n = self.n
-        found = {f: None for f in fields}
-        remaining = [f for f in fields]
-        for size in range(n, max(threshold, 0), -1):
-            if not remaining:
+            if self.n_components(wfv) > 1:
+                best, top = size - 1, (w, 0)
+            elif size - 2 > best:
+                queue.append((size, w))
+        queue.sort(reverse=True)
+        best_of = dict.fromkeys(fields, best)
+        top_of = dict.fromkeys(fields, top)
+        for size, w in queue:
+            low = min(best_of.values())
+            if size - 2 <= low:
                 break
-            for w in _masks_of_size(n, size):
-                wfv = w & self.face_verts
-                if wfv == 0:
-                    if size > threshold:
-                        for f in remaining:
-                            found[f] = (w, -1)
-                        remaining = []
+            wfv = w & face_verts
+            if self.is_cone(w, wfv):
+                continue
+            cache = _SubsetHomology(self, wfv, size - 2 - low)
+            for f in fields:
+                for i in range(1, size - 1 - best_of[f]):
+                    if cache.betti_positive(i, f):
+                        best_of[f], top_of[f] = size - 1 - i, (w, i)
                         break
-                    continue
-                ncomp = self.n_components(wfv)
-                if size - 1 > threshold and ncomp > 1:
-                    for f in remaining:
-                        found[f] = (w, 0)
-                    remaining = []
-                    break
-                if size - 2 <= threshold:
-                    continue
-                if ncomp != 1 or self.is_cone(w, wfv):
-                    continue
-                max_i = size - 2 - threshold
-                cache = _SubsetHomology(self, wfv, max_i)
-                for i in range(1, max_i + 1):
-                    for f in list(remaining):
-                        if found[f] is None and cache.betti_positive(i, f):
-                            found[f] = (w, i)
-                            remaining.remove(f)
-                    if not remaining:
-                        break
-                if not remaining:
-                    break
-        return found
+        return top_of
 
 
 class _SubsetHomology:
@@ -512,16 +482,3 @@ def _signed_rows(faces: list[int], subfaces: list[int]) -> list[list[int]]:
         rows.append(row)
     return rows
 
-
-def _masks_of_size(n: int, size: int):
-    # Gosper's hack, ascending order within fixed popcount
-    if size == 0:
-        yield 0
-        return
-    w = (1 << size) - 1
-    top = 1 << n
-    while w < top:
-        yield w
-        c = w & -w
-        r = w + c
-        w = (((r ^ w) >> 2) // c) | r

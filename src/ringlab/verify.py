@@ -124,13 +124,9 @@ def check_theorem_A_fields(g: Graph, fields) -> dict:
         if not isolated:
             shared["star_not_isolated"] = {"star": star_name}
 
-    algebra = truncate(presentation_of(kprime, GF2), n + 1)
-    soc_sets = sorted(
-        sorted(i + 1 for i, e in enumerate(mono) if e) for mono in socle_monomials(algebra)
-    )
-    clique_sets = sorted(sorted(c) for c in maximal_cliques(complement(g)))
-    if soc_sets != clique_sets:
-        shared["socle_clique_mismatch"] = {"socle": soc_sets, "cliques": clique_sets}
+    mismatch = _socle_clique_mismatch(g, kprime)
+    if mismatch:
+        shared["socle_clique_mismatch"] = mismatch
 
     elapsed = time.perf_counter() - start
     out = {}
@@ -146,6 +142,17 @@ def check_theorem_A_fields(g: Graph, fields) -> dict:
             elapsed / len(fields),
         )
     return out
+
+
+def _socle_clique_mismatch(g: Graph, kprime) -> dict | None:
+    """The socle monomials of k[V]/kprime against the maximal cliques of the
+    complement of g; None when they match."""
+    algebra = truncate(presentation_of(kprime, GF2), g.n + 1)
+    soc_sets = sorted(
+        sorted(i + 1 for i, e in enumerate(mono) if e) for mono in socle_monomials(algebra)
+    )
+    cliques = sorted(sorted(c) for c in maximal_cliques(complement(g)))
+    return None if soc_sets == cliques else {"socle": soc_sets, "cliques": cliques}
 
 
 def _pair_monomial(ideal, a: str, b: str):
@@ -368,18 +375,16 @@ def check_example_5_4(b: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _corpus_sizes(first: int, max_n: int) -> range:
-    """The vertex counts first..max_n, refused before any enumeration starts."""
+def _labeled_graphs(first: int, max_n: int):
+    """Every labeled graph on first..max_n vertices; an oversized max_n is
+    refused here, before any enumeration starts."""
     if max_n > _MAX_ENUM_N:
         raise ValueError(f"corpus enumeration is capped at n <= {_MAX_ENUM_N}")
-    return range(first, max_n + 1)
+    return (g for n in range(first, max_n + 1) for g in enumerate_graphs(n))
 
 
 def starred_graphs(max_n: int):
-    for n in _corpus_sizes(1, max_n):
-        for g in enumerate_graphs(n):
-            if star_vertices(g):
-                yield g
+    return (g for g in _labeled_graphs(1, max_n) if star_vertices(g))
 
 
 def _thmA_worker(args):
@@ -408,12 +413,12 @@ def _thmB_worker(args):
 
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
-    jobs = []
-    for n in _corpus_sizes(2, max_n):
-        for g in enumerate_graphs(n):
-            for star in star_vertices(g):
-                for f in fields:
-                    jobs.append((g.n, sorted(g.edges), star, str(f)))
+    jobs = [
+        (g.n, sorted(g.edges), star, str(f))
+        for g in _labeled_graphs(2, max_n)
+        for star in star_vertices(g)
+        for f in fields
+    ]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_thmB_worker, jobs, chunksize=16))
@@ -421,8 +426,7 @@ def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list
 
 
 def run_gorenstein_corpus(max_n: int) -> Report:
-    sizes = _corpus_sizes(1, max_n)
-    return check_gorenstein_exclusion(g for n in sizes for g in enumerate_graphs(n))
+    return check_gorenstein_exclusion(_labeled_graphs(1, max_n))
 
 
 def run_socle_clique_corpus(max_n: int) -> Report:
@@ -430,17 +434,11 @@ def run_socle_clique_corpus(max_n: int) -> Report:
     start = time.perf_counter()
     total = 0
     violations = []
-    for n in _corpus_sizes(1, max_n):
-        for g in enumerate_graphs(n):
-            total += 1
-            kprime = edge_ideal_all_squares(g)
-            algebra = truncate(presentation_of(kprime, GF2), n + 1)
-            soc_sets = sorted(
-                sorted(i + 1 for i, e in enumerate(mono) if e) for mono in socle_monomials(algebra)
-            )
-            cliques = sorted(sorted(c) for c in maximal_cliques(complement(g)))
-            if soc_sets != cliques:
-                violations.append({"graph": _graph_tag(g), "socle": soc_sets, "cliques": cliques})
+    for g in _labeled_graphs(1, max_n):
+        total += 1
+        mismatch = _socle_clique_mismatch(g, edge_ideal_all_squares(g))
+        if mismatch:
+            violations.append({"graph": _graph_tag(g), **mismatch})
     return Report(
         "socle-clique",
         f"graphs with n<={max_n}",
@@ -456,19 +454,18 @@ def run_star_split_corpus(max_n: int) -> Report:
     start = time.perf_counter()
     total = 0
     violations = []
-    for n in _corpus_sizes(1, max_n):
-        for g in enumerate_graphs(n):
-            total += 1
-            kprime = edge_ideal_all_squares(g)
-            split = variable_partition_decomposable(kprime)
-            comp = complement(g)
-            comp_disconnected = _is_disconnected(comp)
-            if (split is not None) != comp_disconnected:
-                violations.append({"graph": _graph_tag(g), "split": split is not None})
-                continue
-            if split is not None and is_star_vertex(g, n):
-                if split[0] != frozenset({f"v{n}"}):
-                    violations.append({"graph": _graph_tag(g), "first_part": sorted(split[0])})
+    for g in _labeled_graphs(1, max_n):
+        total += 1
+        kprime = edge_ideal_all_squares(g)
+        split = variable_partition_decomposable(kprime)
+        comp = complement(g)
+        comp_disconnected = _is_disconnected(comp)
+        if (split is not None) != comp_disconnected:
+            violations.append({"graph": _graph_tag(g), "split": split is not None})
+            continue
+        if split is not None and is_star_vertex(g, g.n):
+            if split[0] != frozenset({f"v{g.n}"}):
+                violations.append({"graph": _graph_tag(g), "first_part": sorted(split[0])})
     return Report(
         "star-split",
         f"graphs with n<={max_n}",

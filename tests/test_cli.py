@@ -1,5 +1,9 @@
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ringlab.cli import main
 from ringlab.graphs import from_edge_list, from_json
 from ringlab.monomials import presentation_from_json, presentation_to_json
@@ -208,3 +212,41 @@ def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, caps
     code, err = run_cli_error(capsys, "verify", "thmA", "--max-n", "9")
     assert code == 2
     assert err.startswith("error:") and "n <= 8" in err
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        (("graph", "build"), '{"edges": []}'),
+        (("graph", "build"), '{"n": 3}'),
+        (("graph", "build"), '{"n": 3, "edges": 5}'),
+        (("ring", "invariants"), '{"vars": 5, "gens": []}'),
+        (("ring", "invariants"), '{"vars": ["x"], "gens": 5}'),
+        (("ring", "invariants"), '{"vars": ["x"], "gens": [5]}'),
+        (("ring", "invariants"), '{"vars": ["x"], "gens": ["x^2"], "field": 7}'),
+    ],
+)
+def test_malformed_json_input_exits_two(verb, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, err = run_cli_error(capsys, *verb, "--input", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+_json_leaf = st.none() | st.integers(-2, 6) | st.text("xy12^*+-/:fpq", max_size=4)
+_json_value = st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+_json_object = st.dictionaries(
+    st.sampled_from(["n", "edges", "vars", "gens", "field", "other"]), _json_value, max_size=5
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_json_object | _json_value)
+def test_json_loaders_load_or_raise_value_error(obj):
+    text = json.dumps(obj)
+    for load in (from_json, presentation_from_json):
+        try:
+            load(text)
+        except ValueError:
+            pass

@@ -24,6 +24,7 @@ from ringlab.monomials import MonomialIdeal, parse_monomial, polarize
 from ringlab.sr_invariants import (
     SimplicialComplex,
     cohen_macaulay_witness,
+    cohen_macaulay_witness_fields,
     depth,
     f_vector,
     hilbert_coefficients,
@@ -127,10 +128,41 @@ def test_depth_le_dim_everywhere():
             assert depth(i, f) <= d
 
 
+def graph_ideals(max_n):
+    """Whiskered, vertex-square, squares-but-one and whiskered-but-one ideals
+    of every labeled graph on at most max_n vertices."""
+    for n in range(1, max_n + 1):
+        for g in enumerate_graphs(n):
+            yield whiskered_edge_ideal(g)
+            yield edge_ideal_all_squares(g)
+            for v in range(1, n + 1):
+                yield edge_ideal_squares_except(g, v)
+                yield whisker_except_edge_ideal(g, v)
+
+
+def replays(i: MonomialIdeal, wit, field) -> bool:
+    from ringlab.sr_invariants import _Scan
+
+    work = polarize(i)
+    mask = 0
+    for name in wit["subset"]:
+        mask |= 1 << work.ambient.index(name)
+    return _Scan(work).reduced_betti(mask, wit["homology_degree"], field) > 0
+
+
 def test_cm_agrees_with_depth_eq_dim():
-    for i in SMALL_IDEALS:
-        for f in (QQ, GF2):
-            assert is_cohen_macaulay(i, f) == (depth(i, f) == krull_dim(i))
+    # against the brute-force oracle, so the scan is not checked by itself;
+    # a non-CM witness must replay and carry the maximal j = pd
+    for i in SMALL_IDEALS + list(graph_ideals(3)):
+        work = polarize(i)
+        for f in (QQ, GF2, GF3):
+            want = oracle_depth(i, f)
+            assert is_cohen_macaulay(i, f) == (want == krull_dim(i)), (i, f)
+            wit = cohen_macaulay_witness(i, f)
+            if wit is not None:
+                assert replays(i, wit, f), (i, f, wit)
+                j = len(wit["subset"]) - 1 - wit["homology_degree"]
+                assert j == work.nvars - want - (work.nvars - i.nvars), (i, f, wit)
 
 
 # -- spec examples -------------------------------------------------------------
@@ -192,17 +224,10 @@ def test_cm_examples():
 
 
 def test_cm_witness_is_replayable():
-    from ringlab.sr_invariants import _Scan
-
     kdp = edge_ideal_squares_except(named_graph("p3"), 2)
     wit = cohen_macaulay_witness(kdp, QQ)
     assert wit is not None
-    work = polarize(kdp)
-    scan = _Scan(work)
-    mask = 0
-    for name in wit["subset"]:
-        mask |= 1 << work.ambient.index(name)
-    assert scan.reduced_betti(mask, wit["homology_degree"], QQ) > 0
+    assert replays(kdp, wit, QQ)
 
 
 def test_f_vector_examples():
@@ -282,9 +307,9 @@ def test_reduced_betti_circle():
         assert scan.reduced_betti(full, 0, f) == 0
 
 
-def test_projective_plane_distinguishes_fields():
-    # the 6-vertex triangulation of the real projective plane: H_1 vanishes
-    # over q but not over GF(2), so depth genuinely depends on the field
+def projective_plane_ideal() -> MonomialIdeal:
+    """The Stanley-Reisner ideal of the 6-vertex triangulation of the real
+    projective plane."""
     triangles = [
         (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
         (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
@@ -305,11 +330,27 @@ def test_projective_plane_distinguishes_fields():
         for v in nf:
             e[v - 1] = 1
         gens.append(tuple(e))
-    i = MonomialIdeal(names, gens)
+    return MonomialIdeal(names, gens)
+
+
+def test_projective_plane_distinguishes_fields():
+    # H_1 of the projective plane vanishes over q but not over GF(2), so
+    # depth genuinely depends on the field
+    i = projective_plane_ideal()
     assert depth(i, QQ) == 3  # Cohen-Macaulay over the rationals
     assert depth(i, GF2) == 2  # but not over GF(2)
     assert is_cohen_macaulay(i, QQ)
     assert not is_cohen_macaulay(i, GF2)
+
+
+def test_multi_field_scan_separates_diverging_verdicts():
+    i = projective_plane_ideal()
+    fields = (QQ, GF2, GF3)
+    wits = cohen_macaulay_witness_fields(i, fields)
+    assert wits[QQ] is None and wits[GF3] is None
+    assert wits[GF2] is not None and replays(i, wits[GF2], GF2)
+    for f in fields:
+        assert wits[f] == cohen_macaulay_witness(i, f)
 
 
 def test_facet_containment_rejected():

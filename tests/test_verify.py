@@ -153,3 +153,26 @@ def test_corpus_size_refused_before_enumeration(runner, monkeypatch):
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
     with pytest.raises(ValueError, match="n <= 8"):
         runner(9)
+
+
+def test_rank_counts_fix_the_scan_order(monkeypatch):
+    # the Hochster scan's order decides which subsets reach elimination; these
+    # counts guard it (thmA is settled by the GF(2) screen alone)
+    import ringlab.sr_invariants as sr
+
+    counts = {"gf2": 0, "q": 0}
+
+    def counting(key, rank):
+        def wrapper(*args):
+            counts[key] += 1
+            return rank(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sr, "gf2_rank", counting("gf2", sr.gf2_rank))
+    monkeypatch.setattr(sr, "rational_rank", counting("q", sr.rational_rank))
+    assert all(r.passed for r in run_theorem_A_corpus(4))
+    assert counts == {"gf2": 261, "q": 0}
+    counts.update(gf2=0, q=0)
+    assert all(r.passed for r in run_theorem_B_corpus(4))
+    assert counts == {"gf2": 568, "q": 76}
