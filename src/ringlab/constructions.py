@@ -49,6 +49,7 @@ def edge_ideal_all_squares(g: Graph) -> MonomialIdeal:
 
 def edge_ideal_squares_except(g: Graph, v: int) -> MonomialIdeal:
     """I(G) + (v_u^2 for u != v): squares at all vertices but one."""
+    g._check_vertex(v)
     base = edge_ideal(g)
     return add_squares(base, [name for i, name in enumerate(base.ambient, start=1) if i != v])
 

@@ -90,6 +90,12 @@ class FieldSpec:
 
     def coerce(self, value):
         """Normalize ints, Fractions, or strings like ``"2/3"`` into the field."""
+        # Values that already are field elements come back as they are.
+        if self.p is None:
+            if type(value) is Fraction:
+                return value
+        elif type(value) is int and 0 <= value < self.p:
+            return value
         if isinstance(value, str):
             value = Fraction(value)
         if self.p is None:

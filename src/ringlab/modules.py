@@ -202,6 +202,8 @@ def _quotient_of_free(a: LocalAlgebra, sub: Subspace, label: str | None = None) 
 
 def minimal_resolution(m: FPModule, bound: int) -> Resolution:
     """Betti numbers beta_0..beta_bound and the differentials d_1..d_bound."""
+    if bound < 0:
+        raise ValueError("negative resolution bound")
     if bound > _MAX_BOUND:
         raise ValueError(f"resolution bound capped at {_MAX_BOUND}")
     state = _resolution_state(m, bound)
@@ -303,8 +305,16 @@ def _kernel_of_columns(f: FieldSpec, columns, nrows: int) -> list[tuple]:
     matrix = Matrix.from_columns(f, columns)
     kernel = matrix.kernel_basis()
     if matrix.nrows <= 200 and matrix.ncols <= 400:
+        # Exact check of matrix @ w == 0, summed over the nonzero entries only.
+        p = f.p
+        sparse = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*matrix.rows())]
         for w in kernel:
-            if any(matrix.apply(w)):
+            acc = [0] * matrix.nrows
+            for wj, col in zip(w, sparse):
+                if wj:
+                    for i, c in col:
+                        acc[i] += wj * c
+            if any(acc) if p is None else any(v % p for v in acc):
                 raise AssertionError("kernel vector fails exact verification")
     return kernel
 
@@ -417,6 +427,8 @@ def poincare_truncation(m: FPModule, b: int, cross_check: bool = False) -> list[
 
 def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
     """dims of Ext^i(k, M) for i = 0..b, via the resolution of k."""
+    if b < 0:
+        raise ValueError("negative resolution bound")
     k = residue_field(a)
     res = minimal_resolution(k, b + 1)
     cache: dict = {}

@@ -376,10 +376,12 @@ def check_example_5_4(b: int) -> Report:
 
 
 def _labeled_graphs(first: int, max_n: int):
-    """Every labeled graph on first..max_n vertices; an oversized max_n is
-    refused here, before any enumeration starts."""
+    """Every labeled graph on first..max_n vertices; an oversized or empty
+    range is refused here, before any enumeration starts."""
     if max_n > _MAX_ENUM_N:
         raise ValueError(f"corpus enumeration is capped at n <= {_MAX_ENUM_N}")
+    if max_n < first:
+        raise ValueError(f"empty corpus: max_n = {max_n} < {first}")
     return (g for n in range(first, max_n + 1) for g in enumerate_graphs(n))
 
 

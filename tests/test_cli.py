@@ -215,6 +215,20 @@ def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ring", "invariants", "--name", "kdprime:p3:9"), "out of range"),
+        (("resolve", "--name", "kprime:p3", "--bound", "-1"), "negative"),
+        (("verify", "thmA", "--max-n", "0"), "empty corpus"),
+    ],
+)
+def test_out_of_range_argument_exits_two(argv, message, capsys):
+    code, err = run_cli_error(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
     "verb, text",
     [
         (("graph", "build"), '{"edges": []}'),

@@ -17,6 +17,7 @@ from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.linalg import Matrix
 from ringlab.modules import (
     FPModule,
+    _kernel_of_columns,
     bass_truncation,
     biduality_is_iso,
     cyclic_module,
@@ -152,6 +153,80 @@ def test_poincare_cross_check_tor_route():
 def test_resolution_bound_cap():
     with pytest.raises(ValueError):
         minimal_resolution(residue_field(dual_numbers()), 13)
+
+
+def test_negative_resolution_bound_refused():
+    k = residue_field(dual_numbers())
+    with pytest.raises(ValueError, match="negative"):
+        minimal_resolution(k, -1)
+    with pytest.raises(ValueError, match="negative"):
+        bass_truncation(k.algebra, k, -1)
+
+
+# -- the exact self-check of kernel vectors ------------------------------------------
+
+
+def _corrupt_first_kernel_vector(monkeypatch):
+    """Make Matrix.kernel_basis return its basis with 1 added to the first
+    entry of the first vector (column 0 is nonzero, so it leaves the kernel)."""
+    real = Matrix.kernel_basis
+
+    def corrupted(self):
+        basis = real(self)
+        w = basis[0]
+        basis[0] = (self.field.add(w[0], 1),) + w[1:]
+        return basis
+
+    monkeypatch.setattr(Matrix, "kernel_basis", corrupted)
+
+
+def _one_entry_columns(f, nrows, ncols):
+    # column j is e_(j mod nrows): a kernel of dim ncols - nrows
+    return [tuple(f.one() if i == j % nrows else f.zero() for i in range(nrows)) for j in range(ncols)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_kernel_check_catches_corrupted_vector_at_the_bound(field, monkeypatch):
+    # 200 x 400 is the largest shape the check covers; it runs by default
+    _corrupt_first_kernel_vector(monkeypatch)
+    for nrows, ncols in ((3, 5), (200, 400)):
+        with pytest.raises(AssertionError, match="exact verification"):
+            _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols), nrows)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_kernel_check_bound_is_200_by_400(field, monkeypatch):
+    # pins the bound from above: larger shapes are returned unchecked
+    _corrupt_first_kernel_vector(monkeypatch)
+    for nrows, ncols in ((201, 400), (200, 401)):
+        kernel = _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols), nrows)
+        assert len(kernel) == ncols - nrows
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_sparse_kernel_check_matches_dense_apply(field, monkeypatch):
+    # the dense Matrix.apply product is the reference for the sparse check;
+    # the candidates mix true kernel vectors with random ones
+    rng = random.Random(41)
+    real = Matrix.kernel_basis
+    candidates: list = []
+    monkeypatch.setattr(Matrix, "kernel_basis", lambda self: list(candidates))
+    verdicts = set()
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+        columns = [tuple(field.coerce(rng.choice((0, 0, 1, 2, -1))) for _ in range(nrows)) for _ in range(ncols)]
+        matrix = Matrix.from_columns(field, columns)
+        pool = real(matrix) + [tuple(field.coerce(rng.choice((0, 1, -1, 2))) for _ in range(ncols))]
+        candidates[:] = rng.sample(pool, rng.randint(1, len(pool)))
+        expected = any(any(matrix.apply(w)) for w in candidates)
+        try:
+            _kernel_of_columns(field, columns, nrows)
+            raised = False
+        except AssertionError:
+            raised = True
+        assert raised == expected
+        verdicts.add(raised)
+    assert verdicts == {True, False}
 
 
 def test_zero_module_resolution():

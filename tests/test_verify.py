@@ -176,3 +176,24 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
     counts.update(gf2=0, q=0)
     assert all(r.passed for r in run_theorem_B_corpus(4))
     assert counts == {"gf2": 568, "q": 76}
+
+
+@pytest.mark.parametrize(
+    "runner",
+    [
+        run_theorem_A_corpus,
+        run_theorem_B_corpus,
+        run_gorenstein_corpus,
+        run_socle_clique_corpus,
+        run_star_split_corpus,
+    ],
+)
+def test_empty_corpus_refused_before_enumeration(runner, monkeypatch):
+    import ringlab.verify
+
+    def refuse(n):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
+    with pytest.raises(ValueError, match="empty corpus"):
+        runner(0)
