@@ -3,7 +3,8 @@ and multiplication, plus socle, Hilbert-function, Gorenstein and
 decomposability analysis.
 
 Monomial presentations take a fast path (the basis is the set of standard
-monomials below the truncation order, found by breadth-first multiplication);
+monomials below the truncation order, found degree by degree: a monomial is
+standard iff it is no generator and each of its predecessors m/x_j is);
 general presentations row-reduce the relation space and read the basis off
 the non-pivot columns.  Standard monomials are taken against the graded
 lexicographic order with the leading term the largest monomial, so the basis
@@ -22,7 +23,6 @@ from .monomials import (
     Presentation,
     format_monomial,
     monomial_degree,
-    monomial_divides,
     monomial_mul,
 )
 
@@ -303,28 +303,38 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
 
 
 def _truncate_monomial(p: Presentation, n: int) -> LocalAlgebra:
-    gens = [next(iter(g.terms)) for g in p.gens]
+    gens = {next(iter(g.terms)) for g in p.gens}
     nv = p.nvars
     seen = {(0,) * nv}
     frontier = [(0,) * nv]
+    # by degree: when a degree-(d+1) candidate is formed, seen holds every
+    # standard monomial of degree d
     while frontier:
         nxt = []
         for m in frontier:
             if monomial_degree(m) + 1 >= n:
                 continue
             for k in range(nv):
-                cand = list(m)
-                cand[k] += 1
-                cand = tuple(cand)
-                if cand in seen:
-                    continue
-                if any(monomial_divides(g, cand) for g in gens):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
+                cand = _times_var(m, k)
+                if cand not in seen and _standard(cand, gens, seen):
+                    seen.add(cand)
+                    nxt.append(cand)
         frontier = nxt
     basis = sorted(seen, key=_mono_key)
     return LocalAlgebra(p.field, p.ambient, n, basis, {}, p, True)
+
+
+def _times_var(m: Monomial, k: int) -> Monomial:
+    return m[:k] + (m[k] + 1,) + m[k + 1 :]
+
+
+def _standard(m: Monomial, gens, below) -> bool:
+    """Is m outside the ideal of gens?  below must hold every standard monomial
+    of degree deg(m) - 1: a generator that properly divides m divides some
+    m/x_j, so m is standard iff it is no generator and each m/x_j is standard."""
+    if m in gens:
+        return False
+    return all(m[:j] + (e - 1,) + m[j + 1 :] in below for j, e in enumerate(m) if e)
 
 
 def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
@@ -397,12 +407,11 @@ def socle(a: LocalAlgebra) -> list[tuple]:
     it is the kernel of the stacked variable actions.
     """
     if a._monomial_path:
-        out = []
-        for j in range(a.dim_k):
-            vec = a._basis_vec(j)
-            if all(not any(a.var_multiply(k, vec)) for k in range(a.nvars)):
-                out.append(vec)
-        return out
+        return [
+            a._basis_vec(j)
+            for j, m in enumerate(a.basis_monomials)
+            if not any(_times_var(m, k) in a.index for k in range(a.nvars))
+        ]
     stacked_rows = []
     for k in range(a.nvars):
         stacked_rows.extend(a.var_action_matrix(k).rows())
@@ -435,23 +444,16 @@ def is_gorenstein_artinian(a: LocalAlgebra) -> bool:
     Non-monomial callers assert it themselves.
     """
     if a.presentation.is_monomial():
-        gens = [next(iter(g.terms)) for g in a.presentation.gens]
-        for m in _monomials_of_degree(a.nvars, a.trunc_order):
-            if not any(monomial_divides(g, m) for g in gens):
-                raise ValueError(
-                    "truncation order cuts the ring: monomial "
-                    f"{format_monomial(a.var_names, m)} survives; not a full artinian ring"
-                )
+        gens = {next(iter(g.terms)) for g in a.presentation.gens}
+        top = [b for b in a.basis_monomials if monomial_degree(b) == a.trunc_order - 1]
+        candidates = {_times_var(b, k) for b in top for k in range(a.nvars)}
+        survivors = [m for m in candidates if _standard(m, gens, a.index)]
+        if survivors:
+            raise ValueError(
+                "truncation order cuts the ring: monomial "
+                f"{format_monomial(a.var_names, min(survivors))} survives; not a full artinian ring"
+            )
     return len(socle(a)) == 1
-
-
-def _monomials_of_degree(nv: int, deg: int):
-    if nv == 1:
-        yield (deg,)
-        return
-    for e in range(deg + 1):
-        for rest in _monomials_of_degree(nv - 1, deg - e):
-            yield (e,) + rest
 
 
 def canonical_module(a: LocalAlgebra):

@@ -237,7 +237,7 @@ def _resolution_init(m: FPModule) -> dict:
             gens.append(tuple(vec))
     beta0 = len(gens)
     columns = _map_columns(a, gens, m.var_multiply)
-    kernel = _kernel_of_columns(f, columns, m.dim)
+    kernel = _kernel_of_columns(f, columns)
     return {"betti": [beta0], "diffs": [], "kernel": kernel, "width": beta0 * a.dim_k}
 
 
@@ -265,7 +265,7 @@ def _resolution_extend(m: FPModule, state: dict) -> None:
     state["betti"].append(beta)
     state["diffs"].append(diff)
     columns = _map_columns(a, gens, lambda k, vec: _ambient_var_mult(a, k, vec))
-    state["kernel"] = _kernel_of_columns(f, columns, width)
+    state["kernel"] = _kernel_of_columns(f, columns)
     state["width"] = beta * d
 
 
@@ -299,7 +299,7 @@ def _ambient_var_mult(a: LocalAlgebra, k: int, vec) -> tuple:
     return tuple(out)
 
 
-def _kernel_of_columns(f: FieldSpec, columns, nrows: int) -> list[tuple]:
+def _kernel_of_columns(f: FieldSpec, columns) -> list[tuple]:
     if not columns:
         return []
     matrix = Matrix.from_columns(f, columns)

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
@@ -40,13 +41,13 @@ def is_squarefree(a: Monomial) -> bool:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> frozenset:
-    gens = set(gens)
-    out = set()
-    for g in gens:
-        if any(h != g and monomial_divides(h, g) for h in gens):
-            continue
-        out.add(g)
-    return frozenset(out)
+    # a proper divisor has lower degree, and a non-minimal divisor has a
+    # minimal one below it: test each generator against kept ones of lower degree
+    kept: list = []
+    for _, level in groupby(sorted(set(gens), key=monomial_degree), key=monomial_degree):
+        below = tuple(kept)
+        kept += [g for g in level if not any(monomial_divides(h, g) for h in below)]
+    return frozenset(kept)
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,14 @@ def variable_partition_decomposable(ideal: MonomialIdeal):
             raise ValueError("presentation is not minimal: a variable generates")
     if n <= 1:
         return None
+    # no generator has degree 1, so xy lies in the ideal iff it is a generator
     adj = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
             e = [0] * n
             e[a] += 1
             e[b] += 1
-            if not contains(ideal, tuple(e)):
+            if tuple(e) not in ideal.gens:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     full = (1 << n) - 1

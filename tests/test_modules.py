@@ -191,7 +191,7 @@ def test_kernel_check_catches_corrupted_vector_at_the_bound(field, monkeypatch):
     _corrupt_first_kernel_vector(monkeypatch)
     for nrows, ncols in ((3, 5), (200, 400)):
         with pytest.raises(AssertionError, match="exact verification"):
-            _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols), nrows)
+            _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols))
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -199,7 +199,7 @@ def test_kernel_check_bound_is_200_by_400(field, monkeypatch):
     # pins the bound from above: larger shapes are returned unchecked
     _corrupt_first_kernel_vector(monkeypatch)
     for nrows, ncols in ((201, 400), (200, 401)):
-        kernel = _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols), nrows)
+        kernel = _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols))
         assert len(kernel) == ncols - nrows
 
 
@@ -220,7 +220,7 @@ def test_sparse_kernel_check_matches_dense_apply(field, monkeypatch):
         candidates[:] = rng.sample(pool, rng.randint(1, len(pool)))
         expected = any(any(matrix.apply(w)) for w in candidates)
         try:
-            _kernel_of_columns(field, columns, nrows)
+            _kernel_of_columns(field, columns)
             raised = False
         except AssertionError:
             raised = True

@@ -1,0 +1,164 @@
+"""The monomial core's lookups against brute-force divisibility scans.
+
+Standard monomials, the socle, the cut-ring check of
+``is_gorenstein_artinian``, ``_minimalize`` and the split test are answered
+by lookups in sets the code built itself.  Each is checked here against the
+definition it replaces, which tests every monomial against every generator:
+over the vertex-square quotients k[V]/(I(G) + squares) of every labeled graph
+on at most five vertices, and over hypothesis-generated monomial ideals.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ringlab.artin import _mono_key, _monomials_below, is_gorenstein_artinian, socle, truncate
+from ringlab.constructions import edge_ideal_all_squares
+from ringlab.fields import GF2
+from ringlab.graphs import enumerate_graphs
+from ringlab.monomials import (
+    MonomialIdeal,
+    Poly,
+    Presentation,
+    _minimalize,
+    contains,
+    format_monomial,
+    monomial_divides,
+    presentation_of,
+    variable_partition_decomposable,
+)
+
+
+def monomials_of_degree(nv: int, deg: int):
+    """Every exponent tuple of total degree deg, in ascending tuple order."""
+    if nv == 1:
+        yield (deg,)
+        return
+    for e in range(deg + 1):
+        for rest in monomials_of_degree(nv - 1, deg - e):
+            yield (e,) + rest
+
+
+def oracle_basis(ideal: MonomialIdeal, order: int) -> tuple:
+    return tuple(sorted((m for m in _monomials_below(ideal.nvars, order) if not contains(ideal, m)), key=_mono_key))
+
+
+def oracle_socle(a) -> list:
+    """A basis vector is in the socle iff every variable kills it."""
+    out = []
+    for j in range(a.dim_k):
+        vec = a._basis_vec(j)
+        if all(not any(a.var_multiply(k, vec)) for k in range(a.nvars)):
+            out.append(vec)
+    return out
+
+
+def oracle_minimalize(gens) -> frozenset:
+    gens = set(gens)
+    return frozenset(g for g in gens if not any(h != g and monomial_divides(h, g) for h in gens))
+
+
+def oracle_cut_message(ideal: MonomialIdeal, order: int) -> str | None:
+    """The error of the cut-ring check: the first surviving degree-order monomial."""
+    for m in monomials_of_degree(ideal.nvars, order):
+        if not contains(ideal, m):
+            return (
+                "truncation order cuts the ring: monomial "
+                f"{format_monomial(ideal.ambient, m)} survives; not a full artinian ring"
+            )
+    return None
+
+
+def oracle_split(ideal: MonomialIdeal):
+    """The cross graph from contains, its components by a plain set search."""
+    n = ideal.nvars
+    if any(sum(g) == 1 for g in ideal.gens):
+        return "raises"
+    if n <= 1:
+        return None
+
+    def cross(a, b):
+        e = [0] * n
+        e[a] += 1
+        e[b] += 1
+        return not contains(ideal, tuple(e))
+
+    comp, todo = {n - 1}, [n - 1]
+    while todo:
+        u = todo.pop()
+        for v in range(n):
+            if v not in comp and cross(min(u, v), max(u, v)):
+                comp.add(v)
+                todo.append(v)
+    if len(comp) == n:
+        return None
+    return (
+        frozenset(ideal.ambient[k] for k in comp),
+        frozenset(ideal.ambient[k] for k in range(n) if k not in comp),
+    )
+
+
+def split_outcome(ideal: MonomialIdeal):
+    try:
+        return variable_partition_decomposable(ideal)
+    except ValueError:
+        return "raises"
+
+
+def check_algebra(ideal: MonomialIdeal, presentation: Presentation, order: int) -> None:
+    a = truncate(presentation, order)
+    assert a.basis_monomials == oracle_basis(ideal, order)
+    assert socle(a) == oracle_socle(a)
+    expected = oracle_cut_message(ideal, order)
+    if expected is None:
+        assert is_gorenstein_artinian(a) == (len(oracle_socle(a)) == 1)
+    else:
+        with pytest.raises(ValueError) as err:
+            is_gorenstein_artinian(a)
+        assert str(err.value) == expected
+
+
+def independence_number(g) -> int:
+    return max(
+        bin(mask).count("1")
+        for mask in range(1 << g.n)
+        if not any(mask >> (i - 1) & 1 and mask >> (j - 1) & 1 for i, j in g.edges)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vertex_square_quotients_against_scans(n):
+    for g in enumerate_graphs(n):
+        ideal = edge_ideal_all_squares(g)
+        p = presentation_of(ideal, GF2)
+        alpha = independence_number(g)
+        # order alpha cuts the ring (a maximal independent set survives);
+        # alpha + 1 and n + 1 do not
+        for order in sorted({alpha, alpha + 1, n + 1}):
+            check_algebra(ideal, p, order)
+        assert split_outcome(ideal) == oracle_split(ideal)
+        # edge pairs and vertex-square multiples are not minimal
+        extra = [tuple(x + y for x, y in zip(u, v)) for u in ideal.gens for v in ideal.gens]
+        gens = list(ideal.gens) + extra
+        assert ideal.gens == oracle_minimalize(gens)
+        assert _minimalize(gens) == oracle_minimalize(gens)
+
+
+@st.composite
+def monomial_ideals(draw):
+    nv = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * nv).filter(any)
+    return nv, draw(st.lists(exponents, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_ideals(), st.integers(1, 5))
+def test_random_monomial_ideals_against_scans(case, order):
+    nv, gens = case
+    ambient = [f"x{k}" for k in range(1, nv + 1)]
+    ideal = MonomialIdeal(ambient, gens)
+    assert ideal.gens == oracle_minimalize(gens)
+    # the raw, possibly non-minimal generators go into the presentation
+    raw = Presentation(ambient, [Poly(GF2, nv, {g: 1}) for g in gens], GF2)
+    check_algebra(ideal, raw, order)
+    assert split_outcome(ideal) == oracle_split(ideal)

@@ -178,6 +178,28 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
     assert counts == {"gf2": 568, "q": 76}
 
 
+def test_vertex_square_runners_make_no_divisibility_scans(monkeypatch):
+    # socle, split and the cut-ring check of these rings are answered by
+    # lookups; a monomial_divides call here means a generator scan came back
+    import ringlab.artin
+    import ringlab.monomials
+
+    calls = []
+    for module in (ringlab.monomials, ringlab.artin):
+        if hasattr(module, "monomial_divides"):
+            real = module.monomial_divides
+
+            def counting(a, b, real=real):
+                calls.append((a, b))
+                return real(a, b)
+
+            monkeypatch.setattr(module, "monomial_divides", counting)
+    assert run_socle_clique_corpus(4).passed
+    assert run_star_split_corpus(4).passed
+    assert run_gorenstein_corpus(4).passed
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "runner",
     [
