@@ -93,22 +93,6 @@ class FPModule:
                         rows[i][j] = f.add(rows[i][j], f.mul(c, row[j]))
         return Matrix(f, rows, self.dim)
 
-    def action_respects_table(self, samples: int = 40, seed: int = 0) -> bool:
-        """Sampled check that action(b * b') = action(b) o action(b')."""
-        import random
-
-        rng = random.Random(seed)
-        d = self.algebra.dim_k
-        f = self.algebra.field
-        for _ in range(samples):
-            i, j = rng.randrange(d), rng.randrange(d)
-            prod = [f.zero()] * d
-            for t, c in self.algebra.product_mono(i, j):
-                prod[t] = c
-            if self.element_action(prod) != self.basis_action(i).mul(self.basis_action(j)):
-                return False
-        return True
-
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"FPModule(dim {self.dim} over dim-{self.algebra.dim_k} algebra{tag})"

@@ -294,6 +294,7 @@ class Presentation:
         if len(set(ambient)) != len(ambient):
             raise ValueError("duplicate variable names")
         out = []
+        seen = set()
         for g in gens:
             if g.nvars != len(ambient) or g.field != field:
                 raise ValueError("generator does not live in the ambient ring")
@@ -301,7 +302,9 @@ class Presentation:
                 continue
             if g.constant_term():
                 raise ValueError("generator has a nonzero constant term")
-            if g not in out:
+            key = g.key()
+            if key not in seen:
+                seen.add(key)
                 out.append(g)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "gens", tuple(out))

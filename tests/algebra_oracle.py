@@ -1,0 +1,165 @@
+"""Independent structure oracle for truncated local algebras.
+
+``check_algebra(a)`` proves that an algebra built by ``truncate`` is
+k[x]/(I + m^N) for its presentation and order N.  Let phi: k[x] -> A send
+x_k to ``var_images[k]``.  Once A is a commutative associative algebra with
+unit (checks 4 and 5), phi is a ring map; it is onto when every basis monomial
+maps to its unit vector (check 1), it kills I + m^N when every generator and
+every degree-N monomial maps to 0 (check 2), and then dim_k A equal to the
+number of standard monomials of I + m^N, counted by sympy's Groebner bases
+(check 3), makes the induced map k[x]/(I + m^N) -> A an isomorphism.  Check 6
+pins the m-adic filtration.
+
+Products are taken only through the public ``multiply``: each basis pair once,
+and triples are expanded from that table by bilinearity, so the exhaustive
+associativity check stays cheap.  ``check_module_action`` checks that a
+module's basis actions follow the algebra's multiplication table.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+
+try:
+    import sympy
+except ImportError:  # without sympy the Groebner dimension check is skipped
+    sympy = None
+
+from ringlab.linalg import Matrix
+
+EXHAUSTIVE_DIM = 60
+SAMPLED_TRIPLES = 1000
+
+
+def _basis_vec(a, i: int) -> tuple:
+    vec = [a.field.zero()] * a.dim_k
+    vec[i] = a.field.one()
+    return tuple(vec)
+
+
+def _sparse(vec) -> dict:
+    return {i: c for i, c in enumerate(vec) if c}
+
+
+def _combine(f, terms) -> dict:
+    """sum of c * vec over (c, sparse vec) pairs, as a sparse dict."""
+    out: dict = {}
+    for c, vec in terms:
+        for t, x in vec.items():
+            out[t] = f.add(out.get(t, f.zero()), f.mul(c, x))
+    return {t: x for t, x in out.items() if x}
+
+
+def _evaluate_monomial(a, mono, cache) -> tuple:
+    if mono not in cache:
+        k = next((idx for idx, e in enumerate(mono) if e), None)
+        if k is None:
+            cache[mono] = a.unit_vector()
+        else:
+            rest = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+            cache[mono] = a.multiply(_evaluate_monomial(a, rest, cache), a.var_images[k])
+    return cache[mono]
+
+
+def _monomials_of_degree(nv: int, d: int):
+    for combo in itertools.combinations_with_replacement(range(nv), d):
+        e = [0] * nv
+        for k in combo:
+            e[k] += 1
+        yield tuple(e)
+
+
+def groebner_dim(presentation, order: int) -> int | None:
+    """dim_k k[x]/(gens + m^order) from a sympy Groebner basis; None without sympy."""
+    if sympy is None:
+        return None
+    nv = presentation.nvars
+    if nv == 0:
+        return 1
+    xs = sympy.symbols(f"x0:{nv}")
+
+    def term(mono):
+        return sympy.Mul(*(x**e for x, e in zip(xs, mono)))
+
+    polys = [
+        sympy.Add(*(sympy.Rational(c.numerator, c.denominator) * term(m) for m, c in g.terms.items()))
+        for g in presentation.gens
+    ]
+    polys += [term(m) for m in _monomials_of_degree(nv, order)]
+    options = {} if presentation.field.is_rational else {"modulus": presentation.field.p}
+    basis = sympy.groebner(polys, *xs, order="grevlex", **options)
+    leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    return sum(
+        1
+        for m in itertools.product(range(order), repeat=nv)
+        if sum(m) < order and not any(all(x >= y for x, y in zip(m, lead)) for lead in leads)
+    )
+
+
+def check_algebra(a) -> None:
+    """Assert A = k[x]/(I + m^N) for the presentation and order of ``a``."""
+    f = a.field
+    d = a.dim_k
+    p = a.presentation
+    n = a.trunc_order
+    cache: dict = {}
+    # 1. phi maps each basis monomial to its unit vector: phi is onto
+    for i, mono in enumerate(a.basis_monomials):
+        assert _evaluate_monomial(a, mono, cache) == _basis_vec(a, i), f"basis monomial {mono}"
+    # 2. phi kills the generators and m^N
+    for g in p.gens:
+        image = a.zero_vector()
+        for mono, c in g.terms.items():
+            image = tuple(f.add(x, f.mul(c, y)) for x, y in zip(image, _evaluate_monomial(a, mono, cache)))
+        assert not any(image), f"generator {g.terms} does not vanish"
+    for mono in _monomials_of_degree(a.nvars, n):
+        assert not any(_evaluate_monomial(a, mono, cache)), f"degree-{n} monomial {mono} survives"
+    # 3. the dimension is that of k[x]/(I + m^N)
+    expected = groebner_dim(p, n)
+    if expected is not None:
+        assert d == expected, f"dim_k {d}, Groebner count {expected}"
+    # 4. unit law
+    unit = a.unit_vector()
+    for i in range(d):
+        e = _basis_vec(a, i)
+        assert a.multiply(unit, e) == e and a.multiply(e, unit) == e, f"unit law at {i}"
+    # 5. commutativity and associativity, on every pair and triple up to
+    #    EXHAUSTIVE_DIM and on seeded triples above it
+    table: dict = {}
+
+    def prod(i, j):
+        if (i, j) not in table:
+            table[(i, j)] = _sparse(a.multiply(_basis_vec(a, i), _basis_vec(a, j)))
+        return table[(i, j)]
+
+    if d <= EXHAUSTIVE_DIM:
+        for i, j in itertools.combinations(range(d), 2):
+            assert prod(i, j) == prod(j, i), f"commutativity at {(i, j)}"
+        triples = itertools.product(range(d), repeat=3)
+    else:
+        rng = random.Random(0)
+        triples = [tuple(rng.randrange(d) for _ in range(3)) for _ in range(SAMPLED_TRIPLES)]
+        for i, j, _ in triples:
+            assert prod(i, j) == prod(j, i), f"commutativity at {(i, j)}"
+    for i, j, k in triples:
+        left = _combine(f, ((c, prod(t, k)) for t, c in prod(i, j).items()))
+        right = _combine(f, ((c, prod(i, t)) for t, c in prod(j, k).items()))
+        assert left == right, f"associativity at {(i, j, k)}"
+    # 6. the m-adic filtration
+    filt = a.filtration
+    assert filt[0] == d and filt[-1] == 0, f"filtration {filt}"
+    assert all(filt[j] >= filt[j + 1] for j in range(len(filt) - 1)), f"filtration {filt}"
+    if a._monomial_path:
+        assert list(filt) == [a.power_subspace(j).dim for j in range(len(filt))], f"filtration {filt}"
+
+
+def check_module_action(m) -> None:
+    """Assert action(b * b') = action(b) o action(b') on every basis pair and
+    that the unit acts as the identity."""
+    a = m.algebra
+    assert m.element_action(a.unit_vector()) == Matrix.identity(a.field, m.dim), "unit action"
+    for i in range(a.dim_k):
+        for j in range(a.dim_k):
+            product = a.multiply(_basis_vec(a, i), _basis_vec(a, j))
+            assert m.element_action(product) == m.basis_action(i).mul(m.basis_action(j)), f"action at {(i, j)}"

@@ -1,5 +1,6 @@
 import pytest
 
+from algebra_oracle import check_algebra
 from ringlab.constructions import (
     edge_ideal_all_squares,
     named_graph,
@@ -7,7 +8,7 @@ from ringlab.constructions import (
     stanley_example_big_ring,
 )
 from ringlab.fields import GF2, QQ, FieldSpec
-from ringlab.graphs import complement, enumerate_graphs, maximal_cliques
+from ringlab.graphs import Graph, complement, enumerate_graphs, maximal_cliques
 from ringlab.monomials import (
     MonomialIdeal,
     Presentation,
@@ -18,6 +19,7 @@ from ringlab.monomials import (
     variable_partition_decomposable,
 )
 from ringlab.artin import (
+    LocalAlgebra,
     hilbert_function,
     ideal_direct_sum_check,
     is_gorenstein_artinian,
@@ -64,6 +66,14 @@ def test_truncate_general_gf2():
 def test_truncate_requires_positive_order():
     with pytest.raises(ValueError):
         truncate(pres(["x"], []), 0)
+
+
+def test_truncate_size_cap_admits_the_largest_corpus():
+    # the vertex-square quotient of an 8-vertex graph at order 9 has C(16, 8) = 12,870 monomials below the order
+    a = truncate(presentation_of(edge_ideal_all_squares(Graph(8)), GF2), 9)
+    assert a.dim_k == 2**8
+    with pytest.raises(ValueError, match="monomials below the order"):
+        truncate(presentation_of(edge_ideal_all_squares(Graph(8)), GF2), 10)
 
 
 def test_truncate_order_one_is_residue_field():
@@ -323,15 +333,27 @@ def test_structural_invariants_on_fixtures():
         truncate(plane_conic_presentation(GF5), 4),
         truncate(pres(["x", "y"], ["x^2", "y^2"]), 3),
     ):
-        unit = a.unit_vector()
-        for i in range(a.dim_k):
-            assert a.multiply(unit, a._basis_vec(i)) == a._basis_vec(i)
-        filt = a.filtration
-        assert filt[0] == a.dim_k and filt[-1] == 0
-        assert all(filt[j] >= filt[j + 1] for j in range(len(filt) - 1))
-        # full associativity on the whole basis (desk-scale algebras)
-        for i in range(a.dim_k):
-            for j in range(a.dim_k):
-                for k in range(a.dim_k):
-                    ei, ej, ek = a._basis_vec(i), a._basis_vec(j), a._basis_vec(k)
-                    assert a.multiply(a.multiply(ei, ej), ek) == a.multiply(ei, a.multiply(ej, ek))
+        check_algebra(a)
+
+
+@pytest.mark.parametrize(
+    "presentation, order",
+    [
+        (presentation_of(edge_ideal_all_squares(named_graph("p3")), GF2), 4),
+        (plane_conic_presentation(GF5), 4),
+    ],
+    ids=["kprime_p3", "plane_conic"],
+)
+def test_truncate_multiplies_nothing(presentation, order, monkeypatch):
+    """truncate trusts the algebra it builds: no product is re-checked."""
+    calls = []
+    multiply = LocalAlgebra.multiply
+
+    def counted(self, u, v):
+        calls.append(1)
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(LocalAlgebra, "multiply", counted)
+    a = truncate(presentation, order)
+    assert len(calls) == 0
+    assert a.multiply(a.unit_vector(), a.unit_vector()) == a.unit_vector() and len(calls) == 1

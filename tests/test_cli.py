@@ -214,6 +214,19 @@ def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, caps
     assert err.startswith("error:") and "n <= 8" in err
 
 
+def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):
+    import ringlab.artin
+
+    def refuse(p, n):
+        raise AssertionError("truncation started")
+
+    monkeypatch.setattr(ringlab.artin, "_truncate_monomial", refuse)
+    monkeypatch.setattr(ringlab.artin, "_truncate_general", refuse)
+    code, err = run_cli_error(capsys, "artin", "--name", "kprime:p3", "--trunc", "1000000")
+    assert code == 2
+    assert err.startswith("error:") and "monomials below the order" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

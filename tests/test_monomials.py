@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringlab.constructions import (
@@ -8,10 +8,11 @@ from ringlab.constructions import (
     whiskered_edge_ideal,
     whisker_names,
 )
-from ringlab.fields import QQ
+from ringlab.fields import QQ, FieldSpec
 from ringlab.graphs import Graph, enumerate_graphs
 from ringlab.monomials import (
     MonomialIdeal,
+    Poly,
     Presentation,
     add_squares,
     contains,
@@ -233,17 +234,32 @@ def test_presentation_rejects_constant_term():
         Presentation(["x"], [parse_poly(["x"], "x + 1", QQ)], QQ)
 
 
-def test_parse_and_format_round_trip():
-    amb = ["x", "y"]
-    for text in ("x^2", "x*y", "2*x + 1/2*y^3", "-x + y", "x^2 - 3*x*y"):
-        p = parse_poly(amb, text, QQ)
-        again = parse_poly(amb, format_poly(amb, p), QQ)
-        assert p == again
+AMB = ["x", "y"]
+
+
+@st.composite
+def polys(draw):
+    field = draw(st.sampled_from((QQ, FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(5))))
+    if field.is_rational:
+        coeff = st.fractions(-9, 9, max_denominator=9)
+    else:
+        coeff = st.integers(0, field.p - 1)
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeff, max_size=4))
+    return Poly(field, len(AMB), terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly=polys())
+@example(poly=parse_poly(AMB, "x^2", QQ))
+@example(poly=parse_poly(AMB, "x*y", QQ))
+@example(poly=parse_poly(AMB, "2*x + 1/2*y^3", QQ))
+@example(poly=parse_poly(AMB, "-x + y", QQ))
+@example(poly=parse_poly(AMB, "x^2 - 3*x*y", QQ))
+def test_parse_and_format_round_trip(poly):
+    assert parse_poly(AMB, format_poly(AMB, poly), poly.field) == poly
 
 
 def test_parse_fraction_coefficients_mod_p():
-    from ringlab.fields import FieldSpec
-
     p = parse_poly(["x"], "1/2*x", FieldSpec.prime(5))
     ((_, coeff),) = p.terms.items()
     assert coeff == 3  # 1/2 = 3 mod 5
@@ -270,6 +286,9 @@ def test_eliminate_variables():
 def test_minimalization_invariant():
     i = MonomialIdeal(["x", "y"], [(1, 1), (2, 1), (0, 2)])
     assert i.gen_strings() == ["x*y", "y^2"]
+    # presentations drop repeated generators and keep first-occurrence order
+    p = Presentation(AMB, [parse_poly(AMB, s, QQ) for s in ("x*y", "2*x^2", "y*x", "x^2 + x^2", "y^2")], QQ)
+    assert p.gen_strings() == ["x*y", "2*x^2", "y^2"]
 
 
 def test_unit_generator_rejected():
