@@ -38,6 +38,12 @@ from .monomials import (
 # The vertex-square quotient of an 8-vertex graph at order 9 (the corpus cap)
 # needs C(16, 8) = 12,870.
 _MAX_TRUNC_MONOMIALS = 20_000
+# Largest dense relation matrix (rows x monomials below the order) that the
+# general path builds; the largest fixture needs 6,720 cells. Over GF(2), on
+# one core of a 2-core x86 host under Python 3.11, k[a..e]/(a^2 + bc) takes
+# 9 s at order 9 (5.9e5 cells) and 21 s at order 10 (1.6e6 cells); rational
+# coefficients are about ten times slower.
+_MAX_RELATION_CELLS = 1_000_000
 
 
 def _mono_key(m: Monomial):
@@ -275,12 +281,20 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
     """
     if n < 1:
         raise ValueError("truncation order must be >= 1")
-    if math.comb(n - 1 + p.nvars, p.nvars) > _MAX_TRUNC_MONOMIALS:
+    count = math.comb(n - 1 + p.nvars, p.nvars)
+    if count > _MAX_TRUNC_MONOMIALS:
         raise ValueError(
             f"truncation order {n} in {p.nvars} variables exceeds {_MAX_TRUNC_MONOMIALS} monomials below the order"
         )
     if p.is_monomial():
         return _truncate_monomial(p, n)
+    # one relation row per generator g and monomial u with deg(u) + mindeg(g) < n
+    degrees = [g.min_degree() for g in p.gens]
+    rows = sum(math.comb(n - 1 - d + p.nvars, p.nvars) for d in degrees if d < n)
+    if rows * count > _MAX_RELATION_CELLS:
+        raise ValueError(
+            f"truncation order {n} needs a {rows} x {count} relation matrix, over {_MAX_RELATION_CELLS} cells"
+        )
     return _truncate_general(p, n)
 
 

@@ -7,6 +7,12 @@ degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
 Non-squarefree ideals are polarized first; dimension and depth drop by the
 number of added variables.
 
+Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
+shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
+shellable and sequentially Cohen-Macaulay over every field (Bjorner-Wachs), so
+its depth is its smallest facet size and it is Cohen-Macaulay iff pure. Every
+other complex, and every non-CM witness, goes through the scan below.
+
 Depth and Cohen-Macaulayness share one exact, pruned subset scan: degrees -1
 and 0 are field-independent and settled for every W in one pass (degree 0 by
 bitmask BFS, ``graphs._component_mask``); cones are contractible and skipped;
@@ -112,6 +118,9 @@ def krull_dim(ideal: MonomialIdeal) -> int:
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
     work, added, scan = _hochster_prologue(ideal)
+    sizes = scan.vd_facet_sizes()
+    if sizes is not None:
+        return sizes[0] - added
     top = scan.top_hochster((field,), 0)[field]
     pd = 0 if top is None else top[0].bit_count() - 1 - top[1]
     return work.nvars - pd - added
@@ -135,6 +144,9 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     fp:2 together costs about as much as one of them.
     """
     work, added, scan = _hochster_prologue(ideal)
+    sizes = scan.vd_facet_sizes()
+    if sizes is not None and sizes[0] == sizes[1]:
+        return dict.fromkeys(fields)
     d = scan.max_face_size()
     found = scan.top_hochster(tuple(fields), work.nvars - d)
     out = {}
@@ -311,6 +323,49 @@ class _Scan:
 
         rec(0, 0, self.face_verts)
         return best
+
+    def vd_facet_sizes(self) -> tuple[int, int] | None:
+        """(smallest, largest) facet size of a flag complex certified
+        vertex-decomposable, or None (non-flag, or no certificate found).
+
+        The graph has the non-faces {a, b} as edges. A vertex v with a
+        neighbour w such that N[w] lies in N[v] is a shedding vertex
+        (Woodroofe), so the complex is vertex-decomposable when both its
+        deletion G - v and its link G - N[v] are; its facets are those of
+        the deletion and those of the link coned by v. Only the first such
+        v is tried at each step, so None proves nothing about the complex."""
+        if not self.flag:
+            return None
+        fv = self.face_verts
+        closed = [fv & ~c for c in self.compat]  # read only at face vertices
+        memo: dict[int, tuple[int, int] | None] = {}
+
+        def rec(mask: int) -> tuple[int, int] | None:
+            if mask in memo:
+                return memo[mask]
+            shed, edgeless = None, True
+            scan = mask
+            while scan and shed is None:
+                bit = scan & -scan
+                scan ^= bit
+                near = closed[bit.bit_length() - 1] & mask
+                nbrs = near ^ bit
+                edgeless = edgeless and not nbrs
+                while nbrs:
+                    w = nbrs & -nbrs
+                    nbrs ^= w
+                    if closed[w.bit_length() - 1] & mask & ~near == 0:
+                        shed = (bit, near)
+                        break
+            if shed is None:
+                out = (mask.bit_count(),) * 2 if edgeless else None
+            else:
+                dele, link = rec(mask ^ shed[0]), rec(mask & ~shed[1])
+                out = dele and link and (min(dele[0], link[0] + 1), max(dele[1], link[1] + 1))
+            memo[mask] = out
+            return out
+
+        return rec(fv)
 
     # -- cheap topology ------------------------------------------------------
 

@@ -227,6 +227,22 @@ def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):
     assert err.startswith("error:") and "monomials below the order" in err
 
 
+def test_oversized_relation_matrix_exits_two_without_building(tmp_path, monkeypatch, capsys):
+    # 12,870 monomials below order 9 in 8 variables pass the monomial cap, but
+    # one quadric needs 3,003 relation rows: ~3.9e7 dense cells
+    import ringlab.artin
+
+    def refuse(p, n):
+        raise AssertionError("truncation started")
+
+    monkeypatch.setattr(ringlab.artin, "_truncate_general", refuse)
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["a", "b", "c", "d", "e", "f", "g", "h"], "gens": ["a^2 + b*c"], "field": "fp:2"}')
+    code, err = run_cli_error(capsys, "artin", "--input", str(path), "--field", "fp:2", "--trunc", "9")
+    assert code == 2
+    assert err.startswith("error:") and "3003 x 12870 relation matrix" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

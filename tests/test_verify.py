@@ -1,8 +1,14 @@
 import pytest
 
-from ringlab.constructions import named_graph, star_of_paths
+from ringlab.constructions import (
+    edge_ideal_squares_except,
+    named_graph,
+    star_of_paths,
+    whisker_except_edge_ideal,
+    whiskered_edge_ideal,
+)
 from ringlab.fields import GF2, QQ
-from ringlab.graphs import Graph, star_vertices
+from ringlab.graphs import Graph, enumerate_graphs, star_vertices
 from ringlab.verify import (
     check_example_3_11,
     check_example_4x,
@@ -16,6 +22,7 @@ from ringlab.verify import (
     run_star_split_corpus,
     run_theorem_A_corpus,
     run_theorem_B_corpus,
+    starred_graphs,
 )
 
 
@@ -155,27 +162,63 @@ def test_corpus_size_refused_before_enumeration(runner, monkeypatch):
         runner(9)
 
 
+def _counting(counts, key, real):
+    def wrapper(*args):
+        counts[key] += 1
+        return real(*args)
+
+    return wrapper
+
+
 def test_rank_counts_fix_the_scan_order(monkeypatch):
     # the Hochster scan's order decides which subsets reach elimination; these
-    # counts guard it (thmA is settled by the GF(2) screen alone)
+    # counts guard it, so the scan is called directly with the arguments the
+    # thmA and thmB runners would give it (thmA is settled by the GF(2) screen
+    # alone)
     import ringlab.sr_invariants as sr
 
     counts = {"gf2": 0, "q": 0}
-
-    def counting(key, rank):
-        def wrapper(*args):
-            counts[key] += 1
-            return rank(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(sr, "gf2_rank", counting("gf2", sr.gf2_rank))
-    monkeypatch.setattr(sr, "rational_rank", counting("q", sr.rational_rank))
-    assert all(r.passed for r in run_theorem_A_corpus(4))
+    monkeypatch.setattr(sr, "gf2_rank", _counting(counts, "gf2", sr.gf2_rank))
+    monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
+    for g in starred_graphs(4):
+        _, _, scan = sr._hochster_prologue(whiskered_edge_ideal(g))
+        scan.top_hochster((QQ, GF2), scan.n - scan.max_face_size())
     assert counts == {"gf2": 261, "q": 0}
     counts.update(gf2=0, q=0)
-    assert all(r.passed for r in run_theorem_B_corpus(4))
+    for n in range(2, 5):
+        for g in enumerate_graphs(n):
+            for star in star_vertices(g):
+                for f in (QQ, GF2):
+                    for ideal in (whisker_except_edge_ideal(g, star), edge_ideal_squares_except(g, star)):
+                        _, _, scan = sr._hochster_prologue(ideal)
+                        scan.top_hochster((f,), 0)
     assert counts == {"gf2": 568, "q": 76}
+
+
+def test_certificates_settle_the_small_corpora(monkeypatch):
+    # every whiskered and partly whiskered ideal of the n <= 4 corpora is
+    # certified vertex-decomposable, so no Hochster scan and no rank runs
+    import ringlab.sr_invariants as sr
+
+    counts = {"scan": 0, "gf2": 0, "q": 0, "certified": 0}
+    real_sizes = sr._Scan.vd_facet_sizes
+
+    def certifying(scan):
+        sizes = real_sizes(scan)
+        counts["certified"] += sizes is not None
+        return sizes
+
+    monkeypatch.setattr(sr._Scan, "vd_facet_sizes", certifying)
+    monkeypatch.setattr(sr._Scan, "top_hochster", _counting(counts, "scan", sr._Scan.top_hochster))
+    monkeypatch.setattr(sr, "gf2_rank", _counting(counts, "gf2", sr.gf2_rank))
+    monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
+    # one fused (q, GF(2)) CM check per starred graph
+    assert all(r.passed for r in run_theorem_A_corpus(4))
+    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 29}
+    counts.update(certified=0)
+    # two depths per (graph, star, field): 80 reports
+    assert all(r.passed for r in run_theorem_B_corpus(4))
+    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 160}
 
 
 def test_vertex_square_runners_make_no_divisibility_scans(monkeypatch):
