@@ -10,8 +10,11 @@ number of added variables.
 Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
 shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
 shellable and sequentially Cohen-Macaulay over every field (Bjorner-Wachs), so
-its depth is its smallest facet size and it is Cohen-Macaulay iff pure. Every
-other complex, and every non-CM witness, goes through the scan below.
+its depth is its smallest facet size and it is Cohen-Macaulay iff pure. A pure
+certificate is audited before it answers the CM check: its top mod-2 Betti
+number (one GF(2) rank) must equal its reduced Euler characteristic up to
+sign, as for a wedge of spheres (``_Scan.is_sphere_wedge_shaped``). Every other
+complex, and every non-CM witness, goes through the scan below.
 
 Depth and Cohen-Macaulayness share one exact, pruned subset scan: degrees -1
 and 0 are field-independent and settled for every W in one pass (degree 0 by
@@ -145,7 +148,7 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     """
     work, added, scan = _hochster_prologue(ideal)
     sizes = scan.vd_facet_sizes()
-    if sizes is not None and sizes[0] == sizes[1]:
+    if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
     d = scan.max_face_size()
     found = scan.top_hochster(tuple(fields), work.nvars - d)
@@ -366,6 +369,17 @@ class _Scan:
             return out
 
         return rec(fv)
+
+    def is_sphere_wedge_shaped(self, d: int) -> bool:
+        """Audit of a pure certificate with facets of size d: a pure
+        vertex-decomposable complex is a wedge of (d-1)-spheres, so its top
+        mod-2 Betti number (one GF(2) rank) equals (-1)^(d-1) times its
+        reduced Euler characteristic. False means the certificate is wrong."""
+        if d == 0:
+            return True
+        cache = _SubsetHomology(self, self.face_verts, d - 1)
+        chi = sum((-1) ** (s - 1) * len(faces) for s, faces in enumerate(cache.faces))
+        return cache.f(d - 1) - cache.rank2(d - 1) == (-1) ** (d - 1) * chi
 
     # -- cheap topology ------------------------------------------------------
 

@@ -93,6 +93,7 @@ def check_certificate(ideal, want: dict) -> bool:
     assert all(low == want[f] for f in FIELDS), ideal
     assert depth(ideal, GF2) == low, ideal
     if low == high:
+        assert scan.is_sphere_wedge_shaped(sizes[1]), ideal
         assert cohen_macaulay_witness_fields(ideal, FIELDS) == dict.fromkeys(FIELDS), ideal
     return True
 
@@ -149,6 +150,24 @@ def test_the_five_cycle_reaches_the_scan():
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [2, 2, 2] and want["dim"] == 2
     check_public_answers(ideal, want)
+
+
+def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
+    # C4's independence complex is two disjoint edges: pure, not CM, and not
+    # certified.  Its top mod-2 Betti number is 0 against a reduced Euler
+    # characteristic of 1, so a forged certificate claiming it pure VD is
+    # refused and the scan decides.
+    import ringlab.sr_invariants as sr
+
+    ideal = edge_ideal(named_graph("c4"))
+    scan = _hochster_prologue(ideal)[2]
+    assert scan.vd_facet_sizes() is None
+    assert not scan.is_sphere_wedge_shaped(2)
+    want = scan_answers(ideal)
+    monkeypatch.setattr(sr._Scan, "vd_facet_sizes", lambda self: (2, 2))
+    assert not is_cohen_macaulay(ideal, GF2)
+    witnesses = cohen_macaulay_witness_fields(ideal, FIELDS)
+    assert all(raw_witness(ideal, witnesses[f]) == want["witness"][f] for f in FIELDS)
 
 
 def test_the_projective_plane_keeps_its_diverging_verdicts():

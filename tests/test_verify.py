@@ -197,7 +197,8 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
 
 def test_certificates_settle_the_small_corpora(monkeypatch):
     # every whiskered and partly whiskered ideal of the n <= 4 corpora is
-    # certified vertex-decomposable, so no Hochster scan and no rank runs
+    # certified vertex-decomposable, so no Hochster scan runs; each pure
+    # certificate of a CM check pays one GF(2) rank for its audit
     import ringlab.sr_invariants as sr
 
     counts = {"scan": 0, "gf2": 0, "q": 0, "certified": 0}
@@ -214,8 +215,8 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
     monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
     # one fused (q, GF(2)) CM check per starred graph
     assert all(r.passed for r in run_theorem_A_corpus(4))
-    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 29}
-    counts.update(certified=0)
+    assert counts == {"scan": 0, "gf2": 29, "q": 0, "certified": 29}
+    counts.update(gf2=0, certified=0)
     # two depths per (graph, star, field): 80 reports
     assert all(r.passed for r in run_theorem_B_corpus(4))
     assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 160}
