@@ -39,11 +39,22 @@ from .monomials import (
 # needs C(16, 8) = 12,870.
 _MAX_TRUNC_MONOMIALS = 20_000
 # Largest dense relation matrix (rows x monomials below the order) that the
-# general path builds; the largest fixture needs 6,720 cells. Over GF(2), on
-# one core of a 2-core x86 host under Python 3.11, k[a..e]/(a^2 + bc) takes
-# 9 s at order 9 (5.9e5 cells) and 21 s at order 10 (1.6e6 cells); rational
-# coefficients are about ten times slower.
+# general path builds over GF(p); the largest fixture needs 6,720 cells. On
+# one core of a 2-core x86 host under Python 3.11, k[a..e]/(a^2 + bc) over
+# GF(2) takes 9 s at order 9 (5.9e5 cells) and 21 s at order 10 (1.6e6 cells).
+# Rational coefficients are about ten times slower (10 s at order 7, 5.8e4
+# cells; 31 s at order 8, 2.0e5 cells), so over q the cap is a tenth.
 _MAX_RELATION_CELLS = 1_000_000
+
+
+def _sparse_apply(f, cols, vec, dim: int) -> tuple:
+    """The matrix with sparse columns ``cols`` ((row, coefficient) lists) times vec."""
+    out = [f.zero()] * dim
+    for j, c in enumerate(vec):
+        if c:
+            for i, a in cols[j]:
+                out[i] = f.add(out[i], f.mul(c, a))
+    return tuple(out)
 
 
 def _mono_key(m: Monomial):
@@ -148,15 +159,7 @@ class LocalAlgebra:
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
-        f = self.field
-        out = [f.zero()] * self.dim_k
-        cols = self.var_sparse(k)
-        for j, b in enumerate(vec):
-            if not b:
-                continue
-            for t, c in cols[j]:
-                out[t] = f.add(out[t], f.mul(b, c))
-        return tuple(out)
+        return _sparse_apply(self.field, self.var_sparse(k), vec, self.dim_k)
 
     def var_action_matrix(self, k: int) -> Matrix:
         if self._var_matrices[k] is None:
@@ -291,10 +294,9 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
     # one relation row per generator g and monomial u with deg(u) + mindeg(g) < n
     degrees = [g.min_degree() for g in p.gens]
     rows = sum(math.comb(n - 1 - d + p.nvars, p.nvars) for d in degrees if d < n)
-    if rows * count > _MAX_RELATION_CELLS:
-        raise ValueError(
-            f"truncation order {n} needs a {rows} x {count} relation matrix, over {_MAX_RELATION_CELLS} cells"
-        )
+    cap = _MAX_RELATION_CELLS if p.field.p is not None else _MAX_RELATION_CELLS // 10
+    if rows * count > cap:
+        raise ValueError(f"truncation order {n} needs a {rows} x {count} relation matrix, over {cap} cells")
     return _truncate_general(p, n)
 
 

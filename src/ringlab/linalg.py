@@ -227,9 +227,6 @@ class Matrix:
             out.append(new)
         return Matrix(f, out, other.ncols)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""
         f = self.field

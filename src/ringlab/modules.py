@@ -12,8 +12,9 @@ are kernel vectors chosen to span the kernel modulo its m-multiples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .artin import LocalAlgebra, _ideal_span
+from .artin import LocalAlgebra, _ideal_span, _sparse_apply
 from .fields import FieldSpec
 from .linalg import Matrix, Subspace
 
@@ -58,14 +59,7 @@ class FPModule:
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
-        f = self.algebra.field
-        out = [f.zero()] * self.dim
-        cols = self.var_sparse(k)
-        for j, c in enumerate(vec):
-            if c:
-                for i, a in cols[j]:
-                    out[i] = f.add(out[i], f.mul(c, a))
-        return tuple(out)
+        return _sparse_apply(self.algebra.field, self.var_sparse(k), vec, self.dim)
 
     def basis_action(self, b: int) -> Matrix:
         """Action of the b-th algebra basis element, built along the division tree."""
@@ -130,26 +124,9 @@ def residue_field(a: LocalAlgebra) -> FPModule:
     return FPModule(a, 1, [zero] * a.nvars, label="k")
 
 
-def free_module(a: LocalAlgebra, rank: int = 1) -> FPModule:
-    if rank == 1:
-        actions = [a.var_action_matrix(k) for k in range(a.nvars)]
-        return FPModule(a, a.dim_k, actions, label="A")
-    f = a.field
-    d = a.dim_k
-    actions = []
-    for k in range(a.nvars):
-        base = a.var_action_matrix(k)
-        rows = []
-        for blk in range(rank):
-            for i in range(d):
-                row = [f.zero()] * (rank * d)
-                for j in range(d):
-                    v = base.entry(i, j)
-                    if v:
-                        row[blk * d + j] = v
-                rows.append(row)
-        actions.append(Matrix(f, rows, rank * d))
-    return FPModule(a, rank * d, actions, label=f"A^{rank}")
+def free_module(a: LocalAlgebra) -> FPModule:
+    actions = [a.var_action_matrix(k) for k in range(a.nvars)]
+    return FPModule(a, a.dim_k, actions, label="A")
 
 
 def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
@@ -197,60 +174,35 @@ def minimal_resolution(m: FPModule, bound: int) -> Resolution:
 
 def _resolution_state(m: FPModule, bound: int) -> dict:
     if m._res_state is None:
-        m._res_state = _resolution_init(m)
+        f = m.algebra.field
+        units = [tuple(f.one() if i == j else f.zero() for i in range(m.dim)) for j in range(m.dim)]
+        m._res_state = {"betti": [], "diffs": [], "span": units, "width": m.dim, "mult": m.var_multiply}
     state = m._res_state
     while len(state["betti"]) <= bound:
-        _resolution_extend(m, state)
+        _resolution_step(m.algebra, state)
     return state
 
 
-def _resolution_init(m: FPModule) -> dict:
-    a = m.algebra
-    f = a.field
-    mm = Subspace(f, m.dim)
-    for k in range(a.nvars):
-        for j in range(m.dim):
-            vec = [f.zero()] * m.dim
-            vec[j] = f.one()
-            mm.add(m.var_multiply(k, tuple(vec)))
-    gens = []
-    for j in range(m.dim):
-        vec = [f.zero()] * m.dim
-        vec[j] = f.one()
-        if mm.add(tuple(vec)):
-            gens.append(tuple(vec))
-    beta0 = len(gens)
-    columns = _map_columns(a, gens, m.var_multiply)
-    kernel = _kernel_of_columns(f, columns)
-    return {"betti": [beta0], "diffs": [], "kernel": kernel, "width": beta0 * a.dim_k}
+def _resolution_step(a: LocalAlgebra, state: dict) -> None:
+    """One homological degree: the span's generators modulo its m-multiples
+    cover it by a free module, and the cover's kernel is the next span.
 
-
-def _resolution_extend(m: FPModule, state: dict) -> None:
-    a = m.algebra
+    Degree 0 starts from the unit vectors of M under M's own action; every
+    later span lives in the previous free module, under the ambient action."""
     f = a.field
-    kernel = state["kernel"]
-    width = state["width"]
-    if not kernel:
-        state["betti"].append(0)
-        state["diffs"].append(tuple())
-        state["width"] = 0
-        return
-    mk = Subspace(f, width)
-    for w in kernel:
-        for k in range(a.nvars):
-            mk.add(_ambient_var_mult(a, k, w))
-    gens = [w for w in kernel if mk.add(w)]
-    beta = len(gens)
     d = a.dim_k
-    blocks_prev = width // d
-    diff = tuple(
-        tuple(tuple(w[r * d : (r + 1) * d]) for r in range(blocks_prev)) for w in gens
-    )
-    state["betti"].append(beta)
-    state["diffs"].append(diff)
-    columns = _map_columns(a, gens, lambda k, vec: _ambient_var_mult(a, k, vec))
-    state["kernel"] = _kernel_of_columns(f, columns)
-    state["width"] = beta * d
+    span, width, mult = state["span"], state["width"], state["mult"]
+    m_span = Subspace(f, width)
+    for w in span:
+        for k in range(a.nvars):
+            m_span.add(mult(k, w))
+    gens = [w for w in span if m_span.add(w)]
+    if state["betti"]:
+        state["diffs"].append(tuple(tuple(w[r * d : (r + 1) * d] for r in range(width // d)) for w in gens))
+    state["betti"].append(len(gens))
+    state["span"] = _kernel_of_columns(f, _map_columns(a, gens, mult))
+    state["width"] = len(gens) * d
+    state["mult"] = partial(_ambient_var_mult, a)
 
 
 def _map_columns(a: LocalAlgebra, gens, mult) -> list[tuple]:
@@ -393,20 +345,9 @@ def tor(m: FPModule, n: FPModule, i: int) -> int:
     return beta_i * n.dim - r_in - r_out
 
 
-def poincare_truncation(m: FPModule, b: int, cross_check: bool = False) -> list[int]:
-    """Coefficients of the Poincare series up to degree b (the Betti numbers).
-
-    With ``cross_check`` the same numbers are recomputed as dim Tor_i(k, M)
-    through a resolution of the residue field, and a mismatch raises.
-    """
-    res = minimal_resolution(m, b)
-    betti = list(res.betti)
-    if cross_check:
-        k = residue_field(m.algebra)
-        other = [tor(k, m, i) for i in range(b + 1)]
-        if other != betti:
-            raise AssertionError(f"Tor cross-check failed: {betti} vs {other}")
-    return betti
+def poincare_truncation(m: FPModule, b: int) -> list[int]:
+    """Coefficients of the Poincare series up to degree b (the Betti numbers)."""
+    return list(minimal_resolution(m, b).betti)
 
 
 def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:

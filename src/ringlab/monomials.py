@@ -164,28 +164,6 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(ambient, gens)
 
 
-def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> MonomialIdeal:
-    """Variable-to-variable substitution on a monomial ideal.
-
-    Variables that are renamed away are dropped from the ambient list; the
-    result is minimalized.
-    """
-    for src, dst in mapping.items():
-        if src not in ideal.ambient or dst not in ideal.ambient:
-            raise ValueError(f"substitution {src}->{dst} leaves the ambient ring")
-    keep = [v for v in ideal.ambient if mapping.get(v, v) == v]
-    index = {v: k for k, v in enumerate(keep)}
-    gens = []
-    for g in ideal.gens:
-        e = [0] * len(keep)
-        for k, exp in enumerate(g):
-            if exp:
-                target = mapping.get(ideal.ambient[k], ideal.ambient[k])
-                e[index[target]] += exp
-        gens.append(tuple(e))
-    return MonomialIdeal(keep, gens)
-
-
 def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:
     if len(names) != ideal.nvars:
         raise ValueError("need one name per variable")

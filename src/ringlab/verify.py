@@ -341,6 +341,8 @@ def check_example_4x(p: int, parts=None) -> Report:
 
 def check_example_5_4(b: int) -> Report:
     """The totally reflexive module of infinite projective dimension."""
+    if b < 0:
+        raise ValueError("negative bound")
     if b > 12:
         raise ValueError("bound capped at 12")
     start = time.perf_counter()

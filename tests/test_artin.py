@@ -76,6 +76,14 @@ def test_truncate_size_cap_admits_the_largest_corpus():
         truncate(presentation_of(edge_ideal_all_squares(Graph(8)), GF2), 10)
 
 
+def test_relation_cap_admits_over_gf2_what_it_refuses_over_q(monkeypatch):
+    # a 252 x 792 relation matrix: refused over q (tests/test_cli.py), built over GF(2)
+    import ringlab.artin
+
+    monkeypatch.setattr(ringlab.artin, "_truncate_general", lambda p, n: "built")
+    assert truncate(pres(list("abcde"), ["a^2 + b*c"], GF2), 8) == "built"
+
+
 def test_truncate_order_one_is_residue_field():
     a = truncate(pres(["x", "y"], ["x*y"]), 1)
     assert a.dim_k == 1 and hilbert_function(a) == [1]

@@ -227,9 +227,18 @@ def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):
     assert err.startswith("error:") and "monomials below the order" in err
 
 
-def test_oversized_relation_matrix_exits_two_without_building(tmp_path, monkeypatch, capsys):
-    # 12,870 monomials below order 9 in 8 variables pass the monomial cap, but
-    # one quadric needs 3,003 relation rows: ~3.9e7 dense cells
+@pytest.mark.parametrize(
+    "names, field, order, shape",
+    [
+        # 12,870 monomials below order 9 in 8 variables pass the monomial cap,
+        # but one quadric needs 3,003 relation rows: ~3.9e7 dense cells
+        ("abcdefgh", "fp:2", "9", "3003 x 12870"),
+        # 2.0e5 cells pass the GF(p) cap but take ~30 s over the rationals
+        ("abcde", "q", "8", "252 x 792"),
+    ],
+    ids=["fp:2", "q"],
+)
+def test_oversized_relation_matrix_exits_two_without_building(names, field, order, shape, tmp_path, monkeypatch, capsys):
     import ringlab.artin
 
     def refuse(p, n):
@@ -237,10 +246,10 @@ def test_oversized_relation_matrix_exits_two_without_building(tmp_path, monkeypa
 
     monkeypatch.setattr(ringlab.artin, "_truncate_general", refuse)
     path = tmp_path / "ring.json"
-    path.write_text('{"vars": ["a", "b", "c", "d", "e", "f", "g", "h"], "gens": ["a^2 + b*c"], "field": "fp:2"}')
-    code, err = run_cli_error(capsys, "artin", "--input", str(path), "--field", "fp:2", "--trunc", "9")
+    path.write_text(json.dumps({"vars": list(names), "gens": ["a^2 + b*c"], "field": field}))
+    code, err = run_cli_error(capsys, "artin", "--input", str(path), "--field", field, "--trunc", order)
     assert code == 2
-    assert err.startswith("error:") and "3003 x 12870 relation matrix" in err
+    assert err.startswith("error:") and f"{shape} relation matrix" in err
 
 
 @pytest.mark.parametrize(
@@ -249,6 +258,7 @@ def test_oversized_relation_matrix_exits_two_without_building(tmp_path, monkeypa
         (("ring", "invariants", "--name", "kdprime:p3:9"), "out of range"),
         (("resolve", "--name", "kprime:p3", "--bound", "-1"), "negative"),
         (("verify", "thmA", "--max-n", "0"), "empty corpus"),
+        (("verify", "ex54", "--bound", "-1"), "negative"),
     ],
 )
 def test_out_of_range_argument_exits_two(argv, message, capsys):

@@ -28,7 +28,6 @@ from ringlab.monomials import (
     presentation_to_json,
     rename_ideal,
     substitute,
-    substitute_ideal,
     to_monomial_ideal,
     variable_partition_decomposable,
 )
@@ -142,9 +141,9 @@ def test_substitute_cancellation():
     assert got.gens == ()
 
 
-def test_substitute_ideal_requires_known_vars():
-    with pytest.raises(ValueError):
-        substitute_ideal(ideal(["x"], "x^2"), {"x": "z"})
+def test_substitute_requires_known_vars():
+    with pytest.raises(ValueError, match="leaves the ambient ring"):
+        substitute(Presentation(["x"], [parse_poly(["x"], "x^2", QQ)], QQ), {"x": "z"})
 
 
 # -- fiber products ----------------------------------------------------------
