@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import Matrix, Subspace
 from .monomials import (
@@ -45,16 +46,6 @@ _MAX_TRUNC_MONOMIALS = 20_000
 # Rational coefficients are about ten times slower (10 s at order 7, 5.8e4
 # cells; 31 s at order 8, 2.0e5 cells), so over q the cap is a tenth.
 _MAX_RELATION_CELLS = 1_000_000
-
-
-def _sparse_apply(f, cols, vec, dim: int) -> tuple:
-    """The matrix with sparse columns ``cols`` ((row, coefficient) lists) times vec."""
-    out = [f.zero()] * dim
-    for j, c in enumerate(vec):
-        if c:
-            for i, a in cols[j]:
-                out[i] = f.add(out[i], f.mul(c, a))
-    return tuple(out)
 
 
 def _mono_key(m: Monomial):
@@ -159,7 +150,35 @@ class LocalAlgebra:
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
-        return _sparse_apply(self.field, self.var_sparse(k), vec, self.dim_k)
+        f = self.field
+        cols = self.var_sparse(k)
+        out = [f.zero()] * self.dim_k
+        for j, c in enumerate(vec):
+            if c:
+                for i, a in cols[j]:
+                    out[i] = f.add(out[i], f.mul(c, a))
+        return tuple(out)
+
+    # -- grading ----------------------------------------------------------------
+
+    @cached_property
+    def degrees(self) -> tuple:
+        """The degree of each basis element; see ``_grade``."""
+        return tuple(self._grade(m) for m in self.basis_monomials)
+
+    def _grade(self, mono: Monomial) -> tuple:
+        """The degree of a monomial: its exponent tuple for a monomial
+        presentation (Z^n-graded), (total degree,) for a homogeneous one
+        (Z-graded), and the trivial degree () otherwise."""
+        if self._monomial_path:
+            return mono
+        if self._homogeneous:
+            return (monomial_degree(mono),)
+        return ()
+
+    @cached_property
+    def _homogeneous(self) -> bool:
+        return all(g.min_degree() == g.max_degree() for g in self.presentation.gens)
 
     def var_action_matrix(self, k: int) -> Matrix:
         if self._var_matrices[k] is None:
@@ -459,7 +478,9 @@ def canonical_module(a: LocalAlgebra):
     from .modules import FPModule
 
     actions = [a.var_action_matrix(k).transpose() for k in range(a.nvars)]
-    return FPModule(a, a.dim_k, actions, label="canonical")
+    # the dual basis element of b has degree -deg(b)
+    degrees = [tuple(-e for e in deg) for deg in a.degrees]
+    return FPModule(a, a.dim_k, actions, label="canonical", degrees=degrees)
 
 
 def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:

@@ -223,6 +223,11 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # refused here, not only in check_example_5_4, which runs after every other suite
+    if args.bound < 0:
+        raise UsageError("negative bound")
+    if args.bound > 12:
+        raise UsageError("bound capped at 12")
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
     reports: list[verify.Report] = []
     suite = args.suite

@@ -7,14 +7,25 @@ syzygies) is plain exact linear algebra.  Minimal free resolutions are
 computed by syzygy iteration: the kernel of each presentation map is taken as
 a k-subspace of the ambient free module, and the next differential's columns
 are kernel vectors chosen to span the kernel modulo its m-multiples.
+
+The work is split by degree.  ``residue_field``, ``free_module``,
+``canonical_module`` and ``cyclic_module`` on homogeneous generators give
+every basis element a degree in the algebra's grading (``LocalAlgebra.degrees``:
+multidegrees for monomial presentations, total degrees for homogeneous ones),
+so the syzygies are homogeneous: minimal generators, kernels and the Hom and
+tensor ranks behind Ext and Tor are computed one degree block at a time, on
+sparse vectors.  Every other module (hand-built ones, ``hom_module``,
+``dual_module``, quotients by inhomogeneous elements) and every module over
+an inhomogeneous presentation is trivially graded: each degree is (), and
+the whole computation is one block.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import partial
 
-from .artin import LocalAlgebra, _ideal_span, _sparse_apply
+from .artin import LocalAlgebra, _ideal_span
 from .fields import FieldSpec
 from .linalg import Matrix, Subspace
 
@@ -22,11 +33,18 @@ _MAX_BOUND = 12
 
 
 class FPModule:
-    """A finite-dimensional module over a LocalAlgebra."""
+    """A finite-dimensional module over a LocalAlgebra.
 
-    def __init__(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None):
+    ``degrees`` gives each basis element a degree in the algebra's grading
+    (see ``LocalAlgebra.degrees``); without it every degree is the trivial
+    degree (), and the module is trivially graded.
+    """
+
+    def __init__(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None):
         if len(var_actions) != algebra.nvars:
             raise ValueError("need one action matrix per variable")
+        if degrees is not None and len(degrees) != dim:
+            raise ValueError("need one degree per basis element")
         for m in var_actions:
             if m.nrows != dim or m.ncols != dim:
                 raise ValueError("action matrix has wrong shape")
@@ -36,6 +54,7 @@ class FPModule:
         self.dim = dim
         self.var_actions = tuple(var_actions)
         self.label = label
+        self.degrees = ((),) * dim if degrees is None else tuple(degrees)
         self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * algebra.nvars
         self._basis_actions: list[Matrix | None] = [None] * algebra.dim_k
         self._res_state: dict | None = None
@@ -57,9 +76,6 @@ class FPModule:
                 cols.append(col)
             self._var_sparse[k] = cols
         return self._var_sparse[k]
-
-    def var_multiply(self, k: int, vec) -> tuple:
-        return _sparse_apply(self.algebra.field, self.var_sparse(k), vec, self.dim)
 
     def basis_action(self, b: int) -> Matrix:
         """Action of the b-th algebra basis element, built along the division tree."""
@@ -99,12 +115,15 @@ class Resolution:
     ``differentials[i]`` presents the map A^betti[i+1] -> A^betti[i] as a
     tuple of columns; each column is a tuple of algebra elements (coefficient
     tuples over the algebra basis).  Minimality means every entry lies in the
-    maximal ideal, i.e. has zero unit coefficient.
+    maximal ideal, i.e. has zero unit coefficient.  ``degrees[i]`` holds the
+    degrees of the basis of F_i, under which every differential is
+    homogeneous of degree zero.
     """
 
     betti: tuple
     differentials: tuple
     unit_index: int = 0
+    degrees: tuple = ()
 
     def __post_init__(self):
         for diff in self.differentials:
@@ -121,28 +140,27 @@ class Resolution:
 
 def residue_field(a: LocalAlgebra) -> FPModule:
     zero = Matrix.zeros(a.field, 1, 1)
-    return FPModule(a, 1, [zero] * a.nvars, label="k")
+    return FPModule(a, 1, [zero] * a.nvars, label="k", degrees=[a.degrees[0]])
 
 
 def free_module(a: LocalAlgebra) -> FPModule:
     actions = [a.var_action_matrix(k) for k in range(a.nvars)]
-    return FPModule(a, a.dim_k, actions, label="A")
+    return FPModule(a, a.dim_k, actions, label="A", degrees=a.degrees)
 
 
 def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
-    """A/(gens) with the induced action; gens are element vectors in m."""
+    """A/(gens) with the induced action; gens are element vectors in m.
+
+    Homogeneous generators span a graded ideal, whose reduced echelon rows
+    are homogeneous too, so the quotient keeps the degrees of its basis."""
     gens = list(gens)
     m_space = a.power_subspace(1)
     for g in gens:
         if not m_space.contains(g):
             raise ValueError("cyclic quotient generators must lie in the maximal ideal")
     ideal = _ideal_span(a, gens)
-    return _quotient_of_free(a, ideal, label=f"A/({len(gens)} gens)")
-
-
-def _quotient_of_free(a: LocalAlgebra, sub: Subspace, label: str | None = None) -> FPModule:
     f = a.field
-    pivots = set(sub.pivots())
+    pivots = set(ideal.pivots())
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
     actions = []
     for k in range(a.nvars):
@@ -150,10 +168,12 @@ def _quotient_of_free(a: LocalAlgebra, sub: Subspace, label: str | None = None) 
         for j in free_coords:
             vec = [f.zero()] * a.dim_k
             vec[j] = f.one()
-            image = sub.reduce(a.var_multiply(k, tuple(vec)))
+            image = ideal.reduce(a.var_multiply(k, tuple(vec)))
             cols.append([image[t] for t in free_coords])
         actions.append(Matrix.from_columns(f, cols))
-    return FPModule(a, len(free_coords), actions, label=label)
+    graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
+    degrees = [a.degrees[j] for j in free_coords] if graded else None
+    return FPModule(a, len(free_coords), actions, label=f"A/({len(gens)} gens)", degrees=degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +189,22 @@ def minimal_resolution(m: FPModule, bound: int) -> Resolution:
         raise ValueError(f"resolution bound capped at {_MAX_BOUND}")
     state = _resolution_state(m, bound)
     unit = m.algebra.index[(0,) * m.algebra.nvars]
-    return Resolution(tuple(state["betti"][: bound + 1]), tuple(state["diffs"][:bound]), unit)
+    return Resolution(
+        tuple(state["betti"][: bound + 1]), tuple(state["diffs"][:bound]), unit, tuple(state["degrees"][: bound + 1])
+    )
 
 
 def _resolution_state(m: FPModule, bound: int) -> dict:
     if m._res_state is None:
-        f = m.algebra.field
-        units = [tuple(f.one() if i == j else f.zero() for i in range(m.dim)) for j in range(m.dim)]
-        m._res_state = {"betti": [], "diffs": [], "span": units, "width": m.dim, "mult": m.var_multiply}
+        one = m.algebra.field.one()
+        m._res_state = {
+            "betti": [],
+            "diffs": [],
+            "degrees": [],
+            "span": [{j: one} for j in range(m.dim)],
+            "at": m.degrees,
+            "action": ([m.var_sparse(k) for k in range(m.algebra.nvars)], m.dim),
+        }
     state = m._res_state
     while len(state["betti"]) <= bound:
         _resolution_step(m.algebra, state)
@@ -187,52 +215,101 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     """One homological degree: the span's generators modulo its m-multiples
     cover it by a free module, and the cover's kernel is the next span.
 
-    Degree 0 starts from the unit vectors of M under M's own action; every
-    later span lives in the previous free module, under the ambient action."""
+    The state holds the span as homogeneous sparse vectors ({position:
+    coefficient}), the degree of every ambient position (``at``) and the
+    variable action on the ambient space as sparse columns on one block of
+    positions: M's own action at degree 0, A's on every copy of A after.  All
+    linear algebra runs per degree: the m-multiples and the generators g in
+    one ``Subspace`` per degree, and the columns b * g grouped by their degree
+    deg(g) + deg(b), each group's kernel taken on the rows of that degree.
+    Under the trivial grading every degree is () and there is one block."""
     f = a.field
     d = a.dim_k
-    span, width, mult = state["span"], state["width"], state["mult"]
-    m_span = Subspace(f, width)
+    span, at = state["span"], state["at"]
+    cols, block = state["action"]
+    slot, sizes = _slots(at)
+
+    def local(vec, deg) -> list:
+        out = [f.zero()] * sizes.get(deg, 0)
+        for pos, c in vec.items():
+            out[slot[pos]] = c
+        return out
+
+    spaces: dict = {}
+
+    def absorb(vec) -> bool:
+        deg = at[next(iter(vec))]
+        if deg not in spaces:
+            spaces[deg] = Subspace(f, sizes[deg])
+        return spaces[deg].add(local(vec, deg))
+
     for w in span:
         for k in range(a.nvars):
-            m_span.add(mult(k, w))
-    gens = [w for w in span if m_span.add(w)]
+            v = _act(f, cols[k], w, block)
+            if v:
+                absorb(v)
+    gens = [w for w in span if absorb(w)]
+    gen_degrees = tuple(at[next(iter(g))] for g in gens)
     if state["betti"]:
-        state["diffs"].append(tuple(tuple(w[r * d : (r + 1) * d] for r in range(width // d)) for w in gens))
+        state["diffs"].append(tuple(_entries(f, g, d, len(at) // d) for g in gens))
     state["betti"].append(len(gens))
-    state["span"] = _kernel_of_columns(f, _map_columns(a, gens, mult))
-    state["width"] = len(gens) * d
-    state["mult"] = partial(_ambient_var_mult, a)
+    state["degrees"].append(gen_degrees)
 
-
-def _map_columns(a: LocalAlgebra, gens, mult) -> list[tuple]:
-    """Columns b * g_j in basis-major order inside each generator block,
-    built along the division tree with ``mult(var, vec)``."""
     parents = a.basis_parents()
-    columns = []
-    for g in gens:
-        per_basis: list[tuple] = [None] * a.dim_k
-        for b in range(a.dim_k):
-            if parents[b] is None:
-                per_basis[b] = tuple(g)
-            else:
-                var, parent = parents[b]
-                per_basis[b] = mult(var, per_basis[parent])
-        columns.extend(per_basis)
-    return columns
+    groups: dict = {}
+    new_at = []
+    for j, (g, gdeg) in enumerate(zip(gens, gen_degrees)):
+        products: list = []
+        for b, parent in enumerate(parents):
+            vec = g if parent is None else _act(f, cols[parent[0]], products[parent[1]], block)
+            products.append(vec)
+            deg = _deg_sum(gdeg, a.degrees[b])
+            new_at.append(deg)
+            groups.setdefault(deg, []).append((j * d + b, vec))
+    new_span = []
+    for deg, members in groups.items():
+        for w in _kernel_of_columns(f, [local(vec, deg) for _, vec in members]):
+            new_span.append({members[c][0]: x for c, x in enumerate(w) if x})
+    state["span"], state["at"] = new_span, new_at
+    state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
 
 
-def _ambient_var_mult(a: LocalAlgebra, k: int, vec) -> tuple:
-    f = a.field
-    d = a.dim_k
-    cols = a.var_sparse(k)
-    out = [f.zero()] * len(vec)
-    for pos, c in enumerate(vec):
-        if c:
-            base = pos - pos % d
-            for t, cf in cols[pos % d]:
-                out[base + t] = f.add(out[base + t], f.mul(c, cf))
-    return tuple(out)
+def _slots(degrees) -> tuple[list, dict]:
+    """Each position's index inside the block of its degree, and the block sizes."""
+    sizes: dict = {}
+    slot = []
+    for deg in degrees:
+        slot.append(sizes.get(deg, 0))
+        sizes[deg] = slot[-1] + 1
+    return slot, sizes
+
+
+def _deg_sum(u: tuple, v: tuple) -> tuple:
+    # zip semantics: the trivial degree () absorbs every other degree
+    return tuple(map(operator.add, u, v))
+
+
+def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
+    """A variable, given by its sparse columns on one block of positions,
+    applied to a sparse vector of a direct sum of such blocks."""
+    out: dict = {}
+    for pos, c in vec.items():
+        base = pos - pos % block
+        for t, x in cols[pos % block]:
+            key = base + t
+            prod = f.mul(c, x)
+            out[key] = f.add(out[key], prod) if key in out else prod
+    return {key: x for key, x in out.items() if x}
+
+
+def _entries(f: FieldSpec, vec: dict, d: int, rank: int) -> tuple:
+    """A sparse vector of A^rank as its rank algebra elements (dense tuples)."""
+    rows: dict = {}
+    for pos, c in vec.items():
+        r, b = divmod(pos, d)
+        rows.setdefault(r, [f.zero()] * d)[b] = c
+    zero = (f.zero(),) * d
+    return tuple(tuple(rows[r]) if r in rows else zero for r in range(rank))
 
 
 def _kernel_of_columns(f: FieldSpec, columns) -> list[tuple]:
@@ -285,34 +362,50 @@ def _entry_action(n: FPModule, entry, cache: dict) -> Matrix:
 
 def _hom_blocks(res: Resolution, t: int) -> tuple:
     """d_t as the block grid of Hom(F_{t-1}, N) -> Hom(F_t, N): block (c, r)
-    is the action of d_t's entry in column c, row r; empty past the end."""
-    return res.differentials[t - 1] if 1 <= t <= len(res.differentials) else ()
+    is the action of d_t's entry in column c, row r; empty past the end.
+    With it come the degrees of the grid's lines (F_t) and cells (F_{t-1})
+    and the degree of e* (x) n, deg(n) - deg(e)."""
+    if not 1 <= t <= len(res.differentials):
+        return (), (), (), None
+    return res.differentials[t - 1], res.degrees[t], res.degrees[t - 1], _hom_degree
 
 
 def _tensor_blocks(res: Resolution, t: int) -> tuple:
-    """d_t as the block grid of F_t (x) N -> F_{t-1} (x) N, the transpose."""
-    return tuple(zip(*_hom_blocks(res, t)))
+    """d_t as the block grid of F_t (x) N -> F_{t-1} (x) N, the transpose;
+    e (x) n has degree deg(e) + deg(n)."""
+    grid, lines, cells, _ = _hom_blocks(res, t)
+    return tuple(zip(*grid)), cells, lines, _deg_sum
 
 
-def _block_rank(n: FPModule, grid, cache: dict) -> int:
-    """Rank of the matrix whose (i, j) block is the action on N of grid[i][j]."""
+def _hom_degree(e: tuple, n: tuple) -> tuple:
+    return tuple(map(operator.sub, n, e))
+
+
+def _block_rank(n: FPModule, blocks, cache: dict) -> int:
+    """Rank of the matrix whose (i, j) block is the action on N of grid[i][j],
+    summed over degree blocks.  Row (i, s) has degree degree(line_degrees[i],
+    deg n_s) and column (j, s2) degree(cell_degrees[j], deg n_s2); the grid
+    is homogeneous, so every nonzero entry joins a row and a column of one
+    degree.  A trivially graded side makes every degree (), one block."""
+    grid, line_degrees, cell_degrees, degree = blocks
     if not grid or not grid[0] or n.dim == 0:
         return 0
     f = n.algebra.field
     nd = n.dim
-    width = len(grid[0]) * nd
-    rows = []
-    for line in grid:
-        mats = [_entry_action(n, entry, cache) for entry in line]
-        for s in range(nd):
-            row = [f.zero()] * width
-            for j, mat in enumerate(mats):
-                mrow = mat.row(s)
-                for s2 in range(nd):
-                    if mrow[s2]:
-                        row[j * nd + s2] = mrow[s2]
-            rows.append(row)
-    return Matrix(f, rows, width).rank()
+    slot, sizes = _slots(degree(cell, dn) for cell in cell_degrees for dn in n.degrees)
+    rows: dict = {}
+    for line, line_degree in zip(grid, line_degrees):
+        mats = [(j * nd, _entry_action(n, entry, cache)) for j, entry in enumerate(line) if any(entry)]
+        for s, dn in enumerate(n.degrees):
+            key = degree(line_degree, dn)
+            row = [f.zero()] * sizes.get(key, 0)
+            for base, mat in mats:
+                for s2, c in enumerate(mat.row(s)):
+                    if c:
+                        row[slot[base + s2]] = c
+            if any(row):
+                rows.setdefault(key, []).append(row)
+    return sum(Matrix(f, block, sizes[key]).rank() for key, block in rows.items())
 
 
 def ext(m: FPModule, n: FPModule, i: int) -> int:

@@ -13,7 +13,8 @@ pins the m-adic filtration.
 Products are taken only through the public ``multiply``: each basis pair once,
 and triples are expanded from that table by bilinearity, so the exhaustive
 associativity check stays cheap.  ``check_module_action`` checks that a
-module's basis actions follow the algebra's multiplication table.
+module's basis actions follow the algebra's multiplication table and respect
+its grading; ``check_resolution`` checks a minimal free resolution.
 """
 
 from __future__ import annotations
@@ -155,11 +156,65 @@ def check_algebra(a) -> None:
 
 
 def check_module_action(m) -> None:
-    """Assert action(b * b') = action(b) o action(b') on every basis pair and
-    that the unit acts as the identity."""
+    """Assert action(b * b') = action(b) o action(b') on every basis pair,
+    that the unit acts as the identity, and that variable k sends degree d
+    into degree d + deg(x_k) (always true of a trivially graded module)."""
     a = m.algebra
     assert m.element_action(a.unit_vector()) == Matrix.identity(a.field, m.dim), "unit action"
     for i in range(a.dim_k):
         for j in range(a.dim_k):
             product = a.multiply(_basis_vec(a, i), _basis_vec(a, j))
             assert m.element_action(product) == m.basis_action(i).mul(m.basis_action(j)), f"action at {(i, j)}"
+    for k, action in enumerate(m.var_actions):
+        shift = a._grade(a._var_monomial(k))
+        for j in range(m.dim):
+            target = _degree_sum(m.degrees[j], shift)
+            for i in range(m.dim):
+                if action.entry(i, j):
+                    assert m.degrees[i] == target, f"variable {k} sends degree {m.degrees[j]} to {m.degrees[i]}"
+
+
+def _degree_sum(u: tuple, v: tuple) -> tuple:
+    # the trivial degree () absorbs every other degree
+    return tuple(x + y for x, y in zip(u, v))
+
+
+def _k_rank(a, diff) -> int:
+    """k-rank of a differential, one column per (generator, basis element)."""
+    cols = [[c for entry in col for c in a.multiply(entry, _basis_vec(a, b))] for col in diff for b in range(a.dim_k)]
+    return Matrix.from_columns(a.field, cols).rank() if cols else 0
+
+
+def check_resolution(m, res) -> None:
+    """Assert that ``res`` is a minimal resolution of m up to its bound: every
+    entry lies in the maximal ideal, consecutive differentials compose to
+    zero over A, the k-ranks make F_1 -> F_0 -> M -> 0 and every
+    F_{t+1} -> F_t -> F_{t-1} exact, and each differential is homogeneous of
+    degree zero: entry (column i, row r) of d_t has only basis terms b with
+    deg(e_r) + deg(b) = deg(e_i)."""
+    a = m.algebra
+    unit = a.index[(0,) * a.nvars]
+    for t, diff in enumerate(res.differentials, start=1):
+        assert len(diff) == res.betti[t] == len(res.degrees[t])
+        for i, col in enumerate(diff):
+            assert len(col) == res.betti[t - 1]
+            for r, entry in enumerate(col):
+                assert entry[unit] == 0, f"unit entry in d_{t}"
+                for b, c in enumerate(entry):
+                    if c:
+                        got = _degree_sum(res.degrees[t - 1][r], a.degrees[b])
+                        assert got == res.degrees[t][i], f"d_{t} column {i} is not homogeneous"
+    for t in range(1, len(res.differentials)):
+        left, right = res.differentials[t - 1], res.differentials[t]
+        for col in right:
+            total = [a.zero_vector() for _ in range(res.betti[t - 1])]
+            for r_mid, entry in enumerate(col):
+                for r_prev in range(res.betti[t - 1]):
+                    prod = a.multiply(left[r_mid][r_prev], entry)
+                    total[r_prev] = tuple(a.field.add(u, v) for u, v in zip(total[r_prev], prod))
+            assert all(not any(vec) for vec in total), f"d_{t} d_{t + 1} != 0"
+    ranks = [_k_rank(a, diff) for diff in res.differentials]
+    if ranks:
+        assert ranks[0] == res.betti[0] * a.dim_k - m.dim, "F_1 -> F_0 -> M is not exact"
+    for t in range(1, len(ranks)):
+        assert ranks[t - 1] + ranks[t] == res.betti[t] * a.dim_k, f"not exact at F_{t}"

@@ -267,6 +267,19 @@ def test_out_of_range_argument_exits_two(argv, message, capsys):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("bound, message", [("-1", "negative bound"), ("13", "capped at 12")])
+def test_verify_bound_is_refused_before_any_suite(bound, message, monkeypatch, capsys):
+    import ringlab.verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(ringlab.verify, "run_theorem_A_corpus", refuse)
+    code, err = run_cli_error(capsys, "verify", "all", "--max-n", "5", "--bound", bound)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize(
     "verb, text",
     [

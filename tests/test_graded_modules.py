@@ -1,0 +1,160 @@
+"""The graded module engine against its own trivial grading.
+
+A monomial algebra is Z^n-graded by exponent tuples and a homogeneous
+presentation is Z-graded by total degree; ``residue_field``, ``free_module``,
+``canonical_module`` and ``cyclic_module`` on homogeneous generators carry
+those degrees, and resolutions and Hom/tensor ranks are computed one degree
+block at a time.  Forcing every degree to the trivial degree () puts each
+computation into a single block, the ungraded computation: both runs must
+give the same Betti, Bass, Ext and Tor numbers.  The graded run's
+resolutions are also checked by ``algebra_oracle.check_resolution``
+(minimality, d o d = 0, exactness by k-ranks, homogeneity).
+"""
+
+import pytest
+
+import ringlab.modules as modules
+from algebra_oracle import check_module_action, check_resolution
+from ringlab.artin import LocalAlgebra, canonical_module, truncate
+from ringlab.constructions import (
+    edge_ideal_all_squares,
+    named_graph,
+    plane_conic_presentation,
+    stanley_example_big_ring,
+)
+from ringlab.fields import GF2, QQ, FieldSpec
+from ringlab.modules import (
+    bass_truncation,
+    cyclic_module,
+    dual_module,
+    ext,
+    free_module,
+    minimal_resolution,
+    poincare_truncation,
+    residue_field,
+    tor,
+)
+from ringlab.monomials import Presentation, parse_poly, presentation_of
+
+GF3 = FieldSpec.prime(3)
+
+
+def _pres(vars_, gens, field):
+    return Presentation(vars_, [parse_poly(vars_, g, field) for g in gens], field)
+
+
+def _kprime(name, order):
+    return lambda f: truncate(presentation_of(edge_ideal_all_squares(named_graph(name)), f), order)
+
+
+# The algebras of tests/test_modules.py and of acceptance criteria 5, 6, 10
+# and 11, plus one homogeneous and one inhomogeneous general presentation.
+ALGEBRAS = {
+    "k[x]/(x2)": lambda f: truncate(_pres(["x"], ["x^2"], f), 2),
+    "k[x,y]/(x2,xy,y2)": lambda f: truncate(_pres(["x", "y"], ["x^2", "x*y", "y^2"], f), 2),
+    "k[x,y]/(x2,y2)": lambda f: truncate(_pres(["x", "y"], ["x^2", "y^2"], f), 3),
+    "ex54R": lambda f: truncate(stanley_example_big_ring(f), 3),
+    "kprime(P3)": _kprime("p3", 4),
+    "k[x,y,z]/(x2,y2,z2)": lambda f: truncate(_pres(["x", "y", "z"], ["x^2", "y^2", "z^2"], f), 4),
+    "conic": lambda f: truncate(plane_conic_presentation(f), 4),
+    "inhomogeneous": lambda f: truncate(_pres(["x", "y"], ["x^2 - y^3"], f), 5),
+}
+BOUND = 4
+
+
+def _pool(a):
+    first, last = a.var_names[0], a.var_names[-1]
+    quotient = cyclic_module(a, [a.element_from_linear({first: 1})])
+    return {
+        "k": residue_field(a),
+        "A": free_module(a),
+        "canonical": canonical_module(a),
+        "A/(x)": quotient,
+        # inhomogeneous under a multigrading, so trivially graded there
+        "A/(x+y)": cyclic_module(a, [a.element_from_linear({first: 1, last: 1})]),
+        "(A/(x))*": dual_module(quotient),  # trivially graded
+    }
+
+
+def _invariants(a) -> dict:
+    pool = _pool(a)
+    out = {}
+    for name, m in pool.items():
+        out[name, "betti"] = poincare_truncation(m, BOUND)
+        out[name, "bass"] = bass_truncation(a, m, BOUND - 1)
+        for other, n in pool.items():
+            out[name, other, "ext"] = [ext(m, n, i) for i in range(3)]
+            out[name, other, "tor"] = [tor(m, n, i) for i in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_graded_engine_matches_the_trivial_grading(name, field, monkeypatch):
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    mixed = pool["A/(x+y)"].degrees
+    if a._monomial_path:
+        assert a.degrees == a.basis_monomials
+        assert a.nvars == 1 or mixed == ((),) * len(mixed)
+    elif name == "conic":
+        assert a.degrees == tuple((sum(m),) for m in a.basis_monomials)
+        assert () not in mixed
+    else:
+        assert a.degrees == ((),) * a.dim_k
+    spans = []
+    real_step = modules._resolution_step
+
+    def step(alg, state):
+        real_step(alg, state)
+        spans.append((state["span"], state["at"]))
+
+    monkeypatch.setattr(modules, "_resolution_step", step)
+    for m in pool.values():
+        check_module_action(m)
+        check_resolution(m, minimal_resolution(m, BOUND))
+    # every kernel vector lies in one degree
+    assert spans and all(len({at[pos] for pos in w}) == 1 for span, at in spans for w in span)
+    graded = _invariants(a)
+    monkeypatch.setattr(LocalAlgebra, "degrees", property(lambda self: ((),) * self.dim_k))
+    trivial = _invariants(ALGEBRAS[name](field))
+    assert graded == trivial
+
+
+@pytest.mark.parametrize("field, bound", [(GF2, 6), (QQ, 5)], ids=["fp:2", "q"])
+def test_dress_kramer_betti_numbers_of_kprime_c4(field, bound):
+    # kprime(C4) at order 3 is the fiber product over k of two copies of
+    # S = k[a,b]/(a^2, b^2), whose residue field has 1/P^S = (1 - t)^2.  By
+    # Dress-Kraemer 1/P = 1/P^S + 1/P^S - 1 = 1 - 4t + 2t^2, so the Betti
+    # numbers of k satisfy b_t = 4 b_{t-1} - 2 b_{t-2}.
+    a = _kprime("c4", 3)(field)
+    betti = poincare_truncation(residue_field(a), bound)
+    assert betti == [1, 4, 14, 48, 164, 560, 1912][: bound + 1]
+    assert all(betti[t] == 4 * betti[t - 1] - 2 * betti[t - 2] for t in range(2, bound + 1))
+
+
+def test_no_kernel_block_is_wider_than_its_betti_number(monkeypatch):
+    # the five basis monomials of kprime(P3) have distinct multidegrees, so a
+    # degree block of the columns b * g_j holds at most one column per
+    # generator g_j; a single ungraded block would hold five
+    a = _kprime("p3", 4)(GF2)
+    assert len(set(a.degrees)) == a.dim_k == 5
+    widths: list = []
+    real_step, real_kernel = modules._resolution_step, modules._kernel_of_columns
+
+    def step(alg, state):
+        widths.append([])
+        real_step(alg, state)
+
+    def kernel(f, columns):
+        widths[-1].append(len(columns))
+        return real_kernel(f, columns)
+
+    monkeypatch.setattr(modules, "_resolution_step", step)
+    monkeypatch.setattr(modules, "_kernel_of_columns", kernel)
+    res = minimal_resolution(canonical_module(a), 7)
+    assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
+    assert len(widths) == 8
+    for t, blocks in enumerate(widths):
+        assert sum(blocks) == res.betti[t] * a.dim_k
+        assert max(blocks) <= res.betti[t], (t, max(blocks))
