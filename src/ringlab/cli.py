@@ -35,6 +35,7 @@ from .graphs import (
     whisker_except,
 )
 from .modules import (
+    _MAX_BOUND,
     bass_truncation,
     cyclic_module,
     free_module,
@@ -226,8 +227,8 @@ def _cmd_verify(args) -> int:
     # refused here, not only in check_example_5_4, which runs after every other suite
     if args.bound < 0:
         raise UsageError("negative bound")
-    if args.bound > 12:
-        raise UsageError("bound capped at 12")
+    if args.bound > _MAX_BOUND:
+        raise UsageError(f"bound capped at {_MAX_BOUND}")
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
     reports: list[verify.Report] = []
     suite = args.suite

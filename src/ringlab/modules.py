@@ -14,10 +14,13 @@ every basis element a degree in the algebra's grading (``LocalAlgebra.degrees``:
 multidegrees for monomial presentations, total degrees for homogeneous ones),
 so the syzygies are homogeneous: minimal generators, kernels and the Hom and
 tensor ranks behind Ext and Tor are computed one degree block at a time, on
-sparse vectors.  Every other module (hand-built ones, ``hom_module``,
-``dual_module``, quotients by inhomogeneous elements) and every module over
-an inhomogeneous presentation is trivially graded: each degree is (), and
-the whole computation is one block.
+sparse vectors.  The differentials keep that form: each column is a sparse
+vector {row * dim_k + basis index: coefficient}, and one homology routine
+reads them to give Ext, Tor and Bass numbers.  Every other module
+(hand-built ones, ``hom_module``, ``dual_module``, quotients by
+inhomogeneous elements) and every module over an inhomogeneous presentation
+is trivially graded: each degree is (), and the whole computation is one
+block.
 """
 
 from __future__ import annotations
@@ -113,24 +116,17 @@ class Resolution:
     """Betti numbers and differentials of a minimal free resolution.
 
     ``differentials[i]`` presents the map A^betti[i+1] -> A^betti[i] as a
-    tuple of columns; each column is a tuple of algebra elements (coefficient
-    tuples over the algebra basis).  Minimality means every entry lies in the
-    maximal ideal, i.e. has zero unit coefficient.  ``degrees[i]`` holds the
-    degrees of the basis of F_i, under which every differential is
-    homogeneous of degree zero.
+    tuple of columns; each column is a sparse vector of A^betti[i], a dict
+    {r * dim_k + b: c} holding only the nonzero coefficients c of basis
+    element b in row r.  The resolution is minimal: no column has a unit
+    component, which ``_resolution_step`` checks as it builds each one.
+    ``degrees[i]`` holds the degrees of the basis of F_i, under which every
+    differential is homogeneous of degree zero.
     """
 
     betti: tuple
     differentials: tuple
-    unit_index: int = 0
     degrees: tuple = ()
-
-    def __post_init__(self):
-        for diff in self.differentials:
-            for col in diff:
-                for entry in col:
-                    if entry[self.unit_index]:
-                        raise AssertionError("differential entry has a unit component")
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +179,18 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
 
 def minimal_resolution(m: FPModule, bound: int) -> Resolution:
     """Betti numbers beta_0..beta_bound and the differentials d_1..d_bound."""
-    if bound < 0:
-        raise ValueError("negative resolution bound")
-    if bound > _MAX_BOUND:
-        raise ValueError(f"resolution bound capped at {_MAX_BOUND}")
+    _check_bound(bound, "resolution bound")
     state = _resolution_state(m, bound)
-    unit = m.algebra.index[(0,) * m.algebra.nvars]
     return Resolution(
-        tuple(state["betti"][: bound + 1]), tuple(state["diffs"][:bound]), unit, tuple(state["degrees"][: bound + 1])
+        tuple(state["betti"][: bound + 1]), tuple(state["diffs"][:bound]), tuple(state["degrees"][: bound + 1])
     )
+
+
+def _check_bound(b: int, name: str) -> None:
+    if b < 0:
+        raise ValueError(f"negative {name}")
+    if b > _MAX_BOUND:
+        raise ValueError(f"{name} capped at {_MAX_BOUND}")
 
 
 def _resolution_state(m: FPModule, bound: int) -> dict:
@@ -222,7 +221,9 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     linear algebra runs per degree: the m-multiples and the generators g in
     one ``Subspace`` per degree, and the columns b * g grouped by their degree
     deg(g) + deg(b), each group's kernel taken on the rows of that degree.
-    Under the trivial grading every degree is () and there is one block."""
+    Under the trivial grading every degree is () and there is one block.
+    From degree 1 on the generators are the columns of the next differential,
+    which must have no unit component."""
     f = a.field
     d = a.dim_k
     span, at = state["span"], state["at"]
@@ -251,7 +252,10 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     gens = [w for w in span if absorb(w)]
     gen_degrees = tuple(at[next(iter(g))] for g in gens)
     if state["betti"]:
-        state["diffs"].append(tuple(_entries(f, g, d, len(at) // d) for g in gens))
+        unit = a.index[(0,) * a.nvars]
+        if any(pos % d == unit for g in gens for pos in g):
+            raise AssertionError("differential entry has a unit component")
+        state["diffs"].append(tuple(gens))
     state["betti"].append(len(gens))
     state["degrees"].append(gen_degrees)
 
@@ -302,16 +306,6 @@ def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _entries(f: FieldSpec, vec: dict, d: int, rank: int) -> tuple:
-    """A sparse vector of A^rank as its rank algebra elements (dense tuples)."""
-    rows: dict = {}
-    for pos, c in vec.items():
-        r, b = divmod(pos, d)
-        rows.setdefault(r, [f.zero()] * d)[b] = c
-    zero = (f.zero(),) * d
-    return tuple(tuple(rows[r]) if r in rows else zero for r in range(rank))
-
-
 def _kernel_of_columns(f: FieldSpec, columns) -> list[tuple]:
     if not columns:
         return []
@@ -351,91 +345,85 @@ def _check_same_algebra(m: FPModule, n: FPModule) -> None:
     raise ValueError("modules live over different algebras")
 
 
-def _entry_action(n: FPModule, entry, cache: dict) -> Matrix:
-    key = tuple(entry)
-    got = cache.get(key)
+def _entry_action(n: FPModule, entry: tuple, cache: dict) -> Matrix:
+    """Action on N of an algebra element given by its (basis index,
+    coefficient) pairs."""
+    got = cache.get(entry)
     if got is None:
-        got = n.element_action(entry)
-        cache[key] = got
+        coeffs = [n.algebra.field.zero()] * n.algebra.dim_k
+        for b, c in entry:
+            coeffs[b] = c
+        got = cache[entry] = n.element_action(coeffs)
     return got
-
-
-def _hom_blocks(res: Resolution, t: int) -> tuple:
-    """d_t as the block grid of Hom(F_{t-1}, N) -> Hom(F_t, N): block (c, r)
-    is the action of d_t's entry in column c, row r; empty past the end.
-    With it come the degrees of the grid's lines (F_t) and cells (F_{t-1})
-    and the degree of e* (x) n, deg(n) - deg(e)."""
-    if not 1 <= t <= len(res.differentials):
-        return (), (), (), None
-    return res.differentials[t - 1], res.degrees[t], res.degrees[t - 1], _hom_degree
-
-
-def _tensor_blocks(res: Resolution, t: int) -> tuple:
-    """d_t as the block grid of F_t (x) N -> F_{t-1} (x) N, the transpose;
-    e (x) n has degree deg(e) + deg(n)."""
-    grid, lines, cells, _ = _hom_blocks(res, t)
-    return tuple(zip(*grid)), cells, lines, _deg_sum
 
 
 def _hom_degree(e: tuple, n: tuple) -> tuple:
     return tuple(map(operator.sub, n, e))
 
 
-def _block_rank(n: FPModule, blocks, cache: dict) -> int:
-    """Rank of the matrix whose (i, j) block is the action on N of grid[i][j],
-    summed over degree blocks.  Row (i, s) has degree degree(line_degrees[i],
-    deg n_s) and column (j, s2) degree(cell_degrees[j], deg n_s2); the grid
-    is homogeneous, so every nonzero entry joins a row and a column of one
-    degree.  A trivially graded side makes every degree (), one block."""
-    grid, line_degrees, cell_degrees, degree = blocks
-    if not grid or not grid[0] or n.dim == 0:
-        return 0
+def _block_rank(n: FPModule, state: dict, t: int, tensor: bool, cache: dict) -> int:
+    """Rank of d_t on the Hom side, Hom(F_{t-1}, N) -> Hom(F_t, N), or with
+    ``tensor`` on the tensor side, F_t (x) N -> F_{t-1} (x) N, summed over
+    degree blocks.  Block (c, r) of the Hom-side matrix is the action on N of
+    d_t's entry in column c, row r; the tensor side is the transposed grid.
+    Row (line, s) has degree deg(e_line) + deg n_s (tensor) or deg n_s -
+    deg(e_line) (Hom, the degree of e* (x) n), and so do the columns; the
+    grid is homogeneous, so every nonzero entry joins a row and a column of
+    one degree.  A trivially graded side makes every degree (), one block."""
     f = n.algebra.field
-    nd = n.dim
+    d, nd = n.algebra.dim_k, n.dim
+    lines: dict = {}
+    for c, col in enumerate(state["diffs"][t - 1]):
+        entries: dict = {}
+        for pos, x in col.items():
+            r, b = divmod(pos, d)
+            entries.setdefault(r, []).append((b, x))
+        for r, entry in entries.items():
+            line, cell = (r, c) if tensor else (c, r)
+            lines.setdefault(line, []).append((cell * nd, _entry_action(n, tuple(entry), cache)))
+    src, dst = state["degrees"][t], state["degrees"][t - 1]
+    line_degrees, cell_degrees, degree = (dst, src, _deg_sum) if tensor else (src, dst, _hom_degree)
     slot, sizes = _slots(degree(cell, dn) for cell in cell_degrees for dn in n.degrees)
     rows: dict = {}
-    for line, line_degree in zip(grid, line_degrees):
-        mats = [(j * nd, _entry_action(n, entry, cache)) for j, entry in enumerate(line) if any(entry)]
+    for line, mats in lines.items():
         for s, dn in enumerate(n.degrees):
-            key = degree(line_degree, dn)
+            key = degree(line_degrees[line], dn)
             row = [f.zero()] * sizes.get(key, 0)
             for base, mat in mats:
-                for s2, c in enumerate(mat.row(s)):
-                    if c:
-                        row[slot[base + s2]] = c
+                for s2, x in enumerate(mat.row(s)):
+                    if x:
+                        row[slot[base + s2]] = x
             if any(row):
                 rows.setdefault(key, []).append(row)
     return sum(Matrix(f, block, sizes[key]).rank() for key, block in rows.items())
 
 
+def _homology(m: FPModule, n: FPModule, lo: int, hi: int, tensor: bool = False):
+    """dim_k Ext^i(M, N), or with ``tensor`` dim_k Tor_i(M, N), for
+    i = lo..hi: beta_i dim N - rank d_i - rank d_{i+1} on Hom(F, N) or
+    F (x) N, F the minimal resolution of M (d_0 = 0).  Each value extends F
+    only to degree i + 1, so a caller that stops early resolves no further,
+    and each d_t is ranked once per call."""
+    _check_same_algebra(m, n)
+    cache: dict = {}
+    r_in = _block_rank(n, _resolution_state(m, lo), lo, tensor, cache) if lo else 0
+    for i in range(lo, hi + 1):
+        state = _resolution_state(m, i + 1)
+        r_out = _block_rank(n, state, i + 1, tensor, cache)
+        yield state["betti"][i] * n.dim - r_in - r_out
+        r_in = r_out
+
+
 def ext(m: FPModule, n: FPModule, i: int) -> int:
     """dim_k Ext^i(M, N), from a minimal resolution of M."""
-    _check_same_algebra(m, n)
-    if i < 0:
-        raise ValueError("negative cohomological degree")
-    if i > _MAX_BOUND:
-        raise ValueError(f"ext degree capped at {_MAX_BOUND}")
-    res = minimal_resolution(m, i + 1)
-    cache: dict = {}
-    beta_i = res.betti[i]
-    r_in = _block_rank(n, _hom_blocks(res, i), cache)
-    r_out = _block_rank(n, _hom_blocks(res, i + 1), cache)
-    return beta_i * n.dim - r_in - r_out
+    _check_bound(i, "cohomological degree")
+    return next(_homology(m, n, i, i))
 
 
 def tor(m: FPModule, n: FPModule, i: int) -> int:
     """dim_k Tor_i(M, N), by tensoring a minimal resolution of M with N."""
-    _check_same_algebra(m, n)
-    if i < 0:
-        raise ValueError("negative homological degree")
-    if i > _MAX_BOUND:
-        raise ValueError(f"tor degree capped at {_MAX_BOUND}")
-    res = minimal_resolution(m, i + 1)
-    cache: dict = {}
-    beta_i = res.betti[i]
-    r_in = _block_rank(n, _tensor_blocks(res, i + 1), cache)
-    r_out = _block_rank(n, _tensor_blocks(res, i), cache)
-    return beta_i * n.dim - r_in - r_out
+    _check_bound(i, "homological degree")
+    return next(_homology(m, n, i, i, tensor=True))
 
 
 def poincare_truncation(m: FPModule, b: int) -> list[int]:
@@ -445,17 +433,8 @@ def poincare_truncation(m: FPModule, b: int) -> list[int]:
 
 def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
     """dims of Ext^i(k, M) for i = 0..b, via the resolution of k."""
-    if b < 0:
-        raise ValueError("negative resolution bound")
-    k = residue_field(a)
-    res = minimal_resolution(k, b + 1)
-    cache: dict = {}
-    out = []
-    for i in range(b + 1):
-        r_in = _block_rank(m, _hom_blocks(res, i), cache)
-        r_out = _block_rank(m, _hom_blocks(res, i + 1), cache)
-        out.append(res.betti[i] * m.dim - r_in - r_out)
-    return out
+    _check_bound(b, "resolution bound")
+    return list(_homology(residue_field(a), m, 0, b))
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +536,8 @@ def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
     if not biduality_is_iso(m):
         return False
     free = free_module(m.algebra)
-    dual = dual_module(m)
-    for i in range(1, b + 1):
-        if ext(m, free, i) != 0 or ext(dual, free, i) != 0:
-            return False
-    return True
+    duals = _homology(dual_module(m), free, 1, b)
+    return all(x == 0 and next(duals) == 0 for x in _homology(m, free, 1, b))
 
 
 def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
@@ -587,7 +563,4 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
             cols.append(list(sol))
         if Matrix.from_columns(f, cols).rank() != a.dim_k:
             return False
-    for i in range(1, b + 1):
-        if ext(c, c, i) != 0:
-            return False
-    return True
+    return all(x == 0 for x in _homology(c, c, 1, b))

@@ -185,6 +185,24 @@ def _k_rank(a, diff) -> int:
     return Matrix.from_columns(a.field, cols).rank() if cols else 0
 
 
+def _dense(a, res) -> list:
+    """Each differential's sparse columns {r * dim_k + b: c} as columns of
+    betti[t - 1] dense coefficient tuples over the algebra basis; asserts
+    that no stored coefficient is zero."""
+    out = []
+    for t, diff in enumerate(res.differentials, start=1):
+        cols = []
+        for vec in diff:
+            col = [[a.field.zero()] * a.dim_k for _ in range(res.betti[t - 1])]
+            for pos, c in vec.items():
+                assert c, f"d_{t} stores a zero coefficient"
+                r, b = divmod(pos, a.dim_k)
+                col[r][b] = c
+            cols.append(tuple(map(tuple, col)))
+        out.append(tuple(cols))
+    return out
+
+
 def check_resolution(m, res) -> None:
     """Assert that ``res`` is a minimal resolution of m up to its bound: every
     entry lies in the maximal ideal, consecutive differentials compose to
@@ -194,7 +212,8 @@ def check_resolution(m, res) -> None:
     deg(e_r) + deg(b) = deg(e_i)."""
     a = m.algebra
     unit = a.index[(0,) * a.nvars]
-    for t, diff in enumerate(res.differentials, start=1):
+    differentials = _dense(a, res)
+    for t, diff in enumerate(differentials, start=1):
         assert len(diff) == res.betti[t] == len(res.degrees[t])
         for i, col in enumerate(diff):
             assert len(col) == res.betti[t - 1]
@@ -204,8 +223,8 @@ def check_resolution(m, res) -> None:
                     if c:
                         got = _degree_sum(res.degrees[t - 1][r], a.degrees[b])
                         assert got == res.degrees[t][i], f"d_{t} column {i} is not homogeneous"
-    for t in range(1, len(res.differentials)):
-        left, right = res.differentials[t - 1], res.differentials[t]
+    for t in range(1, len(differentials)):
+        left, right = differentials[t - 1], differentials[t]
         for col in right:
             total = [a.zero_vector() for _ in range(res.betti[t - 1])]
             for r_mid, entry in enumerate(col):
@@ -213,7 +232,7 @@ def check_resolution(m, res) -> None:
                     prod = a.multiply(left[r_mid][r_prev], entry)
                     total[r_prev] = tuple(a.field.add(u, v) for u, v in zip(total[r_prev], prod))
             assert all(not any(vec) for vec in total), f"d_{t} d_{t + 1} != 0"
-    ranks = [_k_rank(a, diff) for diff in res.differentials]
+    ranks = [_k_rank(a, diff) for diff in differentials]
     if ranks:
         assert ranks[0] == res.betti[0] * a.dim_k - m.dim, "F_1 -> F_0 -> M is not exact"
     for t in range(1, len(ranks)):

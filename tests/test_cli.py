@@ -130,6 +130,13 @@ def test_verify_exit_zero(capsys):
     assert "passed" in out
 
 
+def test_verify_ex54_at_the_bound_cap(capsys):
+    # the cap admits 12: Ext^12 needs the resolution to degree 13 internally
+    code, out = run_cli(capsys, "verify", "ex54", "--bound", "12")
+    assert code == 0
+    assert "1/1 passed" in out
+
+
 def test_verify_json_schema_stable(capsys):
     code1, out1 = run_cli(capsys, "verify", "ex311", "--output", "json")
     code2, out2 = run_cli(capsys, "verify", "ex311", "--output", "json")

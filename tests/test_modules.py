@@ -11,9 +11,10 @@ import random
 
 import pytest
 
+import ringlab.modules as modules
 from algebra_oracle import check_module_action, check_resolution
 from ringlab.artin import canonical_module, socle, truncate
-from ringlab.constructions import stanley_example_big_ring
+from ringlab.constructions import edge_ideal_all_squares, named_graph, stanley_example_big_ring
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.linalg import Matrix
 from ringlab.modules import (
@@ -33,7 +34,7 @@ from ringlab.modules import (
     residue_field,
     tor,
 )
-from ringlab.monomials import Presentation, parse_poly
+from ringlab.monomials import Presentation, parse_poly, presentation_of
 
 GF3 = FieldSpec.prime(3)
 
@@ -145,12 +146,82 @@ def test_resolution_bound_cap():
         minimal_resolution(residue_field(dual_numbers()), 13)
 
 
+def test_homology_at_the_bound_cap():
+    # A/(z) over ex54R has the periodic resolution ... -z-> A -z-> A, and z
+    # kills A/(z): Ext^12(A/(z), A) = 0 and Tor_12 = Ext^12 = A/(z), dim 3
+    a = ex54_ring(GF2)
+    m = cyclic_module(a, [a.element_from_linear({"z": 1})])
+    assert ext(m, free_module(a), 12) == 0
+    assert ext(m, m, 12) == 3
+    assert tor(m, m, 12) == 3
+    assert is_totally_reflexive_up_to(m, 12)
+
+
+def test_degree_past_the_cap_refused_before_resolving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("resolving started")
+
+    monkeypatch.setattr(modules, "_resolution_step", refuse)
+    a = dual_numbers(GF2)
+    k = residue_field(a)
+    for call in (
+        lambda: minimal_resolution(k, 13),
+        lambda: ext(k, k, 13),
+        lambda: tor(k, k, 13),
+        lambda: bass_truncation(a, k, 13),
+        lambda: is_totally_reflexive_up_to(k, 13),
+        lambda: is_semidualizing_up_to(k, 13),
+    ):
+        with pytest.raises(ValueError, match="capped at 12"):
+            call()
+
+
 def test_negative_resolution_bound_refused():
     k = residue_field(dual_numbers())
     with pytest.raises(ValueError, match="negative"):
         minimal_resolution(k, -1)
     with pytest.raises(ValueError, match="negative"):
         bass_truncation(k.algebra, k, -1)
+
+
+def test_non_minimal_cover_is_refused(monkeypatch):
+    # a Subspace whose add always reports growth takes every span vector as a
+    # generator, so the cover A^2 -> A/(x) over the fat point (basis 1, y) is
+    # not minimal: its kernel holds y * e_1 - e_2, which has a unit component
+    class Growing(modules.Subspace):
+        def add(self, vec):
+            super().add(vec)
+            return True
+
+    monkeypatch.setattr(modules, "Subspace", Growing)
+    a = fat_point(GF2)
+    m = cyclic_module(a, [a.element_from_linear({"x": 1})])
+    with pytest.raises(AssertionError, match="unit component"):
+        minimal_resolution(m, 1)
+
+
+def _ranked_differentials(monkeypatch) -> list:
+    ranked: list = []
+    real = modules._block_rank
+
+    def block_rank(n, state, t, tensor, cache):
+        ranked.append(t)
+        return real(n, state, t, tensor, cache)
+
+    monkeypatch.setattr(modules, "_block_rank", block_rank)
+    return ranked
+
+
+def test_each_differential_ranked_once(monkeypatch):
+    ranked = _ranked_differentials(monkeypatch)
+    kprime_p3 = truncate(presentation_of(edge_ideal_all_squares(named_graph("p3")), GF2), 4)
+    assert is_semidualizing_up_to(canonical_module(kprime_p3), 6)
+    assert ranked == [1, 2, 3, 4, 5, 6, 7]
+    ranked.clear()
+    # k[x,y]/(x^2, y^2) is Gorenstein: A is injective, mu_0 = 1 and mu_i = 0 after
+    a = ci_algebra(GF2)
+    assert bass_truncation(a, free_module(a), 4) == [1, 0, 0, 0, 0]
+    assert ranked == [1, 2, 3, 4, 5]
 
 
 # -- the exact self-check of kernel vectors ------------------------------------------
