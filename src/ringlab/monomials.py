@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
@@ -91,6 +92,30 @@ class MonomialIdeal:
     def __repr__(self) -> str:
         return f"MonomialIdeal({list(self.ambient)}, ({', '.join(self.gen_strings()) or '0'}))"
 
+    @cached_property
+    def _polarization(self) -> "MonomialIdeal":
+        """See ``polarize``; computed at most once per ideal object."""
+        if self.is_squarefree():
+            return self
+        mult = [max((g[k] for g in self.gens), default=0) for k in range(self.nvars)]
+        fresh: list[str] = []
+        slot: dict[tuple[int, int], int] = {}  # (var index, copy j>=1) -> new column
+        for k, name in enumerate(self.ambient):
+            for j in range(1, max(mult[k], 1)):
+                slot[(k, j)] = self.nvars + len(fresh)
+                fresh.append(name + "'" * j)
+        ambient = self.ambient + tuple(fresh)
+        gens = []
+        for g in self.gens:
+            e = [0] * len(ambient)
+            for k, exp in enumerate(g):
+                if exp >= 1:
+                    e[k] = 1
+                for j in range(1, exp):
+                    e[slot[(k, j)]] = 1
+            gens.append(tuple(e))
+        return MonomialIdeal(ambient, gens)
+
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership for a monomial: true iff some generator divides it."""
@@ -135,33 +160,14 @@ def add_squares(ideal: MonomialIdeal, variables: Iterable[str]) -> MonomialIdeal
 
 
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
-    """The standard squarefree polarization.
+    """The standard squarefree polarization, memoized on the ideal.
 
     A variable x of multiplicity d spawns fresh copies x', x'', ..., appended
     after the original ambient list (grouped by original variable, in ambient
     order); x^j polarizes to x * x' * ... * x^(j-1 primes).  Squarefree input
     comes back unchanged.
     """
-    if ideal.is_squarefree():
-        return ideal
-    mult = [max((g[k] for g in ideal.gens), default=0) for k in range(ideal.nvars)]
-    fresh: list[str] = []
-    slot: dict[tuple[int, int], int] = {}  # (var index, copy j>=1) -> new column
-    for k, name in enumerate(ideal.ambient):
-        for j in range(1, max(mult[k], 1)):
-            slot[(k, j)] = ideal.nvars + len(fresh)
-            fresh.append(name + "'" * j)
-    ambient = ideal.ambient + tuple(fresh)
-    gens = []
-    for g in ideal.gens:
-        e = [0] * len(ambient)
-        for k, exp in enumerate(g):
-            if exp >= 1:
-                e[k] = 1
-            for j in range(1, exp):
-                e[slot[(k, j)]] = 1
-        gens.append(tuple(e))
-    return MonomialIdeal(ambient, gens)
+    return ideal._polarization
 
 
 def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:

@@ -4,8 +4,9 @@ f-vectors, Hilbert series and multiplicity of squarefree monomial quotients.
 Depth is computed from the squarefree graded Betti numbers: beta_{j,W} equals
 the dimension of the reduced homology of the induced subcomplex on W in
 degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
-Non-squarefree ideals are polarized first; dimension and depth drop by the
-number of added variables.
+Non-squarefree ideals are polarized by the scan (``_Scan``), once per ideal
+object since ``polarize`` is memoized on the ideal; dimension and depth drop
+by the number of added variables.
 
 Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
 shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
@@ -114,19 +115,19 @@ def f_vector(c: SimplicialComplex) -> tuple:
 
 def krull_dim(ideal: MonomialIdeal) -> int:
     """Krull dimension of the quotient ring (polarizing internally if needed)."""
-    work, added = _polarized(ideal)
-    return _Scan(work).max_face_size() - added
+    scan = _Scan(ideal)
+    return scan.max_face_size() - scan.added
 
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
-    work, added, scan = _hochster_prologue(ideal)
+    scan = _Scan(ideal).within_size_limit()
     sizes = scan.vd_facet_sizes()
     if sizes is not None:
-        return sizes[0] - added
+        return sizes[0] - scan.added
     top = scan.top_hochster((field,), 0)[field]
     pd = 0 if top is None else top[0].bit_count() - 1 - top[1]
-    return work.nvars - pd - added
+    return scan.n - pd - scan.added
 
 
 def is_cohen_macaulay(ideal: MonomialIdeal, field: FieldSpec) -> bool:
@@ -146,12 +147,12 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     the rationals vanishing is settled by the mod-2 screen), so checking q and
     fp:2 together costs about as much as one of them.
     """
-    work, added, scan = _hochster_prologue(ideal)
+    scan = _Scan(ideal).within_size_limit()
     sizes = scan.vd_facet_sizes()
     if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
     d = scan.max_face_size()
-    found = scan.top_hochster(tuple(fields), work.nvars - d)
+    found = scan.top_hochster(tuple(fields), scan.n - d)
     out = {}
     for f, witness in found.items():
         if witness is None:
@@ -159,9 +160,9 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
         else:
             w_mask, i = witness
             out[f] = {
-                "subset": sorted(work.ambient[k] for k in range(work.nvars) if w_mask >> k & 1),
+                "subset": sorted(scan.ambient[k] for k in range(scan.n) if w_mask >> k & 1),
                 "homology_degree": i,
-                "dim": d - added,
+                "dim": d - scan.added,
             }
     return out
 
@@ -172,9 +173,7 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     Non-squarefree input is polarized first and the series refers to the
     polarized ring.
     """
-    work, _ = _polarized(ideal)
-    scan = _Scan(work)
-    fv = scan.f_counts()
+    fv = _Scan(ideal).f_counts()
     d = len(fv) - 1
     num = [0] * (d + 1)
     for i, fi in enumerate(fv):
@@ -206,34 +205,22 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     return fv[-1]
 
 
-def _polarized(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int]:
-    work = polarize(ideal)
-    return work, work.nvars - ideal.nvars
-
-
-def _hochster_prologue(ideal: MonomialIdeal) -> tuple[MonomialIdeal, int, "_Scan"]:
-    """Polarize, refuse rings too large for the subset scan, build the scan."""
-    work, added = _polarized(ideal)
-    if work.nvars > _MAX_VARS:
-        raise ValueError(f"size limit exceeded: {work.nvars} variables after polarization")
-    return work, added, _Scan(work)
-
-
 # ---------------------------------------------------------------------------
 # the subset-homology scanner
 # ---------------------------------------------------------------------------
 
 
 class _Scan:
-    """Face combinatorics of one squarefree ideal, on bitmasks."""
+    """Face combinatorics of the polarization of one monomial ideal, on
+    bitmasks; ``added`` counts the variables the polarization added."""
 
     def __init__(self, ideal: MonomialIdeal):
-        if not ideal.is_squarefree():
-            raise ValueError("internal scanner needs a squarefree ideal")
-        self.ideal = ideal
-        self.n = ideal.nvars
+        work = polarize(ideal)
+        self.ambient = work.ambient
+        self.n = work.nvars
+        self.added = work.nvars - ideal.nvars
         self.gen_masks = []
-        for g in ideal.gens:
+        for g in work.gens:
             mask = 0
             for k, e in enumerate(g):
                 if e:
@@ -259,6 +246,13 @@ class _Scan:
         self.gens_by_vertex = [
             [m for m in self.big_gens if m >> v & 1] for v in range(self.n)
         ]
+
+    def within_size_limit(self) -> "_Scan":
+        """This scan, or a refusal when the ring is too large for the subset
+        scan; called by depth and the CM check before either scans."""
+        if self.n > _MAX_VARS:
+            raise ValueError(f"size limit exceeded: {self.n} variables after polarization")
+        return self
 
     # -- faces ---------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.graphs import Graph, enumerate_graphs
 from ringlab.monomials import edge_ideal, polarize
 from ringlab.sr_invariants import (
-    _hochster_prologue,
+    _Scan,
     cohen_macaulay_witness_fields,
     depth,
     is_cohen_macaulay,
@@ -51,15 +51,15 @@ def scan_answers(ideal, witnesses: bool = True) -> dict:
     """Krull dimension, and per field the depth and (when asked for and the
     ring is not CM over some field) the raw CM witness (W mask, degree) of
     the forced scan."""
-    work, added, scan = _hochster_prologue(ideal)
+    scan = _Scan(ideal).within_size_limit()
     top = scan.max_face_size()
     pd_top = scan.top_hochster(FIELDS, 0)
-    out = {"dim": top - added}
+    out = {"dim": top - scan.added}
     for f, t in pd_top.items():
         pd = 0 if t is None else t[0].bit_count() - 1 - t[1]
-        out[f] = work.nvars - pd - added
+        out[f] = scan.n - pd - scan.added
     if witnesses and any(out[f] != out["dim"] for f in FIELDS):
-        out["witness"] = scan.top_hochster(FIELDS, work.nvars - top)
+        out["witness"] = scan.top_hochster(FIELDS, scan.n - top)
     return out
 
 
@@ -84,11 +84,11 @@ def check_public_answers(ideal, want: dict) -> None:
 def check_certificate(ideal, want: dict) -> bool:
     """The certificate's answers against the scan's; False when the rule
     finds no certificate."""
-    _, added, scan = _hochster_prologue(ideal)
+    scan = _Scan(ideal).within_size_limit()
     sizes = scan.vd_facet_sizes()
     if sizes is None:
         return False
-    low, high = sizes[0] - added, sizes[1] - added
+    low, high = sizes[0] - scan.added, sizes[1] - scan.added
     assert high == want["dim"], ideal
     assert all(low == want[f] for f in FIELDS), ideal
     assert depth(ideal, GF2) == low, ideal
@@ -146,7 +146,7 @@ def test_the_five_cycle_reaches_the_scan():
     # no vertex of C5 has a neighbour whose closed neighbourhood lies in its
     # own, so the rule finds no certificate although the complex is CM
     ideal = edge_ideal(named_graph("c5"))
-    assert _hochster_prologue(ideal)[2].vd_facet_sizes() is None
+    assert _Scan(ideal).within_size_limit().vd_facet_sizes() is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [2, 2, 2] and want["dim"] == 2
     check_public_answers(ideal, want)
@@ -160,7 +160,7 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
     import ringlab.sr_invariants as sr
 
     ideal = edge_ideal(named_graph("c4"))
-    scan = _hochster_prologue(ideal)[2]
+    scan = _Scan(ideal).within_size_limit()
     assert scan.vd_facet_sizes() is None
     assert not scan.is_sphere_wedge_shaped(2)
     want = scan_answers(ideal)
@@ -173,7 +173,7 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
 def test_the_projective_plane_keeps_its_diverging_verdicts():
     # non-flag, so never certified: q and GF(3) say CM, GF(2) does not
     ideal = projective_plane_ideal()
-    scan = _hochster_prologue(ideal)[2]
+    scan = _Scan(ideal).within_size_limit()
     assert scan.vd_facet_sizes() is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [3, 2, 3]

@@ -211,6 +211,14 @@ def test_depth_size_limit():
     big = MonomialIdeal([f"x{i}" for i in range(15)], [])
     with pytest.raises(ValueError):
         depth(big, QQ)
+    # eight variables, sixteen after polarization: only the subset scans refuse
+    names = [f"x{i}" for i in range(8)]
+    squares = MonomialIdeal(names, [parse_monomial(names, f"{x}^2") for x in names])
+    with pytest.raises(ValueError, match="16 variables after polarization"):
+        depth(squares, QQ)
+    with pytest.raises(ValueError, match="16 variables after polarization"):
+        cohen_macaulay_witness_fields(squares, (QQ, GF2))
+    assert krull_dim(squares) == 0
 
 
 def test_cm_examples():

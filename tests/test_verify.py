@@ -181,7 +181,7 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
     monkeypatch.setattr(sr, "gf2_rank", _counting(counts, "gf2", sr.gf2_rank))
     monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
     for g in starred_graphs(4):
-        _, _, scan = sr._hochster_prologue(whiskered_edge_ideal(g))
+        scan = sr._Scan(whiskered_edge_ideal(g)).within_size_limit()
         scan.top_hochster((QQ, GF2), scan.n - scan.max_face_size())
     assert counts == {"gf2": 261, "q": 0}
     counts.update(gf2=0, q=0)
@@ -190,7 +190,7 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
             for star in star_vertices(g):
                 for f in (QQ, GF2):
                     for ideal in (whisker_except_edge_ideal(g, star), edge_ideal_squares_except(g, star)):
-                        _, _, scan = sr._hochster_prologue(ideal)
+                        scan = sr._Scan(ideal).within_size_limit()
                         scan.top_hochster((f,), 0)
     assert counts == {"gf2": 568, "q": 76}
 
@@ -220,6 +220,75 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
     # two depths per (graph, star, field): 80 reports
     assert all(r.passed for r in run_theorem_B_corpus(4))
     assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 160}
+
+
+def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
+    # the star's products are settled by ideal membership, so no truncation
+    # runs; the dimension, the depth and the polarization check of a report
+    # share one polarization of its square quotient
+    from functools import cached_property
+
+    import ringlab.verify
+    from ringlab.monomials import MonomialIdeal
+
+    kdps, polarized = [], []
+    real_kdp = ringlab.verify.edge_ideal_squares_except
+    real_body = MonomialIdeal._polarization.func
+
+    def recording(g, star):
+        kdps.append(real_kdp(g, star))
+        return kdps[-1]
+
+    def counting(ideal):
+        polarized.append(ideal)
+        return real_body(ideal)
+
+    probe = cached_property(counting)
+    probe.__set_name__(MonomialIdeal, "_polarization")
+    monkeypatch.setattr(MonomialIdeal, "_polarization", probe)
+    monkeypatch.setattr(ringlab.verify, "edge_ideal_squares_except", recording)
+    counts = {"truncate": 0}
+    monkeypatch.setattr(ringlab.verify, "truncate", _counting(counts, "truncate", ringlab.verify.truncate))
+    reports = run_theorem_B_corpus(4)
+    assert len(reports) == len(kdps) == 80 and all(r.passed for r in reports)
+    assert counts == {"truncate": 0}
+    assert [sum(p is k for p in polarized) for k in kdps] == [1] * 80
+
+
+THMB_COLLAPSED = ["v1^2", "v1*v2", "v1*v3", "v2^2", "v2*v3"]
+
+
+@pytest.mark.parametrize("f", [QQ, GF2], ids=str)
+def test_thmB_witnesses_on_broken_square_quotients(f, monkeypatch):
+    # the star's product facts come from ideal membership; on a wrong square
+    # quotient they must name what the truncated algebra's products named
+    import ringlab.verify
+    from ringlab.constructions import edge_ideal_all_squares
+
+    g = named_graph("k3")
+    monkeypatch.setattr(ringlab.verify, "edge_ideal_squares_except", lambda g, star: edge_ideal_all_squares(g))
+    r = check_theorem_B(g, 3, f)
+    assert not r.passed
+    assert r.witness == {
+        "square_quotient_dim": {"expected": 1, "got": 0},
+        "substitution_mismatch": {"collapsed": THMB_COLLAPSED, "target": THMB_COLLAPSED + ["v3^2"]},
+        "polarization_mismatch": {"pol_vars": ["v1", "v2", "v3", "v1'", "v2'", "v3'"]},
+        "star_square_zero": {},
+    }
+
+    edgeless = edge_ideal_squares_except(Graph.from_edges(3, []), 3)
+    monkeypatch.setattr(ringlab.verify, "edge_ideal_squares_except", lambda g, star: edgeless)
+    r = check_theorem_B(g, 3, f)
+    assert not r.passed
+    assert r.witness == {
+        "square_quotient_depth": {"expected": 0, "got": 1},
+        "substitution_mismatch": {"collapsed": THMB_COLLAPSED, "target": ["v1^2", "v2^2"]},
+        "polarization_mismatch": {
+            "polarized": ["v1*v1'", "v2*v2'"],
+            "whiskered": ["v1*v2", "v1*v3", "v1*v1'", "v2*v3", "v2*v2'"],
+        },
+        "star_product_nonzero": {"u": 2},
+    }
 
 
 def test_vertex_square_runners_make_no_divisibility_scans(monkeypatch):
