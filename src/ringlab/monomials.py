@@ -45,7 +45,7 @@ def _minimalize(gens: Iterable[Monomial]) -> frozenset:
     # a proper divisor has lower degree, and a non-minimal divisor has a
     # minimal one below it: test each generator against kept ones of lower degree
     kept: list = []
-    for _, level in groupby(sorted(set(gens), key=monomial_degree), key=monomial_degree):
+    for _, level in groupby(sorted(set(gens), key=sum), key=sum):
         below = tuple(kept)
         kept += [g for g in level if not any(monomial_divides(h, g) for h in below)]
     return frozenset(kept)
@@ -58,16 +58,17 @@ class MonomialIdeal:
 
     def __init__(self, ambient: Sequence[str], gens: Iterable[Monomial]):
         ambient = tuple(ambient)
-        if len(set(ambient)) != len(ambient):
+        n = len(ambient)
+        if len(set(ambient)) != n:
             raise ValueError("duplicate variable names")
         norm = set()
         for g in gens:
-            g = tuple(int(e) for e in g)
-            if len(g) != len(ambient):
+            g = tuple(map(int, g))
+            if len(g) != n:
                 raise ValueError("exponent tuple has wrong length")
-            if any(e < 0 for e in g):
+            if n and min(g) < 0:
                 raise ValueError("negative exponent")
-            if monomial_degree(g) == 0:
+            if not any(g):
                 raise ValueError("unit generator not allowed")
             norm.add(g)
         object.__setattr__(self, "ambient", ambient)
@@ -316,6 +317,37 @@ def to_monomial_ideal(p: Presentation) -> MonomialIdeal:
     return MonomialIdeal(p.ambient, [next(iter(g.terms)) for g in p.gens])
 
 
+def _substitution_columns(ambient: Sequence[str], mapping: Mapping[str, str]) -> tuple[list, list]:
+    """The kept variables of a variable-to-variable substitution and, per
+    ambient variable, the column of its image among them.
+
+    A substitution must stay inside the ambient ring and must not be chained:
+    the image of a substituted variable is not itself substituted."""
+    for src, dst in mapping.items():
+        if src not in ambient or dst not in ambient:
+            raise ValueError(f"substitution {src}->{dst} leaves the ambient ring")
+        if mapping.get(dst, dst) != dst:
+            raise ValueError(f"chained substitution {src}->{dst}->{mapping[dst]}")
+    keep = [v for v in ambient if mapping.get(v, v) == v]
+    index = {v: k for k, v in enumerate(keep)}
+    return keep, [index[mapping.get(v, v)] for v in ambient]
+
+
+def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> MonomialIdeal:
+    """The monomial ideal under a variable-to-variable substitution: each
+    exponent is added into its image's column and the substituted variables
+    leave the ambient list.  Equals ``to_monomial_ideal(substitute(p, mapping))``
+    for ``p = presentation_of(ideal, field)``, with no polynomial built."""
+    keep, column = _substitution_columns(ideal.ambient, mapping)
+    gens = []
+    for g in ideal.gens:
+        e = [0] * len(keep)
+        for k, exp in enumerate(g):
+            e[column[k]] += exp
+        gens.append(e)
+    return MonomialIdeal(keep, gens)
+
+
 def substitute(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
     """Rewrite generators under a variable-to-variable substitution.
 
@@ -323,20 +355,14 @@ def substitute(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
     generators are pruned, and an all-monomial result is divisibility
     minimalized.
     """
-    for src, dst in mapping.items():
-        if src not in p.ambient or dst not in p.ambient:
-            raise ValueError(f"substitution {src}->{dst} leaves the ambient ring")
-    keep = [v for v in p.ambient if mapping.get(v, v) == v]
-    index = {v: k for k, v in enumerate(keep)}
+    keep, column = _substitution_columns(p.ambient, mapping)
     gens = []
     for g in p.gens:
         terms: dict[Monomial, object] = {}
         for mono, c in g.terms.items():
             e = [0] * len(keep)
             for k, exp in enumerate(mono):
-                if exp:
-                    target = mapping.get(p.ambient[k], p.ambient[k])
-                    e[index[target]] += exp
+                e[column[k]] += exp
             key = tuple(e)
             prev = terms.get(key, p.field.zero())
             terms[key] = p.field.add(prev, c)

@@ -4,9 +4,10 @@ f-vectors, Hilbert series and multiplicity of squarefree monomial quotients.
 Depth is computed from the squarefree graded Betti numbers: beta_{j,W} equals
 the dimension of the reduced homology of the induced subcomplex on W in
 degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
-Non-squarefree ideals are polarized by the scan (``_Scan``), once per ideal
-object since ``polarize`` is memoized on the ideal; dimension and depth drop
-by the number of added variables.
+Non-squarefree ideals are polarized by the scan (``_Scan``); dimension and
+depth drop by the number of added variables.  Every invariant below reads the
+ideal's one scan (``_scan_of``), built at most once per ideal object, as its
+polarization is.
 
 Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
 shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
@@ -29,6 +30,7 @@ pay for exact rational elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterable
 
@@ -84,7 +86,7 @@ def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """The complex whose faces are the squarefree monomials outside the ideal."""
     if not ideal.is_squarefree():
         raise ValueError("ideal is not squarefree; polarize first")
-    scan = _Scan(ideal)
+    scan = _scan_of(ideal)
     by_size = scan.faces_by_size(scan.face_verts, scan.n)
     all_faces = [m for sub in by_size for m in sub]
     face_set = set(all_faces)
@@ -115,13 +117,13 @@ def f_vector(c: SimplicialComplex) -> tuple:
 
 def krull_dim(ideal: MonomialIdeal) -> int:
     """Krull dimension of the quotient ring (polarizing internally if needed)."""
-    scan = _Scan(ideal)
+    scan = _scan_of(ideal)
     return scan.max_face_size() - scan.added
 
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
-    scan = _Scan(ideal).within_size_limit()
+    scan = _scan_of(ideal).within_size_limit()
     sizes = scan.vd_facet_sizes()
     if sizes is not None:
         return sizes[0] - scan.added
@@ -147,7 +149,7 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     the rationals vanishing is settled by the mod-2 screen), so checking q and
     fp:2 together costs about as much as one of them.
     """
-    scan = _Scan(ideal).within_size_limit()
+    scan = _scan_of(ideal).within_size_limit()
     sizes = scan.vd_facet_sizes()
     if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
@@ -173,7 +175,7 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     Non-squarefree input is polarized first and the series refers to the
     polarized ring.
     """
-    fv = _Scan(ideal).f_counts()
+    fv = _scan_of(ideal).f_counts()
     d = len(fv) - 1
     num = [0] * (d + 1)
     for i, fi in enumerate(fv):
@@ -201,13 +203,23 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     """Number of top-dimensional facets = numerator of the series at t=1."""
     if not ideal.is_squarefree():
         raise ValueError("multiplicity expects a squarefree ideal")
-    fv = _Scan(ideal).f_counts()
+    fv = _scan_of(ideal).f_counts()
     return fv[-1]
 
 
 # ---------------------------------------------------------------------------
 # the subset-homology scanner
 # ---------------------------------------------------------------------------
+
+
+def _scan_of(ideal: MonomialIdeal) -> "_Scan":
+    """The ideal's scan, built on first use and kept on the ideal object (never
+    looked up by value, so equal ideals built apart share nothing)."""
+    scan = ideal.__dict__.get("_scan")
+    if scan is None:
+        scan = _Scan(ideal)
+        object.__setattr__(ideal, "_scan", scan)
+    return scan
 
 
 class _Scan:
@@ -299,6 +311,15 @@ class _Scan:
         return [len(s) for s in by_size]
 
     def max_face_size(self) -> int:
+        """Size of a largest face; searched at most once per scan."""
+        return self._max_face_size
+
+    def vd_facet_sizes(self) -> tuple[int, int] | None:
+        """See ``_vd_facet_sizes``; searched at most once per scan."""
+        return self._vd_facet_sizes
+
+    @cached_property
+    def _max_face_size(self) -> int:
         best = 0
 
         def rec(mask: int, size: int, allowed: int) -> None:
@@ -321,7 +342,8 @@ class _Scan:
         rec(0, 0, self.face_verts)
         return best
 
-    def vd_facet_sizes(self) -> tuple[int, int] | None:
+    @cached_property
+    def _vd_facet_sizes(self) -> tuple[int, int] | None:
         """(smallest, largest) facet size of a flag complex certified
         vertex-decomposable, or None (non-flag, or no certificate found).
 

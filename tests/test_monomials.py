@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -5,11 +7,12 @@ from hypothesis import strategies as st
 from ringlab.constructions import (
     edge_ideal_all_squares,
     named_graph,
+    whisker_except_edge_ideal,
     whiskered_edge_ideal,
     whisker_names,
 )
 from ringlab.fields import QQ, FieldSpec
-from ringlab.graphs import Graph, enumerate_graphs
+from ringlab.graphs import Graph, enumerate_graphs, star_vertices
 from ringlab.monomials import (
     MonomialIdeal,
     Poly,
@@ -28,6 +31,7 @@ from ringlab.monomials import (
     presentation_to_json,
     rename_ideal,
     substitute,
+    substitute_ideal,
     to_monomial_ideal,
     variable_partition_decomposable,
 )
@@ -144,6 +148,41 @@ def test_substitute_cancellation():
 def test_substitute_requires_known_vars():
     with pytest.raises(ValueError, match="leaves the ambient ring"):
         substitute(Presentation(["x"], [parse_poly(["x"], "x^2", QQ)], QQ), {"x": "z"})
+
+
+def test_substitute_refuses_a_chained_substitution():
+    amb = ["x", "y", "z"]
+    pres = Presentation(amb, [parse_poly(amb, "x*z", QQ)], QQ)
+    with pytest.raises(ValueError, match="chained substitution x->y->z"):
+        substitute(pres, {"x": "y", "y": "z"})
+
+
+def test_substitute_ideal_refuses_a_chained_substitution():
+    with pytest.raises(ValueError, match="chained substitution x->y->z"):
+        substitute_ideal(ideal(["x", "y", "z"], "x*z"), {"x": "y", "y": "z"})
+
+
+def test_substitute_ideal_requires_known_vars():
+    with pytest.raises(ValueError, match="leaves the ambient ring"):
+        substitute_ideal(ideal(["x"], "x^2"), {"x": "z"})
+    with pytest.raises(ValueError, match="leaves the ambient ring"):
+        substitute_ideal(ideal(["x"], "x^2"), {"z": "x"})
+
+
+def _collapse_cases(g):
+    yield whiskered_edge_ideal(g), {f"w{u}": f"v{u}" for u in range(1, g.n + 1)}
+    for s in star_vertices(g):
+        yield whisker_except_edge_ideal(g, s), {f"w{u}": f"v{u}" for u in range(1, g.n + 1) if u != s}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_substitute_ideal_matches_the_presentation_route(n):
+    # oracle: the exponent-tuple routine against the polynomial round trip
+    for g in enumerate_graphs(n):
+        for source, mapping in _collapse_cases(g):
+            expected = to_monomial_ideal(substitute(presentation_of(source, QQ), mapping))
+            got = substitute_ideal(source, mapping)
+            assert got == expected and got.ambient == expected.ambient
 
 
 # -- fiber products ----------------------------------------------------------
@@ -293,6 +332,30 @@ def test_minimalization_invariant():
 def test_unit_generator_rejected():
     with pytest.raises(ValueError):
         MonomialIdeal(["x"], [(0,)])
+
+
+@pytest.mark.parametrize(
+    "ambient, gens, message",
+    [
+        (["x", "x"], [(1, 0)], "duplicate variable names"),
+        (["x", "y"], [(1, 0, 0)], "exponent tuple has wrong length"),
+        (["x", "y"], [(1,)], "exponent tuple has wrong length"),
+        (["x", "y"], [(2, -1)], "negative exponent"),
+        (["x", "y"], [(1, 1), (0, 0)], "unit generator not allowed"),
+        ([], [()], "unit generator not allowed"),
+        ([], [(1,)], "exponent tuple has wrong length"),
+    ],
+)
+def test_monomial_ideal_refusals(ambient, gens, message):
+    with pytest.raises(ValueError, match=message):
+        MonomialIdeal(ambient, gens)
+
+
+def test_monomial_ideal_coerces_exponents_to_int():
+    i = MonomialIdeal(["x", "y"], [(2.0, True), [Fraction(0), Fraction(2)]])
+    assert i.gens == {(2, 1), (0, 2)}
+    assert all(type(e) is int for g in i.gens for e in g)
+    assert MonomialIdeal([], []).gens == frozenset()
 
 
 @st.composite

@@ -255,6 +255,46 @@ def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
     assert [sum(p is k for p in polarized) for k in kdps] == [1] * 80
 
 
+def test_theorem_runners_scan_each_ideal_once(monkeypatch):
+    # dimension, depth and the CM check of one ideal share its scan, and thmB's
+    # substitution w_u -> v_u builds no polynomial presentation
+    import ringlab.monomials
+    import ringlab.sr_invariants as sr
+    import ringlab.verify
+
+    scanned, built = [], []
+    real_init = sr._Scan.__init__
+
+    def scanning(scan, ideal):
+        scanned.append(ideal)
+        real_init(scan, ideal)
+
+    def recording(real):
+        def build(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        return build
+
+    monkeypatch.setattr(sr._Scan, "__init__", scanning)
+    for name in ("whisker_except_edge_ideal", "edge_ideal_squares_except", "whiskered_edge_ideal"):
+        monkeypatch.setattr(ringlab.verify, name, recording(getattr(ringlab.verify, name)))
+    counts = {"presentation_of": 0, "substitute": 0}
+    for module in (ringlab.monomials, ringlab.verify):
+        for name in counts:
+            real = getattr(ringlab.monomials, name)
+            monkeypatch.setattr(module, name, _counting(counts, name, real), raising=False)
+    reports = run_theorem_B_corpus(4)
+    assert len(reports) == 80 and all(r.passed for r in reports)
+    assert len(built) == 160 and counts == {"presentation_of": 0, "substitute": 0}
+    assert [sum(s is b for s in scanned) for b in built] == [1] * 160
+    scanned.clear()
+    built.clear()
+    reports = run_theorem_A_corpus(4)
+    assert len(reports) == 58 and all(r.passed for r in reports)
+    assert len(built) == 29 and [sum(s is b for s in scanned) for b in built] == [1] * 29
+
+
 THMB_COLLAPSED = ["v1^2", "v1*v2", "v1*v3", "v2^2", "v2*v3"]
 
 
