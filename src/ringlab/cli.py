@@ -36,6 +36,7 @@ from .graphs import (
 )
 from .modules import (
     _MAX_BOUND,
+    _check_hom_cells,
     bass_truncation,
     cyclic_module,
     free_module,
@@ -211,6 +212,10 @@ def _cmd_resolve(args) -> int:
     pres = _load_presentation(args)
     algebra = truncate(pres, args.trunc)
     module = _module_from_token(algebra, args.module)
+    # reflexivity needs Hom(M, A) and semidualizing Hom(M, M): refuse an
+    # oversized system before any resolution runs
+    _check_hom_cells(module, free_module(algebra))
+    _check_hom_cells(module, module)
     b = args.bound
     payload = {
         "module": args.module,

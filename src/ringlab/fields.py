@@ -89,13 +89,18 @@ class FieldSpec:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, value):
-        """Normalize ints, Fractions, or strings like ``"2/3"`` into the field."""
+        """Normalize ints, Fractions, or strings like ``"2/3"`` into the field.
+
+        Floats are refused: 0.1 is not one tenth, and a float would be
+        rounded (mod p) or turned into its binary expansion (over q)."""
         # Values that already are field elements come back as they are.
         if self.p is None:
             if type(value) is Fraction:
                 return value
         elif type(value) is int and 0 <= value < self.p:
             return value
+        if isinstance(value, float):
+            raise TypeError(f"float {value!r} is not an exact field element")
         if isinstance(value, str):
             value = Fraction(value)
         if self.p is None:

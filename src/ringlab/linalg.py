@@ -1,10 +1,16 @@
 """Dense exact linear algebra over GF(p) and the rationals.
 
 Matrices are immutable dense arrays of exact field elements.  Reduction is
-one plain Gauss-Jordan kernel for every field; over GF(2) the rows are
-packed into Python ints instead, so the row operations become single XORs,
-which is what makes the subset-homology scans elsewhere in the package
-affordable.  Both paths produce the identical reduced row echelon form, so
+one Gauss-Jordan kernel on integer rows for every field: over q each row has
+its denominators cleared once, and the kernel eliminates with cross-multiplied
+row operations (x * row_i - y * row_r), so no ``Fraction`` is built inside it.
+The two fields differ only in how a row is normalized after each operation:
+reduced mod p, or divided by the gcd of its entries over q.  Field elements
+are rebuilt only when rows leave the kernel (``rref``, ``kernel_basis``, the
+rows and residuals of a ``Subspace``).  Over GF(2) the rows are packed into
+Python ints instead, so the row operations become single XORs, which is what
+makes the subset-homology scans elsewhere in the package affordable.  The
+reduced row echelon form is unique, so every path gives the same answer and
 callers never need to know which one ran.
 """
 
@@ -12,12 +18,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .fields import FieldSpec
 
 # ---------------------------------------------------------------------------
-# low-level eliminators; each returns (rows-in-rref, pivot column list)
+# low-level eliminators; each returns (rows in echelon form, pivot column list)
 # ---------------------------------------------------------------------------
 
 
@@ -26,13 +33,12 @@ def gf2_pack(rows: Iterable[Sequence[int]]) -> list[int]:
     return [_pack_one(row) for row in rows]
 
 
-def gf2_rref(packed: list[int], ncols: int, pivot_limit: int | None = None) -> tuple[list[int], list[int]]:
+def gf2_rref(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
     rows = list(packed)
     m = len(rows)
-    limit = ncols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(ncols):
         bit = 1 << c
         pivot_row = -1
         for i in range(r, m):
@@ -69,17 +75,50 @@ def gf2_rank(packed: list[int]) -> int:
     return rank
 
 
-def _rref_dense(rows: list[list], ncols: int, p: int | None, pivot_limit: int | None) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan over GF(p), or over the rationals when p is None.
+def _integer_row(values) -> tuple[list[int], int]:
+    """Rational values (ints or Fractions) as an integer row and a common
+    denominator d, so that the values are row / d."""
+    d = lcm(*(v.denominator for v in values))
+    if d == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (d // v.denominator) for v in values], d
 
-    Entries must already be field elements (ints reduced mod p, or
-    Fractions): a zero entry is recognized by its truthiness.
+
+def _clear(row: list[int], pr: list[int], c: int, p: int | None) -> tuple[list[int], int]:
+    """x * row - y * pr, with x and y the entries of pr and row at column c over
+    their gcd, so that column c becomes 0; returns the new row and x."""
+    x, y = pr[c], row[c]
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    if p is None:
+        return [x * a - y * b for a, b in zip(row, pr)], x
+    return [(x * a - y * b) % p for a, b in zip(row, pr)], x
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def _eliminate(row: list[int], pr: list[int], c: int, p: int | None) -> list[int]:
+    """row with its column c cleared by pr, kept primitive over q."""
+    row = _clear(row, pr, c, p)[0]
+    return row if p is not None else _primitive(row)
+
+
+def _rref_dense(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan on integer rows: over GF(p) (entries reduced mod p) or
+    over the rationals when p is None (rows with their denominators cleared).
+
+    Returns the rows in reduced echelon form up to scaling: each pivot row has
+    a nonzero pivot entry, not necessarily 1, and zeros in every other pivot
+    column.  Over q every row is kept primitive.
     """
     m = len(rows)
-    limit = ncols if pivot_limit is None else pivot_limit
     pivots: list[int] = []
     r = 0
-    for c in range(limit):
+    for c in range(ncols):
         pivot_row = -1
         for i in range(r, m):
             if rows[i][c]:
@@ -88,26 +127,20 @@ def _rref_dense(rows: list[list], ncols: int, p: int | None, pivot_limit: int | 
         if pivot_row < 0:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if p is None:
-            inv = 1 / rows[r][c]
-            rows[r] = [v * inv for v in rows[r]]
-        else:
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
         pr = rows[r]
         for i in range(m):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    if p is None:
-                        rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-                    else:
-                        rows[i] = [(a - f * b) % p for a, b in zip(rows[i], pr)]
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], pr, c, p)
         pivots.append(c)
         r += 1
         if r == m:
             break
     return rows, pivots
+
+
+def _quotient(v: int, x: int, p: int | None):
+    """v / x as a field element."""
+    return Fraction(v, x) if p is None else v * pow(x, -1, p) % p
 
 
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -116,16 +149,16 @@ def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
     work = [[v % p for v in r] for r in rows]
     if not work:
         return 0
-    _, pivots = _rref_dense(work, len(work[0]), p, None)
+    _, pivots = _rref_dense(work, len(work[0]), p)
     return len(pivots)
 
 
 def rational_rank(rows: Iterable[Sequence]) -> int:
     """Exact rank over the rationals of integer (or Fraction) rows."""
-    work = [[Fraction(v) for v in r] for r in rows]
+    work = [_integer_row(r)[0] for r in rows]
     if not work:
         return 0
-    _, pivots = _rref_dense(work, len(work[0]), None, None)
+    _, pivots = _rref_dense(work, len(work[0]), None)
     return len(pivots)
 
 
@@ -244,13 +277,15 @@ class Matrix:
 
     # -- reduction ------------------------------------------------------------
 
-    def _rref_raw(self, pivot_limit: int | None = None) -> tuple[list, list[int]]:
-        f = self.field
-        if f.p == 2:
-            packed, pivots = gf2_rref(gf2_pack(self._rows), self.ncols, pivot_limit)
-            rows = [[(r >> j) & 1 for j in range(self.ncols)] for r in packed]
-            return rows, pivots
-        return _rref_dense([list(r) for r in self._rows], self.ncols, f.p, pivot_limit)
+    def _rref_raw(self) -> tuple[list[list[int]], list[int]]:
+        """Integer rows in reduced echelon form up to scaling, and the pivots."""
+        p = self.field.p
+        if p == 2:
+            packed, pivots = gf2_rref(gf2_pack(self._rows), self.ncols)
+            return [[(r >> j) & 1 for j in range(self.ncols)] for r in packed], pivots
+        if p is None:
+            return _rref_dense([_integer_row(r)[0] for r in self._rows], self.ncols, None)
+        return _rref_dense([list(r) for r in self._rows], self.ncols, p)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
@@ -259,7 +294,10 @@ class Matrix:
             (R, pivots) with rank(self) == len(pivots).
         """
         rows, pivots = self._rref_raw()
-        return Matrix(self.field, rows, self.ncols), tuple(pivots)
+        p = self.field.p
+        out = [[_quotient(v, row[pc], p) for v in row] for row, pc in zip(rows, pivots)]
+        out += [[self.field.zero()] * self.ncols for _ in range(len(pivots), self.nrows)]
+        return Matrix(self.field, out, self.ncols), tuple(pivots)
 
     def rank(self) -> int:
         if self.field.p == 2:
@@ -267,7 +305,12 @@ class Matrix:
         return len(self._rref_raw()[1])
 
     def kernel_basis(self) -> list[tuple]:
-        """A basis of the right null space, one vector per free column."""
+        """A basis of the right null space, one vector per free column.
+
+        Each vector has a 1 at its own free column, which is its last nonzero
+        entry, and a 0 at every other free column; so a vector of the null
+        space has its free-column entries as its coordinates in this basis.
+        """
         rows, pivots = self._rref_raw()
         f = self.field
         pivot_set = set(pivots)
@@ -277,10 +320,10 @@ class Matrix:
                 continue
             vec = [f.zero()] * self.ncols
             vec[free] = f.one()
-            for r, pc in enumerate(pivots):
-                entry = rows[r][free]
+            for row, pc in zip(rows, pivots):
+                entry = row[free]
                 if entry:
-                    vec[pc] = f.neg(entry)
+                    vec[pc] = _quotient(-entry, row[pc], f.p)
             basis.append(tuple(vec))
         return basis
 
@@ -291,14 +334,12 @@ class Matrix:
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
         aug = Matrix(f, [list(r) + [rhs[i]] for i, r in enumerate(self._rows)], self.ncols + 1)
-        rows, pivots = aug._rref_raw(pivot_limit=self.ncols)
-        rank = len(pivots)
-        for i in range(rank, self.nrows):
-            if rows[i][self.ncols]:
-                return None
+        rows, pivots = aug._rref_raw()
+        if pivots and pivots[-1] == self.ncols:
+            return None
         vec = [f.zero()] * self.ncols
-        for r, pc in enumerate(pivots):
-            vec[pc] = rows[r][self.ncols]
+        for row, pc in zip(rows, pivots):
+            vec[pc] = _quotient(row[self.ncols], row[pc], f.p)
         return tuple(vec)
 
 
@@ -312,7 +353,9 @@ class Subspace:
 
     ``add`` reduces the candidate against the current basis and either absorbs
     it (returning True when the dimension grew) or discards it.  Over GF(2)
-    rows are packed ints; elsewhere they are lists of field elements.
+    rows are packed ints; elsewhere they are the integer rows of the
+    elimination kernel, each with a nonzero pivot entry that is not
+    necessarily 1, and zeros in every other row's pivot column.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -326,19 +369,45 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
+    def _packed_vector(self, vec) -> int:
+        if isinstance(vec, int):
+            if vec < 0 or vec >> self.ncols:
+                raise ValueError(f"packed vector has bits beyond column {self.ncols}")
+            return vec
+        self._check_length(vec)
+        return _pack_one(vec)
+
+    def _check_length(self, vec) -> None:
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
+
     def _reduce_packed(self, vec: int) -> int:
         for pc, row in zip(self._pivots, self._rows):
             if (vec >> pc) & 1:
                 vec ^= row
         return vec
 
-    def _reduce_dense(self, vec: list) -> list:
+    def _reduce_dense(self, vec) -> tuple[list[int], int]:
+        """The residual of ``vec`` modulo the span as (row, d): the residual
+        is row / d, with row an integer row and d a nonzero integer (mod p)."""
+        self._check_length(vec)
         f = self.field
-        for pc, row in zip(self._pivots, self._rows):
-            c = vec[pc]
-            if c:
-                vec = [f.sub(a, f.mul(c, b)) for a, b in zip(vec, row)]
-        return vec
+        p = f.p
+        if p is None:
+            row, d = _integer_row([f.coerce(x) for x in vec])
+        else:
+            row, d = [f.coerce(x) for x in vec], 1
+        for pc, basis_row in zip(self._pivots, self._rows):
+            if row[pc]:
+                row, x = _clear(row, basis_row, pc, p)
+                if p is None:
+                    d *= x
+                    g = gcd(d, *row)
+                    if g > 1:
+                        row, d = [v // g for v in row], d // g
+                else:
+                    d = d * x % p
+        return row, d
 
     def _insert(self, pc: int, row) -> None:
         """Insert a reduced row under its pivot, keeping the pivots sorted."""
@@ -349,8 +418,7 @@ class Subspace:
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         if self._packed:
-            v = vec if isinstance(vec, int) else _pack_one(vec)
-            v = self._reduce_packed(v)
+            v = self._reduce_packed(self._packed_vector(vec))
             if not v:
                 return False
             pc = _lowest_bit_index(v)
@@ -360,35 +428,31 @@ class Subspace:
                     self._rows[i] = row ^ v
             self._insert(pc, v)
             return True
-        f = self.field
-        v = self._reduce_dense([f.coerce(x) for x in vec])
+        p = self.field.p
+        v = self._reduce_dense(vec)[0]
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
-        inv = f.inv(v[pc])
-        v = [f.mul(inv, x) for x in v]
+        if p is None:
+            v = _primitive(v)
         for i, row in enumerate(self._rows):
-            c = row[pc]
-            if c:
-                self._rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
+            if row[pc]:
+                self._rows[i] = _eliminate(row, v, pc, p)
         self._insert(pc, v)
         return True
 
     def contains(self, vec) -> bool:
         if self._packed:
-            v = vec if isinstance(vec, int) else _pack_one(vec)
-            return self._reduce_packed(v) == 0
-        f = self.field
-        return not any(self._reduce_dense([f.coerce(x) for x in vec]))
+            return self._reduce_packed(self._packed_vector(vec)) == 0
+        return not any(self._reduce_dense(vec)[0])
 
     def reduce(self, vec) -> tuple:
         """The residual of ``vec`` modulo the span, as a dense tuple."""
         if self._packed:
-            v = vec if isinstance(vec, int) else _pack_one(vec)
-            r = self._reduce_packed(v)
+            r = self._reduce_packed(self._packed_vector(vec))
             return tuple((r >> j) & 1 for j in range(self.ncols))
-        f = self.field
-        return tuple(self._reduce_dense([f.coerce(x) for x in vec]))
+        row, d = self._reduce_dense(vec)
+        return tuple(_quotient(v, d, self.field.p) for v in row)
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)
@@ -396,13 +460,14 @@ class Subspace:
     def basis_rows(self) -> list[tuple]:
         if self._packed:
             return [tuple((r >> j) & 1 for j in range(self.ncols)) for r in self._rows]
-        return [tuple(r) for r in self._rows]
+        p = self.field.p
+        return [tuple(_quotient(v, row[pc], p) for v in row) for row, pc in zip(self._rows, self._pivots)]
 
 
 def _pack_one(vec) -> int:
     acc = 0
     for j, v in enumerate(vec):
-        if int(v) & 1:
+        if v & 1:
             acc |= 1 << j
     return acc
 

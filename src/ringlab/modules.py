@@ -33,6 +33,13 @@ from .fields import FieldSpec
 from .linalg import Matrix, Subspace
 
 _MAX_BOUND = 12
+# Largest dense Hom system (nvars * dim M * dim N rows by dim M * dim N
+# unknowns) that hom_module builds.  On one core of a 2-core x86 host under
+# Python 3.11, Hom(A, A) over q takes 1.5 s for sigma(P3) at order 3 (dim 23,
+# 1.7e6 cells) and 5.8 s for sigma(P2) at order 5 (dim 35, 6.0e6 cells, 157 MB
+# peak); GF(p) is up to twice as fast.  sigma(P3) at order 4 (dim 54) would
+# need 5.1e7 cells.
+_MAX_HOM_CELLS = 4_000_000
 
 
 class FPModule:
@@ -450,6 +457,7 @@ def hom_module(m: FPModule, n: FPModule):
     against all-basis commutation on small instances).
     """
     _check_same_algebra(m, n)
+    _check_hom_cells(m, n)
     f = m.algebra.field
     dm, dn = m.dim, n.dim
     unknowns = dn * dm  # Phi[s][t], flat index s * dm + t
@@ -475,21 +483,67 @@ def hom_module(m: FPModule, n: FPModule):
         kern = [tuple(f.one() if i == j else f.zero() for i in range(unknowns)) for j in range(unknowns)]
     maps = [Matrix(f, [vec[s * dm : (s + 1) * dm] for s in range(dn)], dm) for vec in kern]
     h = len(maps)
-    basis_matrix = Matrix.from_columns(f, [vec for vec in kern])
+    basis = [_flat(phi) for phi in maps]
+    coordinates = _span_coordinates(f, basis)
     actions = []
     for k in range(m.algebra.nvars):
-        rn = n.var_actions[k]
+        rn_cols = n.var_sparse(k)
         cols = []
-        for phi in maps:
-            target = rn.mul(phi)
-            flat = [target.entry(s, t) for s in range(dn) for t in range(dm)]
-            sol = basis_matrix.solve(flat)
+        for vec in basis:
+            # (rn Phi)[s][t] = sum over u of rn[s][u] Phi[u][t]
+            target: dict = {}
+            for pos, x in vec:
+                u, t = divmod(pos, dm)
+                for s, v in rn_cols[u]:
+                    key = s * dm + t
+                    target[key] = target.get(key, 0) + v * x
+            sol = coordinates(target)
             if sol is None:
                 raise AssertionError("Hom space is not closed under the action")
-            cols.append(list(sol))
+            cols.append(sol)
         actions.append(Matrix.from_columns(f, cols) if h else Matrix(f, [], 0))
     label = f"Hom({m.label or '?'},{n.label or '?'})"
     return FPModule(m.algebra, h, actions, label=label), maps
+
+
+def _check_hom_cells(m: FPModule, n: FPModule) -> None:
+    unknowns = m.dim * n.dim
+    rows = m.algebra.nvars * unknowns
+    if rows * unknowns > _MAX_HOM_CELLS:
+        raise ValueError(
+            f"Hom({m.label or '?'},{n.label or '?'}) needs a {rows} x {unknowns} system, over {_MAX_HOM_CELLS} cells"
+        )
+
+
+def _flat(mat: Matrix) -> list[tuple[int, object]]:
+    """The nonzero entries of a matrix, flattened row by row, as (index, entry)."""
+    return [(s * mat.ncols + t, x) for s, row in enumerate(mat.rows()) for t, x in enumerate(row) if x]
+
+
+def _span_coordinates(f: FieldSpec, basis):
+    """Coordinates in the span of ``Matrix.kernel_basis`` vectors, given sparse
+    as lists of (index, entry) in index order.
+
+    Each basis vector has a 1 at its own free column, its last nonzero entry,
+    and a 0 at every other one's, so a vector of the span has its entries at
+    those columns as its coordinates.  The returned function takes a sparse
+    vector {index: entry}, checks the coordinates exactly by recombining, and
+    returns None for a vector outside the span."""
+    frees = [vec[-1][0] for vec in basis]
+    p = f.p
+
+    def coordinates(target: dict):
+        coords = [target.get(j, 0) for j in frees]
+        rest = dict(target)
+        for c, vec in zip(coords, basis):
+            if c:
+                for i, x in vec:
+                    rest[i] = rest.get(i, 0) - c * x
+        if any(rest.values()) if p is None else any(v % p for v in rest.values()):
+            return None
+        return coords
+
+    return coordinates
 
 
 def dual_module(m: FPModule) -> FPModule:
@@ -510,17 +564,15 @@ def biduality_is_iso(m: FPModule) -> bool:
         return False
     if m.dim == 0:
         return True
-    psi_flat = Matrix.from_columns(
-        f, [[p.entry(s, t) for s in range(a.dim_k) for t in range(dual.dim)] for p in psis]
-    )
+    coordinates = _span_coordinates(f, [_flat(psi) for psi in psis])
     coords = []
     for j in range(m.dim):
         # ev(e_j): Phi |-> Phi(e_j), a map from M* to A
-        flat = [phis[t].entry(s, j) for s in range(a.dim_k) for t in range(dual.dim)]
-        sol = psi_flat.solve(flat)
+        flat = {s * dual.dim + t: x for t, phi in enumerate(phis) for s in range(a.dim_k) if (x := phi.entry(s, j))}
+        sol = coordinates(flat)
         if sol is None:
             raise AssertionError("evaluation map left the double-dual span")
-        coords.append(list(sol))
+        coords.append(sol)
     ev = Matrix.from_columns(f, coords)
     return ev.rank() == m.dim
 
@@ -550,17 +602,13 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
     if hom.dim != a.dim_k:
         return False
     if a.dim_k:
-        flat_basis = Matrix.from_columns(
-            f, [[p.entry(s, t) for s in range(c.dim) for t in range(c.dim)] for p in maps]
-        )
+        coordinates = _span_coordinates(f, [_flat(phi) for phi in maps])
         cols = []
         for bidx in range(a.dim_k):
-            mat = c.basis_action(bidx)
-            flat = [mat.entry(s, t) for s in range(c.dim) for t in range(c.dim)]
-            sol = flat_basis.solve(flat)
+            sol = coordinates(dict(_flat(c.basis_action(bidx))))
             if sol is None:
                 return False
-            cols.append(list(sol))
+            cols.append(sol)
         if Matrix.from_columns(f, cols).rank() != a.dim_k:
             return False
     return all(x == 0 for x in _homology(c, c, 1, b))

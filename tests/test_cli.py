@@ -274,6 +274,22 @@ def test_out_of_range_argument_exits_two(argv, message, capsys):
     assert err.startswith("error:") and message in err
 
 
+def test_resolve_refuses_an_oversized_hom_system_before_any_elimination(monkeypatch, capsys):
+    # sigma(P3) at order 4 has dimension 54, so Hom(A, A) would be a
+    # 17496 x 2916 system (5.1e7 cells); uncapped, the command ran for minutes
+    from ringlab.linalg import Matrix
+
+    def refuse(self):
+        raise AssertionError("elimination started")
+
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    code, err = run_cli_error(
+        capsys, "resolve", "--name", "sigma:p3", "--field", "fp:2", "--trunc", "4", "--module", "free", "--bound", "1"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "17496 x 2916 system" in err
+
+
 @pytest.mark.parametrize("bound, message", [("-1", "negative bound"), ("13", "capped at 12")])
 def test_verify_bound_is_refused_before_any_suite(bound, message, monkeypatch, capsys):
     import ringlab.verify

@@ -23,12 +23,16 @@ from ringlab.constructions import (
     stanley_example_big_ring,
 )
 from ringlab.fields import GF2, QQ, FieldSpec
+from ringlab.linalg import Matrix
 from ringlab.modules import (
     bass_truncation,
+    biduality_is_iso,
     cyclic_module,
     dual_module,
     ext,
     free_module,
+    hom_module,
+    is_semidualizing_up_to,
     minimal_resolution,
     poincare_truncation,
     residue_field,
@@ -158,3 +162,98 @@ def test_no_kernel_block_is_wider_than_its_betti_number(monkeypatch):
     for t, blocks in enumerate(widths):
         assert sum(blocks) == res.betti[t] * a.dim_k
         assert max(blocks) <= res.betti[t], (t, max(blocks))
+
+
+# -- Hom coordinates against Matrix.solve -------------------------------------------
+#
+# hom_module, the homothety of is_semidualizing_up_to and the evaluation map of
+# biduality_is_iso read coordinates off the free columns of the kernel basis.
+# The oracle below is the older route: every vector is solved for against the
+# flattened basis maps with Matrix.solve, a separate elimination.
+
+
+def _flat(mat) -> list:
+    return [x for row in mat.rows() for x in row]
+
+
+def _solve_coordinates(f, maps, vectors):
+    """Coordinates of each vector in the span of the flattened maps, or None
+    for a vector outside it."""
+    basis = Matrix.from_columns(f, [_flat(phi) for phi in maps])
+    return [basis.solve(vec) for vec in vectors]
+
+
+def _solve_hom_actions(m, n, maps):
+    f = m.algebra.field
+    actions = []
+    for rn in n.var_actions:
+        cols = _solve_coordinates(f, maps, [_flat(rn.mul(phi)) for phi in maps])
+        if any(c is None for c in cols):
+            return None
+        actions.append(Matrix.from_columns(f, cols) if maps else Matrix(f, [], 0))
+    return actions
+
+
+def _solve_semidualizing(c, b) -> bool:
+    a = c.algebra
+    hom, maps = hom_module(c, c)
+    if hom.dim != a.dim_k:
+        return False
+    cols = _solve_coordinates(a.field, maps, [_flat(c.basis_action(i)) for i in range(a.dim_k)])
+    if any(col is None for col in cols) or (cols and Matrix.from_columns(a.field, cols).rank() != a.dim_k):
+        return False
+    return all(ext(c, c, i) == 0 for i in range(1, b + 1))
+
+
+def _solve_biduality(m) -> bool:
+    a = m.algebra
+    free = free_module(a)
+    dual, phis = hom_module(m, free)
+    double, psis = hom_module(dual, free)
+    if double.dim != m.dim:
+        return False
+    if m.dim == 0:
+        return True
+    evs = [[phis[t].entry(s, j) for s in range(a.dim_k) for t in range(dual.dim)] for j in range(m.dim)]
+    cols = _solve_coordinates(a.field, psis, evs)
+    assert all(col is not None for col in cols)
+    return Matrix.from_columns(a.field, cols).rank() == m.dim
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_hom_coordinates_match_the_solve_route(name, field):
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    for m in pool.values():
+        for n in (pool["A"], m):
+            hom, maps = hom_module(m, n)
+            assert list(hom.var_actions) == _solve_hom_actions(m, n, maps)
+        assert is_semidualizing_up_to(m, 2) == _solve_semidualizing(m, 2)
+        assert biduality_is_iso(m) == _solve_biduality(m)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_hom_refuses_a_basis_that_is_not_closed(field, monkeypatch):
+    # Hom(A, A) over k[x,y]/(x^2, y^2) is A itself, with basis the four
+    # multiplications; a kernel basis cut down to one of them spans a closed
+    # subspace only for the multiplication by xy, which x and y kill
+    a = ALGEBRAS["k[x,y]/(x2,y2)"](field)
+    free = free_module(a)
+    real = Matrix.kernel_basis
+    _, maps = hom_module(free, free)
+    assert len(maps) == 4
+    closed = []
+    for keep in range(4):
+        monkeypatch.setattr(Matrix, "kernel_basis", lambda self, keep=keep: real(self)[keep : keep + 1])
+        kept = [maps[keep]]
+        expected = _solve_hom_actions(free, free, kept)
+        try:
+            hom, _ = hom_module(free, free)
+        except AssertionError as exc:
+            assert expected is None and "not closed" in str(exc)
+            continue
+        assert list(hom.var_actions) == expected
+        closed.append(keep)
+    assert len(closed) == 1
+    assert sum(1 for x in _flat(maps[closed[0]]) if x) == 1  # xy maps 1 to xy, all else to 0

@@ -186,3 +186,30 @@ def test_no_rounding_anywhere():
     r, piv = m.rref()
     assert piv == (0, 1)
     assert all(isinstance(x, Fraction) for row in r.rows() for x in row)
+    # a float is refused, never rounded mod p or expanded in binary over q
+    with pytest.raises(TypeError, match="float"):
+        GF5.coerce(2.7)
+    with pytest.raises(TypeError, match="float"):
+        QQ.coerce(0.1)
+    with pytest.raises(TypeError, match="float"):
+        Matrix(QQ, [[1, 0.5]])
+    with pytest.raises(TypeError, match="float"):
+        Subspace(GF2, 2).add([1.0, 0])
+    assert QQ.coerce("0.1") == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("field", [QQ, GF2, GF5], ids=str)
+def test_subspace_refuses_wrong_length_vectors(field):
+    sub = Subspace(field, 3)
+    sub.add([1, 1, 0])
+    for vec in ([0, 0, 1, 0], [1, 2], []):
+        for call in (sub.add, sub.contains, sub.reduce):
+            with pytest.raises(ValueError, match="length"):
+                call(vec)
+    assert sub.dim == 1
+    assert sub.basis_rows() == [(1, 1, 0)]
+    if field == GF2:
+        # packed vectors must not reach past the last column either
+        with pytest.raises(ValueError, match="beyond column 3"):
+            sub.add(0b1000)
+        assert sub.add(0b100) and sub.dim == 2

@@ -1,8 +1,9 @@
 """Exact ranks, echelon forms and kernels checked against sympy.
 
 sympy is an implementation of exact linear algebra that shares no code with
-ringlab, so agreement here is independent evidence for the dense Gauss-Jordan
-kernel, the packed GF(2) path and the rank helpers the subset scan uses.
+ringlab, so agreement here is independent evidence for the integer-row
+Gauss-Jordan kernel, the packed GF(2) path, the incremental ``Subspace`` and
+the rank helpers the subset scan uses.
 """
 
 import random
@@ -15,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from ringlab.fields import QQ, FieldSpec  # noqa: E402
 from ringlab.graphs import Graph  # noqa: E402
-from ringlab.linalg import Matrix, modp_rank, rational_rank  # noqa: E402
+from ringlab.linalg import Matrix, Subspace, modp_rank, rational_rank  # noqa: E402
 from ringlab.monomials import edge_ideal  # noqa: E402
 from ringlab.sr_invariants import _Scan, _signed_rows  # noqa: E402
 
@@ -109,3 +110,61 @@ def test_boundary_rows_match_sympy():
         for p in PRIMES:
             check_prime(rows, p)
     assert seen > 12
+
+
+def wide_rational_matrices(seed: int, count: int):
+    """Rational matrices whose pivots are not units: entries up to 10^6 in
+    absolute value over mixed denominators, so that clearing denominators and
+    dividing rows by their content both have work to do."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [
+            [
+                Fraction(rng.randint(-(10**6), 10**6), rng.choice((1, 2, 3, 6, 7, 10**3, 999_983)))
+                if rng.random() < 0.7
+                else Fraction(0)
+                for _ in range(ncols)
+            ]
+            for _ in range(nrows)
+        ]
+        if nrows >= 2 and rng.random() < 0.5:
+            a, b = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-(10**6), 10**6)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        yield rows
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wide_rational_entries_match_sympy(seed):
+    for rows in wide_rational_matrices(seed, 60):
+        check_rationals(rows)
+
+
+def sympy_rows(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subspace_over_q_matches_sympy(seed):
+    rng = random.Random(100 + seed)
+    for rows in wide_rational_matrices(seed + 10, 25):
+        ncols = len(rows[0])
+        sub = Subspace(QQ, ncols)
+        for i, row in enumerate(rows):
+            before = sympy_rows(rows[:i]).rank() if i else 0
+            assert sub.add(row) == (sympy_rows(rows[: i + 1]).rank() > before)
+        ref, pivots = sympy_rows(rows).rref()
+        rank = len(pivots)
+        basis = [[as_fraction(x) for x in ref.row(r)] for r in range(rank)]
+        assert sub.dim == rank and sub.pivots() == tuple(pivots)
+        assert [list(row) for row in sub.basis_rows()] == basis
+        probes = [row for row in rows]
+        probes += [[Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(ncols)] for _ in range(4)]
+        probes.append([a * 3 - b for a, b in zip(rows[0], rows[-1])])
+        for vec in probes:
+            # the residual of vec modulo a reduced echelon basis subtracts
+            # vec's entry at each pivot times that pivot's row
+            residual = [v - sum(vec[pc] * row[j] for pc, row in zip(pivots, basis)) for j, v in enumerate(vec)]
+            assert list(sub.reduce(vec)) == residual
+            assert sub.contains(vec) == (sympy_rows(rows + [vec]).rank() == rank)
+            assert sub.contains(vec) == (not any(residual))

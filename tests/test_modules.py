@@ -184,6 +184,22 @@ def test_negative_resolution_bound_refused():
         bass_truncation(k.algebra, k, -1)
 
 
+def test_hom_cell_cap_is_checked_before_any_row(monkeypatch):
+    # Hom(A, A) over the dual numbers is a 4 x 4 system: 16 cells
+    a = dual_numbers()
+    free = free_module(a)
+    monkeypatch.setattr(modules, "_MAX_HOM_CELLS", 16)
+    assert hom_module(free, free)[0].dim == 2
+    monkeypatch.setattr(modules, "_MAX_HOM_CELLS", 15)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    with pytest.raises(ValueError, match="4 x 4 system, over 15 cells"):
+        hom_module(free, free)
+
+
 def test_non_minimal_cover_is_refused(monkeypatch):
     # a Subspace whose add always reports growth takes every span vector as a
     # generator, so the cover A^2 -> A/(x) over the fat point (basis 1, y) is
