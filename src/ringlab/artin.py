@@ -2,10 +2,12 @@
 and multiplication, plus socle, Hilbert-function, Gorenstein and
 decomposability analysis.
 
-Monomial presentations take a fast path (the basis is the set of standard
-monomials below the truncation order, found degree by degree: a monomial is
-standard iff it is no generator and each of its predecessors m/x_j is);
-general presentations row-reduce the relation space and read the basis off
+Monomial presentations take a fast path: the basis is the set of standard
+monomials below the truncation order, found degree by degree, and each one is
+formed once - a monomial with last variable x_k only as (m/x_k)*x_k - and is
+standard iff it is no generator and each of its other predecessors m/x_j is.
+The socle, the filtration and the cut-ring check are read off that basis.
+General presentations row-reduce the relation space and read the basis off
 the non-pivot columns.  Standard monomials are taken against the graded
 lexicographic order with the leading term the largest monomial, so the basis
 is closed under division - several engines rely on that.
@@ -256,15 +258,11 @@ class LocalAlgebra:
 
     def _compute_filtration(self) -> tuple:
         if self._monomial_path:
-            dims = []
-            j = 0
-            while True:
-                dim = sum(1 for m in self.basis_monomials if monomial_degree(m) >= j)
-                dims.append(dim)
-                if dim == 0:
-                    break
-                j += 1
-            return tuple(dims)
+            # dim m^j is the number of basis monomials of degree >= j
+            counts = [0] * (monomial_degree(self.basis_monomials[-1]) + 1)
+            for m in self.basis_monomials:
+                counts[monomial_degree(m)] += 1
+            return tuple(itertools.accumulate(reversed(counts), initial=0))[::-1]
         self._ensure_powers()
         return tuple(s.dim for s in self._powers)
 
@@ -321,37 +319,44 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
 
 def _truncate_monomial(p: Presentation, n: int) -> LocalAlgebra:
     gens = {next(iter(g.terms)) for g in p.gens}
-    nv = p.nvars
-    seen = {(0,) * nv}
-    frontier = [(0,) * nv]
-    # by degree: when a degree-(d+1) candidate is formed, seen holds every
-    # standard monomial of degree d
-    while frontier:
-        nxt = []
-        for m in frontier:
-            if monomial_degree(m) + 1 >= n:
-                continue
-            for k in range(nv):
-                cand = _times_var(m, k)
-                if cand not in seen and _standard(cand, gens, seen):
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    basis = sorted(seen, key=_mono_key)
+    level = [(0,) * p.nvars]
+    basis = list(level)
+    # degree by degree; each level comes in _mono_key order, so the basis does
+    for _ in range(1, n):
+        level = _next_degree(level, gens)
+        basis += level
     return LocalAlgebra(p.field, p.ambient, n, basis, {}, p, True)
 
 
-def _times_var(m: Monomial, k: int) -> Monomial:
-    return m[:k] + (m[k] + 1,) + m[k + 1 :]
+def _next_degree(level: list, gens) -> list:
+    """The standard monomials one degree above level, which must hold every
+    standard monomial of its degree, in _mono_key order (descending tuples).
+    Each m is extended only by the variables at or after its last one, so a
+    monomial c with last variable x_k is formed exactly once, as (c/x_k)*x_k."""
+    below = set(level)
+    out = []
+    for m in level:
+        for k in range(len(m) - 1, -1, -1):
+            cand = m[:k] + (m[k] + 1,) + m[k + 1 :]
+            if _standard(cand, k, gens, below):
+                out.append(cand)
+            if m[k]:
+                break
+    out.sort(reverse=True)
+    return out
 
 
-def _standard(m: Monomial, gens, below) -> bool:
-    """Is m outside the ideal of gens?  below must hold every standard monomial
-    of degree deg(m) - 1: a generator that properly divides m divides some
-    m/x_j, so m is standard iff it is no generator and each m/x_j is standard."""
+def _standard(m: Monomial, k: int, gens, below) -> bool:
+    """Is m = (m/x_k)*x_k, with m/x_k standard, outside the ideal of gens?
+    below must hold every standard monomial of degree deg(m) - 1: a generator
+    that properly divides m divides some m/x_j, so m is standard iff it is no
+    generator and each m/x_j with j != k is standard."""
     if m in gens:
         return False
-    return all(m[:j] + (e - 1,) + m[j + 1 :] in below for j, e in enumerate(m) if e)
+    for j, e in enumerate(m):
+        if e and j != k and m[:j] + (e - 1,) + m[j + 1 :] not in below:
+            return False
+    return True
 
 
 def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
@@ -424,11 +429,7 @@ def socle(a: LocalAlgebra) -> list[tuple]:
     it is the kernel of the stacked variable actions.
     """
     if a._monomial_path:
-        return [
-            a._basis_vec(j)
-            for j, m in enumerate(a.basis_monomials)
-            if not any(_times_var(m, k) in a.index for k in range(a.nvars))
-        ]
+        return [a._basis_vec(a.index[m]) for m in socle_monomials(a)]
     stacked_rows = []
     for k in range(a.nvars):
         stacked_rows.extend(a.var_action_matrix(k).rows())
@@ -437,14 +438,12 @@ def socle(a: LocalAlgebra) -> list[tuple]:
 
 
 def socle_monomials(a: LocalAlgebra) -> list[Monomial]:
-    """The socle basis as monomials (monomial algebras only)."""
+    """The socle basis as monomials (monomial algebras only): the basis
+    monomials m with no m*x_k in the basis."""
     if not a._monomial_path:
         raise ValueError("socle monomials are only defined for monomial algebras")
-    out = []
-    for vec in socle(a):
-        idx = next(i for i, c in enumerate(vec) if c)
-        out.append(a.basis_monomials[idx])
-    return out
+    index = a.index
+    return [m for m in a.basis_monomials if all(m[:k] + (e + 1,) + m[k + 1 :] not in index for k, e in enumerate(m))]
 
 
 def hilbert_function(a: LocalAlgebra) -> list[int]:
@@ -454,23 +453,25 @@ def hilbert_function(a: LocalAlgebra) -> list[int]:
 
 
 def is_gorenstein_artinian(a: LocalAlgebra) -> bool:
-    """Socle dimension one, for an algebra that is the full (untruncated) ring.
-
-    For monomial presentations we verify that precondition exactly: every
-    monomial of degree equal to the truncation order must lie in the ideal.
-    Non-monomial callers assert it themselves.
-    """
-    if a.presentation.is_monomial():
-        gens = {next(iter(g.terms)) for g in a.presentation.gens}
-        top = [b for b in a.basis_monomials if monomial_degree(b) == a.trunc_order - 1]
-        candidates = {_times_var(b, k) for b in top for k in range(a.nvars)}
-        survivors = [m for m in candidates if _standard(m, gens, a.index)]
-        if survivors:
-            raise ValueError(
-                "truncation order cuts the ring: monomial "
-                f"{format_monomial(a.var_names, min(survivors))} survives; not a full artinian ring"
-            )
+    """Socle dimension one, for the full (untruncated) ring; see ``_check_full_ring``."""
+    _check_full_ring(a)
     return len(socle(a)) == 1
+
+
+def _check_full_ring(a: LocalAlgebra) -> None:
+    """Refuse a monomial algebra whose truncation order cuts the ring: every
+    monomial of degree trunc_order must lie in the ideal.  Non-monomial
+    callers assert it themselves."""
+    if not a.presentation.is_monomial():
+        return
+    gens = {next(iter(g.terms)) for g in a.presentation.gens}
+    top = [b for b in a.basis_monomials if monomial_degree(b) == a.trunc_order - 1]
+    survivors = _next_degree(top, gens)
+    if survivors:
+        raise ValueError(
+            "truncation order cuts the ring: monomial "
+            f"{format_monomial(a.var_names, min(survivors))} survives; not a full artinian ring"
+        )
 
 
 def canonical_module(a: LocalAlgebra):

@@ -14,7 +14,6 @@ from .graphs import Graph, whisker_all, whisker_except
 from .monomials import (
     MonomialIdeal,
     Presentation,
-    add_squares,
     edge_ideal,
     parse_poly,
     presentation_of,
@@ -43,15 +42,21 @@ def whisker_except_edge_ideal(g: Graph, v: int) -> MonomialIdeal:
 
 def edge_ideal_all_squares(g: Graph) -> MonomialIdeal:
     """I(G) + (v_i^2 for every i): the artinian vertex-square quotient."""
-    base = edge_ideal(g)
-    return add_squares(base, base.ambient)
+    return _edge_ideal_with_squares(g, None)
 
 
 def edge_ideal_squares_except(g: Graph, v: int) -> MonomialIdeal:
     """I(G) + (v_u^2 for u != v): squares at all vertices but one."""
     g._check_vertex(v)
-    base = edge_ideal(g)
-    return add_squares(base, [name for i, name in enumerate(base.ambient, start=1) if i != v])
+    return _edge_ideal_with_squares(g, v)
+
+
+def _edge_ideal_with_squares(g: Graph, skip: int | None) -> MonomialIdeal:
+    """I(G) + (v_u^2 for u != skip) in one MonomialIdeal call; the square
+    v_u^2 is the monomial of the pair (u, u)."""
+    pairs = list(g.edges) + [(u, u) for u in range(1, g.n + 1) if u != skip]
+    gens = [tuple((k == i) + (k == j) for k in range(1, g.n + 1)) for i, j in pairs]
+    return MonomialIdeal([f"v{k}" for k in range(1, g.n + 1)], gens)
 
 
 def star_of_paths(n: int) -> Graph:

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .artin import (
+    _check_full_ring,
     is_gorenstein_artinian,
     pair_decomposition_search,
     socle,
@@ -250,9 +251,10 @@ def check_gorenstein_exclusion(corpus) -> Report:
             continue
         decomposable += 1
         algebra = truncate(presentation_of(kprime, GF2), g.n + 1)
-        socle_dim = len(socle(algebra))
-        gor = is_gorenstein_artinian(algebra)
-        if socle_dim < 2 or gor:
+        _check_full_ring(algebra)
+        socle_dim = len(socle_monomials(algebra))
+        # Gorenstein is socle dimension one
+        if socle_dim < 2:
             violations.append({"graph": _graph_tag(g), "socle_dim": socle_dim})
     return Report(
         "gorenstein-exclusion",

@@ -1,18 +1,28 @@
 """The monomial core's lookups against brute-force divisibility scans.
 
-Standard monomials, the socle, the cut-ring check of
+Standard monomials, the socle, the filtration, the cut-ring check of
 ``is_gorenstein_artinian``, ``_minimalize`` and the split test are answered
 by lookups in sets the code built itself.  Each is checked here against the
 definition it replaces, which tests every monomial against every generator:
 over the vertex-square quotients k[V]/(I(G) + squares) of every labeled graph
-on at most five vertices, and over hypothesis-generated monomial ideals.
+on at most five vertices, and over hypothesis-generated monomial ideals.  A
+counter guard pins that the truncation forms each candidate monomial once.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.artin import _mono_key, _monomials_below, is_gorenstein_artinian, socle, truncate
+from ringlab import artin
+from ringlab.artin import (
+    _mono_key,
+    _monomials_below,
+    hilbert_function,
+    is_gorenstein_artinian,
+    socle,
+    socle_monomials,
+    truncate,
+)
 from ringlab.constructions import edge_ideal_all_squares
 from ringlab.fields import GF2
 from ringlab.graphs import enumerate_graphs
@@ -51,6 +61,12 @@ def oracle_socle(a) -> list:
         if all(not any(a.var_multiply(k, vec)) for k in range(a.nvars)):
             out.append(vec)
     return out
+
+
+def oracle_filtration(basis) -> tuple:
+    """dim m^j: the standard monomials of degree >= j, down to the first 0."""
+    top = max(sum(m) for m in basis)
+    return tuple(sum(1 for m in basis if sum(m) >= j) for j in range(top + 2))
 
 
 def oracle_minimalize(gens) -> frozenset:
@@ -107,8 +123,12 @@ def split_outcome(ideal: MonomialIdeal):
 
 def check_algebra(ideal: MonomialIdeal, presentation: Presentation, order: int) -> None:
     a = truncate(presentation, order)
-    assert a.basis_monomials == oracle_basis(ideal, order)
+    basis = oracle_basis(ideal, order)
+    assert a.basis_monomials == basis
     assert socle(a) == oracle_socle(a)
+    assert socle_monomials(a) == [a.basis_monomials[next(i for i, c in enumerate(v) if c)] for v in oracle_socle(a)]
+    assert a.filtration == oracle_filtration(basis)
+    assert hilbert_function(a) == [sum(1 for m in basis if sum(m) == d) for d in range(len(a.filtration) - 1)]
     expected = oracle_cut_message(ideal, order)
     if expected is None:
         assert is_gorenstein_artinian(a) == (len(oracle_socle(a)) == 1)
@@ -162,3 +182,41 @@ def test_random_monomial_ideals_against_scans(case, order):
     raw = Presentation(ambient, [Poly(GF2, nv, {g: 1}) for g in gens], GF2)
     check_algebra(ideal, raw, order)
     assert split_outcome(ideal) == oracle_split(ideal)
+
+
+def degree_extensions(a) -> int:
+    """The candidates a truncation that forms each monomial once must test:
+    m*x_k for every basis monomial m below the top degree and every k at or
+    after m's last variable."""
+    return sum(
+        a.nvars - max((k for k, e in enumerate(m) if e), default=0)
+        for m in a.basis_monomials
+        if sum(m) < a.trunc_order - 1
+    )
+
+
+NON_SQUAREFREE = [
+    (["x", "y"], [(3, 0), (1, 2), (0, 4)]),
+    (["x", "y", "z"], [(2, 1, 0), (0, 0, 3), (0, 2, 0)]),
+    (["x", "y", "z"], [(3, 0, 0)]),
+]
+
+
+def test_truncate_tests_each_candidate_once(monkeypatch):
+    tested = []
+    standard = artin._standard
+
+    def counted(m, k, gens, below):
+        tested.append(m)
+        return standard(m, k, gens, below)
+
+    monkeypatch.setattr(artin, "_standard", counted)
+    cases = [
+        (presentation_of(edge_ideal_all_squares(g), GF2), g.n + 1) for n in range(1, 6) for g in enumerate_graphs(n)
+    ]
+    for ambient, gens in NON_SQUAREFREE:
+        cases += [(presentation_of(MonomialIdeal(ambient, gens), GF2), order) for order in (1, 3, 5, 7)]
+    for p, order in cases:
+        tested.clear()
+        a = truncate(p, order)
+        assert len(tested) == len(set(tested)) == degree_extensions(a)

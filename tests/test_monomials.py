@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ringlab.constructions import (
     edge_ideal_all_squares,
+    edge_ideal_squares_except,
     named_graph,
     whisker_except_edge_ideal,
     whiskered_edge_ideal,
@@ -78,6 +79,19 @@ def test_add_squares_idempotent_on_overlap():
 def test_add_squares_unknown_variable():
     with pytest.raises(ValueError):
         add_squares(ideal(["x"], "x^2"), ["y"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_square_constructions_equal_add_squares(n):
+    for g in enumerate_graphs(n):
+        base = edge_ideal(g)
+        assert edge_ideal_all_squares(g) == add_squares(base, base.ambient)
+        for v in range(1, n + 1):
+            others = [name for u, name in enumerate(base.ambient, start=1) if u != v]
+            assert edge_ideal_squares_except(g, v) == add_squares(base, others)
+        for v in (0, n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                edge_ideal_squares_except(g, v)
 
 
 # -- polarization ------------------------------------------------------------
