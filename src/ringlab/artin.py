@@ -57,7 +57,9 @@ def _mono_key(m: Monomial):
 class LocalAlgebra:
     """A finite-dimensional commutative local algebra over an exact field.
 
-    Not constructed directly; use :func:`truncate`.
+    Not constructed directly; use :func:`truncate`.  ``var_images`` and
+    ``filtration`` are computed on first read: the socle of a monomial
+    algebra needs neither.
     """
 
     def __init__(self, field, names, trunc_order, basis, reductions, presentation, monomial_path):
@@ -75,8 +77,6 @@ class LocalAlgebra:
         self._var_matrices: list[Matrix | None] = [None] * len(names)
         self._powers: list[Subspace] | None = None
         self._parents: list[tuple[int, int] | None] | None = None
-        self.var_images = tuple(self._normal_form_monomial(self._var_monomial(k)) for k in range(len(names)))
-        self.filtration = self._compute_filtration()
 
     # -- basic element helpers ------------------------------------------------
 
@@ -91,6 +91,11 @@ class LocalAlgebra:
         vec = [self.field.zero()] * self.dim_k
         vec[self.index[(0,) * self.nvars]] = self.field.one()
         return tuple(vec)
+
+    @cached_property
+    def var_images(self) -> tuple:
+        """The image of each variable as a dense vector over the basis."""
+        return tuple(self._normal_form_monomial(self._var_monomial(k)) for k in range(self.nvars))
 
     def _var_monomial(self, k: int) -> Monomial:
         e = [0] * self.nvars
@@ -256,7 +261,9 @@ class LocalAlgebra:
             current_rows = nxt.basis_rows()
         self._powers = powers
 
-    def _compute_filtration(self) -> tuple:
+    @cached_property
+    def filtration(self) -> tuple:
+        """dim m^j for j = 0, 1, ... up to the first zero."""
         if self._monomial_path:
             # dim m^j is the number of basis monomials of degree >= j
             counts = [0] * (monomial_degree(self.basis_monomials[-1]) + 1)

@@ -5,6 +5,12 @@ A monomial is an exponent tuple against an ordered list of variable names.
 equality is plain generator-set equality.  ``Presentation`` holds general
 polynomial generators (exact coefficients, zero constant term) and is the
 input format for the truncated-algebra engine.
+
+Exponents must be integer values: ``MonomialIdeal``, ``contains`` and ``Poly``
+refuse 2.5, Fraction(5, 2) or a string rather than truncate it.  The public
+constructors check their input; ``presentation_of`` trusts the invariant of
+the ``MonomialIdeal`` it is given and skips the ``Poly`` and ``Presentation``
+checks, which that invariant already answers.
 """
 
 from __future__ import annotations
@@ -41,11 +47,27 @@ def is_squarefree(a: Monomial) -> bool:
     return all(e <= 1 for e in a)
 
 
+def _exponents(m) -> Monomial:
+    """m as a tuple of ints.  Refuses an entry that is not an integer value
+    (2.5, Fraction(5, 2), any string) instead of truncating it; 2.0, True and
+    Fraction(2) are accepted."""
+    m = tuple(m)
+    e = tuple(map(int, m))
+    if e != m:
+        bad = next(x for x, y in zip(m, e) if x != y)
+        raise ValueError(f"exponent {bad!r} is not an integer")
+    return e
+
+
 def _minimalize(gens: Iterable[Monomial]) -> frozenset:
+    gens = set(gens)
+    # distinct monomials of one degree never divide each other
+    if len({sum(g) for g in gens}) <= 1:
+        return frozenset(gens)
     # a proper divisor has lower degree, and a non-minimal divisor has a
     # minimal one below it: test each generator against kept ones of lower degree
     kept: list = []
-    for _, level in groupby(sorted(set(gens), key=sum), key=sum):
+    for _, level in groupby(sorted(gens, key=sum), key=sum):
         below = tuple(kept)
         kept += [g for g in level if not any(monomial_divides(h, g) for h in below)]
     return frozenset(kept)
@@ -63,7 +85,7 @@ class MonomialIdeal:
             raise ValueError("duplicate variable names")
         norm = set()
         for g in gens:
-            g = tuple(map(int, g))
+            g = _exponents(g)
             if len(g) != n:
                 raise ValueError("exponent tuple has wrong length")
             if n and min(g) < 0:
@@ -85,7 +107,8 @@ class MonomialIdeal:
         return all(is_squarefree(g) for g in self.gens)
 
     def sorted_gens(self) -> list[Monomial]:
-        return sorted(self.gens, key=lambda g: (monomial_degree(g), tuple(-e for e in g)))
+        # by degree, then descending tuples: (degree, -exponents) order
+        return sorted(sorted(self.gens, reverse=True), key=sum)
 
     def gen_strings(self) -> list[str]:
         return [format_monomial(self.ambient, g) for g in self.sorted_gens()]
@@ -120,7 +143,7 @@ class MonomialIdeal:
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership for a monomial: true iff some generator divides it."""
-    m = tuple(int(e) for e in m)
+    m = _exponents(m)
     if len(m) != ideal.nvars:
         raise ValueError("monomial has wrong ambient")
     return any(monomial_divides(g, m) for g in ideal.gens)
@@ -224,7 +247,7 @@ class Poly:
     def __init__(self, field: FieldSpec, nvars: int, terms: Mapping[Monomial, object]):
         clean = {}
         for mono, c in terms.items():
-            mono = tuple(int(e) for e in mono)
+            mono = _exponents(mono)
             if len(mono) != nvars:
                 raise ValueError("wrong exponent length")
             c = field.coerce(c)
@@ -307,8 +330,22 @@ class Presentation:
 
 
 def presentation_of(ideal: MonomialIdeal, field: FieldSpec) -> Presentation:
-    gens = [Poly(field, ideal.nvars, {g: 1}) for g in ideal.sorted_gens()]
-    return Presentation(ideal.ambient, gens, field)
+    """The ideal's generators as one-term polynomials, in ``sorted_gens`` order.
+
+    Built without the ``Poly`` and ``Presentation`` checks: the ideal's
+    invariant already guarantees what they test (exponent tuples of ambient
+    length, no constant term, distinct generators)."""
+    one, nvars = field.one(), ideal.nvars
+    gens = []
+    for g in ideal.sorted_gens():
+        poly = object.__new__(Poly)
+        poly.field, poly.nvars, poly.terms = field, nvars, {g: one}
+        gens.append(poly)
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "ambient", ideal.ambient)
+    object.__setattr__(p, "gens", tuple(gens))
+    object.__setattr__(p, "field", field)
+    return p
 
 
 def to_monomial_ideal(p: Presentation) -> MonomialIdeal:

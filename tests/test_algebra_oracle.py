@@ -104,3 +104,43 @@ def presentations(draw):
 def test_random_presentations(case):
     p, order = case
     check_algebra(truncate(p, order))
+
+
+def _fixture_algebras():
+    """The algebras of the fixture tests above, built afresh."""
+    for field in FIELDS:
+        for build, order in (
+            (plane_conic_presentation, 4),
+            (cusp_square_presentation, 3),
+            (cusp_square_two_var_presentation, 3),
+            (stanley_example_big_ring, 3),
+        ):
+            yield truncate(build(field), order)
+    for field in (GF2, GF3, QQ):
+        for vars_, gens, order in (
+            (["x"], ["x^2"], 2),
+            (["x", "y"], ["x^2", "y^2"], 3),
+            (["x", "y"], ["x^2", "x*y", "y^2"], 2),
+            (["x", "y", "z"], ["x^2 - y*z"], 5),
+        ):
+            yield truncate(pres(vars_, gens, field), order)
+        yield truncate(presentation_of(edge_ideal_all_squares(named_graph("p3")), field), 4)
+    ps, pt = pres(["x"], ["x^3"]), pres(["y", "z"], ["y*z"])
+    for order in (1, 2, 3, 4):
+        yield truncate(fiber_product_presentation(ps, pt), order)
+    for n in (1, 2, 3, 4):
+        for g in enumerate_graphs(n):
+            yield truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1)
+            for star in star_vertices(g):
+                yield truncate(presentation_of(edge_ideal_squares_except(g, star), QQ), 3)
+
+
+def test_lazy_fields_equal_their_eager_values():
+    """var_images and filtration, computed on first read, equal the normal
+    forms of the variables and the dimensions of the power subspaces."""
+    for a in _fixture_algebras():
+        assert "var_images" not in vars(a) and "filtration" not in vars(a)
+        filtration = a.filtration
+        assert a.var_images == tuple(a._normal_form_monomial(a._var_monomial(k)) for k in range(a.nvars))
+        assert filtration == tuple(a.power_subspace(j).dim for j in range(len(filtration)))
+        assert filtration[-1] == 0 and 0 not in filtration[:-1]

@@ -365,3 +365,23 @@ def test_truncate_multiplies_nothing(presentation, order, monkeypatch):
     a = truncate(presentation, order)
     assert len(calls) == 0
     assert a.multiply(a.unit_vector(), a.unit_vector()) == a.unit_vector() and len(calls) == 1
+
+
+def test_monomial_truncate_forms_no_normal_form_until_var_images_is_read(monkeypatch):
+    """var_images and filtration are computed on first read, not by truncate."""
+    calls = []
+    normal_form = LocalAlgebra._normal_form_monomial
+
+    def counted(self, mono):
+        calls.append(mono)
+        return normal_form(self, mono)
+
+    monkeypatch.setattr(LocalAlgebra, "_normal_form_monomial", counted)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            a = truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1)
+            socle_monomials(a)
+            hilbert_function(a)
+            assert calls == [] and "var_images" not in vars(a)
+    images = a.var_images
+    assert len(calls) == a.nvars and images == tuple(a._basis_vec(a.index[m]) for m in calls)

@@ -16,6 +16,7 @@ from ringlab.fields import QQ, FieldSpec
 from ringlab.graphs import Graph, enumerate_graphs, star_vertices
 from ringlab.monomials import (
     MonomialIdeal,
+    _minimalize,
     Poly,
     Presentation,
     add_squares,
@@ -24,6 +25,7 @@ from ringlab.monomials import (
     eliminate_variables,
     fiber_product_presentation,
     format_poly,
+    monomial_divides,
     parse_monomial,
     parse_poly,
     polarize,
@@ -391,3 +393,115 @@ def squarefree_ideals(draw):
 @settings(max_examples=60, deadline=None)
 def test_polarize_fixed_on_squarefree(i):
     assert polarize(i) == i
+
+
+# -- integer exponents ---------------------------------------------------------
+
+NOT_INTEGERS = [2.5, 1.9, Fraction(5, 2), "2", "0"]
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_monomial_ideal_refuses_a_non_integer_exponent(bad):
+    with pytest.raises(ValueError, match="is not an integer"):
+        MonomialIdeal(["x", "y"], [(bad, 1)])
+
+
+def test_monomial_ideal_refuses_a_string_generator():
+    # "12" used to become x*y^2 through int("1"), int("2")
+    with pytest.raises(ValueError, match="is not an integer"):
+        MonomialIdeal(["x", "y"], ["12"])
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_contains_refuses_a_non_integer_exponent(bad):
+    i = ideal(["x", "y"], "x*y")
+    with pytest.raises(ValueError, match="is not an integer"):
+        contains(i, (bad, 1))
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+def test_poly_refuses_a_non_integer_exponent(bad):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Poly(QQ, 2, {(bad, 1): 1})
+
+
+def test_integer_valued_exponents_are_accepted_at_every_entry_point():
+    exact = (2, 1)
+    for given in [(2.0, True), (Fraction(2), 1), (2, Fraction(1))]:
+        assert MonomialIdeal(["x", "y"], [given]).gens == {exact}
+        assert contains(MonomialIdeal(["x", "y"], [exact]), given)
+        poly = Poly(QQ, 2, {given: 1})
+        assert poly.terms == {exact: 1} and all(type(e) is int for e in next(iter(poly.terms)))
+    assert not contains(MonomialIdeal(["x", "y"], [exact]), (1.0, 1))
+
+
+# -- the trusted presentation_of against the validating route --------------------
+
+
+def _validated_presentation(i, field):
+    return Presentation(i.ambient, [Poly(field, i.nvars, {g: 1}) for g in i.sorted_gens()], field)
+
+
+def _assert_trusted_presentation(i):
+    assert i.sorted_gens() == sorted(i.gens, key=lambda g: (sum(g), tuple(-e for e in g)))
+    for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
+        got, want = presentation_of(i, field), _validated_presentation(i, field)
+        assert got == want
+        assert got.ambient == want.ambient and got.field == want.field
+        assert [g.key() for g in got.gens] == [g.key() for g in want.gens]
+        assert all(g.field == field and g.nvars == i.nvars for g in got.gens)
+        # same coefficient type too: Fraction(1) == 1, so the keys cannot tell
+        assert [type(c) for g in got.gens for c in g.terms.values()] == [
+            type(c) for g in want.gens for c in g.terms.values()
+        ]
+    assert presentation_of(i, QQ).gen_strings() == i.gen_strings()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_presentation_of_matches_the_validating_route(n):
+    for g in enumerate_graphs(n):
+        squares = edge_ideal_all_squares(g)
+        ideals = [squares, polarize(squares), whiskered_edge_ideal(g)]
+        for v in range(1, n + 1):
+            ideals += [edge_ideal_squares_except(g, v), polarize(edge_ideal_squares_except(g, v))]
+        for i in ideals:
+            _assert_trusted_presentation(i)
+
+
+@given(squarefree_ideals())
+@settings(max_examples=60, deadline=None)
+def test_presentation_of_matches_the_validating_route_on_random_ideals(i):
+    _assert_trusted_presentation(i)
+
+
+# -- _minimalize against pairwise divisibility -----------------------------------
+
+
+def _brute_minimalize(gens):
+    gens = set(gens)
+    return frozenset(g for g in gens if not any(h != g and monomial_divides(h, g) for h in gens))
+
+
+@st.composite
+def generator_lists(draw):
+    nv = draw(st.integers(min_value=1, max_value=4))
+    exponent = st.lists(st.integers(min_value=0, max_value=3), min_size=nv, max_size=nv).filter(any)
+    gens = draw(st.lists(exponent.map(tuple), max_size=8))
+    shape = draw(st.sampled_from(["mixed", "one degree", "duplicates"]))
+    if shape == "one degree" and gens:
+        d = sum(gens[0])
+        gens = [g for g in gens if sum(g) == d]
+    if shape == "duplicates":
+        gens = gens + gens[: draw(st.integers(min_value=0, max_value=len(gens)))]
+    return nv, gens
+
+
+@given(generator_lists())
+@settings(max_examples=300, deadline=None)
+@example((2, [(1, 1), (2, 0), (1, 1)]))
+@example((2, [(1, 1), (2, 1), (0, 2)]))
+@example((3, [(1, 0, 0), (2, 0, 0), (0, 1, 1), (1, 1, 1)]))
+def test_minimalize_matches_pairwise_divisibility(case):
+    nv, gens = case
+    assert _minimalize(gens) == _brute_minimalize(gens)
+    assert MonomialIdeal([f"x{k}" for k in range(nv)], gens).gens == _brute_minimalize(gens)

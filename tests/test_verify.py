@@ -1,6 +1,9 @@
 import pytest
 
+import ringlab.fields
+import ringlab.monomials
 from ringlab.constructions import (
+    edge_ideal_all_squares,
     edge_ideal_squares_except,
     named_graph,
     star_of_paths,
@@ -10,6 +13,7 @@ from ringlab.constructions import (
 from ringlab.fields import GF2, QQ
 from ringlab.graphs import Graph, enumerate_graphs, star_vertices
 from ringlab.verify import (
+    _socle_clique_mismatch,
     check_example_3_11,
     check_example_4x,
     check_example_5_4,
@@ -372,3 +376,27 @@ def test_empty_corpus_refused_before_enumeration(runner, monkeypatch):
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
     with pytest.raises(ValueError, match="empty corpus"):
         runner(0)
+
+
+def test_square_items_make_no_coerce_and_no_poly_calls(monkeypatch):
+    # presentation_of builds the one-term generators of a MonomialIdeal it
+    # trusts, so the socle and Gorenstein items never validate a coefficient
+    calls = {"coerce": 0, "Poly": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ringlab.fields.FieldSpec, "coerce", counted("coerce", ringlab.fields.FieldSpec.coerce))
+    monkeypatch.setattr(ringlab.monomials.Poly, "__init__", counted("Poly", ringlab.monomials.Poly.__init__))
+    ringlab.monomials.Poly(GF2, 1, {(1,): 1})
+    assert calls == {"coerce": 1, "Poly": 1}  # the counters count
+    calls.update(coerce=0, Poly=0)
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            assert _socle_clique_mismatch(g, edge_ideal_all_squares(g)) is None
+            assert check_gorenstein_exclusion([g]).passed
+    assert calls == {"coerce": 0, "Poly": 0}
