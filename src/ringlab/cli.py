@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .graphs import (
     whisker_except,
 )
 from .modules import (
-    _MAX_BOUND,
+    _check_bound,
     _check_hom_cells,
     bass_truncation,
     cyclic_module,
@@ -229,11 +230,12 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # refused here, not only in check_example_5_4, which runs after every other suite
-    if args.bound < 0:
-        raise UsageError("negative bound")
-    if args.bound > _MAX_BOUND:
-        raise UsageError(f"bound capped at {_MAX_BOUND}")
+    # refused here, before any graph is enumerated: check_example_5_4 reads
+    # the bound after every other suite, and a pool starts at its first job
+    _check_bound(args.bound, "bound")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.threads <= cpus:
+        raise UsageError(f"--threads must lie in 1..{cpus}, got {args.threads}")
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
     reports: list[verify.Report] = []
     suite = args.suite

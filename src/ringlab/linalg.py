@@ -1,17 +1,18 @@
 """Dense exact linear algebra over GF(p) and the rationals.
 
-Matrices are immutable dense arrays of exact field elements.  Reduction is
-one Gauss-Jordan kernel on integer rows for every field: over q each row has
-its denominators cleared once, and the kernel eliminates with cross-multiplied
-row operations (x * row_i - y * row_r), so no ``Fraction`` is built inside it.
-The two fields differ only in how a row is normalized after each operation:
-reduced mod p, or divided by the gcd of its entries over q.  Field elements
-are rebuilt only when rows leave the kernel (``rref``, ``kernel_basis``, the
-rows and residuals of a ``Subspace``).  Over GF(2) the rows are packed into
-Python ints instead, so the row operations become single XORs, which is what
-makes the subset-homology scans elsewhere in the package affordable.  The
-reduced row echelon form is unique, so every path gives the same answer and
-callers never need to know which one ran.
+Matrices are immutable dense arrays of exact field elements.  There is one
+Gauss-Jordan, the incremental ``Subspace``: ``Matrix.rref``, ``rank``,
+``kernel_basis`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one
+row by row and read its rows and pivots.  Over GF(2) its rows are packed into
+Python ints, so each row operation is a single XOR.  Elsewhere they are
+integer rows: over q each row has its denominators cleared once, and rows
+are combined as x * row_i - y * row_r, so no ``Fraction`` is built inside
+the kernel.  The two fields differ only in how a row is normalized after each
+operation: reduced mod p, or divided by the gcd of its entries over q.  Field
+elements are rebuilt only when rows leave the kernel (``rref``,
+``kernel_basis``, the rows and residuals of a ``Subspace``).  ``gf2_rank`` is
+the packed rank-only screen that the subset-homology scans elsewhere in the
+package run first; it keeps no echelon form.
 """
 
 from __future__ import annotations
@@ -21,42 +22,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .fields import FieldSpec
+from .fields import QQ, FieldSpec
 
 # ---------------------------------------------------------------------------
-# low-level eliminators; each returns (rows in echelon form, pivot column list)
+# row helpers, the GF(2) rank screen and the rank functions
 # ---------------------------------------------------------------------------
 
 
 def gf2_pack(rows: Iterable[Sequence[int]]) -> list[int]:
     """Pack 0/1 rows into ints, bit j <-> column j."""
     return [_pack_one(row) for row in rows]
-
-
-def gf2_rref(packed: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    rows = list(packed)
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pivot_row = -1
-        for i in range(r, m):
-            if rows[i] & bit:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        for i in range(m):
-            if i != r and rows[i] & bit:
-                rows[i] ^= pr
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
 
 
 def gf2_rank(packed: list[int]) -> int:
@@ -107,59 +82,36 @@ def _eliminate(row: list[int], pr: list[int], c: int, p: int | None) -> list[int
     return row if p is not None else _primitive(row)
 
 
-def _rref_dense(rows: list[list[int]], ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan on integer rows: over GF(p) (entries reduced mod p) or
-    over the rationals when p is None (rows with their denominators cleared).
-
-    Returns the rows in reduced echelon form up to scaling: each pivot row has
-    a nonzero pivot entry, not necessarily 1, and zeros in every other pivot
-    column.  Over q every row is kept primitive.
-    """
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = -1
-        for i in range(r, m):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pr = rows[r]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                rows[i] = _eliminate(rows[i], pr, c, p)
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
-
-
 def _quotient(v: int, x: int, p: int | None):
     """v / x as a field element."""
     return Fraction(v, x) if p is None else v * pow(x, -1, p) % p
+
+
+def _row_space(field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> "Subspace":
+    """The span of rows of field elements of length ncols.  The rows enter
+    ``Subspace`` in the kernel's form, without ``add``'s per-entry checks."""
+    p = field.p
+    if p == 2:
+        rows = map(_pack_one, rows)
+    elif p is None:
+        rows = (_integer_row(r)[0] for r in rows)
+    span = Subspace(field, ncols)
+    for row in rows:
+        span._add(row)
+    return span
 
 
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
     if p == 2:
         return gf2_rank(gf2_pack(rows))
     work = [[v % p for v in r] for r in rows]
-    if not work:
-        return 0
-    _, pivots = _rref_dense(work, len(work[0]), p)
-    return len(pivots)
+    return _row_space(FieldSpec.prime(p), work, len(work[0])).dim if work else 0
 
 
 def rational_rank(rows: Iterable[Sequence]) -> int:
     """Exact rank over the rationals of integer (or Fraction) rows."""
-    work = [_integer_row(r)[0] for r in rows]
-    if not work:
-        return 0
-    _, pivots = _rref_dense(work, len(work[0]), None)
-    return len(pivots)
+    rows = list(rows)
+    return _row_space(QQ, rows, len(rows[0])).dim if rows else 0
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +229,21 @@ class Matrix:
 
     # -- reduction ------------------------------------------------------------
 
-    def _rref_raw(self) -> tuple[list[list[int]], list[int]]:
-        """Integer rows in reduced echelon form up to scaling, and the pivots."""
-        p = self.field.p
-        if p == 2:
-            packed, pivots = gf2_rref(gf2_pack(self._rows), self.ncols)
-            return [[(r >> j) & 1 for j in range(self.ncols)] for r in packed], pivots
-        if p is None:
-            return _rref_dense([_integer_row(r)[0] for r in self._rows], self.ncols, None)
-        return _rref_dense([list(r) for r in self._rows], self.ncols, p)
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
 
         Returns:
             (R, pivots) with rank(self) == len(pivots).
         """
-        rows, pivots = self._rref_raw()
-        p = self.field.p
-        out = [[_quotient(v, row[pc], p) for v in row] for row, pc in zip(rows, pivots)]
-        out += [[self.field.zero()] * self.ncols for _ in range(len(pivots), self.nrows)]
-        return Matrix(self.field, out, self.ncols), tuple(pivots)
+        span = _row_space(self.field, self._rows, self.ncols)
+        out = span.basis_rows()
+        out += [[self.field.zero()] * self.ncols for _ in range(span.dim, self.nrows)]
+        return Matrix(self.field, out, self.ncols), span.pivots()
 
     def rank(self) -> int:
         if self.field.p == 2:
             return gf2_rank(gf2_pack(self._rows))
-        return len(self._rref_raw()[1])
+        return _row_space(self.field, self._rows, self.ncols).dim
 
     def kernel_basis(self) -> list[tuple]:
         """A basis of the right null space, one vector per free column.
@@ -311,19 +252,17 @@ class Matrix:
         entry, and a 0 at every other free column; so a vector of the null
         space has its free-column entries as its coordinates in this basis.
         """
-        rows, pivots = self._rref_raw()
+        span = _row_space(self.field, self._rows, self.ncols)
         f = self.field
-        pivot_set = set(pivots)
+        pivot_set = set(span.pivots())
         basis = []
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
             vec = [f.zero()] * self.ncols
             vec[free] = f.one()
-            for row, pc in zip(rows, pivots):
-                entry = row[free]
-                if entry:
-                    vec[pc] = _quotient(-entry, row[pc], f.p)
+            for pc, entry in span._column(free):
+                vec[pc] = f.neg(entry)
             basis.append(tuple(vec))
         return basis
 
@@ -333,13 +272,12 @@ class Matrix:
         rhs = [f.coerce(v) for v in b]
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
-        aug = Matrix(f, [list(r) + [rhs[i]] for i, r in enumerate(self._rows)], self.ncols + 1)
-        rows, pivots = aug._rref_raw()
-        if pivots and pivots[-1] == self.ncols:
+        span = _row_space(f, [r + (x,) for r, x in zip(self._rows, rhs)], self.ncols + 1)
+        if self.ncols in span.pivots():
             return None
         vec = [f.zero()] * self.ncols
-        for row, pc in zip(rows, pivots):
-            vec[pc] = _quotient(row[self.ncols], row[pc], f.p)
+        for pc, entry in span._column(self.ncols):
+            vec[pc] = entry
         return tuple(vec)
 
 
@@ -351,11 +289,14 @@ class Matrix:
 class Subspace:
     """A growing subspace of k^n kept in reduced echelon form.
 
+    This is the package's one Gauss-Jordan: ``Matrix`` reductions and the
+    rank helpers fill a ``Subspace`` row by row and read its rows and pivots.
     ``add`` reduces the candidate against the current basis and either absorbs
-    it (returning True when the dimension grew) or discards it.  Over GF(2)
-    rows are packed ints; elsewhere they are the integer rows of the
-    elimination kernel, each with a nonzero pivot entry that is not
-    necessarily 1, and zeros in every other row's pivot column.
+    it (returning True when the dimension grew) or discards it, clearing the
+    new pivot from the rows already there.  Over GF(2) rows are packed ints,
+    so each row operation is one XOR; elsewhere they are integer rows, each
+    with a nonzero pivot entry that is not necessarily 1, and zeros in every
+    other row's pivot column.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
@@ -377,6 +318,15 @@ class Subspace:
         self._check_length(vec)
         return _pack_one(vec)
 
+    def _integer_vector(self, vec) -> tuple[list[int], int]:
+        """vec, checked and coerced, as (row, d): vec = row / d, with row an
+        integer row."""
+        self._check_length(vec)
+        f = self.field
+        if f.p is None:
+            return _integer_row([f.coerce(x) for x in vec])
+        return [f.coerce(x) for x in vec], 1
+
     def _check_length(self, vec) -> None:
         if len(vec) != self.ncols:
             raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
@@ -387,16 +337,10 @@ class Subspace:
                 vec ^= row
         return vec
 
-    def _reduce_dense(self, vec) -> tuple[list[int], int]:
-        """The residual of ``vec`` modulo the span as (row, d): the residual
-        is row / d, with row an integer row and d a nonzero integer (mod p)."""
-        self._check_length(vec)
-        f = self.field
-        p = f.p
-        if p is None:
-            row, d = _integer_row([f.coerce(x) for x in vec])
-        else:
-            row, d = [f.coerce(x) for x in vec], 1
+    def _reduce_dense(self, row: list[int], d: int) -> tuple[list[int], int]:
+        """The residual of row / d modulo the span, as (row, d) in the same
+        form: an integer row and a nonzero integer (mod p) denominator."""
+        p = self.field.p
         for pc, basis_row in zip(self._pivots, self._rows):
             if row[pc]:
                 row, x = _clear(row, basis_row, pc, p)
@@ -415,10 +359,12 @@ class Subspace:
         self._rows.insert(pos, row)
         self._pivots.insert(pos, pc)
 
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True iff it enlarged the span."""
+    def _add(self, v) -> bool:
+        """``add`` for a vector already in the kernel's form: a packed int
+        over GF(2), otherwise an integer row of length ncols (entries reduced
+        mod p over GF(p)).  Nothing is checked or coerced."""
         if self._packed:
-            v = self._reduce_packed(self._packed_vector(vec))
+            v = self._reduce_packed(v)
             if not v:
                 return False
             pc = _lowest_bit_index(v)
@@ -429,7 +375,7 @@ class Subspace:
             self._insert(pc, v)
             return True
         p = self.field.p
-        v = self._reduce_dense(vec)[0]
+        v = self._reduce_dense(v, 1)[0]
         pc = next((j for j, x in enumerate(v) if x), None)
         if pc is None:
             return False
@@ -441,17 +387,23 @@ class Subspace:
         self._insert(pc, v)
         return True
 
+    def add(self, vec) -> bool:
+        """Insert a vector; returns True iff it enlarged the span."""
+        if self._packed:
+            return self._add(self._packed_vector(vec))
+        return self._add(self._integer_vector(vec)[0])
+
     def contains(self, vec) -> bool:
         if self._packed:
             return self._reduce_packed(self._packed_vector(vec)) == 0
-        return not any(self._reduce_dense(vec)[0])
+        return not any(self._reduce_dense(*self._integer_vector(vec))[0])
 
     def reduce(self, vec) -> tuple:
         """The residual of ``vec`` modulo the span, as a dense tuple."""
         if self._packed:
             r = self._reduce_packed(self._packed_vector(vec))
             return tuple((r >> j) & 1 for j in range(self.ncols))
-        row, d = self._reduce_dense(vec)
+        row, d = self._reduce_dense(*self._integer_vector(vec))
         return tuple(_quotient(v, d, self.field.p) for v in row)
 
     def pivots(self) -> tuple[int, ...]:
@@ -462,6 +414,14 @@ class Subspace:
             return [tuple((r >> j) & 1 for j in range(self.ncols)) for r in self._rows]
         p = self.field.p
         return [tuple(_quotient(v, row[pc], p) for v in row) for row, pc in zip(self._rows, self._pivots)]
+
+    def _column(self, j: int) -> list[tuple]:
+        """(pivot, entry j of the basis row with that pivot, as a field element)
+        for each basis row whose entry j is nonzero."""
+        if self._packed:
+            return [(pc, 1) for pc, row in zip(self._pivots, self._rows) if (row >> j) & 1]
+        p = self.field.p
+        return [(pc, _quotient(row[j], row[pc], p)) for pc, row in zip(self._pivots, self._rows) if row[j]]
 
 
 def _pack_one(vec) -> int:

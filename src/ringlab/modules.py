@@ -583,8 +583,7 @@ def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
     A bounded proxy for Gorenstein dimension zero; callers must report the
     bound, never an unconditional certificate.
     """
-    if b > _MAX_BOUND:
-        raise ValueError(f"bound capped at {_MAX_BOUND}")
+    _check_bound(b, "bound")
     if not biduality_is_iso(m):
         return False
     free = free_module(m.algebra)
@@ -594,8 +593,7 @@ def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
 
 def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
     """Homothety A -> Hom(C, C) bijective and Ext^i(C, C) = 0 for 1 <= i <= b."""
-    if b > _MAX_BOUND:
-        raise ValueError(f"bound capped at {_MAX_BOUND}")
+    _check_bound(b, "bound")
     a = c.algebra
     f = a.field
     hom, maps = hom_module(c, c)

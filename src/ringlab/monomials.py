@@ -48,14 +48,16 @@ def is_squarefree(a: Monomial) -> bool:
 
 
 def _exponents(m) -> Monomial:
-    """m as a tuple of ints.  Refuses an entry that is not an integer value
-    (2.5, Fraction(5, 2), any string) instead of truncating it; 2.0, True and
-    Fraction(2) are accepted."""
+    """m as a tuple of nonnegative ints.  Refuses a negative entry, and an
+    entry that is not an integer value (2.5, Fraction(5, 2), any string)
+    instead of truncating it; 2.0, True and Fraction(2) are accepted."""
     m = tuple(m)
     e = tuple(map(int, m))
     if e != m:
         bad = next(x for x, y in zip(m, e) if x != y)
         raise ValueError(f"exponent {bad!r} is not an integer")
+    if e and min(e) < 0:
+        raise ValueError(f"negative exponent in {e}")
     return e
 
 
@@ -88,8 +90,6 @@ class MonomialIdeal:
             g = _exponents(g)
             if len(g) != n:
                 raise ValueError("exponent tuple has wrong length")
-            if n and min(g) < 0:
-                raise ValueError("negative exponent")
             if not any(g):
                 raise ValueError("unit generator not allowed")
             norm.add(g)

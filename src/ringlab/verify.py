@@ -45,7 +45,7 @@ from .graphs import (
     star_vertices,
     whisker_all,
 )
-from .modules import _MAX_BOUND, biduality_is_iso, cyclic_module, is_totally_reflexive_up_to, poincare_truncation
+from .modules import _check_bound, biduality_is_iso, cyclic_module, is_totally_reflexive_up_to, poincare_truncation
 from .monomials import (
     contains,
     edge_ideal,
@@ -340,10 +340,7 @@ def check_example_4x(p: int, parts=None) -> Report:
 
 def check_example_5_4(b: int) -> Report:
     """The totally reflexive module of infinite projective dimension."""
-    if b < 0:
-        raise ValueError("negative bound")
-    if b > _MAX_BOUND:
-        raise ValueError(f"bound capped at {_MAX_BOUND}")
+    _check_bound(b, "bound")
     start = time.perf_counter()
     problems: dict = {}
     for f in (GF2, QQ):

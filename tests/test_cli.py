@@ -290,6 +290,34 @@ def test_resolve_refuses_an_oversized_hom_system_before_any_elimination(monkeypa
     assert err.startswith("error:") and "17496 x 2916 system" in err
 
 
+def _refuse_enumeration_and_pools(monkeypatch, cpus):
+    import ringlab.cli
+    import ringlab.verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration or a worker pool started")
+
+    monkeypatch.setattr(ringlab.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
+    monkeypatch.setattr(ringlab.verify, "ProcessPoolExecutor", refuse)
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "5"])
+def test_verify_thread_count_is_refused_before_enumerating(threads, monkeypatch, capsys):
+    _refuse_enumeration_and_pools(monkeypatch, 4)
+    code, err = run_cli_error(capsys, "verify", "thmA", "--threads", threads)
+    assert code == 2
+    assert err.startswith("error:") and "--threads must lie in 1..4" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_verify_accepts_thread_counts_up_to_the_cpu_count(threads, monkeypatch):
+    # the check lets these through to the enumeration, which comes before any pool
+    _refuse_enumeration_and_pools(monkeypatch, 4)
+    with pytest.raises(AssertionError, match="enumeration"):
+        main(["verify", "thmA", "--threads", threads])
+
+
 @pytest.mark.parametrize("bound, message", [("-1", "negative bound"), ("13", "capped at 12")])
 def test_verify_bound_is_refused_before_any_suite(bound, message, monkeypatch, capsys):
     import ringlab.verify

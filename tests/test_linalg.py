@@ -156,19 +156,53 @@ def test_field_inverse(p_candidate):
         assert f.mul(a, f.inv(a)) == 1
 
 
-def test_subspace_matches_matrix_rank():
+def _sympy_rref(field, vecs):
+    """Nonzero rows of the reduced echelon form, computed by sympy: a
+    ``DomainMatrix`` over GF(p), a ``sympy.Matrix`` over q."""
+    sympy = pytest.importorskip("sympy")
+    if field.p is None:
+        ref, pivots = sympy.Matrix(vecs).rref()
+        rows = [[Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(pivots))]
+        return rows, tuple(pivots)
+    from sympy.polys.matrices import DomainMatrix
+
+    ref, pivots = DomainMatrix.from_list(vecs, sympy.GF(field.p)).rref()
+    return [[int(x) % field.p for x in row] for row in ref.to_list()[: len(pivots)]], tuple(pivots)
+
+
+def test_subspace_matches_sympy():
+    # Matrix reductions run on Subspace itself, so the reference is sympy
     rng = random.Random(17)
     for field in (QQ, GF2, GF5):
         for _ in range(20):
             cols = rng.randint(1, 6)
-            vecs = [[field.coerce(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+            vecs = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
             sub = Subspace(field, cols)
             for v in vecs:
                 sub.add(v)
-            assert sub.dim == Matrix(field, vecs, cols).rank()
+            rows, pivots = _sympy_rref(field, vecs)
+            assert sub.dim == len(pivots) and sub.pivots() == pivots
+            assert [list(r) for r in sub.basis_rows()] == rows
             for v in vecs:
                 assert sub.contains(v)
                 assert not any(sub.reduce(v))
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
+def test_kernel_basis_is_indexed_by_the_free_columns(field):
+    # modules._span_coordinates reads a null vector's coordinates in this
+    # basis off its free-column entries, which needs exactly this shape
+    rng = random.Random(29)
+    for _ in range(60):
+        m = _random_matrix(rng, field, rng.randint(1, 6), rng.randint(1, 7))
+        pivots = set(m.rref()[1])
+        free = [j for j in range(m.ncols) if j not in pivots]
+        kb = m.kernel_basis()
+        assert len(kb) == len(free)
+        for vec, own in zip(kb, free):
+            assert vec[own] == 1
+            assert not any(vec[own + 1 :])
+            assert all(vec[j] == 0 for j in free if j != own)
 
 
 def test_field_parse_and_str():

@@ -1,9 +1,9 @@
 """Exact ranks, echelon forms and kernels checked against sympy.
 
 sympy is an implementation of exact linear algebra that shares no code with
-ringlab, so agreement here is independent evidence for the integer-row
-Gauss-Jordan kernel, the packed GF(2) path, the incremental ``Subspace`` and
-the rank helpers the subset scan uses.
+ringlab, so agreement here is independent evidence for ``Subspace``, the one
+Gauss-Jordan (packed over GF(2), integer rows otherwise) behind every
+``Matrix`` reduction, and for the rank helpers the subset scan uses.
 """
 
 import random
@@ -83,7 +83,10 @@ def check_prime(rows, p):
     assert [list(row) for row in r.rows()] == [[int(x) % p for x in row] for row in ref.to_list()]
     assert Matrix(field, rows, ncols).rank() == rank
     assert modp_rank(rows, p) == rank
-    assert len(Matrix(field, rows, ncols).kernel_basis()) == ncols - rank
+    kernel = Matrix(field, rows, ncols).kernel_basis()
+    assert len(kernel) == ncols - rank
+    for vec in kernel:
+        assert all(sum(a * v for a, v in zip(row, vec)) % p == 0 for row in rows)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -184,6 +184,18 @@ def test_negative_resolution_bound_refused():
         bass_truncation(k.algebra, k, -1)
 
 
+@pytest.mark.parametrize("b, message", [(-1, "negative bound"), (13, "bound capped at 12")])
+@pytest.mark.parametrize("check", [is_semidualizing_up_to, is_totally_reflexive_up_to], ids=lambda c: c.__name__)
+def test_bounded_checks_refuse_a_bound_out_of_range(check, b, message, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hom or a resolution started")
+
+    monkeypatch.setattr(modules, "_resolution_step", refuse)
+    monkeypatch.setattr(modules, "hom_module", refuse)
+    with pytest.raises(ValueError, match=message):
+        check(residue_field(dual_numbers(GF2)), b)
+
+
 def test_hom_cell_cap_is_checked_before_any_row(monkeypatch):
     # Hom(A, A) over the dual numbers is a 4 x 4 system: 16 cells
     a = dual_numbers()

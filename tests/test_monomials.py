@@ -435,6 +435,20 @@ def test_integer_valued_exponents_are_accepted_at_every_entry_point():
     assert not contains(MonomialIdeal(["x", "y"], [exact]), (1.0, 1))
 
 
+def test_negative_exponents_are_refused_at_every_entry_point():
+    from ringlab.artin import truncate
+
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly(QQ, 2, {(-1, 2): 1})
+    with pytest.raises(ValueError, match="negative exponent"):
+        MonomialIdeal(["x", "y"], [(-1, 2)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        contains(MonomialIdeal(["x", "y"], [(1, 1)]), (-1, 2))
+    # y^2 / x is no polynomial: its truncation at order 3 is not k[x,y]/m^3
+    with pytest.raises(ValueError, match="negative exponent"):
+        truncate(Presentation(["x", "y"], [Poly(QQ, 2, {(-1, 2): 1})], QQ), 3)
+
+
 # -- the trusted presentation_of against the validating route --------------------
 
 
