@@ -216,6 +216,8 @@ class LocalAlgebra:
         f = self.field
         vec = [f.zero()] * self.dim_k
         for name, c in coeffs.items():
+            if name not in self.var_names:
+                raise ValueError(f"unknown variable {name!r}")
             k = self.var_names.index(name)
             c = f.coerce(c)
             for i, a in enumerate(self.var_images[k]):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -233,9 +232,7 @@ def _cmd_verify(args) -> int:
     # refused here, before any graph is enumerated: check_example_5_4 reads
     # the bound after every other suite, and a pool starts at its first job
     _check_bound(args.bound, "bound")
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.threads <= cpus:
-        raise UsageError(f"--threads must lie in 1..{cpus}, got {args.threads}")
+    verify._check_threads(args.threads, "--threads")
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
     reports: list[verify.Report] = []
     suite = args.suite

@@ -1,18 +1,19 @@
-"""Dense exact linear algebra over GF(p) and the rationals.
+"""Exact linear algebra over GF(p) and the rationals.
 
 Matrices are immutable dense arrays of exact field elements.  There is one
-Gauss-Jordan, the incremental ``Subspace``: ``Matrix.rref``, ``rank``,
-``kernel_basis`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one
-row by row and read its rows and pivots.  Over GF(2) its rows are packed into
+Gauss-Jordan, the incremental ``Subspace``: ``null_space``, ``Matrix.rref``,
+``rank`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one row by
+row and read its rows and pivots.  Over GF(2) its rows are packed into
 Python ints, so each row operation is a single XOR.  Elsewhere they are
 integer rows: over q each row has its denominators cleared once, and rows
 are combined as x * row_i - y * row_r, so no ``Fraction`` is built inside
-the kernel.  The two fields differ only in how a row is normalized after each
-operation: reduced mod p, or divided by the gcd of its entries over q.  Field
-elements are rebuilt only when rows leave the kernel (``rref``,
-``kernel_basis``, the rows and residuals of a ``Subspace``).  ``gf2_rank`` is
-the packed rank-only screen that the subset-homology scans elsewhere in the
-package run first; it keeps no echelon form.
+the kernel.  The two fields differ only in how a row is normalized after
+each operation: reduced mod p, or divided by the gcd of its entries over q.
+Field elements are rebuilt only when rows leave the kernel: ``rref``, the
+sparse vectors of ``null_space`` (``Matrix.kernel_basis`` is their dense
+view), the rows and residuals of a ``Subspace``.  ``gf2_rank`` is the packed
+rank-only screen that the subset-homology scans elsewhere in the package run
+first; it keeps no echelon form.
 """
 
 from __future__ import annotations
@@ -99,6 +100,22 @@ def _row_space(field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> "Subsp
     for row in rows:
         span._add(row)
     return span
+
+
+def null_space(field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> list[dict]:
+    """A basis of the right null space of rows of field elements of length
+    ncols, one sparse vector {column: entry} per free column: its nonzero
+    entries at pivot columns, then a 1 at its free column, its last key.  So
+    a null vector's entries at the free columns are its coordinates."""
+    span = _row_space(field, rows, ncols)
+    pivot_set = set(span.pivots())
+    basis = []
+    for free in range(ncols):
+        if free not in pivot_set:
+            vec = {pc: field.neg(entry) for pc, entry in span._column(free)}
+            vec[free] = field.one()
+            basis.append(vec)
+    return basis
 
 
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -246,25 +263,9 @@ class Matrix:
         return _row_space(self.field, self._rows, self.ncols).dim
 
     def kernel_basis(self) -> list[tuple]:
-        """A basis of the right null space, one vector per free column.
-
-        Each vector has a 1 at its own free column, which is its last nonzero
-        entry, and a 0 at every other free column; so a vector of the null
-        space has its free-column entries as its coordinates in this basis.
-        """
-        span = _row_space(self.field, self._rows, self.ncols)
-        f = self.field
-        pivot_set = set(span.pivots())
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [f.zero()] * self.ncols
-            vec[free] = f.one()
-            for pc, entry in span._column(free):
-                vec[pc] = f.neg(entry)
-            basis.append(tuple(vec))
-        return basis
+        """``null_space`` of the rows, as dense vectors."""
+        zero, n = self.field.zero(), self.ncols
+        return [tuple(vec.get(j, zero) for j in range(n)) for vec in null_space(self.field, self._rows, n)]
 
     def solve(self, b: Sequence):
         """One solution of ``self @ x = b``, or None if inconsistent."""

@@ -4,9 +4,10 @@ homological invariants.
 A module is a k-basis plus one exact action matrix per ambient variable;
 everything else (action of arbitrary algebra elements, Hom, Ext, Tor,
 syzygies) is plain exact linear algebra.  Minimal free resolutions are
-computed by syzygy iteration: the kernel of each presentation map is taken as
-a k-subspace of the ambient free module, and the next differential's columns
-are kernel vectors chosen to span the kernel modulo its m-multiples.
+computed by syzygy iteration: the kernel of each presentation map, sparse
+from ``linalg.null_space``, spans a k-subspace of the ambient free module,
+and the next differential's columns are kernel vectors chosen to span the
+kernel modulo its m-multiples.
 
 The work is split by degree.  ``residue_field``, ``free_module``,
 ``canonical_module`` and ``cyclic_module`` on homogeneous generators give
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 from .artin import LocalAlgebra, _ideal_span
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, null_space
 
 _MAX_BOUND = 12
 # Largest dense Hom system (nvars * dim M * dim N rows by dim M * dim N
@@ -237,19 +238,16 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     cols, block = state["action"]
     slot, sizes = _slots(at)
 
-    def local(vec, deg) -> list:
-        out = [f.zero()] * sizes.get(deg, 0)
-        for pos, c in vec.items():
-            out[slot[pos]] = c
-        return out
-
     spaces: dict = {}
 
     def absorb(vec) -> bool:
         deg = at[next(iter(vec))]
         if deg not in spaces:
             spaces[deg] = Subspace(f, sizes[deg])
-        return spaces[deg].add(local(vec, deg))
+        row = [f.zero()] * sizes[deg]
+        for pos, c in vec.items():
+            row[slot[pos]] = c
+        return spaces[deg].add(row)
 
     for w in span:
         for k in range(a.nvars):
@@ -277,11 +275,8 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
             deg = _deg_sum(gdeg, a.degrees[b])
             new_at.append(deg)
             groups.setdefault(deg, []).append((j * d + b, vec))
-    new_span = []
-    for deg, members in groups.items():
-        for w in _kernel_of_columns(f, [local(vec, deg) for _, vec in members]):
-            new_span.append({members[c][0]: x for c, x in enumerate(w) if x})
-    state["span"], state["at"] = new_span, new_at
+    kernels = (_kernel_of_columns(f, members, slot, sizes.get(deg, 0)) for deg, members in groups.items())
+    state["span"], state["at"] = [w for kernel in kernels for w in kernel], new_at
     state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
 
 
@@ -313,24 +308,25 @@ def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
     return {key: x for key, x in out.items() if x}
 
 
-def _kernel_of_columns(f: FieldSpec, columns) -> list[tuple]:
-    if not columns:
-        return []
-    matrix = Matrix.from_columns(f, columns)
-    kernel = matrix.kernel_basis()
-    if matrix.nrows <= 200 and matrix.ncols <= 400:
-        # Exact check of matrix @ w == 0, summed over the nonzero entries only.
+def _kernel_of_columns(f: FieldSpec, columns, slot, size: int) -> list[dict]:
+    """The kernel, keyed by the columns' positions, of a degree block with size
+    rows (slot[pos] is the row of position pos) and (position, vector) columns."""
+    rows = [[f.zero()] * len(columns) for _ in range(size)]
+    for c, (_, vec) in enumerate(columns):
+        for pos, x in vec.items():
+            rows[slot[pos]][c] = x
+    kernel = null_space(f, rows, len(columns))
+    if size <= 200 and len(columns) <= 400:
+        # Exact check that the columns, weighted by w, sum to 0.
         p = f.p
-        sparse = [[(i, c) for i, c in enumerate(col) if c] for col in zip(*matrix.rows())]
         for w in kernel:
-            acc = [0] * matrix.nrows
-            for wj, col in zip(w, sparse):
-                if wj:
-                    for i, c in col:
-                        acc[i] += wj * c
-            if any(acc) if p is None else any(v % p for v in acc):
+            acc: dict = {}
+            for c, wc in w.items():
+                for pos, x in columns[c][1].items():
+                    acc[pos] = acc.get(pos, 0) + wc * x
+            if any(acc.values()) if p is None else any(v % p for v in acc.values()):
                 raise AssertionError("kernel vector fails exact verification")
-    return kernel
+    return [{columns[c][0]: x for c, x in w.items()} for w in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +473,8 @@ def hom_module(m: FPModule, n: FPModule):
                     if v:
                         row[s * dm + b_] = f.sub(row[s * dm + b_], v)
                 rows.append(row)
-    if rows:
-        kern = Matrix(f, rows, unknowns).kernel_basis()
-    else:
-        kern = [tuple(f.one() if i == j else f.zero() for i in range(unknowns)) for j in range(unknowns)]
-    maps = [Matrix(f, [vec[s * dm : (s + 1) * dm] for s in range(dn)], dm) for vec in kern]
-    h = len(maps)
-    basis = [_flat(phi) for phi in maps]
+    basis = null_space(f, rows, unknowns)
+    maps = [Matrix(f, [[vec.get(s * dm + t, 0) for t in range(dm)] for s in range(dn)], dm) for vec in basis]
     coordinates = _span_coordinates(f, basis)
     actions = []
     for k in range(m.algebra.nvars):
@@ -492,7 +483,7 @@ def hom_module(m: FPModule, n: FPModule):
         for vec in basis:
             # (rn Phi)[s][t] = sum over u of rn[s][u] Phi[u][t]
             target: dict = {}
-            for pos, x in vec:
+            for pos, x in vec.items():
                 u, t = divmod(pos, dm)
                 for s, v in rn_cols[u]:
                     key = s * dm + t
@@ -501,9 +492,9 @@ def hom_module(m: FPModule, n: FPModule):
             if sol is None:
                 raise AssertionError("Hom space is not closed under the action")
             cols.append(sol)
-        actions.append(Matrix.from_columns(f, cols) if h else Matrix(f, [], 0))
+        actions.append(Matrix.from_columns(f, cols))
     label = f"Hom({m.label or '?'},{n.label or '?'})"
-    return FPModule(m.algebra, h, actions, label=label), maps
+    return FPModule(m.algebra, len(basis), actions, label=label), maps
 
 
 def _check_hom_cells(m: FPModule, n: FPModule) -> None:
@@ -515,21 +506,21 @@ def _check_hom_cells(m: FPModule, n: FPModule) -> None:
         )
 
 
-def _flat(mat: Matrix) -> list[tuple[int, object]]:
-    """The nonzero entries of a matrix, flattened row by row, as (index, entry)."""
-    return [(s * mat.ncols + t, x) for s, row in enumerate(mat.rows()) for t, x in enumerate(row) if x]
+def _flat(mat: Matrix) -> dict:
+    """The nonzero entries of a matrix, flattened row by row, as {index: entry}."""
+    return {s * mat.ncols + t: x for s, row in enumerate(mat.rows()) for t, x in enumerate(row) if x}
 
 
 def _span_coordinates(f: FieldSpec, basis):
-    """Coordinates in the span of ``Matrix.kernel_basis`` vectors, given sparse
-    as lists of (index, entry) in index order.
+    """Coordinates in the span of ``null_space`` vectors, given sparse as
+    {index: entry} with ascending keys.
 
-    Each basis vector has a 1 at its own free column, its last nonzero entry,
-    and a 0 at every other one's, so a vector of the span has its entries at
-    those columns as its coordinates.  The returned function takes a sparse
+    Each basis vector has a 1 at its own free column, its last key, and a 0
+    at every other one's, so a vector of the span has its entries at those
+    columns as its coordinates.  The returned function takes a sparse
     vector {index: entry}, checks the coordinates exactly by recombining, and
     returns None for a vector outside the span."""
-    frees = [vec[-1][0] for vec in basis]
+    frees = [next(reversed(vec)) for vec in basis]
     p = f.p
 
     def coordinates(target: dict):
@@ -537,7 +528,7 @@ def _span_coordinates(f: FieldSpec, basis):
         rest = dict(target)
         for c, vec in zip(coords, basis):
             if c:
-                for i, x in vec:
+                for i, x in vec.items():
                     rest[i] = rest.get(i, 0) - c * x
         if any(rest.values()) if p is None else any(v % p for v in rest.values()):
             return None
@@ -603,7 +594,7 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
         coordinates = _span_coordinates(f, [_flat(phi) for phi in maps])
         cols = []
         for bidx in range(a.dim_k):
-            sol = coordinates(dict(_flat(c.basis_action(bidx))))
+            sol = coordinates(_flat(c.basis_action(bidx)))
             if sol is None:
                 return False
             cols.append(sol)

@@ -7,6 +7,7 @@ fixed tie-breaking, no randomness.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -395,7 +396,15 @@ def _thmA_worker(args):
     return [reports[f] for f in fields]
 
 
+def _check_threads(threads: int, name: str) -> None:
+    """Refuse a worker count outside 1..os.cpu_count() before any work starts."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= threads <= cpus:
+        raise ValueError(f"{name} must lie in 1..{cpus}, got {threads}")
+
+
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
+    _check_threads(threads, "threads")
     field_texts = tuple(str(f) for f in fields)
     jobs = [(g.n, sorted(g.edges), field_texts) for g in starred_graphs(max_n)]
     if threads > 1:
@@ -413,6 +422,7 @@ def _thmB_worker(args):
 
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
+    _check_threads(threads, "threads")
     jobs = [
         (g.n, sorted(g.edges), star, str(f))
         for g in _labeled_graphs(2, max_n)

@@ -266,6 +266,7 @@ def test_oversized_relation_matrix_exits_two_without_building(names, field, orde
         (("resolve", "--name", "kprime:p3", "--bound", "-1"), "negative"),
         (("verify", "thmA", "--max-n", "0"), "empty corpus"),
         (("verify", "ex54", "--bound", "-1"), "negative"),
+        (("resolve", "--name", "ex54R", "--module", "cyclic:w"), "unknown variable 'w'"),
     ],
 )
 def test_out_of_range_argument_exits_two(argv, message, capsys):
@@ -277,12 +278,12 @@ def test_out_of_range_argument_exits_two(argv, message, capsys):
 def test_resolve_refuses_an_oversized_hom_system_before_any_elimination(monkeypatch, capsys):
     # sigma(P3) at order 4 has dimension 54, so Hom(A, A) would be a
     # 17496 x 2916 system (5.1e7 cells); uncapped, the command ran for minutes
-    from ringlab.linalg import Matrix
+    import ringlab.modules
 
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("elimination started")
 
-    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    monkeypatch.setattr(ringlab.modules, "null_space", refuse)
     code, err = run_cli_error(
         capsys, "resolve", "--name", "sigma:p3", "--field", "fp:2", "--trunc", "4", "--module", "free", "--bound", "1"
     )
@@ -291,13 +292,12 @@ def test_resolve_refuses_an_oversized_hom_system_before_any_elimination(monkeypa
 
 
 def _refuse_enumeration_and_pools(monkeypatch, cpus):
-    import ringlab.cli
     import ringlab.verify
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration or a worker pool started")
 
-    monkeypatch.setattr(ringlab.cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(ringlab.verify.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
     monkeypatch.setattr(ringlab.verify, "ProcessPoolExecutor", refuse)
 

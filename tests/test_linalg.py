@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab.fields import GF2, QQ, FieldSpec
-from ringlab.linalg import Matrix, Subspace, gf2_pack, gf2_rank, modp_rank, rational_rank
+from ringlab.linalg import Matrix, Subspace, gf2_pack, gf2_rank, modp_rank, null_space, rational_rank
 
 GF5 = FieldSpec.prime(5)
 
@@ -191,7 +191,8 @@ def test_subspace_matches_sympy():
 @pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
 def test_kernel_basis_is_indexed_by_the_free_columns(field):
     # modules._span_coordinates reads a null vector's coordinates in this
-    # basis off its free-column entries, which needs exactly this shape
+    # basis off its free-column entries, which needs exactly this shape; the
+    # sparse null_space vectors must have it too, with the free column last
     rng = random.Random(29)
     for _ in range(60):
         m = _random_matrix(rng, field, rng.randint(1, 6), rng.randint(1, 7))
@@ -203,6 +204,14 @@ def test_kernel_basis_is_indexed_by_the_free_columns(field):
             assert vec[own] == 1
             assert not any(vec[own + 1 :])
             assert all(vec[j] == 0 for j in free if j != own)
+        sparse = null_space(field, m.rows(), m.ncols)
+        assert len(sparse) == len(free)
+        for vec, own in zip(sparse, free):
+            keys = list(vec)
+            assert keys == sorted(keys) and keys[-1] == own and vec[own] == 1
+            assert not any(j in vec for j in free if j != own)
+            assert all(vec.values())
+        assert [tuple(vec.get(j, 0) for j in range(m.ncols)) for vec in sparse] == kb
 
 
 def test_field_parse_and_str():

@@ -208,6 +208,7 @@ def test_hom_cell_cap_is_checked_before_any_row(monkeypatch):
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(modules, "null_space", refuse)
     with pytest.raises(ValueError, match="4 x 4 system, over 15 cells"):
         hom_module(free, free)
 
@@ -256,22 +257,31 @@ def test_each_differential_ranked_once(monkeypatch):
 
 
 def _corrupt_first_kernel_vector(monkeypatch):
-    """Make Matrix.kernel_basis return its basis with 1 added to the first
-    entry of the first vector (column 0 is nonzero, so it leaves the kernel)."""
-    real = Matrix.kernel_basis
+    """Make the engine's null_space return its basis with 1 added to the
+    entry at column 0 of the first vector (column 0 is nonzero, so it leaves
+    the kernel)."""
+    real = modules.null_space
 
-    def corrupted(self):
-        basis = real(self)
-        w = basis[0]
-        basis[0] = (self.field.add(w[0], 1),) + w[1:]
+    def corrupted(field, rows, ncols):
+        basis = real(field, rows, ncols)
+        basis[0] = {**basis[0], 0: field.add(basis[0].get(0, field.zero()), 1)}
         return basis
 
-    monkeypatch.setattr(Matrix, "kernel_basis", corrupted)
+    monkeypatch.setattr(modules, "null_space", corrupted)
+
+
+def _sparse_block(columns, nrows):
+    """Dense columns as _kernel_of_columns' arguments: (position, sparse
+    vector) pairs with the column index as position, rows at positions
+    0..nrows - 1."""
+    sparse = [(j, {i: c for i, c in enumerate(col) if c}) for j, col in enumerate(columns)]
+    return sparse, list(range(nrows)), nrows
 
 
 def _one_entry_columns(f, nrows, ncols):
     # column j is e_(j mod nrows): a kernel of dim ncols - nrows
-    return [tuple(f.one() if i == j % nrows else f.zero() for i in range(nrows)) for j in range(ncols)]
+    columns = [tuple(f.one() if i == j % nrows else f.zero() for i in range(nrows)) for j in range(ncols)]
+    return _sparse_block(columns, nrows)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -280,7 +290,7 @@ def test_kernel_check_catches_corrupted_vector_at_the_bound(field, monkeypatch):
     _corrupt_first_kernel_vector(monkeypatch)
     for nrows, ncols in ((3, 5), (200, 400)):
         with pytest.raises(AssertionError, match="exact verification"):
-            _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols))
+            _kernel_of_columns(field, *_one_entry_columns(field, nrows, ncols))
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -288,7 +298,7 @@ def test_kernel_check_bound_is_200_by_400(field, monkeypatch):
     # pins the bound from above: larger shapes are returned unchecked
     _corrupt_first_kernel_vector(monkeypatch)
     for nrows, ncols in ((201, 400), (200, 401)):
-        kernel = _kernel_of_columns(field, _one_entry_columns(field, nrows, ncols))
+        kernel = _kernel_of_columns(field, *_one_entry_columns(field, nrows, ncols))
         assert len(kernel) == ncols - nrows
 
 
@@ -297,19 +307,20 @@ def test_sparse_kernel_check_matches_dense_apply(field, monkeypatch):
     # the dense Matrix.apply product is the reference for the sparse check;
     # the candidates mix true kernel vectors with random ones
     rng = random.Random(41)
-    real = Matrix.kernel_basis
+    real = modules.null_space
     candidates: list = []
-    monkeypatch.setattr(Matrix, "kernel_basis", lambda self: list(candidates))
+    monkeypatch.setattr(modules, "null_space", lambda f, rows, ncols: list(candidates))
     verdicts = set()
     for _ in range(300):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
         columns = [tuple(field.coerce(rng.choice((0, 0, 1, 2, -1))) for _ in range(nrows)) for _ in range(ncols)]
         matrix = Matrix.from_columns(field, columns)
-        pool = real(matrix) + [tuple(field.coerce(rng.choice((0, 1, -1, 2))) for _ in range(ncols))]
+        other = {j: x for j in range(ncols) if (x := field.coerce(rng.choice((0, 1, -1, 2))))}
+        pool = real(field, matrix.rows(), ncols) + [other]
         candidates[:] = rng.sample(pool, rng.randint(1, len(pool)))
-        expected = any(any(matrix.apply(w)) for w in candidates)
+        expected = any(any(matrix.apply([w.get(j, 0) for j in range(ncols)])) for w in candidates)
         try:
-            _kernel_of_columns(field, columns)
+            _kernel_of_columns(field, *_sparse_block(columns, nrows))
             raised = False
         except AssertionError:
             raised = True

@@ -166,6 +166,23 @@ def test_corpus_size_refused_before_enumeration(runner, monkeypatch):
         runner(9)
 
 
+@pytest.mark.parametrize("runner", [run_theorem_A_corpus, run_theorem_B_corpus])
+@pytest.mark.parametrize("threads", [0, -4, 5])
+def test_corpus_thread_count_refused_before_enumeration(runner, threads, monkeypatch):
+    # 0 and -4 used to run serially without a word, and 5 went straight to
+    # the pool on a 4-cpu host
+    import ringlab.verify
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration or a worker pool started")
+
+    monkeypatch.setattr(ringlab.verify.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
+    monkeypatch.setattr(ringlab.verify, "ProcessPoolExecutor", refuse)
+    with pytest.raises(ValueError, match=f"threads must lie in 1..4, got {threads}"):
+        runner(3, threads=threads)
+
+
 def _counting(counts, key, real):
     def wrapper(*args):
         counts[key] += 1
