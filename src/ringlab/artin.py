@@ -490,7 +490,7 @@ def canonical_module(a: LocalAlgebra):
     actions = [a.var_action_matrix(k).transpose() for k in range(a.nvars)]
     # the dual basis element of b has degree -deg(b)
     degrees = [tuple(-e for e in deg) for deg in a.degrees]
-    return FPModule(a, a.dim_k, actions, label="canonical", degrees=degrees)
+    return FPModule._trusted(a, a.dim_k, actions, label="canonical", degrees=degrees)
 
 
 def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:

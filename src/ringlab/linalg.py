@@ -3,9 +3,11 @@
 Matrices are immutable dense arrays of exact field elements.  There is one
 Gauss-Jordan, the incremental ``Subspace``: ``null_space``, ``Matrix.rref``,
 ``rank`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one row by
-row and read its rows and pivots.  Over GF(2) its rows are packed into
-Python ints, so each row operation is a single XOR.  Elsewhere they are
-integer rows: over q each row has its denominators cleared once, and rows
+row and read its rows and pivots.  Rows enter it dense or sparse ({column:
+entry}, as the module engine builds them) and go straight into the kernel's
+form, with no per-entry ``coerce``.  Over GF(2) that form is a row packed
+into a Python int, so each row operation is a single XOR.  Elsewhere it is
+an integer row: over q each row has its denominators cleared once, and rows
 are combined as x * row_i - y * row_r, so no ``Fraction`` is built inside
 the kernel.  The two fields differ only in how a row is normalized after
 each operation: reduced mod p, or divided by the gcd of its entries over q.
@@ -32,7 +34,7 @@ from .fields import QQ, FieldSpec
 
 def gf2_pack(rows: Iterable[Sequence[int]]) -> list[int]:
     """Pack 0/1 rows into ints, bit j <-> column j."""
-    return [_pack_one(row) for row in rows]
+    return [_pack_one(enumerate(row)) for row in rows]
 
 
 def gf2_rank(packed: list[int]) -> int:
@@ -88,25 +90,43 @@ def _quotient(v: int, x: int, p: int | None):
     return Fraction(v, x) if p is None else v * pow(x, -1, p) % p
 
 
-def _row_space(field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> "Subspace":
-    """The span of rows of field elements of length ncols.  The rows enter
-    ``Subspace`` in the kernel's form, without ``add``'s per-entry checks."""
+def _kernel_row(field: FieldSpec, row, ncols: int):
+    """A row of field elements, dense or sparse ({column: entry}), in the
+    kernel's form: a packed int over GF(2), otherwise an integer row of length
+    ncols, over q the row times the lcm of its denominators (no coerce)."""
     p = field.p
+    if type(row) is not dict:
+        return _pack_one(enumerate(row)) if p == 2 else row if p else _integer_row(row)[0]
     if p == 2:
-        rows = map(_pack_one, rows)
-    elif p is None:
-        rows = (_integer_row(r)[0] for r in rows)
+        return _pack_one(row.items())
+    d = 1 if p else lcm(*(v.denominator for v in row.values()))
+    out = [0] * ncols
+    for j, v in row.items():
+        out[j] = v.numerator * (d // v.denominator)
+    return out
+
+
+def _row_space(field: FieldSpec, rows: Iterable, ncols: int) -> "Subspace":
+    """The span of rows of field elements, dense or sparse, of length ncols."""
     span = Subspace(field, ncols)
     for row in rows:
-        span._add(row)
+        span._add_row(row)
     return span
 
 
-def null_space(field: FieldSpec, rows: Iterable[Sequence], ncols: int) -> list[dict]:
-    """A basis of the right null space of rows of field elements of length
-    ncols, one sparse vector {column: entry} per free column: its nonzero
-    entries at pivot columns, then a 1 at its free column, its last key.  So
-    a null vector's entries at the free columns are its coordinates."""
+def _rank(field: FieldSpec, rows: Iterable, ncols: int) -> int:
+    """The rank of dense or sparse rows; over GF(2) by the screen ``gf2_rank``."""
+    if field.p == 2:
+        return gf2_rank([_kernel_row(field, row, ncols) for row in rows])
+    return _row_space(field, rows, ncols).dim
+
+
+def null_space(field: FieldSpec, rows: Iterable, ncols: int) -> list[dict]:
+    """A basis of the right null space of rows of field elements, dense or
+    sparse ({column: entry}), of length ncols: one sparse vector per free
+    column, its nonzero entries at pivot columns, then a 1 at its free column,
+    its last key.  So a null vector's entries at the free columns are its
+    coordinates."""
     span = _row_space(field, rows, ncols)
     pivot_set = set(span.pivots())
     basis = []
@@ -258,9 +278,7 @@ class Matrix:
         return Matrix(self.field, out, self.ncols), span.pivots()
 
     def rank(self) -> int:
-        if self.field.p == 2:
-            return gf2_rank(gf2_pack(self._rows))
-        return _row_space(self.field, self._rows, self.ncols).dim
+        return _rank(self.field, self._rows, self.ncols)
 
     def kernel_basis(self) -> list[tuple]:
         """``null_space`` of the rows, as dense vectors."""
@@ -317,7 +335,7 @@ class Subspace:
                 raise ValueError(f"packed vector has bits beyond column {self.ncols}")
             return vec
         self._check_length(vec)
-        return _pack_one(vec)
+        return _pack_one(enumerate(vec))
 
     def _integer_vector(self, vec) -> tuple[list[int], int]:
         """vec, checked and coerced, as (row, d): vec = row / d, with row an
@@ -388,6 +406,10 @@ class Subspace:
         self._insert(pc, v)
         return True
 
+    def _add_row(self, row) -> bool:
+        """``_add`` for a dense or sparse row of field elements, unchecked."""
+        return self._add(_kernel_row(self.field, row, self.ncols))
+
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
         if self._packed:
@@ -425,9 +447,10 @@ class Subspace:
         return [(pc, _quotient(row[j], row[pc], p)) for pc, row in zip(self._pivots, self._rows) if row[j]]
 
 
-def _pack_one(vec) -> int:
+def _pack_one(items) -> int:
+    """(column j, 0/1 entry) pairs packed into an int, bit j <-> column j."""
     acc = 0
-    for j, v in enumerate(vec):
+    for j, v in items:
         if v & 1:
             acc |= 1 << j
     return acc

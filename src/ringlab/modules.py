@@ -3,10 +3,13 @@ homological invariants.
 
 A module is a k-basis plus one exact action matrix per ambient variable;
 everything else (action of arbitrary algebra elements, Hom, Ext, Tor,
-syzygies) is plain exact linear algebra.  Minimal free resolutions are
-computed by syzygy iteration: the kernel of each presentation map, sparse
-from ``linalg.null_space``, spans a k-subspace of the ambient free module,
-and the next differential's columns are kernel vectors chosen to span the
+syzygies) is plain exact linear algebra on sparse rows {column: entry},
+which enter ``linalg``'s Gauss-Jordan with no dense row in between.  Only a
+hand-built ``FPModule`` has its actions checked to commute; the constructors
+here trust what they build.  Minimal free resolutions are computed by syzygy
+iteration: the kernel of each presentation map, sparse from
+``linalg.null_space``, spans a k-subspace of the ambient free module, and
+the next differential's columns are kernel vectors chosen to span the
 kernel modulo its m-multiples.
 
 The work is split by degree.  ``residue_field``, ``free_module``,
@@ -31,15 +34,15 @@ from dataclasses import dataclass
 
 from .artin import LocalAlgebra, _ideal_span
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, null_space
+from .linalg import Matrix, Subspace, _rank, null_space
 
 _MAX_BOUND = 12
-# Largest dense Hom system (nvars * dim M * dim N rows by dim M * dim N
-# unknowns) that hom_module builds.  On one core of a 2-core x86 host under
-# Python 3.11, Hom(A, A) over q takes 1.5 s for sigma(P3) at order 3 (dim 23,
-# 1.7e6 cells) and 5.8 s for sigma(P2) at order 5 (dim 35, 6.0e6 cells, 157 MB
-# peak); GF(p) is up to twice as fast.  sigma(P3) at order 4 (dim 54) would
-# need 5.1e7 cells.
+# Largest Hom system, in cells of its dense shape (nvars * dim M * dim N sparse
+# rows by dim M * dim N unknowns), that hom_module builds.  On one core of a
+# 2-core Xeon host under Python 3.11, Hom(A, A) over q takes 0.3 s for sigma(P3)
+# at order 3 (dim 23, 1.7e6 cells) and 1.2 s for sigma(P2) at order 5 (dim 35,
+# 6.0e6 cells, 28 MB peak); GF(2) is two to three times as fast, GF(3) about
+# as fast.  sigma(P3) at order 4 (dim 54) would need 5.1e7 cells.
 _MAX_HOM_CELLS = 4_000_000
 
 
@@ -52,6 +55,20 @@ class FPModule:
     """
 
     def __init__(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None):
+        self._build(algebra, dim, var_actions, label, degrees)
+        acts = self.var_actions
+        if any(x.mul(y) != y.mul(x) for i, x in enumerate(acts) for y in acts[i + 1 :]):
+            raise AssertionError("variable actions do not commute")
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs) -> "FPModule":
+        """A module whose actions commute by construction, built unchecked;
+        ``tests/algebra_oracle.check_module_action`` covers its callers."""
+        m = cls.__new__(cls)
+        m._build(*args, **kwargs)
+        return m
+
+    def _build(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None) -> None:
         if len(var_actions) != algebra.nvars:
             raise ValueError("need one action matrix per variable")
         if degrees is not None and len(degrees) != dim:
@@ -69,23 +86,11 @@ class FPModule:
         self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * algebra.nvars
         self._basis_actions: list[Matrix | None] = [None] * algebra.dim_k
         self._res_state: dict | None = None
-        self._validate()
-
-    def _validate(self) -> None:
-        for a in range(len(self.var_actions)):
-            for b in range(a + 1, len(self.var_actions)):
-                left = self.var_actions[a].mul(self.var_actions[b])
-                if left != self.var_actions[b].mul(self.var_actions[a]):
-                    raise AssertionError("variable actions do not commute")
 
     def var_sparse(self, k: int) -> list[list[tuple[int, object]]]:
         if self._var_sparse[k] is None:
-            m = self.var_actions[k]
-            cols = []
-            for j in range(self.dim):
-                col = [(i, m.entry(i, j)) for i in range(self.dim) if m.entry(i, j)]
-                cols.append(col)
-            self._var_sparse[k] = cols
+            cols = zip(*self.var_actions[k].rows())
+            self._var_sparse[k] = [[(i, x) for i, x in enumerate(col) if x] for col in cols]
         return self._var_sparse[k]
 
     def basis_action(self, b: int) -> Matrix:
@@ -106,12 +111,10 @@ class FPModule:
         for b, c in enumerate(coeffs):
             if not c:
                 continue
-            mat = self.basis_action(b)
-            for i in range(self.dim):
-                row = mat.row(i)
-                for j in range(self.dim):
-                    if row[j]:
-                        rows[i][j] = f.add(rows[i][j], f.mul(c, row[j]))
+            for i, row in enumerate(self.basis_action(b).rows()):
+                for j, x in enumerate(row):
+                    if x:
+                        rows[i][j] = f.add(rows[i][j], f.mul(c, x))
         return Matrix(f, rows, self.dim)
 
     def __repr__(self) -> str:
@@ -144,12 +147,12 @@ class Resolution:
 
 def residue_field(a: LocalAlgebra) -> FPModule:
     zero = Matrix.zeros(a.field, 1, 1)
-    return FPModule(a, 1, [zero] * a.nvars, label="k", degrees=[a.degrees[0]])
+    return FPModule._trusted(a, 1, [zero] * a.nvars, label="k", degrees=[a.degrees[0]])
 
 
 def free_module(a: LocalAlgebra) -> FPModule:
     actions = [a.var_action_matrix(k) for k in range(a.nvars)]
-    return FPModule(a, a.dim_k, actions, label="A", degrees=a.degrees)
+    return FPModule._trusted(a, a.dim_k, actions, label="A", degrees=a.degrees)
 
 
 def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
@@ -177,7 +180,7 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
         actions.append(Matrix.from_columns(f, cols))
     graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
     degrees = [a.degrees[j] for j in free_coords] if graded else None
-    return FPModule(a, len(free_coords), actions, label=f"A/({len(gens)} gens)", degrees=degrees)
+    return FPModule._trusted(a, len(free_coords), actions, label=f"A/({len(gens)} gens)", degrees=degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +247,7 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
         deg = at[next(iter(vec))]
         if deg not in spaces:
             spaces[deg] = Subspace(f, sizes[deg])
-        row = [f.zero()] * sizes[deg]
-        for pos, c in vec.items():
-            row[slot[pos]] = c
-        return spaces[deg].add(row)
+        return spaces[deg]._add_row({slot[pos]: c for pos, c in vec.items()})
 
     for w in span:
         for k in range(a.nvars):
@@ -311,7 +311,7 @@ def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
 def _kernel_of_columns(f: FieldSpec, columns, slot, size: int) -> list[dict]:
     """The kernel, keyed by the columns' positions, of a degree block with size
     rows (slot[pos] is the row of position pos) and (position, vector) columns."""
-    rows = [[f.zero()] * len(columns) for _ in range(size)]
+    rows: list[dict] = [{} for _ in range(size)]
     for c, (_, vec) in enumerate(columns):
         for pos, x in vec.items():
             rows[slot[pos]][c] = x
@@ -391,14 +391,10 @@ def _block_rank(n: FPModule, state: dict, t: int, tensor: bool, cache: dict) -> 
     for line, mats in lines.items():
         for s, dn in enumerate(n.degrees):
             key = degree(line_degrees[line], dn)
-            row = [f.zero()] * sizes.get(key, 0)
-            for base, mat in mats:
-                for s2, x in enumerate(mat.row(s)):
-                    if x:
-                        row[slot[base + s2]] = x
-            if any(row):
+            row = {slot[base + s2]: x for base, mat in mats for s2, x in enumerate(mat.row(s)) if x}
+            if row:
                 rows.setdefault(key, []).append(row)
-    return sum(Matrix(f, block, sizes[key]).rank() for key, block in rows.items())
+    return sum(_rank(f, block, sizes[key]) for key, block in rows.items())
 
 
 def _homology(m: FPModule, n: FPModule, lo: int, hi: int, tensor: bool = False):
@@ -459,19 +455,14 @@ def hom_module(m: FPModule, n: FPModule):
     unknowns = dn * dm  # Phi[s][t], flat index s * dm + t
     rows = []
     for k in range(m.algebra.nvars):
-        rm = m.var_actions[k]
-        rn = n.var_actions[k]
+        rm_cols = m.var_sparse(k)
         for a_ in range(dn):
+            rn_row = n.var_actions[k].row(a_)
             for b_ in range(dm):
-                row = [f.zero()] * unknowns
-                for t in range(dm):
-                    v = rm.entry(t, b_)
+                row = {a_ * dm + t: v for t, v in rm_cols[b_]}
+                for s, v in enumerate(rn_row):
                     if v:
-                        row[a_ * dm + t] = f.add(row[a_ * dm + t], v)
-                for s in range(dn):
-                    v = rn.entry(a_, s)
-                    if v:
-                        row[s * dm + b_] = f.sub(row[s * dm + b_], v)
+                        row[s * dm + b_] = f.sub(row.get(s * dm + b_, 0), v)
                 rows.append(row)
     basis = null_space(f, rows, unknowns)
     maps = [Matrix(f, [[vec.get(s * dm + t, 0) for t in range(dm)] for s in range(dn)], dm) for vec in basis]
@@ -494,7 +485,7 @@ def hom_module(m: FPModule, n: FPModule):
             cols.append(sol)
         actions.append(Matrix.from_columns(f, cols))
     label = f"Hom({m.label or '?'},{n.label or '?'})"
-    return FPModule(m.algebra, len(basis), actions, label=label), maps
+    return FPModule._trusted(m.algebra, len(basis), actions, label=label), maps
 
 
 def _check_hom_cells(m: FPModule, n: FPModule) -> None:

@@ -234,6 +234,45 @@ def test_hom_coordinates_match_the_solve_route(name, field):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_trusted_modules_pass_the_action_oracle(name, field):
+    # residue_field, free_module, cyclic_module, canonical_module and
+    # hom_module skip FPModule's commutation check; this oracle stands in for it
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    for m in pool.values():
+        check_module_action(m)
+        for n in pool.values():
+            check_module_action(hom_module(m, n)[0])
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_block_rank_matches_the_dense_matrix_rank(name, field, monkeypatch):
+    # _block_rank ranks sparse rows; the reference is Matrix.rank on the same
+    # block made dense
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    real = modules._rank
+    blocks = []
+
+    def rank(f, block, ncols):
+        dense = [[row.get(j, 0) for j in range(ncols)] for row in block]
+        got = real(f, block, ncols)
+        assert got == Matrix(f, dense, ncols).rank()
+        blocks.append(ncols)
+        return got
+
+    monkeypatch.setattr(modules, "_rank", rank)
+    for m in pool.values():
+        for n in pool.values():
+            for i in range(3):
+                ext(m, n, i)
+                tor(m, n, i)
+    assert blocks
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 def test_hom_refuses_a_basis_that_is_not_closed(field, monkeypatch):
     # Hom(A, A) over k[x,y]/(x^2, y^2) is A itself, with basis the four
     # multiplications; a kernel basis cut down to one of them spans a closed

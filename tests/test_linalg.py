@@ -6,7 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringlab.fields import GF2, QQ, FieldSpec
-from ringlab.linalg import Matrix, Subspace, gf2_pack, gf2_rank, modp_rank, null_space, rational_rank
+from ringlab.linalg import (
+    Matrix,
+    Subspace,
+    _rank,
+    _row_space,
+    gf2_pack,
+    gf2_rank,
+    modp_rank,
+    null_space,
+    rational_rank,
+)
 
 GF5 = FieldSpec.prime(5)
 
@@ -186,6 +196,39 @@ def test_subspace_matches_sympy():
             for v in vecs:
                 assert sub.contains(v)
                 assert not any(sub.reduce(v))
+
+
+@pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
+def test_sparse_rows_match_sympy_on_the_dense_rows(field):
+    # the module engine hands null_space and the rank sparse rows {column:
+    # entry}, keys in any order; they must give what sympy gives on the same
+    # rows made dense, explicit zero entries and empty rows included
+    rng = random.Random(43)
+    if field.p is None:
+        values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]
+    else:
+        values = list(range(field.p))
+    empty = 0
+    for _ in range(120):
+        ncols = rng.randint(1, 7)
+        sparse = [
+            {j: rng.choice(values) for j in rng.sample(range(ncols), rng.randint(0, ncols))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        empty += sum(not row for row in sparse)
+        dense = [[row.get(j, field.zero()) for j in range(ncols)] for row in sparse]
+        ref, pivots = _sympy_rref(field, dense)
+        expected = []
+        for free in (j for j in range(ncols) if j not in pivots):
+            vec = {pc: field.neg(row[free]) for pc, row in zip(pivots, ref) if row[free]}
+            vec[free] = field.one()
+            expected.append(list(vec.items()))
+        got = null_space(field, sparse, ncols)
+        assert [list(vec.items()) for vec in got] == expected
+        assert all(type(x) is type(field.one()) for vec in got for x in vec.values())
+        assert _rank(field, sparse, ncols) == len(pivots)
+        assert _row_space(field, sparse, ncols).pivots() == pivots
+    assert empty
 
 
 @pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
