@@ -14,6 +14,7 @@ from .graphs import Graph, whisker_all, whisker_except
 from .monomials import (
     MonomialIdeal,
     Presentation,
+    _quadrics,
     edge_ideal,
     parse_poly,
     presentation_of,
@@ -52,15 +53,10 @@ def edge_ideal_squares_except(g: Graph, v: int) -> MonomialIdeal:
 
 
 def _edge_ideal_with_squares(g: Graph, skip: int | None) -> MonomialIdeal:
-    """I(G) + (v_u^2 for u != skip) in one MonomialIdeal call; the square
-    v_u^2 is the monomial of the pair (u, u)."""
-    gens = []
-    for i, j in list(g.edges) + [(u, u) for u in range(1, g.n + 1) if u != skip]:
-        e = [0] * g.n
-        e[i - 1] += 1
-        e[j - 1] += 1
-        gens.append(tuple(e))
-    return MonomialIdeal([f"v{k}" for k in range(1, g.n + 1)], gens)
+    """I(G) + (v_u^2 for u != skip); the square v_u^2 is the monomial of the
+    pair (u, u)."""
+    pairs = list(g.edges) + [(u, u) for u in range(1, g.n + 1) if u != skip]
+    return MonomialIdeal._trusted(tuple(f"v{k}" for k in range(1, g.n + 1)), _quadrics(g.n, pairs))
 
 
 def star_of_paths(n: int) -> Graph:

@@ -35,22 +35,20 @@ class Graph:
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
         object.__setattr__(self, "edges", norm)
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset) -> "Graph":
+        """A graph whose edges are normalized (i < j) and within 1..n by
+        construction, built without ``__post_init__``."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=edges)  # past the frozen __setattr__
+        return g
+
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
         return Graph(n, frozenset(_norm_edge(i, j) for i, j in pairs))
 
     def has_edge(self, i: int, j: int) -> bool:
         return _norm_edge(i, j) in self.edges
-
-    def neighbors(self, v: int) -> set[int]:
-        self._check_vertex(v)
-        out = set()
-        for i, j in self.edges:
-            if i == v:
-                out.add(j)
-            elif j == v:
-                out.add(i)
-        return out
 
     def adjacency_masks(self) -> list[int]:
         """Bitmask adjacency, index and bit positions both 0-based."""
@@ -75,39 +73,34 @@ def complement(g: Graph) -> Graph:
         for j in range(i + 1, g.n + 1)
         if (i, j) not in g.edges
     }
-    return Graph(g.n, frozenset(edges))
+    return Graph._trusted(g.n, frozenset(edges))
 
 
 def is_star_vertex(g: Graph, v: int) -> bool:
     """True iff v is adjacent to every other vertex (vacuously true on K1)."""
     g._check_vertex(v)
-    return len(g.neighbors(v)) == g.n - 1
+    return sum(v in e for e in g.edges) == g.n - 1
 
 
 def star_vertices(g: Graph) -> list[int]:
-    return [v for v in range(1, g.n + 1) if is_star_vertex(g, v)]
+    degree = [0] * (g.n + 1)
+    for i, j in g.edges:
+        degree[i] += 1
+        degree[j] += 1
+    return [v for v in range(1, g.n + 1) if degree[v] == g.n - 1]
 
 
 def whisker_all(g: Graph) -> Graph:
     """Attach a pendant vertex w_i = n+i to every vertex v_i."""
     n = g.n
-    edges = set(g.edges)
-    edges.update((i, n + i) for i in range(1, n + 1))
-    return Graph(2 * n, frozenset(edges))
+    return Graph._trusted(2 * n, g.edges.union((i, n + i) for i in range(1, n + 1)))
 
 
 def whisker_except(g: Graph, v: int) -> Graph:
     """Attach pendants to every vertex but v; result has 2n-1 vertices."""
     g._check_vertex(v)
-    n = g.n
-    edges = set(g.edges)
-    label = n
-    for u in range(1, n + 1):
-        if u == v:
-            continue
-        label += 1
-        edges.add((u, label))
-    return Graph(label, frozenset(edges))
+    others = [u for u in range(1, g.n + 1) if u != v]
+    return Graph._trusted(2 * g.n - 1, g.edges.union((u, g.n + k) for k, u in enumerate(others, 1)))
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:
@@ -157,9 +150,17 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     if n < 0:
         raise ValueError("negative vertex count")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for mask in range(1 << len(pairs)):
-        edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
-        yield Graph(n, edges)
+    half = len(pairs) // 2
+    low = _subsets(pairs[:half])
+    # edges | high has mask (index of high) << half | (index of edges)
+    for high in _subsets(pairs[half:]):
+        for edges in low:
+            yield Graph._trusted(n, edges | high)
+
+
+def _subsets(items: list) -> list[frozenset]:
+    """Every subset of items, the k-th holding the items at the set bits of k."""
+    return [frozenset(p for k, p in enumerate(items) if mask >> k & 1) for mask in range(1 << len(items))]
 
 
 def _low_vertex(mask: int) -> int:

@@ -96,6 +96,14 @@ class MonomialIdeal:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "gens", _minimalize(norm))
 
+    @classmethod
+    def _trusted(cls, ambient: tuple, gens: frozenset) -> "MonomialIdeal":
+        """An ideal whose distinct-named ambient and minimal set of nonzero
+        exponent tuples of its length hold by construction, built unchecked."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(ambient=ambient, gens=gens)  # past the frozen __setattr__
+        return ideal
+
     @property
     def nvars(self) -> int:
         return len(self.ambient)
@@ -158,15 +166,24 @@ def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
     """The ideal generated by v_i v_j over the edges of g."""
     if names is None:
         names = [f"v{i}" for i in range(1, g.n + 1)]
+    names = tuple(names)
     if len(names) != g.n:
         raise ValueError("need one variable name per vertex")
+    if len(set(names)) != g.n:
+        raise ValueError("duplicate variable names")
+    return MonomialIdeal._trusted(names, _quadrics(g.n, g.edges))
+
+
+def _quadrics(n: int, pairs) -> frozenset:
+    """The monomials x_i x_j for the pairs (i, j) in 1..n, squares for i = j:
+    distinct pairs give distinct degree-2 monomials, a minimal generating set."""
     gens = []
-    for i, j in g.edges:
-        e = [0] * g.n
+    for i, j in pairs:
+        e = [0] * n
         e[i - 1] += 1
         e[j - 1] += 1
         gens.append(tuple(e))
-    return MonomialIdeal(names, gens)
+    return frozenset(gens)
 
 
 def add_squares(ideal: MonomialIdeal, variables: Iterable[str]) -> MonomialIdeal:

@@ -389,8 +389,7 @@ def starred_graphs(max_n: int):
 
 
 def _thmA_worker(args):
-    n, edges, field_texts = args
-    g = Graph.from_edges(n, edges)
+    g, field_texts = args
     fields = tuple(FieldSpec.parse(t) for t in field_texts)
     reports = check_theorem_A_fields(g, fields)
     return [reports[f] for f in fields]
@@ -406,7 +405,7 @@ def _check_threads(threads: int, name: str) -> None:
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
     field_texts = tuple(str(f) for f in fields)
-    jobs = [(g.n, sorted(g.edges), field_texts) for g in starred_graphs(max_n)]
+    jobs = [(g, field_texts) for g in starred_graphs(max_n)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(_thmA_worker, jobs, chunksize=64)
@@ -416,15 +415,14 @@ def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list
 
 
 def _thmB_worker(args):
-    n, edges, star, field_text = args
-    g = Graph.from_edges(n, edges)
+    g, star, field_text = args
     return check_theorem_B(g, star, FieldSpec.parse(field_text))
 
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
     jobs = [
-        (g.n, sorted(g.edges), star, str(f))
+        (g, star, str(f))
         for g in _labeled_graphs(2, max_n)
         for star in star_vertices(g)
         for f in fields

@@ -124,6 +124,40 @@ def test_no_loops():
         Graph.from_edges(2, [(1, 1)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph(2, frozenset({(1, 1)})), "loop at vertex 1"),
+        (lambda: Graph(3, frozenset({(1, 4)})), "out of range"),
+        (lambda: Graph.from_edges(3, [(0, 1)]), "out of range"),
+        (lambda: Graph.from_edges(2, [(3, 1)]), "out of range"),
+        (lambda: Graph(-1), "negative vertex count"),
+    ],
+)
+def test_public_constructors_refuse_bad_edges(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerate_graphs_matches_the_validating_route(n):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    got = list(enumerate_graphs(n))
+    assert len(got) == 1 << len(pairs)
+    for mask, g in enumerate(got):
+        assert g == Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        assert type(g.edges) is frozenset
+        assert all(1 <= i < j <= n for i, j in g.edges)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_star_vertices_match_the_definition(n):
+    for g in enumerate_graphs(n):
+        expected = [v for v in range(1, n + 1) if all(g.has_edge(v, u) for u in range(1, n + 1) if u != v)]
+        assert star_vertices(g) == expected
+        assert [v for v in range(1, n + 1) if is_star_vertex(g, v)] == expected
+
+
 @st.composite
 def graphs(draw, max_n=6):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -139,15 +173,25 @@ def test_complement_involution(g):
 
 
 @given(graphs())
+@settings(max_examples=80, deadline=None)
+def test_library_built_graphs_match_the_validating_constructor(g):
+    for h in [complement(g), whisker_all(g)] + [whisker_except(g, v) for v in range(1, g.n + 1)]:
+        rebuilt = Graph(h.n, h.edges)
+        assert h == rebuilt and hash(h) == hash(rebuilt)
+        assert type(h.edges) is frozenset
+
+
+@given(graphs())
 @settings(max_examples=50, deadline=None)
 def test_whisker_restriction_and_degrees(g):
     w = whisker_all(g)
     # restriction to the original vertices is g
     original = frozenset(e for e in w.edges if max(e) <= g.n)
     assert original == g.edges
+    adj = w.adjacency_masks()
     for i in range(1, g.n + 1):
-        assert len(w.neighbors(g.n + i)) == 1
-        assert len(w.neighbors(i)) >= 1
+        assert adj[g.n + i - 1].bit_count() == 1
+        assert adj[i - 1].bit_count() >= 1
 
 
 @given(graphs(max_n=5))
@@ -155,7 +199,7 @@ def test_whisker_restriction_and_degrees(g):
 def test_star_vertex_isolated_in_complement(g):
     comp = complement(g)
     for v in star_vertices(g):
-        assert not comp.neighbors(v)
+        assert not any(comp.has_edge(v, u) for u in range(1, g.n + 1) if u != v)
         assert frozenset({v}) in maximal_cliques(comp)
 
 

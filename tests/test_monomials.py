@@ -59,6 +59,27 @@ def test_edge_ideal_edgeless_is_zero():
     assert edge_ideal(Graph(3)).is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_graph_ideals_match_the_validating_constructor(n):
+    for g in enumerate_graphs(n):
+        ideals = [edge_ideal(g), edge_ideal_all_squares(g), whiskered_edge_ideal(g)]
+        for v in range(1, n + 1):
+            ideals += [edge_ideal_squares_except(g, v), whisker_except_edge_ideal(g, v)]
+        for i in ideals:
+            rebuilt = MonomialIdeal(i.ambient, i.gens)
+            assert i == rebuilt and hash(i) == hash(rebuilt)
+            assert type(i.ambient) is tuple and type(i.gens) is frozenset
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [(["x", "x"], "duplicate variable names"), (["x"], "one variable name per vertex")],
+)
+def test_edge_ideal_refuses_bad_names(names, message):
+    with pytest.raises(ValueError, match=message):
+        edge_ideal(named_graph("k2"), names)
+
+
 # -- add_squares -------------------------------------------------------------
 
 
