@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, null_space
 from .monomials import (
     Monomial,
     Presentation,
@@ -73,8 +73,7 @@ class LocalAlgebra:
         self.presentation = presentation
         self._monomial_path = monomial_path
         self._products: dict[tuple[int, int], tuple] = {}
-        self._var_sparse: list[list[tuple[int, object]] | None] = [None] * len(names)
-        self._var_matrices: list[Matrix | None] = [None] * len(names)
+        self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * len(names)
         self._powers: list[Subspace] | None = None
         self._parents: list[tuple[int, int] | None] | None = None
 
@@ -140,20 +139,15 @@ class LocalAlgebra:
                     out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
-    def var_sparse(self, k: int) -> list[tuple[int, object]]:
-        """Multiplication by variable k as sparse columns: entry list per basis index."""
+    def var_sparse(self, k: int) -> list[list[tuple[int, object]]]:
+        """Multiplication by variable k as sparse columns: column j lists the
+        nonzero (index, coefficient) pairs of the normal form of x_k * m_j."""
         if self._var_sparse[k] is None:
-            img = self.var_images[k]
-            cols = []
-            for j in range(self.dim_k):
-                acc = {}
-                for i, a in enumerate(img):
-                    if not a:
-                        continue
-                    for t, c in self.product_mono(i, j):
-                        acc[t] = self.field.add(acc.get(t, self.field.zero()), self.field.mul(a, c))
-                cols.append([(t, c) for t, c in sorted(acc.items()) if c])
-            self._var_sparse[k] = cols
+            x = self._var_monomial(k)
+            self._var_sparse[k] = [
+                [(t, c) for t, c in enumerate(self._normal_form_monomial(monomial_mul(x, m))) if c]
+                for m in self.basis_monomials
+            ]
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
@@ -186,16 +180,6 @@ class LocalAlgebra:
     @cached_property
     def _homogeneous(self) -> bool:
         return all(g.min_degree() == g.max_degree() for g in self.presentation.gens)
-
-    def var_action_matrix(self, k: int) -> Matrix:
-        if self._var_matrices[k] is None:
-            cols = self.var_sparse(k)
-            rows = [[self.field.zero()] * self.dim_k for _ in range(self.dim_k)]
-            for j, col in enumerate(cols):
-                for t, c in col:
-                    rows[t][j] = c
-            self._var_matrices[k] = Matrix(self.field, rows, self.dim_k)
-        return self._var_matrices[k]
 
     def basis_parents(self) -> list[tuple[int, int] | None]:
         """For each basis monomial, a (variable, smaller basis index) factorization."""
@@ -439,11 +423,19 @@ def socle(a: LocalAlgebra) -> list[tuple]:
     """
     if a._monomial_path:
         return [a._basis_vec(a.index[m]) for m in socle_monomials(a)]
-    stacked_rows = []
-    for k in range(a.nvars):
-        stacked_rows.extend(a.var_action_matrix(k).rows())
-    stacked = Matrix(a.field, stacked_rows, a.dim_k)
-    return [tuple(v) for v in stacked.kernel_basis()]
+    rows = [dict(row) for k in range(a.nvars) for row in _transpose(a.var_sparse(k), a.dim_k)]
+    zero = a.field.zero()
+    return [tuple(vec.get(j, zero) for j in range(a.dim_k)) for vec in null_space(a.field, rows, a.dim_k)]
+
+
+def _transpose(cols, n: int) -> list[list[tuple[int, object]]]:
+    """The sparse columns of the transpose of a matrix with n rows given by
+    sparse columns, which are that matrix's sparse rows."""
+    out: list[list[tuple[int, object]]] = [[] for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i].append((j, x))
+    return out
 
 
 def socle_monomials(a: LocalAlgebra) -> list[Monomial]:
@@ -487,7 +479,7 @@ def canonical_module(a: LocalAlgebra):
     """Hom_k(A, k) with the contragredient action: the dualizing module."""
     from .modules import FPModule
 
-    actions = [a.var_action_matrix(k).transpose() for k in range(a.nvars)]
+    actions = [_transpose(a.var_sparse(k), a.dim_k) for k in range(a.nvars)]
     # the dual basis element of b has degree -deg(b)
     degrees = [tuple(-e for e in deg) for deg in a.degrees]
     return FPModule._trusted(a, a.dim_k, actions, label="canonical", degrees=degrees)

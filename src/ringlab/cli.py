@@ -60,7 +60,7 @@ from .sr_invariants import (
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -323,9 +323,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,9 +207,6 @@ class Matrix:
     def rows(self) -> tuple:
         return self._rows
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -225,9 +222,6 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
     # -- arithmetic ----------------------------------------------------------
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:

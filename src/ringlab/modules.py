@@ -1,10 +1,14 @@
 """Finitely generated modules over a truncated local algebra and their
 homological invariants.
 
-A module is a k-basis plus one exact action matrix per ambient variable;
-everything else (action of arbitrary algebra elements, Hom, Ext, Tor,
-syzygies) is plain exact linear algebra on sparse rows {column: entry},
-which enter ``linalg``'s Gauss-Jordan with no dense row in between.  Only a
+A module is a k-basis plus the action of each ambient variable as sparse
+columns: column j lists the nonzero (row, entry) pairs of x_k times basis
+element j.  Everything else (the action of the algebra's basis elements,
+built along the division tree, Hom, Ext, Tor, syzygies) is plain exact linear
+algebra on sparse vectors {index: entry}, which enter ``linalg``'s
+Gauss-Jordan with no dense row in between.  A dense ``Matrix`` appears only
+at the public edges: the matrices given to a hand-built ``FPModule``, the
+``var_actions`` view and the maps that ``hom_module`` returns.  Only a
 hand-built ``FPModule`` has its actions checked to commute; the constructors
 here trust what they build.  Minimal free resolutions are computed by syzygy
 iteration: the kernel of each presentation map, sparse from
@@ -32,7 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .artin import LocalAlgebra, _ideal_span
+from .artin import LocalAlgebra, _ideal_span, _transpose
 from .fields import FieldSpec
 from .linalg import Matrix, Subspace, _rank, null_space
 
@@ -51,24 +55,11 @@ class FPModule:
 
     ``degrees`` gives each basis element a degree in the algebra's grading
     (see ``LocalAlgebra.degrees``); without it every degree is the trivial
-    degree (), and the module is trivially graded.
+    degree (), and the module is trivially graded.  The action is kept as
+    sparse columns, ``var_sparse(k)``; ``var_actions`` is their dense view.
     """
 
     def __init__(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None):
-        self._build(algebra, dim, var_actions, label, degrees)
-        acts = self.var_actions
-        if any(x.mul(y) != y.mul(x) for i, x in enumerate(acts) for y in acts[i + 1 :]):
-            raise AssertionError("variable actions do not commute")
-
-    @classmethod
-    def _trusted(cls, *args, **kwargs) -> "FPModule":
-        """A module whose actions commute by construction, built unchecked;
-        ``tests/algebra_oracle.check_module_action`` covers its callers."""
-        m = cls.__new__(cls)
-        m._build(*args, **kwargs)
-        return m
-
-    def _build(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None) -> None:
         if len(var_actions) != algebra.nvars:
             raise ValueError("need one action matrix per variable")
         if degrees is not None and len(degrees) != dim:
@@ -78,44 +69,60 @@ class FPModule:
                 raise ValueError("action matrix has wrong shape")
             if m.field != algebra.field:
                 raise ValueError("action matrix over the wrong field")
+        if any(x.mul(y) != y.mul(x) for i, x in enumerate(var_actions) for y in var_actions[i + 1 :]):
+            raise AssertionError("variable actions do not commute")
+        cols = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.rows())] for m in var_actions]
+        self._build(algebra, dim, cols, label, degrees)
+        self._var_actions = tuple(var_actions)
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs) -> "FPModule":
+        """A module given by the sparse columns of its variable actions, whose
+        actions commute by construction, built unchecked;
+        ``tests/algebra_oracle.check_module_action`` covers its callers."""
+        m = cls.__new__(cls)
+        m._build(*args, **kwargs)
+        return m
+
+    def _build(self, algebra: LocalAlgebra, dim: int, var_sparse, label: str | None = None, degrees=None) -> None:
         self.algebra = algebra
         self.dim = dim
-        self.var_actions = tuple(var_actions)
         self.label = label
         self.degrees = ((),) * dim if degrees is None else tuple(degrees)
-        self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * algebra.nvars
-        self._basis_actions: list[Matrix | None] = [None] * algebra.dim_k
+        self._var_sparse = var_sparse
+        self._var_actions: tuple | None = None
+        self._basis_actions: list[list[dict] | None] = [None] * algebra.dim_k
         self._res_state: dict | None = None
 
     def var_sparse(self, k: int) -> list[list[tuple[int, object]]]:
-        if self._var_sparse[k] is None:
-            cols = zip(*self.var_actions[k].rows())
-            self._var_sparse[k] = [[(i, x) for i, x in enumerate(col) if x] for col in cols]
+        """Variable k's action as sparse columns: column j lists the nonzero
+        (row, entry) pairs of x_k times basis element j."""
         return self._var_sparse[k]
 
-    def basis_action(self, b: int) -> Matrix:
-        """Action of the b-th algebra basis element, built along the division tree."""
-        if self._basis_actions[b] is None:
-            parents = self.algebra.basis_parents()
-            if parents[b] is None:
-                self._basis_actions[b] = Matrix.identity(self.algebra.field, self.dim)
-            else:
-                var, parent = parents[b]
-                self._basis_actions[b] = self.var_actions[var].mul(self.basis_action(parent))
-        return self._basis_actions[b]
+    @property
+    def var_actions(self) -> tuple:
+        """The variable actions as dense matrices, built on first read."""
+        if self._var_actions is None:
+            f, zero = self.algebra.field, self.algebra.field.zero()
+            self._var_actions = tuple(
+                Matrix.from_columns(f, [[dict(col).get(i, zero) for i in range(self.dim)] for col in cols])
+                for cols in self._var_sparse
+            )
+        return self._var_actions
 
-    def element_action(self, coeffs) -> Matrix:
-        """Action matrix of an algebra element given by its basis coefficients."""
-        f = self.algebra.field
-        rows = [[f.zero()] * self.dim for _ in range(self.dim)]
-        for b, c in enumerate(coeffs):
-            if not c:
-                continue
-            for i, row in enumerate(self.basis_action(b).rows()):
-                for j, x in enumerate(row):
-                    if x:
-                        rows[i][j] = f.add(rows[i][j], f.mul(c, x))
-        return Matrix(f, rows, self.dim)
+    def _basis_action(self, b: int) -> list[dict]:
+        """Action of the b-th algebra basis element as sparse columns
+        {row: entry}, built along the division tree."""
+        if self._basis_actions[b] is None:
+            parent = self.algebra.basis_parents()[b]
+            if parent is None:
+                one = self.algebra.field.one()
+                self._basis_actions[b] = [{j: one} for j in range(self.dim)]
+            else:
+                cols = self._var_sparse[parent[0]]
+                below = self._basis_action(parent[1])
+                self._basis_actions[b] = [_act(self.algebra.field, cols, col, self.dim) for col in below]
+        return self._basis_actions[b]
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -146,12 +153,11 @@ class Resolution:
 
 
 def residue_field(a: LocalAlgebra) -> FPModule:
-    zero = Matrix.zeros(a.field, 1, 1)
-    return FPModule._trusted(a, 1, [zero] * a.nvars, label="k", degrees=[a.degrees[0]])
+    return FPModule._trusted(a, 1, [[[]]] * a.nvars, label="k", degrees=[a.degrees[0]])
 
 
 def free_module(a: LocalAlgebra) -> FPModule:
-    actions = [a.var_action_matrix(k) for k in range(a.nvars)]
+    actions = [a.var_sparse(k) for k in range(a.nvars)]
     return FPModule._trusted(a, a.dim_k, actions, label="A", degrees=a.degrees)
 
 
@@ -166,18 +172,12 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
         if not m_space.contains(g):
             raise ValueError("cyclic quotient generators must lie in the maximal ideal")
     ideal = _ideal_span(a, gens)
-    f = a.field
     pivots = set(ideal.pivots())
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
     actions = []
     for k in range(a.nvars):
-        cols = []
-        for j in free_coords:
-            vec = [f.zero()] * a.dim_k
-            vec[j] = f.one()
-            image = ideal.reduce(a.var_multiply(k, tuple(vec)))
-            cols.append([image[t] for t in free_coords])
-        actions.append(Matrix.from_columns(f, cols))
+        images = [ideal.reduce(a.var_multiply(k, a._basis_vec(j))) for j in free_coords]
+        actions.append([[(i, x) for i, t in enumerate(free_coords) if (x := image[t])] for image in images])
     graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
     degrees = [a.degrees[j] for j in free_coords] if graded else None
     return FPModule._trusted(a, len(free_coords), actions, label=f"A/({len(gens)} gens)", degrees=degrees)
@@ -213,7 +213,7 @@ def _resolution_state(m: FPModule, bound: int) -> dict:
             "degrees": [],
             "span": [{j: one} for j in range(m.dim)],
             "at": m.degrees,
-            "action": ([m.var_sparse(k) for k in range(m.algebra.nvars)], m.dim),
+            "action": (m._var_sparse, m.dim),
         }
     state = m._res_state
     while len(state["betti"]) <= bound:
@@ -348,52 +348,44 @@ def _check_same_algebra(m: FPModule, n: FPModule) -> None:
     raise ValueError("modules live over different algebras")
 
 
-def _entry_action(n: FPModule, entry: tuple, cache: dict) -> Matrix:
-    """Action on N of an algebra element given by its (basis index,
-    coefficient) pairs."""
-    got = cache.get(entry)
-    if got is None:
-        coeffs = [n.algebra.field.zero()] * n.algebra.dim_k
-        for b, c in entry:
-            coeffs[b] = c
-        got = cache[entry] = n.element_action(coeffs)
-    return got
-
-
 def _hom_degree(e: tuple, n: tuple) -> tuple:
     return tuple(map(operator.sub, n, e))
 
 
-def _block_rank(n: FPModule, state: dict, t: int, tensor: bool, cache: dict) -> int:
+def _block_rank(n: FPModule, state: dict, t: int, tensor: bool) -> int:
     """Rank of d_t on the Hom side, Hom(F_{t-1}, N) -> Hom(F_t, N), or with
     ``tensor`` on the tensor side, F_t (x) N -> F_{t-1} (x) N, summed over
     degree blocks.  Block (c, r) of the Hom-side matrix is the action on N of
     d_t's entry in column c, row r; the tensor side is the transposed grid.
-    Row (line, s) has degree deg(e_line) + deg n_s (tensor) or deg n_s -
-    deg(e_line) (Hom, the degree of e* (x) n), and so do the columns; the
-    grid is homogeneous, so every nonzero entry joins a row and a column of
-    one degree.  A trivially graded side makes every degree (), one block."""
+    Each side is ranked as its transpose, one row per column of a block's
+    action: row (line, s) has degree deg(e_line) + deg n_s (tensor) or
+    deg n_s - deg(e_line) (Hom, the degree of e* (x) n), and so do the
+    columns; the grid is homogeneous, so every nonzero entry joins a row and a
+    column of one degree.  A trivially graded side makes every degree (), one
+    block."""
     f = n.algebra.field
     d, nd = n.algebra.dim_k, n.dim
-    lines: dict = {}
+    terms: dict = {}
     for c, col in enumerate(state["diffs"][t - 1]):
-        entries: dict = {}
         for pos, x in col.items():
             r, b = divmod(pos, d)
-            entries.setdefault(r, []).append((b, x))
-        for r, entry in entries.items():
-            line, cell = (r, c) if tensor else (c, r)
-            lines.setdefault(line, []).append((cell * nd, _entry_action(n, tuple(entry), cache)))
+            line, cell = (c, r) if tensor else (r, c)
+            terms.setdefault(line, []).append((cell * nd, x, n._basis_action(b)))
     src, dst = state["degrees"][t], state["degrees"][t - 1]
-    line_degrees, cell_degrees, degree = (dst, src, _deg_sum) if tensor else (src, dst, _hom_degree)
+    line_degrees, cell_degrees, degree = (src, dst, _deg_sum) if tensor else (dst, src, _hom_degree)
     slot, sizes = _slots(degree(cell, dn) for cell in cell_degrees for dn in n.degrees)
     rows: dict = {}
-    for line, mats in lines.items():
+    for line, line_terms in terms.items():
         for s, dn in enumerate(n.degrees):
-            key = degree(line_degrees[line], dn)
-            row = {slot[base + s2]: x for base, mat in mats for s2, x in enumerate(mat.row(s)) if x}
+            # column s of the entry's action, sum of its basis terms' columns
+            row: dict = {}
+            for base, c, action in line_terms:
+                for i, x in action[s].items():
+                    key = slot[base + i]
+                    prod = f.mul(c, x)
+                    row[key] = f.add(row[key], prod) if key in row else prod
             if row:
-                rows.setdefault(key, []).append(row)
+                rows.setdefault(degree(line_degrees[line], dn), []).append(row)
     return sum(_rank(f, block, sizes[key]) for key, block in rows.items())
 
 
@@ -404,11 +396,10 @@ def _homology(m: FPModule, n: FPModule, lo: int, hi: int, tensor: bool = False):
     only to degree i + 1, so a caller that stops early resolves no further,
     and each d_t is ranked once per call."""
     _check_same_algebra(m, n)
-    cache: dict = {}
-    r_in = _block_rank(n, _resolution_state(m, lo), lo, tensor, cache) if lo else 0
+    r_in = _block_rank(n, _resolution_state(m, lo), lo, tensor) if lo else 0
     for i in range(lo, hi + 1):
         state = _resolution_state(m, i + 1)
-        r_out = _block_rank(n, state, i + 1, tensor, cache)
+        r_out = _block_rank(n, state, i + 1, tensor)
         yield state["betti"][i] * n.dim - r_in - r_out
         r_in = r_out
 
@@ -448,24 +439,30 @@ def hom_module(m: FPModule, n: FPModule):
     variables generate the algebra, so this equals full A-linearity (tested
     against all-basis commutation on small instances).
     """
+    hom, basis = _hom(m, n)
+    f, dm = m.algebra.field, m.dim
+    return hom, [Matrix(f, [[vec.get(s * dm + t, 0) for t in range(dm)] for s in range(n.dim)], dm) for vec in basis]
+
+
+def _hom(m: FPModule, n: FPModule):
+    """``hom_module`` with each basis map Phi given as its ``null_space``
+    vector {s * dim M + t: Phi[s][t]}."""
     _check_same_algebra(m, n)
     _check_hom_cells(m, n)
     f = m.algebra.field
+    p = f.p
     dm, dn = m.dim, n.dim
     unknowns = dn * dm  # Phi[s][t], flat index s * dm + t
     rows = []
     for k in range(m.algebra.nvars):
         rm_cols = m.var_sparse(k)
-        for a_ in range(dn):
-            rn_row = n.var_actions[k].row(a_)
+        for a_, rn_row in enumerate(_transpose(n.var_sparse(k), dn)):
             for b_ in range(dm):
                 row = {a_ * dm + t: v for t, v in rm_cols[b_]}
-                for s, v in enumerate(rn_row):
-                    if v:
-                        row[s * dm + b_] = f.sub(row.get(s * dm + b_, 0), v)
+                for s, v in rn_row:
+                    row[s * dm + b_] = f.sub(row.get(s * dm + b_, 0), v)
                 rows.append(row)
     basis = null_space(f, rows, unknowns)
-    maps = [Matrix(f, [[vec.get(s * dm + t, 0) for t in range(dm)] for s in range(dn)], dm) for vec in basis]
     coordinates = _span_coordinates(f, basis)
     actions = []
     for k in range(m.algebra.nvars):
@@ -482,10 +479,10 @@ def hom_module(m: FPModule, n: FPModule):
             sol = coordinates(target)
             if sol is None:
                 raise AssertionError("Hom space is not closed under the action")
-            cols.append(sol)
-        actions.append(Matrix.from_columns(f, cols))
+            cols.append([(i, y) for i, c in enumerate(sol) if (y := c if p is None else c % p)])
+        actions.append(cols)
     label = f"Hom({m.label or '?'},{n.label or '?'})"
-    return FPModule._trusted(m.algebra, len(basis), actions, label=label), maps
+    return FPModule._trusted(m.algebra, len(basis), actions, label=label), basis
 
 
 def _check_hom_cells(m: FPModule, n: FPModule) -> None:
@@ -495,11 +492,6 @@ def _check_hom_cells(m: FPModule, n: FPModule) -> None:
         raise ValueError(
             f"Hom({m.label or '?'},{n.label or '?'}) needs a {rows} x {unknowns} system, over {_MAX_HOM_CELLS} cells"
         )
-
-
-def _flat(mat: Matrix) -> dict:
-    """The nonzero entries of a matrix, flattened row by row, as {index: entry}."""
-    return {s * mat.ncols + t: x for s, row in enumerate(mat.rows()) for t, x in enumerate(row) if x}
 
 
 def _span_coordinates(f: FieldSpec, basis):
@@ -530,7 +522,7 @@ def _span_coordinates(f: FieldSpec, basis):
 
 def dual_module(m: FPModule) -> FPModule:
     """M* = Hom_A(M, A) with its natural action."""
-    mod, _ = hom_module(m, free_module(m.algebra))
+    mod, _ = _hom(m, free_module(m.algebra))
     mod.label = f"({m.label or '?'})*"
     return mod
 
@@ -540,23 +532,24 @@ def biduality_is_iso(m: FPModule) -> bool:
     a = m.algebra
     f = a.field
     free = free_module(a)
-    dual, phis = hom_module(m, free)
-    double, psis = hom_module(dual, free)
+    dual, phis = _hom(m, free)
+    double, psis = _hom(dual, free)
     if double.dim != m.dim:
         return False
     if m.dim == 0:
         return True
-    coordinates = _span_coordinates(f, [_flat(psi) for psi in psis])
+    coordinates = _span_coordinates(f, psis)
     coords = []
     for j in range(m.dim):
         # ev(e_j): Phi |-> Phi(e_j), a map from M* to A
-        flat = {s * dual.dim + t: x for t, phi in enumerate(phis) for s in range(a.dim_k) if (x := phi.entry(s, j))}
+        flat = {
+            s * dual.dim + t: x for t, phi in enumerate(phis) for s in range(a.dim_k) if (x := phi.get(s * m.dim + j))
+        }
         sol = coordinates(flat)
         if sol is None:
             raise AssertionError("evaluation map left the double-dual span")
         coords.append(sol)
-    ev = Matrix.from_columns(f, coords)
-    return ev.rank() == m.dim
+    return _rank(f, coords, m.dim) == m.dim
 
 
 def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
@@ -578,17 +571,18 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
     _check_bound(b, "bound")
     a = c.algebra
     f = a.field
-    hom, maps = hom_module(c, c)
+    hom, maps = _hom(c, c)
     if hom.dim != a.dim_k:
         return False
     if a.dim_k:
-        coordinates = _span_coordinates(f, [_flat(phi) for phi in maps])
+        coordinates = _span_coordinates(f, maps)
         cols = []
         for bidx in range(a.dim_k):
-            sol = coordinates(_flat(c.basis_action(bidx)))
+            action = c._basis_action(bidx)
+            sol = coordinates({s * c.dim + t: x for t, col in enumerate(action) for s, x in col.items()})
             if sol is None:
                 return False
             cols.append(sol)
-        if Matrix.from_columns(f, cols).rank() != a.dim_k:
+        if _rank(f, cols, a.dim_k) != a.dim_k:
             return False
     return all(x == 0 for x in _homology(c, c, 1, b))

@@ -34,7 +34,7 @@ from functools import cached_property
 from math import comb
 from typing import Iterable
 
-from .fields import FieldSpec
+from .fields import GF2, FieldSpec
 from .graphs import _component_mask, _mask_vertices
 from .linalg import gf2_rank, modp_rank, rational_rank
 from .monomials import MonomialIdeal, polarize
@@ -523,12 +523,8 @@ class _SubsetHomology:
     def betti_positive(self, i: int, field: FieldSpec) -> bool:
         """Exact test H~_i != 0; over q the mod-2 betti screens first (a rank
         is never smaller over q than mod 2, so betti_q <= betti_2)."""
-        if self.f(i) == 0:
+        if field.is_rational and self.betti(i, GF2) == 0:
             return False
-        if field.is_rational:
-            if self.f(i) - self.rank2(i) - self.rank2(i + 1) == 0:
-                return False
-            return self.betti(i, field) > 0
         return self.betti(i, field) > 0
 
 

@@ -389,8 +389,7 @@ def starred_graphs(max_n: int):
 
 
 def _thmA_worker(args):
-    g, field_texts = args
-    fields = tuple(FieldSpec.parse(t) for t in field_texts)
+    g, fields = args
     reports = check_theorem_A_fields(g, fields)
     return [reports[f] for f in fields]
 
@@ -402,35 +401,33 @@ def _check_threads(threads: int, name: str) -> None:
         raise ValueError(f"{name} must lie in 1..{cpus}, got {threads}")
 
 
+def _map(worker, jobs: list, threads: int, chunksize: int) -> list:
+    """worker applied to each job in order, in threads processes when threads > 1."""
+    if threads == 1:
+        return list(map(worker, jobs))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, jobs, chunksize=chunksize))
+
+
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
-    field_texts = tuple(str(f) for f in fields)
-    jobs = [(g, field_texts) for g in starred_graphs(max_n)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(_thmA_worker, jobs, chunksize=64)
-    else:
-        chunks = map(_thmA_worker, jobs)
-    return [r for chunk in chunks for r in chunk]
+    jobs = [(g, tuple(fields)) for g in starred_graphs(max_n)]
+    return [r for chunk in _map(_thmA_worker, jobs, threads, 64) for r in chunk]
 
 
 def _thmB_worker(args):
-    g, star, field_text = args
-    return check_theorem_B(g, star, FieldSpec.parse(field_text))
+    return check_theorem_B(*args)
 
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
     jobs = [
-        (g, star, str(f))
+        (g, star, f)
         for g in _labeled_graphs(2, max_n)
         for star in star_vertices(g)
         for f in fields
     ]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_thmB_worker, jobs, chunksize=16))
-    return [_thmB_worker(j) for j in jobs]
+    return _map(_thmB_worker, jobs, threads, 16)
 
 
 def run_gorenstein_corpus(max_n: int) -> Report:

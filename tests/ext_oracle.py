@@ -3,7 +3,8 @@
 Computes dim Ext^i(M, N) for i <= 2 from a deliberately NON-minimal two-step
 free presentation: every free module covers the whole k-basis of the previous
 kernel, and the Hom complex is assembled from scratch with repeated
-variable-action products.  Only the Matrix core is shared with production.
+variable-action products.  Only the Matrix core and the algebra's
+multiplication table are shared with production.
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ def _ambient_mono_mult(algebra, rank, vec, mono):
     d = algebra.dim_k
     for var, e in enumerate(mono):
         for _ in range(e):
-            mat = algebra.var_action_matrix(var)
             out = []
             for r in range(rank):
-                out.extend(mat.apply(vec[r * d : (r + 1) * d]))
+                out.extend(algebra.multiply(algebra.var_images[var], vec[r * d : (r + 1) * d]))
             vec = tuple(out)
     return vec
 

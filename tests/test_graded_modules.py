@@ -14,7 +14,7 @@ resolutions are also checked by ``algebra_oracle.check_resolution``
 import pytest
 
 import ringlab.modules as modules
-from algebra_oracle import check_module_action, check_resolution
+from algebra_oracle import check_module_action, check_resolution, dense_basis_action
 from ringlab.artin import LocalAlgebra, canonical_module, truncate
 from ringlab.constructions import (
     edge_ideal_all_squares,
@@ -33,6 +33,7 @@ from ringlab.modules import (
     free_module,
     hom_module,
     is_semidualizing_up_to,
+    is_totally_reflexive_up_to,
     minimal_resolution,
     poincare_truncation,
     residue_field,
@@ -199,7 +200,7 @@ def _solve_semidualizing(c, b) -> bool:
     hom, maps = hom_module(c, c)
     if hom.dim != a.dim_k:
         return False
-    cols = _solve_coordinates(a.field, maps, [_flat(c.basis_action(i)) for i in range(a.dim_k)])
+    cols = _solve_coordinates(a.field, maps, [_flat(dense_basis_action(c, i)) for i in range(a.dim_k)])
     if any(col is None for col in cols) or (cols and Matrix.from_columns(a.field, cols).rank() != a.dim_k):
         return False
     return all(ext(c, c, i) == 0 for i in range(1, b + 1))
@@ -244,6 +245,49 @@ def test_trusted_modules_pass_the_action_oracle(name, field):
         check_module_action(m)
         for n in pool.values():
             check_module_action(hom_module(m, n)[0])
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_sparse_basis_action_matches_the_dense_products(name, field):
+    # the engine builds each basis element's action along the division tree,
+    # sparse; the reference multiplies the dense var_actions along the monomial
+    a = ALGEBRAS[name](field)
+    for m in _pool(a).values():
+        for b in range(a.dim_k):
+            cols = m._basis_action(b)
+            dense = [[cols[j].get(i, 0) for j in range(m.dim)] for i in range(m.dim)]
+            assert dense == [list(row) for row in dense_basis_action(m, b).rows()], (b, m)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_the_engine_builds_no_matrix(name, field, monkeypatch):
+    # the module engine keeps every action as sparse columns: a Matrix appears
+    # only for a hand-built FPModule, the var_actions view and the maps that
+    # hom_module returns
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    built = []
+    real = Matrix.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", init)
+    for m in pool.values():
+        minimal_resolution(m, BOUND)
+        bass_truncation(a, m, 2)
+        is_semidualizing_up_to(m, 2)
+        is_totally_reflexive_up_to(m, 2)
+        biduality_is_iso(m)
+        dual_module(m)
+        for n in pool.values():
+            for i in range(3):
+                ext(m, n, i)
+                tor(m, n, i)
+    assert not built
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
