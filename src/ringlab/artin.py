@@ -7,10 +7,15 @@ monomials below the truncation order, found degree by degree, and each one is
 formed once - a monomial with last variable x_k only as (m/x_k)*x_k - and is
 standard iff it is no generator and each of its other predecessors m/x_j is.
 The socle, the filtration and the cut-ring check are read off that basis.
-General presentations row-reduce the relation space and read the basis off
-the non-pivot columns.  Standard monomials are taken against the graded
-lexicographic order with the leading term the largest monomial, so the basis
-is closed under division - several engines rely on that.
+General presentations put the sparse relation rows into ``null_space`` and
+read both the basis and the normal forms off it: each null vector's free
+column is a basis monomial, and its entries at the pivot columns are that
+monomial's coefficients in the pivot monomials' normal forms.  Standard
+monomials are taken against the graded lexicographic order with the leading
+term the largest monomial, so the basis is closed under division - several
+engines rely on that.  Normal forms are stored sparse, as ((basis index,
+coeff), ...); dense vectors appear only at the public edges (``var_images``,
+``multiply``, ``var_multiply`` and the rows of ``power_subspace``).
 
 Algebras are trusted by construction and not re-checked when built: the
 monomial path is k[x] modulo the complement of its standard monomials, and the
@@ -28,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import Matrix, Subspace, null_space
+from .linalg import Subspace, _row_space, null_space
 from .monomials import (
     Monomial,
     Presentation,
@@ -41,12 +46,14 @@ from .monomials import (
 # The vertex-square quotient of an 8-vertex graph at order 9 (the corpus cap)
 # needs C(16, 8) = 12,870.
 _MAX_TRUNC_MONOMIALS = 20_000
-# Largest dense relation matrix (rows x monomials below the order) that the
-# general path builds over GF(p); the largest fixture needs 6,720 cells. On
-# one core of a 2-core x86 host under Python 3.11, k[a..e]/(a^2 + bc) over
-# GF(2) takes 9 s at order 9 (5.9e5 cells) and 21 s at order 10 (1.6e6 cells).
-# Rational coefficients are about ten times slower (10 s at order 7, 5.8e4
-# cells; 31 s at order 8, 2.0e5 cells), so over q the cap is a tenth.
+# Largest relation matrix (rows x monomials below the order) that the general
+# path eliminates over GF(p); the largest fixture needs 6,720 cells.  Its rows
+# enter null_space sparse.  On one core of a 2-core x86 host under Python
+# 3.11, k[a..e]/(a^2 + bc) takes 0.08 s at order 9 (5.9e5 cells) and 0.61 s
+# at order 11 (3.9e6 cells) over GF(2), 0.71 s at order 11 over GF(3), and
+# 0.12 s at order 9 over q.  Over q the cap is a tenth.  Both caps sit well
+# below what these times allow; they stay until a presentation with harder
+# relations than one binomial has been timed.
 _MAX_RELATION_CELLS = 1_000_000
 
 
@@ -69,7 +76,7 @@ class LocalAlgebra:
         self.basis_monomials = tuple(basis)  # ascending (degree, -lex)
         self.index = {m: k for k, m in enumerate(basis)}
         self.dim_k = len(basis)
-        self._reductions = reductions  # pivot monomial -> dense NF vector over the basis
+        self._reductions = reductions  # pivot monomial -> sparse NF, see _normal_form
         self.presentation = presentation
         self._monomial_path = monomial_path
         self._products: dict[tuple[int, int], tuple] = {}
@@ -87,45 +94,42 @@ class LocalAlgebra:
         return (self.field.zero(),) * self.dim_k
 
     def unit_vector(self) -> tuple:
+        return self._basis_vec(self.index[(0,) * self.nvars])
+
+    def _dense(self, sparse) -> tuple:
+        """A sparse vector ((index, coeff), ...) as a dense tuple over the basis."""
         vec = [self.field.zero()] * self.dim_k
-        vec[self.index[(0,) * self.nvars]] = self.field.one()
+        for k, c in sparse:
+            vec[k] = c
         return tuple(vec)
 
     @cached_property
     def var_images(self) -> tuple:
         """The image of each variable as a dense vector over the basis."""
-        return tuple(self._normal_form_monomial(self._var_monomial(k)) for k in range(self.nvars))
+        return tuple(self._dense(self._normal_form(self._var_monomial(k))) for k in range(self.nvars))
 
     def _var_monomial(self, k: int) -> Monomial:
         e = [0] * self.nvars
         e[k] = 1
         return tuple(e)
 
-    def _normal_form_monomial(self, mono: Monomial) -> tuple:
-        """NF of an ambient monomial as a dense vector over the basis."""
-        vec = [self.field.zero()] * self.dim_k
-        if monomial_degree(mono) >= self.trunc_order:
-            return tuple(vec)
-        if mono in self.index:
-            vec[self.index[mono]] = self.field.one()
-            return tuple(vec)
-        red = self._reductions.get(mono)
-        if red is None:
-            return tuple(vec)  # monomial lies in the ideal
-        return red
+    def _normal_form(self, mono: Monomial) -> tuple:
+        """NF of an ambient monomial as a sparse vector ((index, coeff), ...)
+        over the basis, in index order; () for a monomial in I + m^N."""
+        k = self.index.get(mono)
+        if k is not None:
+            return ((k, self.field.one()),)
+        return self._reductions.get(mono, ())
 
     def product_mono(self, i: int, j: int) -> tuple:
         """Sparse product of two basis elements: ((index, coeff), ...)."""
         if i > j:
             i, j = j, i
         cached = self._products.get((i, j))
-        if cached is not None:
-            return cached
-        w = monomial_mul(self.basis_monomials[i], self.basis_monomials[j])
-        nf = self._normal_form_monomial(w)
-        sparse = tuple((k, c) for k, c in enumerate(nf) if c)
-        self._products[(i, j)] = sparse
-        return sparse
+        if cached is None:
+            cached = self._normal_form(monomial_mul(self.basis_monomials[i], self.basis_monomials[j]))
+            self._products[(i, j)] = cached
+        return cached
 
     def multiply(self, u, v) -> tuple:
         f = self.field
@@ -144,10 +148,7 @@ class LocalAlgebra:
         nonzero (index, coefficient) pairs of the normal form of x_k * m_j."""
         if self._var_sparse[k] is None:
             x = self._var_monomial(k)
-            self._var_sparse[k] = [
-                [(t, c) for t, c in enumerate(self._normal_form_monomial(monomial_mul(x, m))) if c]
-                for m in self.basis_monomials
-            ]
+            self._var_sparse[k] = [list(self._normal_form(monomial_mul(x, m))) for m in self.basis_monomials]
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
@@ -228,23 +229,12 @@ class LocalAlgebra:
     def _ensure_powers(self) -> None:
         if self._powers is not None:
             return
-        full = Subspace(self.field, self.dim_k)
-        for t in range(self.dim_k):
-            vec = [self.field.zero()] * self.dim_k
-            vec[t] = self.field.one()
-            full.add(vec)
-        powers = [full]
-        # m = sum of x_i * A, then m^(j+1) = sum of x_i * m^j
-        current_rows = [self._basis_vec(t) for t in range(self.dim_k)]
-        while True:
-            nxt = Subspace(self.field, self.dim_k)
-            for row in current_rows:
-                for k in range(self.nvars):
-                    nxt.add(self.var_multiply(k, row))
-            powers.append(nxt)
-            if nxt.dim == 0:
-                break
-            current_rows = nxt.basis_rows()
+        f, d = self.field, self.dim_k
+        # m^0 = A, then m^(j+1) is the span of x_k * (rows of m^j), down to the first zero
+        powers = [_row_space(f, ({t: f.one()} for t in range(d)), d)]
+        while powers[-1].dim:
+            rows = powers[-1].basis_rows()
+            powers.append(_row_space(f, (self.var_multiply(k, row) for row in rows for k in range(self.nvars)), d))
         self._powers = powers
 
     @cached_property
@@ -354,10 +344,10 @@ def _standard(m: Monomial, k: int, gens, below) -> bool:
 
 def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
     f = p.field
-    nv = p.nvars
-    monomials = sorted(_monomials_below(nv, n), key=_mono_key)
-    pos = {m: i for i, m in enumerate(monomials)}
+    monomials = sorted(_monomials_below(p.nvars, n), key=_mono_key)
     count = len(monomials)
+    # columns in reverse, so that each relation pivots on its largest monomial
+    column = {m: count - 1 - i for i, m in enumerate(monomials)}
     # relation rows: every monomial multiple of every generator, truncated
     rows = []
     for g in p.gens:
@@ -366,30 +356,21 @@ def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
             if monomial_degree(u) + min_deg >= n:
                 continue
             prod = g.mul_monomial(u).truncate_below(n)
-            if prod.is_zero():
-                continue
-            row = [f.zero()] * count
-            for mono, c in prod.terms.items():
-                row[pos[mono]] = c
-            rows.append(row)
-    # pivot on the largest monomial: reverse the column order for the rref
-    rev = [list(reversed(r)) for r in rows]
-    reduced, pivots = Matrix(f, rev, count).rref()
-    pivot_monos = [count - 1 - c for c in pivots]
-    pivot_set = set(pivot_monos)
-    basis = [m for i, m in enumerate(monomials) if i not in pivot_set]
-    basis_pos = {m: i for i, m in enumerate(basis)}
-    reductions = {}
-    for r, c in enumerate(pivots):
-        mono = monomials[count - 1 - c]
-        vec = [f.zero()] * len(basis)
-        row = reduced.row(r)
-        for cc in range(c + 1, count):
-            coeff = row[cc]
-            if coeff:
-                other = monomials[count - 1 - cc]
-                vec[basis_pos[other]] = f.neg(coeff)
-        reductions[mono] = tuple(vec)
+            if not prod.is_zero():
+                rows.append({column[mono]: c for mono, c in prod.terms.items()})
+    # A null vector's last key is its free column, a basis monomial, and its
+    # entry at a pivot column is that monomial's coefficient in the normal form
+    # of the pivot monomial.  The free columns ascend, so the basis monomials
+    # descend: reversed, the null vectors come in basis order.
+    kernel = null_space(f, rows, count)[::-1]
+    basis = []
+    terms: dict = {}
+    for b, vec in enumerate(kernel):
+        free, _ = vec.popitem()
+        basis.append(monomials[count - 1 - free])
+        for c, coeff in vec.items():
+            terms.setdefault(monomials[count - 1 - c], []).append((b, coeff))
+    reductions = {mono: tuple(nf) for mono, nf in terms.items()}
     return LocalAlgebra(f, p.ambient, n, basis, reductions, p, False)
 
 

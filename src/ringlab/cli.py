@@ -237,6 +237,10 @@ def _cmd_verify(args) -> int:
     reports: list[verify.Report] = []
     suite = args.suite
     max_n = args.max_n
+    # refuse every corpus range before the first suite starts: the later
+    # suites' ranges lie within thmA's, except thmB's, which starts at n = 2
+    if suite in ("thmB", "all"):
+        verify._labeled_graphs(2, min(max_n, 5))
     if suite in ("thmA", "all"):
         reports.extend(verify.run_theorem_A_corpus(max_n, fields, threads=args.threads))
     if suite in ("thmB", "all"):

@@ -4,8 +4,9 @@ Matrices are immutable dense arrays of exact field elements.  There is one
 Gauss-Jordan, the incremental ``Subspace``: ``null_space``, ``Matrix.rref``,
 ``rank`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one row by
 row and read its rows and pivots.  Rows enter it dense or sparse ({column:
-entry}, as the module engine builds them) and go straight into the kernel's
-form, with no per-entry ``coerce``.  Over GF(2) that form is a row packed
+entry}, as the module engine and ``truncate`` build them) and go straight
+into the kernel's form, with no per-entry ``coerce``; only the public
+``Subspace.add``, ``contains`` and ``reduce`` check and coerce their input.  Over GF(2) that form is a row packed
 into a Python int, so each row operation is a single XOR.  Elsewhere it is
 an integer row: over q each row has its denominators cleared once, and rows
 are combined as x * row_i - y * row_r, so no ``Fraction`` is built inside
@@ -180,16 +181,6 @@ class Matrix:
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
-    def identity(field: FieldSpec, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return Matrix(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
-        zero = field.zero()
-        return Matrix(field, [[zero] * ncols for _ in range(nrows)], ncols)
-
-    @staticmethod
     def from_columns(field: FieldSpec, columns: Sequence[Sequence]) -> "Matrix":
         if not columns:
             return Matrix(field, [], 0)
@@ -200,9 +191,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self._rows[i]
-
-    def entry(self, i: int, j: int):
-        return self._rows[i][j]
 
     def rows(self) -> tuple:
         return self._rows
@@ -323,26 +311,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _packed_vector(self, vec) -> int:
-        if isinstance(vec, int):
-            if vec < 0 or vec >> self.ncols:
-                raise ValueError(f"packed vector has bits beyond column {self.ncols}")
-            return vec
-        self._check_length(vec)
-        return _pack_one(enumerate(vec))
-
-    def _integer_vector(self, vec) -> tuple[list[int], int]:
-        """vec, checked and coerced, as (row, d): vec = row / d, with row an
-        integer row."""
-        self._check_length(vec)
-        f = self.field
-        if f.p is None:
-            return _integer_row([f.coerce(x) for x in vec])
-        return [f.coerce(x) for x in vec], 1
-
-    def _check_length(self, vec) -> None:
+    def _vector(self, vec) -> tuple:
+        """vec, checked and coerced, in the kernel's form, with the integer d
+        such that vec = row / d over q (1 elsewhere)."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
+        f = self.field
+        vec = [f.coerce(x) for x in vec]
+        if f.p is None:
+            return _integer_row(vec)
+        return _kernel_row(f, vec, self.ncols), 1
 
     def _reduce_packed(self, vec: int) -> int:
         for pc, row in zip(self._pivots, self._rows):
@@ -406,22 +384,20 @@ class Subspace:
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        if self._packed:
-            return self._add(self._packed_vector(vec))
-        return self._add(self._integer_vector(vec)[0])
+        return self._add(self._vector(vec)[0])
 
     def contains(self, vec) -> bool:
-        if self._packed:
-            return self._reduce_packed(self._packed_vector(vec)) == 0
-        return not any(self._reduce_dense(*self._integer_vector(vec))[0])
+        v, d = self._vector(vec)
+        return not (self._reduce_packed(v) if self._packed else any(self._reduce_dense(v, d)[0]))
 
     def reduce(self, vec) -> tuple:
         """The residual of ``vec`` modulo the span, as a dense tuple."""
+        v, d = self._vector(vec)
         if self._packed:
-            r = self._reduce_packed(self._packed_vector(vec))
+            r = self._reduce_packed(v)
             return tuple((r >> j) & 1 for j in range(self.ncols))
-        row, d = self._reduce_dense(*self._integer_vector(vec))
-        return tuple(_quotient(v, d, self.field.p) for v in row)
+        row, d = self._reduce_dense(v, d)
+        return tuple(_quotient(x, d, self.field.p) for x in row)
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(self._pivots)

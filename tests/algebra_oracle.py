@@ -14,7 +14,9 @@ Products are taken only through the public ``multiply``: each basis pair once,
 and triples are expanded from that table by bilinearity, so the exhaustive
 associativity check stays cheap.  ``check_module_action`` checks that a
 module's basis actions follow the algebra's multiplication table and respect
-its grading; ``check_resolution`` checks a minimal free resolution.
+its grading; ``check_resolution`` checks a minimal free resolution.  Ranks
+and matrix products come from ``gauss_oracle``, which shares no elimination
+with ringlab.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ try:
 except ImportError:  # without sympy the Groebner dimension check is skipped
     sympy = None
 
-from ringlab.linalg import Matrix
+from gauss_oracle import identity, mat_mul, rank
 
 EXHAUSTIVE_DIM = 60
 SAMPLED_TRIPLES = 1000
@@ -155,17 +157,18 @@ def check_algebra(a) -> None:
         assert list(filt) == [a.power_subspace(j).dim for j in range(len(filt))], f"filtration {filt}"
 
 
-def dense_basis_action(m, b: int) -> Matrix:
-    """The action on m of the b-th basis monomial: the product of the dense
-    variable actions ``var_actions`` along its exponents."""
-    mat = Matrix.identity(m.algebra.field, m.dim)
+def dense_basis_action(m, b: int) -> list[list]:
+    """The action on m of the b-th basis monomial, as a list of rows: the
+    product of the dense variable actions ``var_actions`` along its exponents."""
+    p = m.algebra.field.p
+    mat = identity(p, m.dim)
     for var, e in enumerate(m.algebra.basis_monomials[b]):
         for _ in range(e):
-            mat = m.var_actions[var].mul(mat)
+            mat = mat_mul(p, m.var_actions[var].rows(), mat)
     return mat
 
 
-def _element_action(m, coeffs, basis_actions) -> Matrix:
+def _element_action(m, coeffs, basis_actions) -> list[list]:
     """The action of the algebra element sum_b coeffs[b] * b, from the
     actions of the basis elements."""
     f = m.algebra.field
@@ -173,11 +176,11 @@ def _element_action(m, coeffs, basis_actions) -> Matrix:
     for c, mat in zip(coeffs, basis_actions):
         if not c:
             continue
-        for i, row in enumerate(mat.rows()):
+        for i, row in enumerate(mat):
             for j, x in enumerate(row):
                 if x:
                     rows[i][j] = f.add(rows[i][j], f.mul(c, x))
-    return Matrix(f, rows, m.dim)
+    return rows
 
 
 def check_module_action(m) -> None:
@@ -186,18 +189,20 @@ def check_module_action(m) -> None:
     into degree d + deg(x_k) (always true of a trivially graded module).
     Basis actions are the dense products of ``dense_basis_action``."""
     a = m.algebra
+    p = a.field.p
     basis = [dense_basis_action(m, b) for b in range(a.dim_k)]
-    assert _element_action(m, a.unit_vector(), basis) == Matrix.identity(a.field, m.dim), "unit action"
+    assert _element_action(m, a.unit_vector(), basis) == identity(p, m.dim), "unit action"
     for i in range(a.dim_k):
         for j in range(a.dim_k):
             product = a.multiply(_basis_vec(a, i), _basis_vec(a, j))
-            assert _element_action(m, product, basis) == basis[i].mul(basis[j]), f"action at {(i, j)}"
+            assert _element_action(m, product, basis) == mat_mul(p, basis[i], basis[j]), f"action at {(i, j)}"
     for k, action in enumerate(m.var_actions):
         shift = a._grade(a._var_monomial(k))
+        rows = action.rows()
         for j in range(m.dim):
             target = _degree_sum(m.degrees[j], shift)
             for i in range(m.dim):
-                if action.entry(i, j):
+                if rows[i][j]:
                     assert m.degrees[i] == target, f"variable {k} sends degree {m.degrees[j]} to {m.degrees[i]}"
 
 
@@ -209,7 +214,8 @@ def _degree_sum(u: tuple, v: tuple) -> tuple:
 def _k_rank(a, diff) -> int:
     """k-rank of a differential, one column per (generator, basis element)."""
     cols = [[c for entry in col for c in a.multiply(entry, _basis_vec(a, b))] for col in diff for b in range(a.dim_k)]
-    return Matrix.from_columns(a.field, cols).rank() if cols else 0
+    # the rank of a matrix is the rank of its columns
+    return rank(a.field.p, cols, len(cols[0])) if cols else 0
 
 
 def _dense(a, res) -> list:

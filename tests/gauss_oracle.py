@@ -1,0 +1,67 @@
+"""A textbook Gauss-Jordan for the test oracles.
+
+Matrices are lists of rows of exact entries: ``Fraction`` (or int) over q,
+given by ``p = None``, and ints over GF(p).  Nothing here comes from
+``ringlab``, so an oracle built on these helpers shares no elimination with
+the engine it checks; ``tests/test_linalg_oracle.py`` checks them against
+sympy.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def _norm(x, p):
+    return Fraction(x) if p is None else x % p
+
+
+def rref(p, rows, ncols: int) -> tuple[list[list], list[int]]:
+    """The nonzero rows of the reduced row echelon form, and the pivot columns."""
+    work = [[_norm(x, p) for x in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = 1 / work[r][c] if p is None else pow(work[r][c], -1, p)
+        work[r] = [_norm(x * inv, p) for x in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                work[i] = [_norm(x - row[c] * y, p) for x, y in zip(row, work[r])]
+        pivots.append(c)
+    return work[: len(pivots)], pivots
+
+
+def rank(p, rows, ncols: int) -> int:
+    return len(rref(p, rows, ncols)[1])
+
+
+def kernel(p, rows, ncols: int) -> list[list]:
+    """A basis of the right null space, one vector per free column."""
+    reduced, pivots = rref(p, rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [_norm(0, p)] * ncols
+            vec[free] = _norm(1, p)
+            for row, pc in zip(reduced, pivots):
+                vec[pc] = _norm(-row[free], p)
+            basis.append(vec)
+    return basis
+
+
+def identity(p, n: int) -> list[list]:
+    return [[_norm(int(i == j), p) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(p, left, right) -> list[list]:
+    cols = list(zip(*right))
+    return [[_norm(sum(a * b for a, b in zip(row, col)), p) for col in cols] for row in left]
+
+
+def apply(p, mat, vec) -> list:
+    """mat times the column vector vec."""
+    return [_norm(sum(a * b for a, b in zip(row, vec)), p) for row in mat]

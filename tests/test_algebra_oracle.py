@@ -141,6 +141,6 @@ def test_lazy_fields_equal_their_eager_values():
     for a in _fixture_algebras():
         assert "var_images" not in vars(a) and "filtration" not in vars(a)
         filtration = a.filtration
-        assert a.var_images == tuple(a._normal_form_monomial(a._var_monomial(k)) for k in range(a.nvars))
+        assert a.var_images == tuple(a._dense(a._normal_form(a._var_monomial(k))) for k in range(a.nvars))
         assert filtration == tuple(a.power_subspace(j).dim for j in range(len(filtration)))
         assert filtration[-1] == 0 and 0 not in filtration[:-1]

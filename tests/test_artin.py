@@ -370,13 +370,13 @@ def test_truncate_multiplies_nothing(presentation, order, monkeypatch):
 def test_monomial_truncate_forms_no_normal_form_until_var_images_is_read(monkeypatch):
     """var_images and filtration are computed on first read, not by truncate."""
     calls = []
-    normal_form = LocalAlgebra._normal_form_monomial
+    normal_form = LocalAlgebra._normal_form
 
     def counted(self, mono):
         calls.append(mono)
         return normal_form(self, mono)
 
-    monkeypatch.setattr(LocalAlgebra, "_normal_form_monomial", counted)
+    monkeypatch.setattr(LocalAlgebra, "_normal_form", counted)
     for n in range(1, 6):
         for g in enumerate_graphs(n):
             a = truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1)

@@ -318,17 +318,31 @@ def test_verify_accepts_thread_counts_up_to_the_cpu_count(threads, monkeypatch):
         main(["verify", "thmA", "--threads", threads])
 
 
-@pytest.mark.parametrize("bound, message", [("-1", "negative bound"), ("13", "capped at 12")])
-def test_verify_bound_is_refused_before_any_suite(bound, message, monkeypatch, capsys):
+def _refuse_suites(monkeypatch):
     import ringlab.verify
 
     def refuse(*args, **kwargs):
         raise AssertionError("a suite started")
 
+    # `verify all` runs theorem A's corpus first
     monkeypatch.setattr(ringlab.verify, "run_theorem_A_corpus", refuse)
+
+
+@pytest.mark.parametrize("bound, message", [("-1", "negative bound"), ("13", "capped at 12")])
+def test_verify_bound_is_refused_before_any_suite(bound, message, monkeypatch, capsys):
+    _refuse_suites(monkeypatch)
     code, err = run_cli_error(capsys, "verify", "all", "--max-n", "5", "--bound", bound)
     assert code == 2
     assert err.startswith("error:") and message in err
+
+
+def test_verify_empty_thmB_corpus_is_refused_before_any_suite(monkeypatch, capsys):
+    # theorem A's corpus starts at one vertex and theorem B's at two, so
+    # --max-n 1 leaves theorem B nothing to check
+    _refuse_suites(monkeypatch)
+    code, err = run_cli_error(capsys, "verify", "all", "--max-n", "1")
+    assert code == 2
+    assert err.startswith("error:") and "empty corpus: max_n = 1 < 2" in err
 
 
 @pytest.mark.parametrize(

@@ -294,8 +294,24 @@ def test_subspace_refuses_wrong_length_vectors(field):
                 call(vec)
     assert sub.dim == 1
     assert sub.basis_rows() == [(1, 1, 0)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=str)
+def test_subspace_coerces_its_entries_over_every_field(field):
+    # add, contains and reduce take each entry through the field's coerce,
+    # GF(2) included: a Fraction, a string, a bool or a negative entry means
+    # what coerce makes of it
+    entries = [Fraction(1, 3), "2/7", True, -3, Fraction(-4, 9), "-1"]
+    coerced = [field.coerce(x) for x in entries]
+    probe = [Fraction(1, 3), "2/7", True]
+    for vec, want in ((entries[:3], coerced[:3]), (entries[3:], coerced[3:])):
+        sub, ref = Subspace(field, 3), Subspace(field, 3)
+        assert sub.add(vec) == ref.add(want) == any(want)
+        assert sub.basis_rows() == ref.basis_rows()
+        assert sub.contains(want) and ref.contains(vec)
+        assert sub.reduce(probe) == ref.reduce([field.coerce(x) for x in probe])
     if field == GF2:
-        # packed vectors must not reach past the last column either
-        with pytest.raises(ValueError, match="beyond column 3"):
-            sub.add(0b1000)
-        assert sub.add(0b100) and sub.dim == 2
+        # 1/2 has no value mod 2: the error is coerce's, not a TypeError
+        for call in (Subspace(field, 2).add, Subspace(field, 2).contains, Subspace(field, 2).reduce):
+            with pytest.raises(ZeroDivisionError, match="mod 2"):
+                call([Fraction(1, 2), 0])

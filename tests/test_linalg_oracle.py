@@ -3,7 +3,9 @@
 sympy is an implementation of exact linear algebra that shares no code with
 ringlab, so agreement here is independent evidence for ``Subspace``, the one
 Gauss-Jordan (packed over GF(2), integer rows otherwise) behind every
-``Matrix`` reduction, and for the rank helpers the subset scan uses.
+``Matrix`` reduction, and for the rank helpers the subset scan uses.  The
+tests' own Gauss-Jordan, ``gauss_oracle``, which the Ext and module-action
+oracles use instead of ringlab's, is checked against sympy here as well.
 """
 
 import random
@@ -12,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
+import gauss_oracle  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from ringlab.fields import QQ, FieldSpec  # noqa: E402
@@ -55,12 +58,31 @@ def as_fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
 
+def check_gauss_oracle(rows, p, reduced, pivots):
+    """gauss_oracle, over q for p None and over GF(p) otherwise, against
+    sympy's nonzero reduced rows and pivots."""
+    ncols = len(rows[0])
+    assert gauss_oracle.rref(p, rows, ncols) == (reduced, list(pivots))
+    assert gauss_oracle.rank(p, rows, ncols) == len(pivots)
+    kernel = gauss_oracle.kernel(p, rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert len(kernel) == len(free)
+    for vec, c in zip(kernel, free):
+        assert [vec[j] for j in free] == [int(j == c) for j in free]
+        assert not any(gauss_oracle.apply(p, rows, vec))
+    # the product with the transpose, against sympy's
+    gram = sympy.Matrix(rows) * sympy.Matrix(rows).T
+    expected = [[as_fraction(x) if p is None else int(x) % p for x in gram.row(i)] for i in range(len(rows))]
+    assert gauss_oracle.mat_mul(p, rows, [list(col) for col in zip(*rows)]) == expected
+
+
 def check_rationals(rows):
     ncols = len(rows[0])
     ref, pivots = sympy.Matrix(rows).rref()
     r, piv = Matrix(QQ, rows, ncols).rref()
     assert piv == tuple(pivots)
     assert [list(row) for row in r.rows()] == [[as_fraction(x) for x in ref.row(i)] for i in range(ref.rows)]
+    check_gauss_oracle(rows, None, [[as_fraction(x) for x in ref.row(i)] for i in range(len(pivots))], pivots)
     rank = len(pivots)
     assert Matrix(QQ, rows, ncols).rank() == rank
     assert rational_rank(rows) == rank
@@ -81,6 +103,7 @@ def check_prime(rows, p):
     r, piv = Matrix(field, rows, ncols).rref()
     assert piv == tuple(pivots)
     assert [list(row) for row in r.rows()] == [[int(x) % p for x in row] for row in ref.to_list()]
+    check_gauss_oracle(rows, p, [[int(x) % p for x in row] for row in ref.to_list()[:rank]], pivots)
     assert Matrix(field, rows, ncols).rank() == rank
     assert modp_rank(rows, p) == rank
     kernel = Matrix(field, rows, ncols).kernel_basis()
