@@ -48,12 +48,14 @@ from .monomials import (
 _MAX_TRUNC_MONOMIALS = 20_000
 # Largest relation matrix (rows x monomials below the order) that the general
 # path eliminates over GF(p); the largest fixture needs 6,720 cells.  Its rows
-# enter null_space sparse.  On one core of a 2-core x86 host under Python
-# 3.11, k[a..e]/(a^2 + bc) takes 0.08 s at order 9 (5.9e5 cells) and 0.61 s
-# at order 11 (3.9e6 cells) over GF(2), 0.71 s at order 11 over GF(3), and
-# 0.12 s at order 9 over q.  Over q the cap is a tenth.  Both caps sit well
-# below what these times allow; they stay until a presentation with harder
-# relations than one binomial has been timed.
+# enter null_space sparse and stay sparse.  On one core of a 2-core x86 host
+# under Python 3.11, k[a..e]/(a^2 + bc) takes 0.04 s at order 9 (5.9e5 cells)
+# and 0.27 s at order 11 (3.9e6 cells) over GF(2), 0.10 s at order 11 over
+# GF(3) and over q.  Three dense quadrics in a..e with coefficients in
+# 1, -1, 2, 7, 1/2, 3/4, -5/4 take 0.38 s at order 8 (6.0e5 cells) over GF(3),
+# 0.62 s over GF(101) and 1.1 s over q.  Over q the cap is a tenth.  Both caps
+# sit well below what these times allow; raising them waits for a measured
+# worst case.
 _MAX_RELATION_CELLS = 1_000_000
 
 
@@ -476,11 +478,7 @@ def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:
     ideal2 = _ideal_span(a, gens2)
     if ideal1.dim == 0 or ideal2.dim == 0:
         return False
-    total = Subspace(a.field, a.dim_k)
-    for row in ideal1.basis_rows():
-        total.add(row)
-    for row in ideal2.basis_rows():
-        total.add(row)
+    total = _row_space(a.field, ideal1.basis_rows() + ideal2.basis_rows(), a.dim_k)
     return ideal1.dim + ideal2.dim == m_space.dim and total.dim == m_space.dim
 
 
@@ -493,7 +491,7 @@ def _ideal_span(a: LocalAlgebra, gens) -> Subspace:
         before = span.dim
         for row in span.basis_rows():
             for k in range(a.nvars):
-                span.add(a.var_multiply(k, row))
+                span._add_row(a.var_multiply(k, row))
         if span.dim == before:
             return span
 
@@ -520,12 +518,10 @@ def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
         raise ValueError("projective search space exceeds 400 lines")
     # pick variables whose images form a basis of m/m^2
     m2 = a.power_subspace(2)
-    probe = Subspace(a.field, a.dim_k)
-    for row in m2.basis_rows():
-        probe.add(row)
+    probe = _row_space(a.field, m2.basis_rows(), a.dim_k)
     pivot_vars = []
     for k, name in enumerate(a.var_names):
-        if probe.add(a.var_images[k]):
+        if probe._add_row(a.var_images[k]):
             pivot_vars.append(k)
     if len(pivot_vars) != e:
         raise AssertionError(f"variables give {len(pivot_vars)} basis vectors of m/m^2, expected {e}")

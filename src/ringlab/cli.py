@@ -154,8 +154,9 @@ def _cmd_ring(args) -> int:
     pres = _load_presentation(args)
     ideal = to_monomial_ideal(pres)
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
-    dim = krull_dim(ideal)
+    # depth refuses an oversized ring before krull_dim's face search runs
     depths = {str(f): depth(ideal, f) for f in fields}
+    dim = krull_dim(ideal)
     cm = all(v == dim for v in depths.values())
     numerator, _ = hilbert_series(ideal)
     payload = {
@@ -213,15 +214,16 @@ def _cmd_resolve(args) -> int:
     algebra = truncate(pres, args.trunc)
     module = _module_from_token(algebra, args.module)
     # reflexivity needs Hom(M, A) and semidualizing Hom(M, M): refuse an
-    # oversized system before any resolution runs
+    # oversized system before any resolution runs.  Hom(M*, A) is sized only
+    # once M* exists, so reflexivity, which builds it first, runs first.
     _check_hom_cells(module, free_module(algebra))
     _check_hom_cells(module, module)
     b = args.bound
     payload = {
         "module": args.module,
+        "totally_reflexive_up_to": b if is_totally_reflexive_up_to(module, b) else False,
         "betti": poincare_truncation(module, b),
         "bass": bass_truncation(algebra, module, b),
-        "totally_reflexive_up_to": b if is_totally_reflexive_up_to(module, b) else False,
         "semidualizing_up_to": b if is_semidualizing_up_to(module, b) else False,
     }
     _emit(args, payload)

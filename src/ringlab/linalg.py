@@ -6,22 +6,24 @@ Gauss-Jordan, the incremental ``Subspace``: ``null_space``, ``Matrix.rref``,
 row and read its rows and pivots.  Rows enter it dense or sparse ({column:
 entry}, as the module engine and ``truncate`` build them) and go straight
 into the kernel's form, with no per-entry ``coerce``; only the public
-``Subspace.add``, ``contains`` and ``reduce`` check and coerce their input.  Over GF(2) that form is a row packed
-into a Python int, so each row operation is a single XOR.  Elsewhere it is
-an integer row: over q each row has its denominators cleared once, and rows
-are combined as x * row_i - y * row_r, so no ``Fraction`` is built inside
-the kernel.  The two fields differ only in how a row is normalized after
-each operation: reduced mod p, or divided by the gcd of its entries over q.
-Field elements are rebuilt only when rows leave the kernel: ``rref``, the
-sparse vectors of ``null_space`` (``Matrix.kernel_basis`` is their dense
-view), the rows and residuals of a ``Subspace``.  ``gf2_rank`` is the packed
+``Subspace.add``, ``contains`` and ``reduce`` check and coerce their input.
+Over GF(2) that form is a row packed into a Python int, so each row
+operation is a single XOR.  Elsewhere it is a sparse integer row {column:
+nonzero int}, so a row operation costs the nonzeros of the two rows, not
+the width: over q each row has its denominators cleared once, and rows are
+combined as x * row_i - y * row_r, so no ``Fraction`` is built inside the
+kernel.  The two fields differ only in how a row is normalized after each
+operation: reduced mod p, or divided by the gcd of its entries over q.
+Field elements are rebuilt only when rows leave the kernel, through one
+reader of the basis rows (``Subspace._entries``): ``rref``, the sparse
+vectors of ``null_space`` (``Matrix.kernel_basis`` is their dense view),
+the rows and residuals of a ``Subspace``.  ``gf2_rank`` is the packed
 rank-only screen that the subset-homology scans elsewhere in the package run
 first; it keeps no echelon form.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -54,36 +56,23 @@ def gf2_rank(packed: list[int]) -> int:
     return rank
 
 
-def _integer_row(values) -> tuple[list[int], int]:
-    """Rational values (ints or Fractions) as an integer row and a common
-    denominator d, so that the values are row / d."""
-    d = lcm(*(v.denominator for v in values))
-    if d == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def _clear(row: list[int], pr: list[int], c: int, p: int | None) -> tuple[list[int], int]:
+def _clear(row: dict, pr: dict, c: int, p: int | None) -> tuple[dict, int]:
     """x * row - y * pr, with x and y the entries of pr and row at column c over
-    their gcd, so that column c becomes 0; returns the new row and x."""
+    their gcd, so that column c becomes 0; returns the new row, its zeros
+    dropped, and x."""
     x, y = pr[c], row[c]
     g = gcd(x, y)
     x, y = x // g, y // g
-    if p is None:
-        return [x * a - y * b for a, b in zip(row, pr)], x
-    return [(x * a - y * b) % p for a, b in zip(row, pr)], x
+    out = {j: x * a for j, a in row.items()}
+    for j, b in pr.items():
+        out[j] = out.get(j, 0) - y * b
+    return {j: v for j, a in out.items() if (v := a if p is None else a % p)}, x
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _primitive(row: dict) -> dict:
     """An integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
-
-
-def _eliminate(row: list[int], pr: list[int], c: int, p: int | None) -> list[int]:
-    """row with its column c cleared by pr, kept primitive over q."""
-    row = _clear(row, pr, c, p)[0]
-    return row if p is not None else _primitive(row)
+    g = gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
 
 
 def _quotient(v: int, x: int, p: int | None):
@@ -91,20 +80,17 @@ def _quotient(v: int, x: int, p: int | None):
     return Fraction(v, x) if p is None else v * pow(x, -1, p) % p
 
 
-def _kernel_row(field: FieldSpec, row, ncols: int):
+def _kernel_row(field: FieldSpec, row) -> tuple:
     """A row of field elements, dense or sparse ({column: entry}), in the
-    kernel's form: a packed int over GF(2), otherwise an integer row of length
-    ncols, over q the row times the lcm of its denominators (no coerce)."""
-    p = field.p
-    if type(row) is not dict:
-        return _pack_one(enumerate(row)) if p == 2 else row if p else _integer_row(row)[0]
-    if p == 2:
-        return _pack_one(row.items())
-    d = 1 if p else lcm(*(v.denominator for v in row.values()))
-    out = [0] * ncols
-    for j, v in row.items():
-        out[j] = v.numerator * (d // v.denominator)
-    return out
+    kernel's form, with no coerce: a packed int over GF(2), otherwise
+    {column: nonzero int}, over q the row times the lcm d of its
+    denominators.  Returns the row and d (1 over GF(p))."""
+    items = row.items() if type(row) is dict else enumerate(row)
+    if field.p == 2:
+        return _pack_one(items), 1
+    items = [(j, v) for j, v in items if v]
+    d = lcm(*(v.denominator for _, v in items))
+    return {j: v.numerator * (d // v.denominator) for j, v in items}, d
 
 
 def _row_space(field: FieldSpec, rows: Iterable, ncols: int) -> "Subspace":
@@ -118,7 +104,7 @@ def _row_space(field: FieldSpec, rows: Iterable, ncols: int) -> "Subspace":
 def _rank(field: FieldSpec, rows: Iterable, ncols: int) -> int:
     """The rank of dense or sparse rows; over GF(2) by the screen ``gf2_rank``."""
     if field.p == 2:
-        return gf2_rank([_kernel_row(field, row, ncols) for row in rows])
+        return gf2_rank([_kernel_row(field, row)[0] for row in rows])
     return _row_space(field, rows, ncols).dim
 
 
@@ -129,14 +115,17 @@ def null_space(field: FieldSpec, rows: Iterable, ncols: int) -> list[dict]:
     its last key.  So a null vector's entries at the free columns are its
     coordinates."""
     span = _row_space(field, rows, ncols)
-    pivot_set = set(span.pivots())
-    basis = []
-    for free in range(ncols):
-        if free not in pivot_set:
-            vec = {pc: field.neg(entry) for pc, entry in span._column(free)}
-            vec[free] = field.one()
-            basis.append(vec)
-    return basis
+    basis = {free: {} for free in range(ncols) if free not in span._rows}
+    # one pass over the basis rows, in pivot order: a row's entry at a free
+    # column is minus its pivot's entry in that column's null vector
+    for pc, row in span._entries():
+        for j, entry in row.items():
+            if j != pc:
+                basis[j][pc] = field.neg(entry)
+    one = field.one()
+    for free, vec in basis.items():
+        vec[free] = one
+    return list(basis.values())
 
 
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
@@ -274,11 +263,11 @@ class Matrix:
         if len(rhs) != self.nrows:
             raise ValueError("right-hand side has wrong length")
         span = _row_space(f, [r + (x,) for r, x in zip(self._rows, rhs)], self.ncols + 1)
-        if self.ncols in span.pivots():
+        if self.ncols in span._rows:
             return None
         vec = [f.zero()] * self.ncols
-        for pc, entry in span._column(self.ncols):
-            vec[pc] = entry
+        for pc, row in span._entries():
+            vec[pc] = row.get(self.ncols, f.zero())
         return tuple(vec)
 
 
@@ -294,127 +283,118 @@ class Subspace:
     rank helpers fill a ``Subspace`` row by row and read its rows and pivots.
     ``add`` reduces the candidate against the current basis and either absorbs
     it (returning True when the dimension grew) or discards it, clearing the
-    new pivot from the rows already there.  Over GF(2) rows are packed ints,
-    so each row operation is one XOR; elsewhere they are integer rows, each
-    with a nonzero pivot entry that is not necessarily 1, and zeros in every
-    other row's pivot column.
+    new pivot from the rows already there.  The basis is kept as {pivot
+    column: row}.  Over GF(2) rows are packed ints, so each row operation is
+    one XOR; elsewhere they are sparse integer rows {column: nonzero int},
+    each with its pivot as its lowest column, a pivot entry that is not
+    necessarily 1, and no entry in any other row's pivot column.
     """
 
     def __init__(self, field: FieldSpec, ncols: int):
         self.field = field
         self.ncols = ncols
         self._packed = field.p == 2
-        self._rows: list = []  # kept sorted by pivot column
-        self._pivots: list[int] = []
+        self._rows: dict = {}  # pivot column -> row in the kernel's form
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _vector(self, vec) -> tuple:
-        """vec, checked and coerced, in the kernel's form, with the integer d
-        such that vec = row / d over q (1 elsewhere)."""
+    def _checked(self, vec) -> list:
+        """vec with its length checked and its entries coerced."""
         if len(vec) != self.ncols:
             raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
-        f = self.field
-        vec = [f.coerce(x) for x in vec]
-        if f.p is None:
-            return _integer_row(vec)
-        return _kernel_row(f, vec, self.ncols), 1
+        return [self.field.coerce(x) for x in vec]
 
-    def _reduce_packed(self, vec: int) -> int:
-        for pc, row in zip(self._pivots, self._rows):
-            if (vec >> pc) & 1:
-                vec ^= row
-        return vec
-
-    def _reduce_dense(self, row: list[int], d: int) -> tuple[list[int], int]:
-        """The residual of row / d modulo the span, as (row, d) in the same
-        form: an integer row and a nonzero integer (mod p) denominator."""
+    def _reduce(self, v, d: int) -> tuple:
+        """The residual of v / d modulo the span, as (row, d) in the same
+        form: a row in the kernel's form and a nonzero integer (mod p)
+        denominator."""
+        rows = self._rows
+        if self._packed:
+            for pc, row in rows.items():
+                if (v >> pc) & 1:
+                    v ^= row
+            return v, d
         p = self.field.p
-        for pc, basis_row in zip(self._pivots, self._rows):
-            if row[pc]:
-                row, x = _clear(row, basis_row, pc, p)
-                if p is None:
-                    d *= x
-                    g = gcd(d, *row)
-                    if g > 1:
-                        row, d = [v // g for v in row], d // g
-                else:
-                    d = d * x % p
-        return row, d
-
-    def _insert(self, pc: int, row) -> None:
-        """Insert a reduced row under its pivot, keeping the pivots sorted."""
-        pos = bisect_left(self._pivots, pc)
-        self._rows.insert(pos, row)
-        self._pivots.insert(pos, pc)
+        # a basis row has no entry at another pivot, so clearing the pivots
+        # present in v brings no new pivot into it
+        for pc in [c for c in v if c in rows]:
+            v, x = _clear(v, rows[pc], pc, p)
+            if p is None:
+                d *= x
+                g = gcd(d, *v.values())
+                if g > 1:
+                    v, d = {j: a // g for j, a in v.items()}, d // g
+            else:
+                d = d * x % p
+        return v, d
 
     def _add(self, v) -> bool:
-        """``add`` for a vector already in the kernel's form: a packed int
-        over GF(2), otherwise an integer row of length ncols (entries reduced
-        mod p over GF(p)).  Nothing is checked or coerced."""
-        if self._packed:
-            v = self._reduce_packed(v)
-            if not v:
-                return False
-            pc = _lowest_bit_index(v)
-            # eliminate the new pivot from existing rows to stay reduced
-            for i, row in enumerate(self._rows):
-                if (row >> pc) & 1:
-                    self._rows[i] = row ^ v
-            self._insert(pc, v)
-            return True
-        p = self.field.p
-        v = self._reduce_dense(v, 1)[0]
-        pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is None:
+        """``add`` for a row already in the kernel's form (see
+        ``_kernel_row``).  Nothing is checked or coerced."""
+        v = self._reduce(v, 1)[0]
+        if not v:
             return False
-        if p is None:
-            v = _primitive(v)
-        for i, row in enumerate(self._rows):
-            if row[pc]:
-                self._rows[i] = _eliminate(row, v, pc, p)
-        self._insert(pc, v)
+        rows = self._rows
+        # eliminate the new pivot from existing rows to stay reduced
+        if self._packed:
+            pc = (v & -v).bit_length() - 1
+            for q, row in rows.items():
+                if (row >> pc) & 1:
+                    rows[q] = row ^ v
+        else:
+            p = self.field.p
+            pc = min(v)
+            if p is None:
+                v = _primitive(v)
+            for q, row in rows.items():
+                if pc in row:
+                    row = _clear(row, v, pc, p)[0]
+                    rows[q] = row if p is not None else _primitive(row)
+        rows[pc] = v
         return True
 
     def _add_row(self, row) -> bool:
         """``_add`` for a dense or sparse row of field elements, unchecked."""
-        return self._add(_kernel_row(self.field, row, self.ncols))
+        return self._add(_kernel_row(self.field, row)[0])
+
+    def _residual(self, row) -> tuple:
+        """``reduce`` for a dense or sparse row of field elements, unchecked."""
+        v, d = self._reduce(*_kernel_row(self.field, row))
+        if self._packed:
+            return tuple((v >> j) & 1 for j in range(self.ncols))
+        p = self.field.p
+        return tuple(_quotient(v.get(j, 0), d, p) for j in range(self.ncols))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True iff it enlarged the span."""
-        return self._add(self._vector(vec)[0])
+        return self._add_row(self._checked(vec))
 
     def contains(self, vec) -> bool:
-        v, d = self._vector(vec)
-        return not (self._reduce_packed(v) if self._packed else any(self._reduce_dense(v, d)[0]))
+        return not any(self._residual(self._checked(vec)))
 
     def reduce(self, vec) -> tuple:
         """The residual of ``vec`` modulo the span, as a dense tuple."""
-        v, d = self._vector(vec)
-        if self._packed:
-            r = self._reduce_packed(v)
-            return tuple((r >> j) & 1 for j in range(self.ncols))
-        row, d = self._reduce_dense(v, d)
-        return tuple(_quotient(x, d, self.field.p) for x in row)
+        return self._residual(self._checked(vec))
 
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(sorted(self._rows))
 
     def basis_rows(self) -> list[tuple]:
-        if self._packed:
-            return [tuple((r >> j) & 1 for j in range(self.ncols)) for r in self._rows]
-        p = self.field.p
-        return [tuple(_quotient(v, row[pc], p) for v in row) for row, pc in zip(self._rows, self._pivots)]
+        zero = self.field.zero()
+        return [tuple(row.get(j, zero) for j in range(self.ncols)) for _, row in self._entries()]
 
-    def _column(self, j: int) -> list[tuple]:
-        """(pivot, entry j of the basis row with that pivot, as a field element)
-        for each basis row whose entry j is nonzero."""
-        if self._packed:
-            return [(pc, 1) for pc, row in zip(self._pivots, self._rows) if (row >> j) & 1]
+    def _entries(self):
+        """(pivot, {column: entry as a field element}) for each basis row, in
+        pivot order; a packed row yields only its set bits."""
         p = self.field.p
-        return [(pc, _quotient(row[j], row[pc], p)) for pc, row in zip(self._pivots, self._rows) if row[j]]
+        for pc in sorted(self._rows):
+            row = self._rows[pc]
+            if self._packed:
+                yield pc, dict.fromkeys(_set_bits(row), 1)
+            else:
+                yield pc, {j: _quotient(v, row[pc], p) for j, v in row.items()}
 
 
 def _pack_one(items) -> int:
@@ -426,5 +406,9 @@ def _pack_one(items) -> int:
     return acc
 
 
-def _lowest_bit_index(x: int) -> int:
-    return (x & -x).bit_length() - 1
+def _set_bits(x: int):
+    """The indices of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low

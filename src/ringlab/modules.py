@@ -43,10 +43,10 @@ from .linalg import Matrix, Subspace, _rank, null_space
 _MAX_BOUND = 12
 # Largest Hom system, in cells of its dense shape (nvars * dim M * dim N sparse
 # rows by dim M * dim N unknowns), that hom_module builds.  On one core of a
-# 2-core Xeon host under Python 3.11, Hom(A, A) over q takes 0.3 s for sigma(P3)
-# at order 3 (dim 23, 1.7e6 cells) and 1.2 s for sigma(P2) at order 5 (dim 35,
-# 6.0e6 cells, 28 MB peak); GF(2) is two to three times as fast, GF(3) about
-# as fast.  sigma(P3) at order 4 (dim 54) would need 5.1e7 cells.
+# 2-core Xeon host under Python 3.11, Hom(A, A) for sigma(P3) at order 3 (dim
+# 23, 1.7e6 cells) takes 0.12 s over GF(2), 0.03 s over GF(3) and 0.06 s over
+# q; for sigma(P2) at order 5 (dim 35, 6.0e6 cells) 0.52, 0.10 and 0.17 s, with
+# a traced peak under 2.5 MB.  sigma(P3) at order 4 (dim 54) needs 5.1e7 cells.
 _MAX_HOM_CELLS = 4_000_000
 
 
@@ -176,7 +176,7 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
     actions = []
     for k in range(a.nvars):
-        images = [ideal.reduce(a.var_multiply(k, a._basis_vec(j))) for j in free_coords]
+        images = [ideal._residual(a.var_multiply(k, a._basis_vec(j))) for j in free_coords]
         actions.append([[(i, x) for i, t in enumerate(free_coords) if (x := image[t])] for image in images])
     graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
     degrees = [a.degrees[j] for j in free_coords] if graded else None

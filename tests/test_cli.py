@@ -291,6 +291,37 @@ def test_resolve_refuses_an_oversized_hom_system_before_any_elimination(monkeypa
     assert err.startswith("error:") and "17496 x 2916 system" in err
 
 
+def test_resolve_refuses_the_double_dual_hom_system_before_any_resolution(monkeypatch, capsys):
+    # Hom(M*, A) is sized only once M* = Hom(k, A) exists; its 10044 x 1674
+    # system was refused only after the resolutions, 66 s in at bound 4
+    import ringlab.modules
+
+    def refuse(*args):
+        raise AssertionError("resolution started")
+
+    monkeypatch.setattr(ringlab.modules, "_resolution_step", refuse)
+    code, err = run_cli_error(
+        capsys, "resolve", "--name", "sigma:p3", "--field", "fp:2", "--trunc", "4", "--module", "k", "--bound", "6"
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Hom(Hom(k,A),A)" in err
+
+
+def test_ring_invariants_refuses_an_oversized_ring_before_the_face_search(monkeypatch, capsys):
+    # sigma(E8) polarizes to 16 variables: depth refuses it, and krull_dim's
+    # face search must not run first (on sigma(E20) it took 7 s before the
+    # refusal)
+    import ringlab.sr_invariants
+
+    def refuse(*args):
+        raise AssertionError("face search started")
+
+    monkeypatch.setattr(ringlab.sr_invariants._Scan, "max_face_size", refuse)
+    code, err = run_cli_error(capsys, "ring", "invariants", "--name", "sigma:e8")
+    assert code == 2
+    assert err.startswith("error:") and "size limit exceeded" in err
+
+
 def _refuse_enumeration_and_pools(monkeypatch, cpus):
     import ringlab.verify
 

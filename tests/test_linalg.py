@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -198,24 +199,28 @@ def test_subspace_matches_sympy():
                 assert not any(sub.reduce(v))
 
 
-@pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
+@pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), GF5, FieldSpec.prime(7), QQ], ids=str)
 def test_sparse_rows_match_sympy_on_the_dense_rows(field):
     # the module engine hands null_space and the rank sparse rows {column:
     # entry}, keys in any order; they must give what sympy gives on the same
-    # rows made dense, explicit zero entries and empty rows included
+    # rows made dense, explicit zero entries and empty rows included.  Keys
+    # come shuffled or descending, so a row's pivot is often not its first key.
     rng = random.Random(43)
     if field.p is None:
         values = [Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]
     else:
         values = list(range(field.p))
-    empty = 0
-    for _ in range(120):
+    empty = late_pivot = 0
+    for t in range(120):
         ncols = rng.randint(1, 7)
-        sparse = [
-            {j: rng.choice(values) for j in rng.sample(range(ncols), rng.randint(0, ncols))}
-            for _ in range(rng.randint(1, 6))
-        ]
+        sparse = []
+        for _ in range(rng.randint(1, 6)):
+            keys = rng.sample(range(ncols), rng.randint(0, ncols))
+            if t % 3 == 0:
+                keys.sort(reverse=True)
+            sparse.append({j: rng.choice(values) for j in keys})
         empty += sum(not row for row in sparse)
+        late_pivot += sum(next(iter(nz), None) != min(nz, default=None) for nz in ([j for j in row if row[j]] for row in sparse))
         dense = [[row.get(j, field.zero()) for j in range(ncols)] for row in sparse]
         ref, pivots = _sympy_rref(field, dense)
         expected = []
@@ -227,8 +232,38 @@ def test_sparse_rows_match_sympy_on_the_dense_rows(field):
         assert [list(vec.items()) for vec in got] == expected
         assert all(type(x) is type(field.one()) for vec in got for x in vec.values())
         assert _rank(field, sparse, ncols) == len(pivots)
-        assert _row_space(field, sparse, ncols).pivots() == pivots
-    assert empty
+        span = _row_space(field, sparse, ncols)
+        assert span.pivots() == pivots and span.dim == len(pivots)
+        assert [list(row) for row in span.basis_rows()] == ref
+        probes = dense + [[rng.choice(values) for _ in range(ncols)] for _ in range(3)]
+        for vec in probes:
+            # the residual subtracts vec's entry at each pivot times that row
+            residual = list(vec)
+            for pc, row in zip(pivots, ref):
+                residual = [field.sub(x, field.mul(vec[pc], y)) for x, y in zip(residual, row)]
+            keys = list(range(ncols))
+            rng.shuffle(keys)
+            assert list(span.reduce(vec)) == residual
+            assert list(span._residual({j: vec[j] for j in keys})) == residual
+            assert span.contains(vec) == (not any(residual))
+    assert empty and late_pivot
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(3), QQ], ids=str)
+def test_sparse_rows_are_never_made_dense(field):
+    # the kernel keeps only a row's nonzeros: 50 rows of 2 nonzeros each in
+    # 10^5 columns cost kilobytes, where one row of full width costs 0.8 MB
+    ncols = 10**5
+    two = field.add(field.one(), field.one())
+    rows = [{1999 * (i + 1): two, 1999 * i: field.one()} for i in range(50)]
+    tracemalloc.start()
+    try:
+        rank = _rank(field, rows, ncols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 50
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)

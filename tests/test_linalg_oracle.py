@@ -2,7 +2,7 @@
 
 sympy is an implementation of exact linear algebra that shares no code with
 ringlab, so agreement here is independent evidence for ``Subspace``, the one
-Gauss-Jordan (packed over GF(2), integer rows otherwise) behind every
+Gauss-Jordan (packed over GF(2), sparse integer rows otherwise) behind every
 ``Matrix`` reduction, and for the rank helpers the subset scan uses.  The
 tests' own Gauss-Jordan, ``gauss_oracle``, which the Ext and module-action
 oracles use instead of ringlab's, is checked against sympy here as well.

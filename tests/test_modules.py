@@ -14,7 +14,7 @@ import pytest
 import ringlab.modules as modules
 from algebra_oracle import check_module_action, check_resolution, dense_basis_action
 from gauss_oracle import mat_mul
-from ringlab.artin import canonical_module, socle, truncate
+from ringlab.artin import canonical_module, ideal_direct_sum_check, socle, truncate
 from ringlab.constructions import edge_ideal_all_squares, named_graph, stanley_example_big_ring
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.linalg import Matrix
@@ -260,6 +260,25 @@ def test_non_minimal_cover_is_refused(monkeypatch):
     m = cyclic_module(a, [a.element_from_linear({"x": 1})])
     with pytest.raises(AssertionError, match="unit component"):
         minimal_resolution(m, 1)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_library_built_vectors_skip_the_checked_entry_path(field, monkeypatch):
+    # Subspace.add, contains and reduce coerce every entry of a caller's
+    # vector; rows the library built itself (the ideal's closure under the
+    # variables, the quotient's action, the sum of two ideals) go in
+    # unchecked, so only each caller generator is coerced: once where it is
+    # tested against m and once where it enters the ideal, 2 * dim_k = 12
+    a = truncate(stanley_example_big_ring(field), 3)
+    x, y, z = (a.element_from_linear({name: 1}) for name in ("x", "y", "z"))
+    calls = []
+    real = FieldSpec.coerce
+    monkeypatch.setattr(FieldSpec, "coerce", lambda self, value: calls.append(value) or real(self, value))
+    cyclic_module(a, [z])
+    assert len(calls) == 2 * a.dim_k == 12
+    calls.clear()
+    assert ideal_direct_sum_check(a, [x, y], [z]) is False  # xz lies in both ideals
+    assert len(calls) == 3 * 2 * a.dim_k
 
 
 def _ranked_differentials(monkeypatch) -> list:
