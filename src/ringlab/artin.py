@@ -2,11 +2,12 @@
 and multiplication, plus socle, Hilbert-function, Gorenstein and
 decomposability analysis.
 
-Monomial presentations take a fast path: the basis is the set of standard
-monomials below the truncation order, found degree by degree, and each one is
-formed once - a monomial with last variable x_k only as (m/x_k)*x_k - and is
-standard iff it is no generator and each of its other predecessors m/x_j is.
-The socle, the filtration and the cut-ring check are read off that basis.
+Monomial presentations take a fast path, a walk on integer codes with one
+base-(N + 1) digit per variable, so that m*x_k and c/x_j are one addition or
+subtraction.  Degree by degree it forms each candidate c once, as m*x_k with
+k at or after m's last variable, keeps it iff it is no generator and every
+c/x_j is standard, and marks those c/x_j: the unmarked basis monomials are
+the socle.  The filtration and the cut-ring check are read off the basis.
 General presentations put the sparse relation rows into ``null_space`` and
 read both the basis and the normal forms off it: each null vector's free
 column is a basis monomial, and its entries at the pivot columns are that
@@ -32,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .linalg import Subspace, _row_space, null_space
 from .monomials import (
@@ -66,27 +68,31 @@ def _mono_key(m: Monomial):
 class LocalAlgebra:
     """A finite-dimensional commutative local algebra over an exact field.
 
-    Not constructed directly; use :func:`truncate`.  ``var_images`` and
-    ``filtration`` are computed on first read: the socle of a monomial
-    algebra needs neither.
+    Not constructed directly; use :func:`truncate`.  ``var_images``,
+    ``filtration`` and ``index`` are computed on first read: the socle of a
+    monomial algebra needs none of them.
     """
 
-    def __init__(self, field, names, trunc_order, basis, reductions, presentation, monomial_path):
+    def __init__(self, field, names, trunc_order, basis, reductions, presentation, socle):
         self.field = field
         self.var_names = tuple(names)
         self.trunc_order = trunc_order
         self.basis_monomials = tuple(basis)  # ascending (degree, -lex)
-        self.index = {m: k for k, m in enumerate(basis)}
         self.dim_k = len(basis)
         self._reductions = reductions  # pivot monomial -> sparse NF, see _normal_form
         self.presentation = presentation
-        self._monomial_path = monomial_path
+        self._socle = socle  # the socle monomials on the monomial path, else None
+        self._monomial_path = socle is not None
         self._products: dict[tuple[int, int], tuple] = {}
         self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * len(names)
         self._powers: list[Subspace] | None = None
         self._parents: list[tuple[int, int] | None] | None = None
 
     # -- basic element helpers ------------------------------------------------
+
+    @cached_property
+    def index(self) -> dict:
+        return {m: k for k, m in enumerate(self.basis_monomials)}
 
     @property
     def nvars(self) -> int:
@@ -303,45 +309,49 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
 
 
 def _truncate_monomial(p: Presentation, n: int) -> LocalAlgebra:
-    gens = {next(iter(g.terms)) for g in p.gens}
-    level = [(0,) * p.nvars]
-    basis = list(level)
+    w, gens = _coding(p, n)
+    walked = level = [(0, (0,) * p.nvars, ())]
+    covered: set = set()
     # degree by degree; each level comes in _mono_key order, so the basis does
     for _ in range(1, n):
-        level = _next_degree(level, gens)
-        basis += level
-    return LocalAlgebra(p.field, p.ambient, n, basis, {}, p, True)
+        level = _next_degree(level, gens, w, covered)
+        walked = walked + level
+    socle = [m for code, m, _ in walked if code not in covered]
+    return LocalAlgebra(p.field, p.ambient, n, [m for _, m, _ in walked], {}, p, socle)
 
 
-def _next_degree(level: list, gens) -> list:
-    """The standard monomials one degree above level, which must hold every
-    standard monomial of its degree, in _mono_key order (descending tuples).
-    Each m is extended only by the variables at or after its last one, so a
-    monomial c with last variable x_k is formed exactly once, as (c/x_k)*x_k."""
-    below = set(level)
+def _coding(p: Presentation, n: int):
+    """Weights w, code(m) = sum m_k * w_k in base n + 1, and the codes of the
+    generators of degree <= n (no higher one equals a monomial walked)."""
+    w = [(n + 1) ** (p.nvars - 1 - k) for k in range(p.nvars)]
+    return w, {sum(map(mul, m, w)) for g in p.gens for m in g.terms if sum(m) <= n}
+
+
+def _next_degree(level: list, gens, w, covered: set) -> list:
+    """The standard monomials one degree above level (which holds every
+    standard monomial of its degree) as (code, exponents, support) entries in
+    descending codes, which is _mono_key order.  A candidate c is formed once,
+    as m*x_k with k at or after m's last variable.  A generator properly
+    dividing c divides some c/x_j, so c is standard iff it is no generator and
+    each c/x_j is standard; each c/x_j of a standard c then goes into covered."""
+    below = {code for code, _, _ in level}
     out = []
-    for m in level:
-        for k in range(len(m) - 1, -1, -1):
-            cand = m[:k] + (m[k] + 1,) + m[k + 1 :]
-            if _standard(cand, k, gens, below):
-                out.append(cand)
-            if m[k]:
-                break
+    for code, m, support in level:
+        last = support[-1] if support else 0
+        for k in range(last, len(w)):
+            c = code + w[k]
+            if c in gens:
+                continue
+            for j in support:
+                if c - w[j] not in below:
+                    break
+            else:
+                sup = support if support and k == last else support + (k,)
+                out.append((c, m[:k] + (m[k] + 1,) + m[k + 1 :], sup))
+                for j in sup:
+                    covered.add(c - w[j])
     out.sort(reverse=True)
     return out
-
-
-def _standard(m: Monomial, k: int, gens, below) -> bool:
-    """Is m = (m/x_k)*x_k, with m/x_k standard, outside the ideal of gens?
-    below must hold every standard monomial of degree deg(m) - 1: a generator
-    that properly divides m divides some m/x_j, so m is standard iff it is no
-    generator and each m/x_j with j != k is standard."""
-    if m in gens:
-        return False
-    for j, e in enumerate(m):
-        if e and j != k and m[:j] + (e - 1,) + m[j + 1 :] not in below:
-            return False
-    return True
 
 
 def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
@@ -373,7 +383,7 @@ def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
         for c, coeff in vec.items():
             terms.setdefault(monomials[count - 1 - c], []).append((b, coeff))
     reductions = {mono: tuple(nf) for mono, nf in terms.items()}
-    return LocalAlgebra(f, p.ambient, n, basis, reductions, p, False)
+    return LocalAlgebra(f, p.ambient, n, basis, reductions, p, None)
 
 
 def _monomials_below(nv: int, n: int):
@@ -423,11 +433,10 @@ def _transpose(cols, n: int) -> list[list[tuple[int, object]]]:
 
 def socle_monomials(a: LocalAlgebra) -> list[Monomial]:
     """The socle basis as monomials (monomial algebras only): the basis
-    monomials m with no m*x_k in the basis."""
+    monomials m with no m*x_k in the basis, recorded by truncate's walk."""
     if not a._monomial_path:
         raise ValueError("socle monomials are only defined for monomial algebras")
-    index = a.index
-    return [m for m in a.basis_monomials if all(m[:k] + (e + 1,) + m[k + 1 :] not in index for k, e in enumerate(m))]
+    return list(a._socle)
 
 
 def hilbert_function(a: LocalAlgebra) -> list[int]:
@@ -448,9 +457,10 @@ def _check_full_ring(a: LocalAlgebra) -> None:
     callers assert it themselves."""
     if not a.presentation.is_monomial():
         return
-    gens = {next(iter(g.terms)) for g in a.presentation.gens}
+    w, gens = _coding(a.presentation, a.trunc_order)
     top = [b for b in a.basis_monomials if monomial_degree(b) == a.trunc_order - 1]
-    survivors = _next_degree(top, gens)
+    top = [(sum(map(mul, b, w)), b, tuple(k for k, e in enumerate(b) if e)) for b in top]
+    survivors = [m for _, m, _ in _next_degree(top, gens, w, set())]
     if survivors:
         raise ValueError(
             "truncation order cuts the ring: monomial "

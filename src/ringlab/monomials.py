@@ -137,6 +137,8 @@ class MonomialIdeal:
                 slot[(k, j)] = self.nvars + len(fresh)
                 fresh.append(name + "'" * j)
         ambient = self.ambient + tuple(fresh)
+        if len(set(ambient)) != len(ambient):
+            raise ValueError("duplicate variable names")
         gens = []
         for g in self.gens:
             e = [0] * len(ambient)
@@ -146,7 +148,8 @@ class MonomialIdeal:
                 for j in range(1, exp):
                     e[slot[(k, j)]] = 1
             gens.append(tuple(e))
-        return MonomialIdeal(ambient, gens)
+        # u | v iff pol(u) | pol(v), so a minimal set polarizes to a minimal set
+        return MonomialIdeal._trusted(ambient, frozenset(gens))
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -214,7 +217,9 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
 def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:
     if len(names) != ideal.nvars:
         raise ValueError("need one name per variable")
-    return MonomialIdeal(names, ideal.gens)
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate variable names")
+    return MonomialIdeal._trusted(tuple(names), ideal.gens)
 
 
 def variable_partition_decomposable(ideal: MonomialIdeal):

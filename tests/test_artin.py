@@ -385,3 +385,21 @@ def test_monomial_truncate_forms_no_normal_form_until_var_images_is_read(monkeyp
             assert calls == [] and "var_images" not in vars(a)
     images = a.var_images
     assert len(calls) == a.nvars and images == tuple(a._basis_vec(a.index[m]) for m in calls)
+
+
+def test_socle_monomials_returns_a_fresh_list():
+    a = truncate(presentation_of(edge_ideal_all_squares(named_graph("p4")), GF2), 5)
+    first = socle_monomials(a)
+    expected = list(first)
+    first.append((1, 1, 1, 1))
+    first.pop(0)
+    assert socle_monomials(a) == expected
+
+
+def test_socle_monomials_of_vertex_square_quotients_build_no_index():
+    """truncate records the socle in its walk: no basis-monomial index is built."""
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            a = truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1)
+            socle_monomials(a)
+            assert "index" not in a.__dict__

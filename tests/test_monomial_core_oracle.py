@@ -184,6 +184,34 @@ def test_random_monomial_ideals_against_scans(case, order):
     assert split_outcome(ideal) == oracle_split(ideal)
 
 
+# 40 variables in which only x38, x39, x40 multiply freely: the base-4 codes
+# of the walk at order 3 pass 2^64, and x38*x39*x40 survives the order
+MANY = [f"x{k}" for k in range(1, 41)]
+FREE = {37, 38, 39}
+MANY_GENS = [
+    tuple(int(k in (i, j)) + int(k == i == j) for k in range(40))
+    for i in range(40)
+    for j in range(i, 40)
+    if not (i != j and {i, j} <= FREE)
+]
+EDGE_INPUTS = [
+    # order 1: the basis is the unit alone
+    (["x", "y"], [(1, 1)], 1),
+    # generators of degree = N (y^3) and > N (z^4, whose exponent is no
+    # base-4 digit, and x*y^2*z)
+    (["x", "y", "z"], [(2, 0, 0), (0, 3, 0), (0, 0, 4), (1, 2, 1)], 3),
+    # raw non-minimal generators: x*y, three of its multiples and y^4
+    (["x", "y"], [(1, 1), (2, 1), (1, 3), (3, 3), (0, 4)], 5),
+    (MANY, MANY_GENS, 3),
+]
+
+
+@pytest.mark.parametrize("ambient, gens, order", EDGE_INPUTS, ids=["order-1", "degree-N", "non-minimal", "40-vars"])
+def test_coded_walk_edge_inputs(ambient, gens, order):
+    raw = Presentation(ambient, [Poly(GF2, len(ambient), {g: 1}) for g in gens], GF2)
+    check_algebra(MonomialIdeal(ambient, gens), raw, order)
+
+
 def degree_extensions(a) -> int:
     """The candidates a truncation that forms each monomial once must test:
     m*x_k for every basis monomial m below the top degree and every k at or
@@ -202,15 +230,29 @@ NON_SQUAREFREE = [
 ]
 
 
+class ProbedCodes(set):
+    """A generator-code set that records every code tested against it."""
+
+    def __init__(self, codes, probes: list):
+        super().__init__(codes)
+        self.probes = probes
+
+    def __contains__(self, code) -> bool:
+        self.probes.append(code)
+        return super().__contains__(code)
+
+
 def test_truncate_tests_each_candidate_once(monkeypatch):
+    """The walk tests each candidate code against the generators first, so
+    the probes of the generator-code set are the candidates tested."""
     tested = []
-    standard = artin._standard
+    coding = artin._coding
 
-    def counted(m, k, gens, below):
-        tested.append(m)
-        return standard(m, k, gens, below)
+    def counted(p, n):
+        w, gens = coding(p, n)
+        return w, ProbedCodes(gens, tested)
 
-    monkeypatch.setattr(artin, "_standard", counted)
+    monkeypatch.setattr(artin, "_coding", counted)
     cases = [
         (presentation_of(edge_ideal_all_squares(g), GF2), g.n + 1) for n in range(1, 6) for g in enumerate_graphs(n)
     ]

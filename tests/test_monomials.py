@@ -540,3 +540,25 @@ def test_minimalize_matches_pairwise_divisibility(case):
     nv, gens = case
     assert _minimalize(gens) == _brute_minimalize(gens)
     assert MonomialIdeal([f"x{k}" for k in range(nv)], gens).gens == _brute_minimalize(gens)
+
+
+@given(generator_lists())
+@settings(max_examples=100, deadline=None)
+def test_polarize_and_rename_match_the_validating_constructor(case):
+    nv, gens = case
+    pol = polarize(MonomialIdeal([f"x{k}" for k in range(nv)], gens))
+    renamed = rename_ideal(pol, [f"y{k}" for k in range(pol.nvars)])
+    for i in (pol, renamed):
+        rebuilt = MonomialIdeal(i.ambient, i.gens)
+        assert i == rebuilt and hash(i) == hash(rebuilt)
+        assert type(i.ambient) is tuple and type(i.gens) is frozenset
+
+
+def test_polarize_and_rename_refuse_bad_names():
+    # x^2 polarizes over the fresh name x', which the ambient already has
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        polarize(MonomialIdeal(["x", "x'"], [(2, 0)]))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        rename_ideal(ideal(["x", "y"], "x*y"), ["z", "z"])
+    with pytest.raises(ValueError, match="one name per variable"):
+        rename_ideal(ideal(["x", "y"], "x*y"), ["z"])
