@@ -30,14 +30,12 @@ from .monomials import (
     variable_partition_decomposable,
 )
 from .sr_invariants import (
-    SimplicialComplex,
     depth,
     f_vector,
     hilbert_series,
     is_cohen_macaulay,
     krull_dim,
     multiplicity,
-    stanley_reisner_complex,
 )
 from .artin import (
     LinearForm,

@@ -56,7 +56,6 @@ from .sr_invariants import (
     f_vector,
     hilbert_series,
     krull_dim,
-    stanley_reisner_complex,
 )
 
 
@@ -167,7 +166,7 @@ def _cmd_ring(args) -> int:
         "multiplicity": sum(numerator),
     }
     if ideal.is_squarefree():
-        payload["f_vector"] = list(f_vector(stanley_reisner_complex(ideal)))
+        payload["f_vector"] = list(f_vector(ideal))
     _emit(args, payload)
     return 0
 

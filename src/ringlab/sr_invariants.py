@@ -7,7 +7,9 @@ degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
 Non-squarefree ideals are polarized by the scan (``_Scan``); dimension and
 depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
-polarization is.
+polarization is. The f-vector, Hilbert series and multiplicity read one count
+of the full complex's faces (``_Scan.f_counts``); ``f_vector`` takes the
+squarefree ideal itself, not a complex.
 
 Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
 shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
@@ -29,90 +31,25 @@ pay for exact rational elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterable
 
 from .fields import GF2, FieldSpec
-from .graphs import _component_mask, _mask_vertices
+from .graphs import _component_mask
 from .linalg import gf2_rank, modp_rank, rational_rank
 from .monomials import MonomialIdeal, polarize
 
 _MAX_VARS = 14
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """A complex given by its facets; () is void, (frozenset(),) is {∅}."""
-
-    n: int
-    facets: tuple
-
-    def __init__(self, n: int, facets: Iterable[frozenset]):
-        facets = [frozenset(f) for f in facets]
-        for f in facets:
-            for v in f:
-                if not (1 <= v <= n):
-                    raise ValueError(f"vertex {v} out of range")
-        for f in facets:
-            if any(f < g for g in facets):
-                raise ValueError("facet contained in another facet")
-        if len(set(facets)) != len(facets):
-            raise ValueError("duplicate facets")
-        ordered = tuple(sorted(facets, key=lambda f: (len(f), sorted(f))))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "facets", ordered)
-
-    def is_void(self) -> bool:
-        return not self.facets
-
-    def dim(self) -> int:
-        """Dimension of the complex; -1 for {∅}, undefined (raises) for void."""
-        if self.is_void():
-            raise ValueError("void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
-
-    def faces(self) -> set[frozenset]:
-        out: set[frozenset] = set()
-        for f in self.facets:
-            verts = sorted(f)
-            for mask in range(1 << len(verts)):
-                out.add(frozenset(verts[k] for k in range(len(verts)) if mask >> k & 1))
-        return out
-
-
-def stanley_reisner_complex(ideal: MonomialIdeal) -> SimplicialComplex:
-    """The complex whose faces are the squarefree monomials outside the ideal."""
+def f_vector(ideal: MonomialIdeal) -> tuple:
+    """(f_-1, f_0, ..., f_{d-1}) of the Stanley-Reisner complex of a
+    squarefree ideal: f_{i-1} counts the squarefree monomials of degree i
+    outside the ideal."""
     if not ideal.is_squarefree():
         raise ValueError("ideal is not squarefree; polarize first")
-    scan = _scan_of(ideal)
-    by_size = scan.faces_by_size(scan.face_verts, scan.n)
-    all_faces = [m for sub in by_size for m in sub]
-    face_set = set(all_faces)
-    facets = [m for m in all_faces if _is_maximal(m, scan, face_set)]
-    return SimplicialComplex(scan.n, [frozenset(_mask_vertices(m)) for m in facets])
-
-
-def _is_maximal(mask: int, scan: "_Scan", face_set: set[int]) -> bool:
-    rest = scan.face_verts & ~mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if (mask | bit) in face_set:
-            return False
-    return True
-
-
-def f_vector(c: SimplicialComplex) -> tuple:
-    """(f_-1, f_0, ..., f_{d-1}); the empty tuple for the void complex."""
-    if c.is_void():
-        return ()
-    counts: dict[int, int] = {}
-    for face in c.faces():
-        counts[len(face)] = counts.get(len(face), 0) + 1
-    d = max(counts)
-    return tuple(counts.get(k, 0) for k in range(d + 1))
+    return _scan_of(ideal).f_counts
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
@@ -175,7 +112,7 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     Non-squarefree input is polarized first and the series refers to the
     polarized ring.
     """
-    fv = _scan_of(ideal).f_counts()
+    fv = _scan_of(ideal).f_counts
     d = len(fv) - 1
     num = [0] * (d + 1)
     for i, fi in enumerate(fv):
@@ -203,7 +140,7 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     """Number of top-dimensional facets = numerator of the series at t=1."""
     if not ideal.is_squarefree():
         raise ValueError("multiplicity expects a squarefree ideal")
-    fv = _scan_of(ideal).f_counts()
+    fv = _scan_of(ideal).f_counts
     return fv[-1]
 
 
@@ -303,12 +240,13 @@ class _Scan:
         rec(0, 0, wfv)
         return out
 
-    def f_counts(self) -> list[int]:
-        full = self.face_verts
-        by_size = self.faces_by_size(full, self.n)
+    @cached_property
+    def f_counts(self) -> tuple[int, ...]:
+        """Faces of the full complex counted by size, enumerated once per scan."""
+        by_size = self.faces_by_size(self.face_verts, self.n)
         while len(by_size) > 1 and not by_size[-1]:
             by_size.pop()
-        return [len(s) for s in by_size]
+        return tuple(len(s) for s in by_size)
 
     def max_face_size(self) -> int:
         """Size of a largest face; searched at most once per scan."""

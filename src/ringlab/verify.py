@@ -299,15 +299,13 @@ def check_example_3_11(n: int) -> Report:
     return Report("ex311", f"n={n}", not problems, problems, time.perf_counter() - start)
 
 
-def check_example_4x(p: int, parts=None) -> Report:
-    """Finite-field desk checks for the quadric decomposition and the two
-    indecomposable truncations."""
+def check_example_4x(p: int) -> Report:
+    """Finite-field desk checks for the quadric decomposition (part (i), run
+    when p = 1 mod 4 gives a square root of -1) and the two indecomposable
+    truncations (parts (ii) and (iii), always run)."""
     if p not in (2, 3, 5, 7):
         raise ValueError("p must be one of 2, 3, 5, 7")
-    if parts is None:
-        parts = ("i", "ii", "iii") if p % 4 == 1 else ("ii", "iii")
-    if "i" in parts and p % 4 != 1:
-        raise ValueError(f"part (i) needs a square root of -1: p={p} is unsuitable")
+    parts = ("i", "ii", "iii") if p % 4 == 1 else ("ii", "iii")
     start = time.perf_counter()
     f = FieldSpec.prime(p)
     problems: dict = {}
@@ -324,16 +322,14 @@ def check_example_4x(p: int, parts=None) -> Report:
             results["i"] = {
                 "witness": [dict(alpha.coeffs), dict(beta.coeffs)],
             }
-    if "ii" in parts:
-        a = truncate(cusp_square_presentation(f), 3)
-        if pair_decomposition_search(a, mode="necessary") is not None:
-            problems["case1_unexpected_pair"] = {}
-        results["ii"] = {"pair": None}
-    if "iii" in parts:
-        a = truncate(cusp_square_two_var_presentation(f), 3)
-        if pair_decomposition_search(a, mode="necessary") is not None:
-            problems["case2_unexpected_pair"] = {}
-        results["iii"] = {"pair": None}
+    a = truncate(cusp_square_presentation(f), 3)
+    if pair_decomposition_search(a, mode="necessary") is not None:
+        problems["case1_unexpected_pair"] = {}
+    results["ii"] = {"pair": None}
+    a = truncate(cusp_square_two_var_presentation(f), 3)
+    if pair_decomposition_search(a, mode="necessary") is not None:
+        problems["case2_unexpected_pair"] = {}
+    results["iii"] = {"pair": None}
     witness = dict(results)
     witness.update(problems)
     return Report("ex4x", f"p={p} parts={','.join(parts)}", not problems, witness, time.perf_counter() - start)

@@ -52,12 +52,14 @@ def test_graph_cliques(capsys):
 def test_ring_invariants_sigma_k2(capsys):
     code, out = run_cli(capsys, "ring", "invariants", "--name", "sigma:k2")
     assert code == 0
-    payload = json.loads(out)
-    assert payload["dim"] == 2
-    assert payload["cm"] is True
-    assert payload["depth"] == {"q": 2, "fp:2": 2}
-    assert payload["f_vector"] == [1, 4, 3]
-    assert payload["multiplicity"] == 3
+    assert json.loads(out) == {
+        "cm": True,
+        "depth": {"fp:2": 2, "q": 2},
+        "dim": 2,
+        "f_vector": [1, 4, 3],
+        "hilbert_numerator": [1, 2],
+        "multiplicity": 3,
+    }
 
 
 def test_ring_presentation_file_round_trip(tmp_path, capsys):
@@ -172,6 +174,25 @@ def test_golden_ring_invariants(capsys):
         "hilbert_numerator": [1, 3, 1],
         "multiplicity": 5,
     }
+
+
+def test_ring_invariants_enumerates_the_full_complex_once(monkeypatch, capsys):
+    # the f-vector, Hilbert series and multiplicity share one count of the faces
+    from ringlab.sr_invariants import _Scan
+
+    full_scans = []
+    faces_by_size = _Scan.faces_by_size
+
+    def counting(scan, wfv, smax):
+        if wfv == scan.face_verts and smax == scan.n:
+            full_scans.append(scan)
+        return faces_by_size(scan, wfv, smax)
+
+    monkeypatch.setattr(_Scan, "faces_by_size", counting)
+    code, out = run_cli(capsys, "ring", "invariants", "--name", "sigma:k2", "--field", "fp:2")
+    assert code == 0
+    assert json.loads(out)["f_vector"] == [1, 4, 3]
+    assert len(full_scans) == 1
 
 
 def run_cli_error(capsys, *argv):

@@ -20,9 +20,8 @@ from ringlab.constructions import (
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.graphs import enumerate_graphs
 from ringlab.linalg import Matrix
-from ringlab.monomials import MonomialIdeal, parse_monomial, polarize
+from ringlab.monomials import MonomialIdeal, edge_ideal, parse_monomial, polarize
 from ringlab.sr_invariants import (
-    SimplicialComplex,
     cohen_macaulay_witness,
     cohen_macaulay_witness_fields,
     depth,
@@ -32,7 +31,6 @@ from ringlab.sr_invariants import (
     is_cohen_macaulay,
     krull_dim,
     multiplicity,
-    stanley_reisner_complex,
 )
 
 GF3 = FieldSpec.prime(3)
@@ -168,27 +166,6 @@ def test_cm_agrees_with_depth_eq_dim():
 # -- spec examples -------------------------------------------------------------
 
 
-def test_sr_complex_of_one_edge():
-    c = stanley_reisner_complex(ideal(["v1", "v2"], "v1*v2"))
-    assert sorted(sorted(f) for f in c.facets) == [[1], [2]]
-
-
-def test_sr_complex_whiskered_k2():
-    c = stanley_reisner_complex(whiskered_edge_ideal(named_graph("k2")))
-    # vertices: v1 v2 w1 w2 = 1 2 3 4; independent pairs of the path
-    assert sorted(sorted(f) for f in c.facets) == [[1, 4], [2, 3], [3, 4]]
-
-
-def test_sr_complex_full_simplex():
-    c = stanley_reisner_complex(MonomialIdeal(["v1", "v2"], []))
-    assert [sorted(f) for f in c.facets] == [[1, 2]]
-
-
-def test_sr_complex_rejects_non_squarefree():
-    with pytest.raises(ValueError):
-        stanley_reisner_complex(ideal(["x"], "x^2"))
-
-
 def test_krull_dim_examples():
     assert krull_dim(whiskered_edge_ideal(named_graph("k2"))) == 2
     assert krull_dim(edge_ideal_squares_except(named_graph("p3"), 3)) == 1
@@ -238,16 +215,32 @@ def test_cm_witness_is_replayable():
     assert replays(kdp, wit, QQ)
 
 
+def oracle_f_vector(i: MonomialIdeal):
+    sizes = [len(fc) for fc in oracle_faces(i, range(i.nvars))]
+    return tuple(sizes.count(k) for k in range(max(sizes) + 1))
+
+
 def test_f_vector_examples():
-    c = stanley_reisner_complex(whiskered_edge_ideal(named_graph("k2")))
-    assert f_vector(c) == (1, 4, 3)
-    assert f_vector(SimplicialComplex(2, [frozenset({1, 2})])) == (1, 2, 1)
-    assert f_vector(SimplicialComplex(2, [frozenset({1}), frozenset({2})])) == (1, 2)
+    assert f_vector(ideal(["v1", "v2"], "v1*v2")) == (1, 2)
+    assert f_vector(whiskered_edge_ideal(named_graph("k2"))) == (1, 4, 3)
+    assert f_vector(MonomialIdeal(["v1", "v2"], [])) == (1, 2, 1)
+    # both vertices are non-faces: the complex {empty face}
+    assert f_vector(ideal(["v1", "v2"], "v1", "v2")) == (1,)
 
 
-def test_f_vector_void_and_empty():
-    assert f_vector(SimplicialComplex(2, [])) == ()
-    assert f_vector(SimplicialComplex(2, [frozenset()])) == (1,)
+def test_f_vector_matches_bruteforce_oracle():
+    ideals = [i for i in SMALL_IDEALS if i.is_squarefree()]
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            ideals += [edge_ideal(g), whiskered_edge_ideal(g)]
+            ideals += [whisker_except_edge_ideal(g, v) for v in range(1, n + 1)]
+    for i in ideals:
+        assert f_vector(i) == oracle_f_vector(i), i
+
+
+def test_f_vector_rejects_non_squarefree():
+    with pytest.raises(ValueError, match="not squarefree"):
+        f_vector(ideal(["x"], "x^2"))
 
 
 def test_hilbert_series_examples():
@@ -359,8 +352,3 @@ def test_multi_field_scan_separates_diverging_verdicts():
     assert wits[GF2] is not None and replays(i, wits[GF2], GF2)
     for f in fields:
         assert wits[f] == cohen_macaulay_witness(i, f)
-
-
-def test_facet_containment_rejected():
-    with pytest.raises(ValueError):
-        SimplicialComplex(3, [frozenset({1, 2}), frozenset({1})])

@@ -106,8 +106,6 @@ def test_ex4x_cases():
     assert check_example_4x(2).passed
     assert check_example_4x(3).passed
     with pytest.raises(ValueError):
-        check_example_4x(3, parts=("i",))
-    with pytest.raises(ValueError):
         check_example_4x(11)
 
 
