@@ -526,15 +526,11 @@ def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
         return None
     if (p**e - 1) // (p - 1) > 400:
         raise ValueError("projective search space exceeds 400 lines")
-    # pick variables whose images form a basis of m/m^2
+    # pick variables whose images form a basis of m/m^2: they generate m, so
+    # e of them do
     m2 = a.power_subspace(2)
     probe = _row_space(a.field, m2.basis_rows(), a.dim_k)
-    pivot_vars = []
-    for k, name in enumerate(a.var_names):
-        if probe._add_row(a.var_images[k]):
-            pivot_vars.append(k)
-    if len(pivot_vars) != e:
-        raise AssertionError(f"variables give {len(pivot_vars)} basis vectors of m/m^2, expected {e}")
+    pivot_vars = [k for k in range(a.nvars) if probe._add_row(a.var_images[k])]
     lines = []
     for coeffs in itertools.product(range(p), repeat=e):
         nz = next((c for c in coeffs if c), None)

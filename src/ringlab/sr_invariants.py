@@ -60,7 +60,7 @@ def krull_dim(ideal: MonomialIdeal) -> int:
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
-    scan = _scan_of(ideal).within_size_limit()
+    scan = _limited_scan(ideal)
     sizes = scan.vd_facet_sizes()
     if sizes is not None:
         return sizes[0] - scan.added
@@ -86,7 +86,7 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     the rationals vanishing is settled by the mod-2 screen), so checking q and
     fp:2 together costs about as much as one of them.
     """
-    scan = _scan_of(ideal).within_size_limit()
+    scan = _limited_scan(ideal)
     sizes = scan.vd_facet_sizes()
     if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
@@ -159,6 +159,18 @@ def _scan_of(ideal: MonomialIdeal) -> "_Scan":
     return scan
 
 
+def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
+    """The ideal's scan, or a refusal when the ring is too large for the
+    subset scan; called by depth and the CM check before either scans.  A new
+    scan is refused before it polarizes: the polarization has
+    sum over k of max(1, max_g g_k) variables, one pass over the generators."""
+    scan = ideal.__dict__.get("_scan")
+    n = scan.n if scan is not None else sum(map(max, zip((1,) * ideal.nvars, *ideal.gens)))
+    if n > _MAX_VARS:
+        raise ValueError(f"size limit exceeded: {n} variables after polarization")
+    return _scan_of(ideal)
+
+
 class _Scan:
     """Face combinatorics of the polarization of one monomial ideal, on
     bitmasks; ``added`` counts the variables the polarization added."""
@@ -195,13 +207,6 @@ class _Scan:
         self.gens_by_vertex = [
             [m for m in self.big_gens if m >> v & 1] for v in range(self.n)
         ]
-
-    def within_size_limit(self) -> "_Scan":
-        """This scan, or a refusal when the ring is too large for the subset
-        scan; called by depth and the CM check before either scans."""
-        if self.n > _MAX_VARS:
-            raise ValueError(f"size limit exceeded: {self.n} variables after polarization")
-        return self
 
     # -- faces ---------------------------------------------------------------
 

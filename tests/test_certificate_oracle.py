@@ -51,7 +51,7 @@ def scan_answers(ideal, witnesses: bool = True) -> dict:
     """Krull dimension, and per field the depth and (when asked for and the
     ring is not CM over some field) the raw CM witness (W mask, degree) of
     the forced scan."""
-    scan = _Scan(ideal).within_size_limit()
+    scan = _Scan(ideal)
     top = scan.max_face_size()
     pd_top = scan.top_hochster(FIELDS, 0)
     out = {"dim": top - scan.added}
@@ -84,7 +84,7 @@ def check_public_answers(ideal, want: dict) -> None:
 def check_certificate(ideal, want: dict) -> bool:
     """The certificate's answers against the scan's; False when the rule
     finds no certificate."""
-    scan = _Scan(ideal).within_size_limit()
+    scan = _Scan(ideal)
     sizes = scan.vd_facet_sizes()
     if sizes is None:
         return False
@@ -146,7 +146,7 @@ def test_the_five_cycle_reaches_the_scan():
     # no vertex of C5 has a neighbour whose closed neighbourhood lies in its
     # own, so the rule finds no certificate although the complex is CM
     ideal = edge_ideal(named_graph("c5"))
-    assert _Scan(ideal).within_size_limit().vd_facet_sizes() is None
+    assert _Scan(ideal).vd_facet_sizes() is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [2, 2, 2] and want["dim"] == 2
     check_public_answers(ideal, want)
@@ -160,7 +160,7 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
     import ringlab.sr_invariants as sr
 
     ideal = edge_ideal(named_graph("c4"))
-    scan = _Scan(ideal).within_size_limit()
+    scan = _Scan(ideal)
     assert scan.vd_facet_sizes() is None
     assert not scan.is_sphere_wedge_shaped(2)
     want = scan_answers(ideal)
@@ -173,7 +173,7 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
 def test_the_projective_plane_keeps_its_diverging_verdicts():
     # non-flag, so never certified: q and GF(3) say CM, GF(2) does not
     ideal = projective_plane_ideal()
-    scan = _Scan(ideal).within_size_limit()
+    scan = _Scan(ideal)
     assert scan.vd_facet_sizes() is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [3, 2, 3]

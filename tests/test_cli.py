@@ -328,6 +328,22 @@ def test_resolve_refuses_the_double_dual_hom_system_before_any_resolution(monkey
     assert err.startswith("error:") and "Hom(Hom(k,A),A)" in err
 
 
+def test_ring_invariants_refuses_a_huge_exponent_before_polarizing(tmp_path, monkeypatch, capsys):
+    # x^3000000 would polarize to three million variables: the CLI refuses
+    # with exit 2 without building them
+    import ringlab.sr_invariants
+
+    def refuse(ideal):
+        raise AssertionError("polarized before the size refusal")
+
+    monkeypatch.setattr(ringlab.sr_invariants, "polarize", refuse)
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x"], "gens": ["x^3000000"]}')
+    code, err = run_cli_error(capsys, "ring", "invariants", "--input", str(path))
+    assert code == 2
+    assert err.startswith("error:") and "size limit exceeded: 3000000 variables after polarization" in err
+
+
 def test_ring_invariants_refuses_an_oversized_ring_before_the_face_search(monkeypatch, capsys):
     # sigma(E8) polarizes to 16 variables: depth refuses it, and krull_dim's
     # face search must not run first (on sigma(E20) it took 7 s before the

@@ -268,9 +268,10 @@ def test_sparse_rows_are_never_made_dense(field):
 
 @pytest.mark.parametrize("field", [GF2, FieldSpec.prime(3), QQ], ids=str)
 def test_kernel_basis_is_indexed_by_the_free_columns(field):
-    # modules._span_coordinates reads a null vector's coordinates in this
-    # basis off its free-column entries, which needs exactly this shape; the
-    # sparse null_space vectors must have it too, with the free column last
+    # the module engine reads a null vector's coordinates in this basis off
+    # its free-column entries (modules._free_columns, with no recombination),
+    # which needs exactly this shape; the sparse null_space vectors must have
+    # it too, with the free column last
     rng = random.Random(29)
     for _ in range(60):
         m = _random_matrix(rng, field, rng.randint(1, 6), rng.randint(1, 7))

@@ -198,6 +198,22 @@ def test_depth_size_limit():
     assert krull_dim(squares) == 0
 
 
+def test_depth_refuses_from_the_exponents_before_polarizing(monkeypatch):
+    # x^100000 polarizes to 100000 variables; building them took 12.7 s and
+    # 6.1 GB before the refusal.  The count is read off the exponents
+    import ringlab.sr_invariants as sr
+
+    def refuse(ideal):
+        raise AssertionError("polarized before the size refusal")
+
+    monkeypatch.setattr(sr, "polarize", refuse)
+    big = MonomialIdeal(["x"], [(100000,)])
+    with pytest.raises(ValueError, match="size limit exceeded: 100000 variables after polarization"):
+        depth(big, QQ)
+    with pytest.raises(ValueError, match="size limit exceeded: 100000 variables after polarization"):
+        is_cohen_macaulay(big, GF2)
+
+
 def test_cm_examples():
     for n in (1, 2, 3, 4):
         for g in enumerate_graphs(n):

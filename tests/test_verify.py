@@ -202,7 +202,7 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
     monkeypatch.setattr(sr, "gf2_rank", _counting(counts, "gf2", sr.gf2_rank))
     monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
     for g in starred_graphs(4):
-        scan = sr._Scan(whiskered_edge_ideal(g)).within_size_limit()
+        scan = sr._Scan(whiskered_edge_ideal(g))
         scan.top_hochster((QQ, GF2), scan.n - scan.max_face_size())
     assert counts == {"gf2": 261, "q": 0}
     counts.update(gf2=0, q=0)
@@ -211,7 +211,7 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
             for star in star_vertices(g):
                 for f in (QQ, GF2):
                     for ideal in (whisker_except_edge_ideal(g, star), edge_ideal_squares_except(g, star)):
-                        scan = sr._Scan(ideal).within_size_limit()
+                        scan = sr._Scan(ideal)
                         scan.top_hochster((f,), 0)
     assert counts == {"gf2": 568, "q": 76}
 
