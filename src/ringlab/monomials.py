@@ -127,15 +127,14 @@ class MonomialIdeal:
     @cached_property
     def _polarization(self) -> "MonomialIdeal":
         """See ``polarize``; computed at most once per ideal object."""
-        if self.is_squarefree():
+        mults = list(map(max, zip(*self.gens)))
+        if max(mults, default=0) <= 1:
             return self
-        mult = [max((g[k] for g in self.gens), default=0) for k in range(self.nvars)]
+        first: list[int] = []  # per variable, the column of its copy x'
         fresh: list[str] = []
-        slot: dict[tuple[int, int], int] = {}  # (var index, copy j>=1) -> new column
-        for k, name in enumerate(self.ambient):
-            for j in range(1, max(mult[k], 1)):
-                slot[(k, j)] = self.nvars + len(fresh)
-                fresh.append(name + "'" * j)
+        for name, mult in zip(self.ambient, mults):
+            first.append(self.nvars + len(fresh))
+            fresh += [name + "'" * j for j in range(1, mult)]
         ambient = self.ambient + tuple(fresh)
         if len(set(ambient)) != len(ambient):
             raise ValueError("duplicate variable names")
@@ -143,21 +142,38 @@ class MonomialIdeal:
         for g in self.gens:
             e = [0] * len(ambient)
             for k, exp in enumerate(g):
-                if exp >= 1:
+                if exp:
                     e[k] = 1
-                for j in range(1, exp):
-                    e[slot[(k, j)]] = 1
+                    e[first[k] : first[k] + exp - 1] = [1] * (exp - 1)
             gens.append(tuple(e))
         # u | v iff pol(u) | pol(v), so a minimal set polarizes to a minimal set
         return MonomialIdeal._trusted(ambient, frozenset(gens))
 
+    @cached_property
+    def _supports(self) -> tuple:
+        """(support bitmask, generator) for each generator, built once."""
+        return tuple((_support(g), g) for g in self.gens)
+
+
+def _support(m: Monomial) -> int:
+    mask = 0
+    for k, e in enumerate(m):
+        if e:
+            mask |= 1 << k
+    return mask
+
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    """Membership for a monomial: true iff some generator divides it."""
+    """Membership for a monomial: true iff some generator divides it.  A
+    generator is looked up first; otherwise only the generators whose
+    support lies inside m's are tested for divisibility."""
     m = _exponents(m)
     if len(m) != ideal.nvars:
         raise ValueError("monomial has wrong ambient")
-    return any(monomial_divides(g, m) for g in ideal.gens)
+    if m in ideal.gens:
+        return True
+    outside = ~_support(m)
+    return any(not s & outside and monomial_divides(g, m) for s, g in ideal._supports)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +419,9 @@ def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> Monomi
         e = [0] * len(keep)
         for k, exp in enumerate(g):
             e[column[k]] += exp
-        gens.append(e)
-    return MonomialIdeal(keep, gens)
+        gens.append(tuple(e))
+    # kept names are distinct ambient names, and each image keeps its degree
+    return MonomialIdeal._trusted(tuple(keep), _minimalize(gens))
 
 
 def substitute(p: Presentation, mapping: Mapping[str, str]) -> Presentation:

@@ -9,12 +9,19 @@ depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
 polarization is. The f-vector, Hilbert series and multiplicity read one count
 of the full complex's faces (``_Scan.f_counts``); ``f_vector`` takes the
-squarefree ideal itself, not a complex.
+squarefree ideal itself, not a complex. Every invariant but the dimension
+refuses a ring whose polarization has more than ``_MAX_VARS`` variables,
+counted from the exponents before it polarizes (``_limited_scan``);
+``krull_dim`` refuses above it only a ring that no certificate answers.
 
-Depth and Cohen-Macaulayness try a certificate first. For a flag complex a
-shedding order (``_Scan.vd_facet_sizes``) proves it vertex-decomposable, hence
-shellable and sequentially Cohen-Macaulay over every field (Bjorner-Wachs), so
-its depth is its smallest facet size and it is Cohen-Macaulay iff pure. A pure
+Dimension, depth and Cohen-Macaulayness try a certificate first. For a flag
+complex a shedding order (``_Scan.vd_facet_sizes``) proves it
+vertex-decomposable, hence shellable and sequentially Cohen-Macaulay over
+every field (Bjorner-Wachs), so its depth is its smallest facet size, its
+dimension its largest facet size (the largest face of any complex is a facet),
+and it is Cohen-Macaulay iff pure. The shedding search strips cone apexes
+before it looks for a shedding vertex, so a whiskered cone costs one step per
+whisker. Only an uncertified ring runs the max-face search. A pure
 certificate is audited before it answers the CM check: its top mod-2 Betti
 number (one GF(2) rank) must equal its reduced Euler characteristic up to
 sign, as for a wedge of spheres (``_Scan.is_sphere_wedge_shaped``). Every other
@@ -38,7 +45,7 @@ from typing import Iterable
 from .fields import GF2, FieldSpec
 from .graphs import _component_mask
 from .linalg import gf2_rank, modp_rank, rational_rank
-from .monomials import MonomialIdeal, polarize
+from .monomials import MonomialIdeal, _support, polarize
 
 _MAX_VARS = 14
 
@@ -49,13 +56,23 @@ def f_vector(ideal: MonomialIdeal) -> tuple:
     outside the ideal."""
     if not ideal.is_squarefree():
         raise ValueError("ideal is not squarefree; polarize first")
-    return _scan_of(ideal).f_counts
+    return _limited_scan(ideal).f_counts
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
-    """Krull dimension of the quotient ring (polarizing internally if needed)."""
-    scan = _scan_of(ideal)
-    return scan.max_face_size() - scan.added
+    """Krull dimension of the quotient ring (polarizing internally if needed).
+
+    A certified ring reads it off its shedding certificate at any size.  A
+    generator of degree >= 3 polarizes to a non-flag complex, which no
+    certificate answers, so such a ring is refused above the size limit from
+    its exponents, before it polarizes; an uncertified flag ring is refused
+    there before the max-face search."""
+    flag = max(map(sum, ideal.gens), default=0) <= 2
+    scan = _scan_of(ideal) if flag else _limited_scan(ideal)
+    sizes = scan.vd_facet_sizes()
+    if sizes is not None:
+        return sizes[1] - scan.added
+    return _limited_scan(ideal).max_face_size() - scan.added
 
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
@@ -90,7 +107,7 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     sizes = scan.vd_facet_sizes()
     if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
-    d = scan.max_face_size()
+    d = scan.max_face_size() if sizes is None else sizes[1]
     found = scan.top_hochster(tuple(fields), scan.n - d)
     out = {}
     for f, witness in found.items():
@@ -112,7 +129,7 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     Non-squarefree input is polarized first and the series refers to the
     polarized ring.
     """
-    fv = _scan_of(ideal).f_counts
+    fv = _limited_scan(ideal).f_counts
     d = len(fv) - 1
     num = [0] * (d + 1)
     for i, fi in enumerate(fv):
@@ -140,8 +157,7 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     """Number of top-dimensional facets = numerator of the series at t=1."""
     if not ideal.is_squarefree():
         raise ValueError("multiplicity expects a squarefree ideal")
-    fv = _scan_of(ideal).f_counts
-    return fv[-1]
+    return _limited_scan(ideal).f_counts[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +177,7 @@ def _scan_of(ideal: MonomialIdeal) -> "_Scan":
 
 def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
     """The ideal's scan, or a refusal when the ring is too large for the
-    subset scan; called by depth and the CM check before either scans.  A new
+    subset scan or the face enumeration; called before either runs.  A new
     scan is refused before it polarizes: the polarization has
     sum over k of max(1, max_g g_k) variables, one pass over the generators."""
     scan = ideal.__dict__.get("_scan")
@@ -180,14 +196,7 @@ class _Scan:
         self.ambient = work.ambient
         self.n = work.nvars
         self.added = work.nvars - ideal.nvars
-        self.gen_masks = []
-        for g in work.gens:
-            mask = 0
-            for k, e in enumerate(g):
-                if e:
-                    mask |= 1 << k
-            self.gen_masks.append(mask)
-        self.gen_masks.sort()
+        self.gen_masks = sorted(map(_support, work.gens))
         face_verts = (1 << self.n) - 1
         for m in self.gen_masks:
             if m.bit_count() == 1:
@@ -220,29 +229,26 @@ class _Scan:
         return True
 
     def faces_by_size(self, wfv: int, smax: int) -> list[list[int]]:
-        """Face masks inside wfv grouped by size 0..smax (wfv: face vertices only)."""
-        out: list[list[int]] = [[] for _ in range(smax + 1)]
-        out[0].append(0)
-        if smax == 0:
-            return out
+        """Face masks inside wfv grouped by size 0..smax (wfv: face vertices
+        only), built level by level: each face keeps the vertices above its
+        last one that may still extend it."""
+        out: list[list[int]] = [[0]]
+        level, allowed = [0], [wfv]
         compat = self.compat
         flag = self.flag
         extend_ok = self._extend_ok
-
-        def rec(mask: int, size: int, allowed: int) -> None:
-            scan = allowed
-            while scan:
-                bit = scan & -scan
-                v = bit.bit_length() - 1
-                scan ^= bit
-                if not flag and not extend_ok(mask, v):
-                    continue
-                new = mask | bit
-                out[size + 1].append(new)
-                if size + 1 < smax:
-                    rec(new, size + 1, allowed & compat[v] & ~((bit << 1) - 1))
-
-        rec(0, 0, wfv)
+        for _ in range(smax):
+            faces, nxt = [], []
+            for mask, free in zip(level, allowed):
+                while free:
+                    bit = free & -free
+                    v = bit.bit_length() - 1
+                    free ^= bit
+                    if flag or extend_ok(mask, v):
+                        faces.append(mask | bit)
+                        nxt.append(free & compat[v])
+            out.append(faces)
+            level, allowed = faces, nxt
         return out
 
     @cached_property
@@ -290,42 +296,50 @@ class _Scan:
         """(smallest, largest) facet size of a flag complex certified
         vertex-decomposable, or None (non-flag, or no certificate found).
 
-        The graph has the non-faces {a, b} as edges. A vertex v with a
-        neighbour w such that N[w] lies in N[v] is a shedding vertex
-        (Woodroofe), so the complex is vertex-decomposable when both its
-        deletion G - v and its link G - N[v] are; its facets are those of
-        the deletion and those of the link coned by v. Only the first such
-        v is tried at each step, so None proves nothing about the complex."""
+        The graph has the non-faces {a, b} as edges. Its isolated vertices
+        are cone apexes: they are stripped first, the base is certified, and
+        every facet gains the apexes. A vertex v with a neighbour w such that
+        N[w] lies in N[v] is a shedding vertex (Woodroofe), so the complex is
+        vertex-decomposable when both its deletion G - v and its link
+        G - N[v] are; its facets are those of the deletion and those of the
+        link coned by v. Only the first such v is tried at each step, so
+        None proves nothing about the complex."""
         if not self.flag:
             return None
         fv = self.face_verts
         closed = [fv & ~c for c in self.compat]  # read only at face vertices
-        memo: dict[int, tuple[int, int] | None] = {}
+        memo: dict[int, tuple[int, int] | None] = {0: (0, 0)}
 
         def rec(mask: int) -> tuple[int, int] | None:
-            if mask in memo:
-                return memo[mask]
-            shed, edgeless = None, True
+            base = mask
             scan = mask
-            while scan and shed is None:
+            while scan:
                 bit = scan & -scan
                 scan ^= bit
-                near = closed[bit.bit_length() - 1] & mask
-                nbrs = near ^ bit
-                edgeless = edgeless and not nbrs
-                while nbrs:
-                    w = nbrs & -nbrs
-                    nbrs ^= w
-                    if closed[w.bit_length() - 1] & mask & ~near == 0:
-                        shed = (bit, near)
-                        break
-            if shed is None:
-                out = (mask.bit_count(),) * 2 if edgeless else None
-            else:
-                dele, link = rec(mask ^ shed[0]), rec(mask & ~shed[1])
-                out = dele and link and (min(dele[0], link[0] + 1), max(dele[1], link[1] + 1))
-            memo[mask] = out
-            return out
+                if closed[bit.bit_length() - 1] & mask == bit:
+                    base ^= bit
+            if base not in memo:
+                shed = None
+                scan = base
+                while scan and shed is None:
+                    bit = scan & -scan
+                    scan ^= bit
+                    near = closed[bit.bit_length() - 1] & base
+                    nbrs = near ^ bit
+                    while nbrs:
+                        w = nbrs & -nbrs
+                        nbrs ^= w
+                        if closed[w.bit_length() - 1] & base & ~near == 0:
+                            shed = (bit, near)
+                            break
+                out = None
+                if shed is not None:
+                    dele, link = rec(base ^ shed[0]), rec(base & ~shed[1])
+                    out = dele and link and (min(dele[0], link[0] + 1), max(dele[1], link[1] + 1))
+                memo[base] = out
+            out = memo[base]
+            apexes = mask.bit_count() - base.bit_count()
+            return out and (out[0] + apexes, out[1] + apexes)
 
         return rec(fv)
 

@@ -180,3 +180,61 @@ def test_the_projective_plane_keeps_its_diverging_verdicts():
     check_public_answers(ideal, want)
     mask, degree = want["witness"][GF2]
     assert scan.reduced_betti(mask, degree, GF2) > 0
+
+
+def facet_sizes(g: Graph) -> tuple[int, int]:
+    """(smallest, largest) maximal independent set of g, by brute force over
+    every vertex subset: the facet sizes of the complex of edge_ideal(g)."""
+    independent = [
+        set(s)
+        for r in range(g.n + 1)
+        for s in itertools.combinations(range(1, g.n + 1), r)
+        if not any(a in s and b in s for a, b in g.edges)
+    ]
+    sizes = [len(s) for s in independent if not any(s < t for t in independent)]
+    return min(sizes), max(sizes)
+
+
+def test_dimension_of_a_certified_ring_skips_the_face_search(monkeypatch):
+    # sigma(E20) has 40 variables; the max-face search took 6.2 s on it.  Each
+    # shedding step leaves its whisker as a cone apex, which is stripped, so
+    # the certificate answers in one step per whisker
+    import ringlab.sr_invariants as sr
+
+    def refuse(self):
+        raise AssertionError("max-face search started")
+
+    monkeypatch.setattr(sr._Scan, "max_face_size", refuse)
+    assert krull_dim(whiskered_edge_ideal(Graph(20, []))) == 20
+    assert _Scan(whiskered_edge_ideal(Graph(20, []))).vd_facet_sizes() == (20, 20)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_cones_certify_through_their_apexes(m):
+    # the simplex on m vertices is all apexes; the link of the first shed
+    # vertex of K_m with pendants is its other pendants, all apexes again;
+    # a triangle with isolated vertices is a cone over three points
+    simplex = Graph(m, [])
+    clique = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    pendants = Graph(2 * m, clique + [(v, m + v) for v in range(1, m + 1)])
+    triangle = Graph(m + 3, [(1, 2), (2, 3), (1, 3)])
+    for g in (simplex, pendants, triangle):
+        ideal = edge_ideal(g)
+        assert _Scan(ideal).vd_facet_sizes() == facet_sizes(g), g
+        check_public_answers(ideal, scan_answers(ideal))
+
+
+def test_an_uncertified_ring_above_the_size_limit_is_refused(monkeypatch):
+    # three disjoint five-cycles: 15 variables and no shedding vertex, so the
+    # dimension needs the max-face search, which the size limit refuses
+    import ringlab.sr_invariants as sr
+
+    def refuse(self):
+        raise AssertionError("max-face search started")
+
+    monkeypatch.setattr(sr._Scan, "max_face_size", refuse)
+    cycles = Graph(15, [(5 * c + k, 5 * c + k % 5 + 1) for c in range(3) for k in range(1, 6)])
+    ideal = edge_ideal(cycles)
+    assert _Scan(ideal).vd_facet_sizes() is None
+    with pytest.raises(ValueError, match="size limit exceeded: 15 variables"):
+        krull_dim(ideal)

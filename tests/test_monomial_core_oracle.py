@@ -5,9 +5,13 @@ Standard monomials, the socle, the filtration, the cut-ring check of
 by lookups in sets the code built itself.  Each is checked here against the
 definition it replaces, which tests every monomial against every generator:
 over the vertex-square quotients k[V]/(I(G) + squares) of every labeled graph
-on at most five vertices, and over hypothesis-generated monomial ideals.  A
-counter guard pins that the truncation forms each candidate monomial once.
+on at most five vertices, and over hypothesis-generated monomial ideals.  The
+scan is this file's own (``divides``, ``oracle_contains``), so it shares no
+code with ``contains``, which is checked against it too.  A counter guard
+pins that the truncation forms each candidate monomial once.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +37,6 @@ from ringlab.monomials import (
     _minimalize,
     contains,
     format_monomial,
-    monomial_divides,
     presentation_of,
     variable_partition_decomposable,
 )
@@ -49,8 +52,19 @@ def monomials_of_degree(nv: int, deg: int):
             yield (e,) + rest
 
 
+def divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def oracle_contains(ideal: MonomialIdeal, m) -> bool:
+    """Membership by definition: some generator divides m."""
+    return any(divides(g, m) for g in ideal.gens)
+
+
 def oracle_basis(ideal: MonomialIdeal, order: int) -> tuple:
-    return tuple(sorted((m for m in _monomials_below(ideal.nvars, order) if not contains(ideal, m)), key=_mono_key))
+    return tuple(
+        sorted((m for m in _monomials_below(ideal.nvars, order) if not oracle_contains(ideal, m)), key=_mono_key)
+    )
 
 
 def oracle_socle(a) -> list:
@@ -71,13 +85,13 @@ def oracle_filtration(basis) -> tuple:
 
 def oracle_minimalize(gens) -> frozenset:
     gens = set(gens)
-    return frozenset(g for g in gens if not any(h != g and monomial_divides(h, g) for h in gens))
+    return frozenset(g for g in gens if not any(h != g and divides(h, g) for h in gens))
 
 
 def oracle_cut_message(ideal: MonomialIdeal, order: int) -> str | None:
     """The error of the cut-ring check: the first surviving degree-order monomial."""
     for m in monomials_of_degree(ideal.nvars, order):
-        if not contains(ideal, m):
+        if not oracle_contains(ideal, m):
             return (
                 "truncation order cuts the ring: monomial "
                 f"{format_monomial(ideal.ambient, m)} survives; not a full artinian ring"
@@ -86,7 +100,8 @@ def oracle_cut_message(ideal: MonomialIdeal, order: int) -> str | None:
 
 
 def oracle_split(ideal: MonomialIdeal):
-    """The cross graph from contains, its components by a plain set search."""
+    """The cross graph from the membership scan, its components by a plain
+    set search."""
     n = ideal.nvars
     if any(sum(g) == 1 for g in ideal.gens):
         return "raises"
@@ -97,7 +112,7 @@ def oracle_split(ideal: MonomialIdeal):
         e = [0] * n
         e[a] += 1
         e[b] += 1
-        return not contains(ideal, tuple(e))
+        return not oracle_contains(ideal, tuple(e))
 
     comp, todo = {n - 1}, [n - 1]
     while todo:
@@ -182,6 +197,26 @@ def test_random_monomial_ideals_against_scans(case, order):
     raw = Presentation(ambient, [Poly(GF2, nv, {g: 1}) for g in gens], GF2)
     check_algebra(ideal, raw, order)
     assert split_outcome(ideal) == oracle_split(ideal)
+
+
+def test_contains_against_the_scan():
+    # squarefree and non-squarefree ideals and the zero ideal, probed with
+    # every generator, with monomials of a generator's support but other
+    # exponents, and with random monomials
+    rng = random.Random(26)
+    for trial in range(400):
+        nv = rng.randint(1, 5)
+        top = 1 if trial % 2 else 3
+        raw = [tuple(rng.randint(0, top) for _ in range(nv)) for _ in range(rng.randint(0, 5))]
+        ideal = MonomialIdeal([f"x{k}" for k in range(nv)], [g for g in raw if any(g)])
+        probes = list(ideal.gens)
+        for g in ideal.gens:
+            probes.append(tuple(rng.randint(1, 4) if e else 0 for e in g))
+            probes.append(tuple(max(1, e - 1) if e else 0 for e in g))
+        probes += [tuple(rng.randint(0, 4) for _ in range(nv)) for _ in range(6)]
+        for m in probes:
+            assert contains(ideal, m) == oracle_contains(ideal, m), (ideal, m)
+    assert not contains(MonomialIdeal(["x", "y"], []), (3, 3))
 
 
 # 40 variables in which only x38, x39, x40 multiply freely: the base-4 codes

@@ -222,6 +222,15 @@ def test_substitute_ideal_matches_the_presentation_route(n):
             assert got == expected and got.ambient == expected.ambient
 
 
+def test_substitute_ideal_minimalizes_its_image():
+    # w -> x sends x*w to x^2, which divides the image x^2*y of the other
+    # generator: the image is not minimal and only (x^2) is kept
+    source = ideal(["x", "y", "w"], "x*w", "x^2*y")
+    got = substitute_ideal(source, {"w": "x"})
+    assert got.ambient == ("x", "y") and got.gens == {(2, 0)}
+    assert got == to_monomial_ideal(substitute(presentation_of(source, QQ), {"w": "x"}))
+
+
 # -- fiber products ----------------------------------------------------------
 
 

@@ -214,6 +214,29 @@ def test_depth_refuses_from_the_exponents_before_polarizing(monkeypatch):
         is_cohen_macaulay(big, GF2)
 
 
+def test_dimension_and_face_counts_refuse_an_oversized_ring(monkeypatch):
+    # a generator of degree >= 3 polarizes to a non-flag complex, which no
+    # certificate answers: krull_dim of x^2000 raised RecursionError in the
+    # max-face search, and hilbert_series of x^k enumerated 2^k - 1 faces.
+    # Both are refused from the exponents, before the polarization is built
+    import ringlab.sr_invariants as sr
+
+    def refuse(ideal):
+        raise AssertionError("polarized before the size refusal")
+
+    monkeypatch.setattr(sr, "polarize", refuse)
+    for k in (18, 2000, 3000000):
+        power = MonomialIdeal(["x"], [(k,)])
+        for call in (krull_dim, hilbert_series):
+            with pytest.raises(ValueError, match=f"size limit exceeded: {k} variables after polarization"):
+                call(power)
+    # the squarefree face counts are refused above the limit as well
+    simplex = MonomialIdeal([f"x{i}" for i in range(15)], [])
+    for call in (f_vector, multiplicity):
+        with pytest.raises(ValueError, match="size limit exceeded: 15 variables"):
+            call(simplex)
+
+
 def test_cm_examples():
     for n in (1, 2, 3, 4):
         for g in enumerate_graphs(n):
