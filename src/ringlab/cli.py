@@ -153,7 +153,7 @@ def _cmd_ring(args) -> int:
     pres = _load_presentation(args)
     ideal = to_monomial_ideal(pres)
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
-    # depth refuses any ring above the size limit, so the rest runs within it
+    # depth refuses an oversized ring before krull_dim's face search runs
     depths = {str(f): depth(ideal, f) for f in fields}
     dim = krull_dim(ideal)
     cm = all(v == dim for v in depths.values())

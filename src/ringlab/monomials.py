@@ -149,31 +149,16 @@ class MonomialIdeal:
         # u | v iff pol(u) | pol(v), so a minimal set polarizes to a minimal set
         return MonomialIdeal._trusted(ambient, frozenset(gens))
 
-    @cached_property
-    def _supports(self) -> tuple:
-        """(support bitmask, generator) for each generator, built once."""
-        return tuple((_support(g), g) for g in self.gens)
-
-
-def _support(m: Monomial) -> int:
-    mask = 0
-    for k, e in enumerate(m):
-        if e:
-            mask |= 1 << k
-    return mask
-
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership for a monomial: true iff some generator divides it.  A
-    generator is looked up first; otherwise only the generators whose
-    support lies inside m's are tested for divisibility."""
+    generator is looked up before the divisibility scan."""
     m = _exponents(m)
     if len(m) != ideal.nvars:
         raise ValueError("monomial has wrong ambient")
     if m in ideal.gens:
         return True
-    outside = ~_support(m)
-    return any(not s & outside and monomial_divides(g, m) for s, g in ideal._supports)
+    return any(monomial_divides(g, m) for g in ideal.gens)
 
 
 # ---------------------------------------------------------------------------

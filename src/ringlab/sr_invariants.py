@@ -9,10 +9,12 @@ depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
 polarization is. The f-vector, Hilbert series and multiplicity read one count
 of the full complex's faces (``_Scan.f_counts``); ``f_vector`` takes the
-squarefree ideal itself, not a complex. Every invariant but the dimension
-refuses a ring whose polarization has more than ``_MAX_VARS`` variables,
-counted from the exponents before it polarizes (``_limited_scan``);
-``krull_dim`` refuses above it only a ring that no certificate answers.
+squarefree ideal itself, not a complex. Depth and the CM check refuse a ring
+whose polarization has more than ``_MAX_VARS`` variables, counted from the
+exponents before it polarizes (``_limited_scan``). The dimension and the
+Hilbert series refuse above it only a non-squarefree ring, whose polarization
+grows with its exponents (``_face_scan``); ``krull_dim`` answers a certified
+ring at any size.
 
 Dimension, depth and Cohen-Macaulayness try a certificate first. For a flag
 complex a shedding order (``_Scan.vd_facet_sizes``) proves it
@@ -45,7 +47,7 @@ from typing import Iterable
 from .fields import GF2, FieldSpec
 from .graphs import _component_mask
 from .linalg import gf2_rank, modp_rank, rational_rank
-from .monomials import MonomialIdeal, _support, polarize
+from .monomials import MonomialIdeal, polarize
 
 _MAX_VARS = 14
 
@@ -56,23 +58,24 @@ def f_vector(ideal: MonomialIdeal) -> tuple:
     outside the ideal."""
     if not ideal.is_squarefree():
         raise ValueError("ideal is not squarefree; polarize first")
-    return _limited_scan(ideal).f_counts
+    return _scan_of(ideal).f_counts
 
 
 def krull_dim(ideal: MonomialIdeal) -> int:
     """Krull dimension of the quotient ring (polarizing internally if needed).
 
-    A certified ring reads it off its shedding certificate at any size.  A
-    generator of degree >= 3 polarizes to a non-flag complex, which no
-    certificate answers, so such a ring is refused above the size limit from
-    its exponents, before it polarizes; an uncertified flag ring is refused
-    there before the max-face search."""
-    flag = max(map(sum, ideal.gens), default=0) <= 2
-    scan = _scan_of(ideal) if flag else _limited_scan(ideal)
-    sizes = scan.vd_facet_sizes()
-    if sizes is not None:
-        return sizes[1] - scan.added
-    return _limited_scan(ideal).max_face_size() - scan.added
+    A ring with generators of degree <= 2 polarizes to a flag complex, with
+    at most twice its variables, and a certified one reads its dimension off
+    the shedding certificate at any size.  Every other ring runs the
+    max-face search, which ``_face_scan`` refuses for a non-squarefree ring
+    above the size limit."""
+    if max(map(sum, ideal.gens), default=0) <= 2:
+        scan = _scan_of(ideal)
+        sizes = scan.vd_facet_sizes()
+        if sizes is not None:
+            return sizes[1] - scan.added
+    scan = _face_scan(ideal)
+    return scan.max_face_size() - scan.added
 
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
@@ -129,7 +132,7 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     Non-squarefree input is polarized first and the series refers to the
     polarized ring.
     """
-    fv = _limited_scan(ideal).f_counts
+    fv = _face_scan(ideal).f_counts
     d = len(fv) - 1
     num = [0] * (d + 1)
     for i, fi in enumerate(fv):
@@ -157,7 +160,8 @@ def multiplicity(ideal: MonomialIdeal) -> int:
     """Number of top-dimensional facets = numerator of the series at t=1."""
     if not ideal.is_squarefree():
         raise ValueError("multiplicity expects a squarefree ideal")
-    return _limited_scan(ideal).f_counts[-1]
+    fv = _scan_of(ideal).f_counts
+    return fv[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,7 @@ def _scan_of(ideal: MonomialIdeal) -> "_Scan":
 
 def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
     """The ideal's scan, or a refusal when the ring is too large for the
-    subset scan or the face enumeration; called before either runs.  A new
+    subset scan; called by depth and the CM check before either scans.  A new
     scan is refused before it polarizes: the polarization has
     sum over k of max(1, max_g g_k) variables, one pass over the generators."""
     scan = ideal.__dict__.get("_scan")
@@ -185,6 +189,14 @@ def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
     if n > _MAX_VARS:
         raise ValueError(f"size limit exceeded: {n} variables after polarization")
     return _scan_of(ideal)
+
+
+def _face_scan(ideal: MonomialIdeal) -> "_Scan":
+    """The ideal's scan for the face enumeration and the max-face search.  A
+    squarefree ring is taken at any size, as given; a non-squarefree one goes
+    through ``_limited_scan``, since x^k polarizes to k variables (the search
+    on x^2000 recursed past Python's limit, and x^k has 2^k - 1 faces)."""
+    return _scan_of(ideal) if ideal.is_squarefree() else _limited_scan(ideal)
 
 
 class _Scan:
@@ -196,7 +208,14 @@ class _Scan:
         self.ambient = work.ambient
         self.n = work.nvars
         self.added = work.nvars - ideal.nvars
-        self.gen_masks = sorted(map(_support, work.gens))
+        self.gen_masks = []
+        for g in work.gens:
+            mask = 0
+            for k, e in enumerate(g):
+                if e:
+                    mask |= 1 << k
+            self.gen_masks.append(mask)
+        self.gen_masks.sort()
         face_verts = (1 << self.n) - 1
         for m in self.gen_masks:
             if m.bit_count() == 1:
@@ -303,14 +322,15 @@ class _Scan:
         vertex-decomposable when both its deletion G - v and its link
         G - N[v] are; its facets are those of the deletion and those of the
         link coned by v. Only the first such v is tried at each step, so
-        None proves nothing about the complex."""
+        None proves nothing about the complex. The steps run on an explicit
+        stack, so the search has no recursion depth to exceed."""
         if not self.flag:
             return None
         fv = self.face_verts
         closed = [fv & ~c for c in self.compat]  # read only at face vertices
-        memo: dict[int, tuple[int, int] | None] = {0: (0, 0)}
 
-        def rec(mask: int) -> tuple[int, int] | None:
+        def strip(mask: int) -> tuple[int, int]:
+            """(mask without its cone apexes, how many were stripped)."""
             base = mask
             scan = mask
             while scan:
@@ -318,30 +338,54 @@ class _Scan:
                 scan ^= bit
                 if closed[bit.bit_length() - 1] & mask == bit:
                     base ^= bit
-            if base not in memo:
-                shed = None
-                scan = base
-                while scan and shed is None:
-                    bit = scan & -scan
-                    scan ^= bit
-                    near = closed[bit.bit_length() - 1] & base
-                    nbrs = near ^ bit
-                    while nbrs:
-                        w = nbrs & -nbrs
-                        nbrs ^= w
-                        if closed[w.bit_length() - 1] & base & ~near == 0:
-                            shed = (bit, near)
-                            break
-                out = None
-                if shed is not None:
-                    dele, link = rec(base ^ shed[0]), rec(base & ~shed[1])
-                    out = dele and link and (min(dele[0], link[0] + 1), max(dele[1], link[1] + 1))
-                memo[base] = out
-            out = memo[base]
-            apexes = mask.bit_count() - base.bit_count()
-            return out and (out[0] + apexes, out[1] + apexes)
+            return base, mask.bit_count() - base.bit_count()
 
-        return rec(fv)
+        def shedding(base: int) -> tuple[int, int] | None:
+            """(first shedding vertex v, N[v]) of an apex-free base, or None."""
+            scan = base
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                near = closed[bit.bit_length() - 1] & base
+                nbrs = near ^ bit
+                while nbrs:
+                    w = nbrs & -nbrs
+                    nbrs ^= w
+                    if closed[w.bit_length() - 1] & base & ~near == 0:
+                        return bit, near
+            return None
+
+        # facet sizes of each apex-free base; a base's deletion and link,
+        # each stripped, are settled before it
+        memo: dict[int, tuple[int, int] | None] = {0: (0, 0)}
+        parts: dict[int, tuple] = {}
+        root, apexes = strip(fv)
+        stack = [root]
+        while stack:
+            base = stack[-1]
+            if base in memo:
+                stack.pop()
+                continue
+            if base not in parts:
+                shed = shedding(base)
+                if shed is None:
+                    memo[base] = None
+                    stack.pop()
+                    continue
+                parts[base] = (strip(base ^ shed[0]), strip(base & ~shed[1]))
+            (dele, d_apexes), (link, l_apexes) = parts[base]
+            waiting = [b for b in (dele, link) if b not in memo]
+            if waiting:
+                stack += waiting
+                continue
+            stack.pop()
+            ds, ls = memo[dele], memo[link]
+            memo[base] = ds and ls and (
+                min(ds[0] + d_apexes, ls[0] + l_apexes + 1),
+                max(ds[1] + d_apexes, ls[1] + l_apexes + 1),
+            )
+        out = memo[root]
+        return out and (out[0] + apexes, out[1] + apexes)
 
     def is_sphere_wedge_shaped(self, d: int) -> bool:
         """Audit of a pure certificate with facets of size d: a pure

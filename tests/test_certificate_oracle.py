@@ -23,7 +23,7 @@ from ringlab.constructions import (
 )
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.graphs import Graph, enumerate_graphs
-from ringlab.monomials import edge_ideal, polarize
+from ringlab.monomials import MonomialIdeal, edge_ideal, polarize
 from ringlab.sr_invariants import (
     _Scan,
     cohen_macaulay_witness_fields,
@@ -224,17 +224,28 @@ def test_cones_certify_through_their_apexes(m):
         check_public_answers(ideal, scan_answers(ideal))
 
 
-def test_an_uncertified_ring_above_the_size_limit_is_refused(monkeypatch):
+def test_the_shedding_search_runs_past_the_recursion_limit():
+    # sigma(E1000) takes 1,000 shedding steps in a row, one per whisker: the
+    # search keeps them on its own stack, not Python's
+    assert krull_dim(whiskered_edge_ideal(Graph(1000, []))) == 1000
+
+
+def test_uncertified_rings_above_the_size_limit(monkeypatch):
     # three disjoint five-cycles: 15 variables and no shedding vertex, so the
-    # dimension needs the max-face search, which the size limit refuses
+    # dimension needs the max-face search, which a squarefree ring runs at
+    # any size.  A square y^2 alongside polarizes to 17 variables and is
+    # refused before the search
     import ringlab.sr_invariants as sr
+
+    cycles = Graph(15, [(5 * c + k, 5 * c + k % 5 + 1) for c in range(3) for k in range(1, 6)])
+    ideal = edge_ideal(cycles)
+    assert _Scan(ideal).vd_facet_sizes() is None
+    assert krull_dim(ideal) == 6
 
     def refuse(self):
         raise AssertionError("max-face search started")
 
     monkeypatch.setattr(sr._Scan, "max_face_size", refuse)
-    cycles = Graph(15, [(5 * c + k, 5 * c + k % 5 + 1) for c in range(3) for k in range(1, 6)])
-    ideal = edge_ideal(cycles)
-    assert _Scan(ideal).vd_facet_sizes() is None
-    with pytest.raises(ValueError, match="size limit exceeded: 15 variables"):
-        krull_dim(ideal)
+    squared = MonomialIdeal(ideal.ambient + ("y",), [g + (0,) for g in ideal.gens] + [(0,) * 15 + (2,)])
+    with pytest.raises(ValueError, match="size limit exceeded: 17 variables after polarization"):
+        krull_dim(squared)

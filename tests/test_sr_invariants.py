@@ -7,6 +7,7 @@ no cones; it shares nothing with the production scan except the linalg core.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -214,11 +215,11 @@ def test_depth_refuses_from_the_exponents_before_polarizing(monkeypatch):
         is_cohen_macaulay(big, GF2)
 
 
-def test_dimension_and_face_counts_refuse_an_oversized_ring(monkeypatch):
-    # a generator of degree >= 3 polarizes to a non-flag complex, which no
-    # certificate answers: krull_dim of x^2000 raised RecursionError in the
-    # max-face search, and hilbert_series of x^k enumerated 2^k - 1 faces.
-    # Both are refused from the exponents, before the polarization is built
+def test_dimension_and_hilbert_series_refuse_an_oversized_polarization(monkeypatch):
+    # x^k polarizes to k variables: krull_dim of x^2000 raised RecursionError
+    # in the max-face search, and hilbert_series of x^k enumerated 2^k - 1
+    # faces.  A non-squarefree ring is refused from its exponents, before the
+    # polarization is built
     import ringlab.sr_invariants as sr
 
     def refuse(ideal):
@@ -230,11 +231,16 @@ def test_dimension_and_face_counts_refuse_an_oversized_ring(monkeypatch):
         for call in (krull_dim, hilbert_series):
             with pytest.raises(ValueError, match=f"size limit exceeded: {k} variables after polarization"):
                 call(power)
-    # the squarefree face counts are refused above the limit as well
+
+
+def test_face_counts_take_a_squarefree_ring_at_any_size():
+    # a squarefree ring is taken as given: the 15-vertex simplex is above
+    # the size limit of the subset scan, and its 2^15 faces are counted
     simplex = MonomialIdeal([f"x{i}" for i in range(15)], [])
-    for call in (f_vector, multiplicity):
-        with pytest.raises(ValueError, match="size limit exceeded: 15 variables"):
-            call(simplex)
+    assert f_vector(simplex) == tuple(math.comb(15, i) for i in range(16))
+    assert multiplicity(simplex) == 1
+    assert hilbert_series(simplex) == ((1,), 15)
+    assert krull_dim(simplex) == 15
 
 
 def test_cm_examples():
