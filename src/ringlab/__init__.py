@@ -16,7 +16,6 @@ from .graphs import (
     whisker_all,
     whisker_except,
 )
-from .linalg import Matrix
 from .monomials import (
     MonomialIdeal,
     Presentation,

@@ -101,9 +101,6 @@ class LocalAlgebra:
     def zero_vector(self) -> tuple:
         return (self.field.zero(),) * self.dim_k
 
-    def unit_vector(self) -> tuple:
-        return self._basis_vec(self.index[(0,) * self.nvars])
-
     def _dense(self, sparse) -> tuple:
         """A sparse vector ((index, coeff), ...) as a dense tuple over the basis."""
         vec = [self.field.zero()] * self.dim_k
@@ -217,15 +214,6 @@ class LocalAlgebra:
                 if a:
                     vec[i] = f.add(vec[i], f.mul(c, a))
         return tuple(vec)
-
-    def format_element(self, vec) -> str:
-        parts = []
-        for i, c in enumerate(vec):
-            if not c:
-                continue
-            mono = format_monomial(self.var_names, self.basis_monomials[i])
-            parts.append(mono if c == self.field.one() else f"{c}*{mono}")
-        return " + ".join(parts) if parts else "0"
 
     # -- filtration ------------------------------------------------------------
 

@@ -47,9 +47,6 @@ class Graph:
     def from_edges(n: int, pairs) -> "Graph":
         return Graph(n, frozenset(_norm_edge(i, j) for i, j in pairs))
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return _norm_edge(i, j) in self.edges
-
     def adjacency_masks(self) -> list[int]:
         """Bitmask adjacency, index and bit positions both 0-based."""
         adj = [0] * self.n

@@ -1,12 +1,13 @@
 """Exact linear algebra over GF(p) and the rationals.
 
-Matrices are immutable dense arrays of exact field elements.  There is one
-Gauss-Jordan, the incremental ``Subspace``: ``null_space``, ``Matrix.rref``,
-``rank`` and ``solve``, ``modp_rank`` and ``rational_rank`` fill one row by
-row and read its rows and pivots.  Rows enter it dense or sparse ({column:
-entry}, as the module engine and ``truncate`` build them) and go straight
-into the kernel's form, with no per-entry ``coerce``; only the public
-``Subspace.add``, ``contains`` and ``reduce`` check and coerce their input.
+There is one Gauss-Jordan, the incremental ``Subspace``: ``null_space``,
+``_rank``, ``modp_rank``, ``rational_rank`` and the dense ``Matrix``
+reductions fill one row by row and read its rows and pivots.  No other
+module of the package builds a ``Matrix``; the benchmark's probes still name
+its methods.  Rows enter the kernel dense or sparse ({column: entry}, as the
+module engine and ``truncate`` build them) and go straight into its form,
+with no per-entry ``coerce``; only the public ``Subspace.add``,
+``contains`` and ``reduce`` check and coerce their input.
 Over GF(2) that form is a row packed into a Python int, so each row
 operation is a single XOR.  Elsewhere it is a sparse integer row {column:
 nonzero int}, so a row operation costs the nonzeros of the two rows, not
@@ -146,6 +147,7 @@ def rational_rank(rows: Iterable[Sequence]) -> int:
 # ---------------------------------------------------------------------------
 
 
+# kept only for the spans and guards of benchmarks/, which name its methods
 class Matrix:
     """An immutable dense matrix with exact entries in a fixed field."""
 
@@ -166,15 +168,6 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = ncols
         self._rows = tuple(data)
-
-    # -- construction helpers ----------------------------------------------
-
-    @staticmethod
-    def from_columns(field: FieldSpec, columns: Sequence[Sequence]) -> "Matrix":
-        if not columns:
-            return Matrix(field, [], 0)
-        nrows = len(columns[0])
-        return Matrix(field, [[col[i] for col in columns] for i in range(nrows)], len(columns))
 
     # -- accessors -----------------------------------------------------------
 
@@ -199,26 +192,6 @@ class Matrix:
         return f"Matrix({self.field}, {self.nrows}x{self.ncols})"
 
     # -- arithmetic ----------------------------------------------------------
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
-            raise ValueError("field mismatch")
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        ocols = list(zip(*other._rows)) if other._rows else [()] * other.ncols
-        out = []
-        for r in self._rows:
-            new = []
-            for c in range(other.ncols):
-                acc = f.zero()
-                col = ocols[c] if other._rows else ()
-                for a, b in zip(r, col):
-                    if a and b:
-                        acc = f.add(acc, f.mul(a, b))
-                new.append(acc)
-            out.append(new)
-        return Matrix(f, out, other.ncols)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product."""

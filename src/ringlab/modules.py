@@ -6,9 +6,10 @@ columns: column j lists the nonzero (row, entry) pairs of x_k times basis
 element j.  Everything else (the action of the algebra's basis elements,
 built along the division tree, Hom, Ext, Tor, syzygies) is plain exact linear
 algebra on sparse vectors {index: entry}, which enter ``linalg``'s
-Gauss-Jordan with no dense row in between.  A dense ``Matrix`` appears only
-at the public edges: the matrices given to a hand-built ``FPModule``, the
-``var_actions`` view and the maps that ``hom_module`` returns.  Only a
+Gauss-Jordan with no dense row in between.  The public edges keep that
+form: a hand-built ``FPModule`` turns its rows of field elements into sparse
+columns, and ``hom_module`` returns each basis map as its sparse
+``null_space`` vector, so the engine builds no dense matrix at all.  Only a
 hand-built ``FPModule`` has its actions checked to commute; the constructors
 here trust what they build, and no kernel, Hom coordinate or differential is
 re-checked at run time (``tests/algebra_oracle.check_resolution`` and the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 from .artin import LocalAlgebra, _ideal_span, _transpose
 from .fields import FieldSpec
-from .linalg import Matrix, Subspace, _rank, null_space
+from .linalg import Subspace, _rank, null_space
 
 _MAX_BOUND = 12
 # Largest Hom system, in cells of its dense shape (nvars * dim M * dim N sparse
@@ -55,27 +56,33 @@ _MAX_HOM_CELLS = 4_000_000
 class FPModule:
     """A finite-dimensional module over a LocalAlgebra.
 
-    ``degrees`` gives each basis element a degree in the algebra's grading
-    (see ``LocalAlgebra.degrees``); without it every degree is the trivial
-    degree (), and the module is trivially graded.  The action is kept as
-    sparse columns, ``var_sparse(k)``; ``var_actions`` is their dense view.
+    ``FPModule(algebra, dim, actions)`` builds a module by hand: ``actions``
+    holds one action per variable, each ``dim`` rows of field elements (nested
+    lists or tuples; row i, column j is the coefficient of basis element i in
+    x_k times basis element j), and the actions must commute.  ``degrees``
+    gives each basis element a degree in the algebra's grading (see
+    ``LocalAlgebra.degrees``); without it every degree is the trivial degree
+    (), and the module is trivially graded.  The action is kept as sparse
+    columns, ``var_sparse(k)``.
     """
 
-    def __init__(self, algebra: LocalAlgebra, dim: int, var_actions, label: str | None = None, degrees=None):
-        if len(var_actions) != algebra.nvars:
-            raise ValueError("need one action matrix per variable")
+    def __init__(self, algebra: LocalAlgebra, dim: int, actions, label: str | None = None, degrees=None):
+        if len(actions) != algebra.nvars:
+            raise ValueError("need one action per variable")
         if degrees is not None and len(degrees) != dim:
             raise ValueError("need one degree per basis element")
-        for m in var_actions:
-            if m.nrows != dim or m.ncols != dim:
-                raise ValueError("action matrix has wrong shape")
-            if m.field != algebra.field:
-                raise ValueError("action matrix over the wrong field")
-        if any(x.mul(y) != y.mul(x) for i, x in enumerate(var_actions) for y in var_actions[i + 1 :]):
-            raise AssertionError("variable actions do not commute")
-        cols = [[[(i, x) for i, x in enumerate(col) if x] for col in zip(*m.rows())] for m in var_actions]
+        f = algebra.field
+        cols = []
+        for rows in actions:
+            if len(rows) != dim or any(len(row) != dim for row in rows):
+                raise ValueError("action has wrong shape")
+            entries = [[f.coerce(x) for x in row] for row in rows]
+            cols.append([[(i, x) for i, x in enumerate(col) if x] for col in zip(*entries)])
+        for i, x in enumerate(cols):
+            for y in cols[i + 1 :]:
+                if any(_act(f, x, dict(yj), dim) != _act(f, y, dict(xj), dim) for xj, yj in zip(x, y)):
+                    raise AssertionError("variable actions do not commute")
         self._build(algebra, dim, cols, label, degrees)
-        self._var_actions = tuple(var_actions)
 
     @classmethod
     def _trusted(cls, *args, **kwargs) -> "FPModule":
@@ -92,7 +99,6 @@ class FPModule:
         self.label = label
         self.degrees = ((),) * dim if degrees is None else tuple(degrees)
         self._var_sparse = var_sparse
-        self._var_actions: tuple | None = None
         self._basis_actions: list[list[dict] | None] = [None] * algebra.dim_k
         self._res_state: dict | None = None
 
@@ -100,17 +106,6 @@ class FPModule:
         """Variable k's action as sparse columns: column j lists the nonzero
         (row, entry) pairs of x_k times basis element j."""
         return self._var_sparse[k]
-
-    @property
-    def var_actions(self) -> tuple:
-        """The variable actions as dense matrices, built on first read."""
-        if self._var_actions is None:
-            f, zero = self.algebra.field, self.algebra.field.zero()
-            self._var_actions = tuple(
-                Matrix.from_columns(f, [[dict(col).get(i, zero) for i in range(self.dim)] for col in cols])
-                for cols in self._var_sparse
-            )
-        return self._var_actions
 
     def _basis_action(self, b: int) -> list[dict]:
         """Action of the b-th algebra basis element as sparse columns
@@ -424,20 +419,16 @@ def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
 
 
 def hom_module(m: FPModule, n: FPModule):
-    """Hom_A(M, N) as a module, plus its basis of homomorphism matrices.
+    """Hom_A(M, N) as a module, plus its basis of homomorphisms.
 
-    The Hom space is cut out by commutation with the variable actions only;
-    variables generate the algebra, so this equals full A-linearity (tested
-    against all-basis commutation on small instances).
+    Each basis map Phi: M -> N is its ``null_space`` vector, a sparse dict
+    {s * dim M + t: Phi[s][t]} holding the nonzero entries of the dim N x
+    dim M matrix of Phi; its last key is its free column, where it has a 1
+    and every other basis map a 0.  The Hom space is cut out by commutation
+    with the variable actions only; variables generate the algebra, so this
+    equals full A-linearity (tested against all-basis commutation on small
+    instances).
     """
-    hom, basis = _hom(m, n)
-    f, dm = m.algebra.field, m.dim
-    return hom, [Matrix(f, [[vec.get(s * dm + t, 0) for t in range(dm)] for s in range(n.dim)], dm) for vec in basis]
-
-
-def _hom(m: FPModule, n: FPModule):
-    """``hom_module`` with each basis map Phi given as its ``null_space``
-    vector {s * dim M + t: Phi[s][t]}."""
     _check_same_algebra(m, n)
     _check_hom_cells(m, n)
     f = m.algebra.field
@@ -495,7 +486,7 @@ def _free_columns(basis) -> list:
 
 def dual_module(m: FPModule) -> FPModule:
     """M* = Hom_A(M, A) with its natural action."""
-    mod, _ = _hom(m, free_module(m.algebra))
+    mod, _ = hom_module(m, free_module(m.algebra))
     mod.label = f"({m.label or '?'})*"
     return mod
 
@@ -505,8 +496,8 @@ def biduality_is_iso(m: FPModule) -> bool:
     a = m.algebra
     f = a.field
     free = free_module(a)
-    dual, phis = _hom(m, free)
-    double, psis = _hom(dual, free)
+    dual, phis = hom_module(m, free)
+    double, psis = hom_module(dual, free)
     if double.dim != m.dim:
         return False
     if m.dim == 0:
@@ -537,7 +528,7 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
     _check_bound(b, "bound")
     a = c.algebra
     f = a.field
-    hom, maps = _hom(c, c)
+    hom, maps = hom_module(c, c)
     if hom.dim != a.dim_k:
         return False
     if a.dim_k:

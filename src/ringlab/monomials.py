@@ -561,16 +561,6 @@ def parse_poly(ambient: Sequence[str], text: str, field: FieldSpec) -> Poly:
     return Poly(field, len(ambient), terms)
 
 
-def parse_monomial(ambient: Sequence[str], text: str) -> Monomial:
-    poly = parse_poly(ambient, text, FieldSpec.rationals())
-    if len(poly.terms) != 1:
-        raise ValueError(f"{text!r} is not a monomial")
-    ((mono, coeff),) = poly.terms.items()
-    if coeff != 1:
-        raise ValueError(f"{text!r} has a coefficient")
-    return mono
-
-
 def format_monomial(ambient: Sequence[str], mono: Monomial) -> str:
     parts = []
     for name, e in zip(ambient, mono):
@@ -601,10 +591,6 @@ def format_poly(ambient: Sequence[str], poly: Poly) -> str:
         else:
             out += (" - " if neg else " + ") + body
     return out
-
-
-def presentation_to_json(p: Presentation) -> str:
-    return json.dumps({"vars": list(p.ambient), "gens": p.gen_strings(), "field": str(p.field)})
 
 
 def presentation_from_json(text: str) -> Presentation:

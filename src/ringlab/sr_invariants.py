@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
-from typing import Iterable
 
 from .fields import GF2, FieldSpec
 from .graphs import _component_mask
@@ -142,18 +141,6 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return tuple(num), d
-
-
-def hilbert_coefficients(numerator: Iterable[int], d: int, count: int) -> list[int]:
-    """The first ``count`` coefficients of numerator / (1-t)^d."""
-    num = list(numerator)
-    out = []
-    for j in range(count):
-        if d == 0:
-            out.append(num[j] if j < len(num) else 0)
-        else:
-            out.append(sum(num[k] * comb(d - 1 + j - k, d - 1) for k in range(min(j, len(num) - 1) + 1)))
-    return out
 
 
 def multiplicity(ideal: MonomialIdeal) -> int:
@@ -288,26 +275,30 @@ class _Scan:
 
     @cached_property
     def _max_face_size(self) -> int:
+        """Branch and bound over faces, depth first with the vertices in
+        ascending order; a branch stops once its face plus every candidate
+        left cannot beat the best size.  The branches wait on an explicit
+        stack, so the search has no recursion depth to exceed."""
         best = 0
-
-        def rec(mask: int, size: int, allowed: int) -> None:
-            nonlocal best
-            if size > best:
-                best = size
-            if size + allowed.bit_count() <= best:
-                return
-            scan = allowed
+        # (face, its size, candidates above its last vertex, fresh branch?)
+        stack = [(0, 0, self.face_verts, True)]
+        while stack:
+            mask, size, scan, fresh = stack.pop()
+            if fresh:
+                best = max(best, size)
+                if size + scan.bit_count() <= best:
+                    continue
             while scan:
                 bit = scan & -scan
                 v = bit.bit_length() - 1
                 scan ^= bit
                 if self.flag or self._extend_ok(mask, v):
-                    rec(mask | bit, size + 1, allowed & self.compat[v] & ~((bit << 1) - 1))
-                else:
-                    rec(mask, size, scan)
-                    return
-
-        rec(0, 0, self.face_verts)
+                    # finish the branch through v, then come back for the rest
+                    stack.append((mask, size, scan, False))
+                    stack.append((mask | bit, size + 1, scan & self.compat[v], True))
+                    break
+                if size + scan.bit_count() <= best:
+                    break
         return best
 
     @cached_property

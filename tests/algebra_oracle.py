@@ -41,6 +41,10 @@ def _basis_vec(a, i: int) -> tuple:
     return tuple(vec)
 
 
+def _unit(a) -> tuple:
+    return _basis_vec(a, a.index[(0,) * a.nvars])
+
+
 def _sparse(vec) -> dict:
     return {i: c for i, c in enumerate(vec) if c}
 
@@ -58,7 +62,7 @@ def _evaluate_monomial(a, mono, cache) -> tuple:
     if mono not in cache:
         k = next((idx for idx, e in enumerate(mono) if e), None)
         if k is None:
-            cache[mono] = a.unit_vector()
+            cache[mono] = _unit(a)
         else:
             rest = mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
             cache[mono] = a.multiply(_evaluate_monomial(a, rest, cache), a.var_images[k])
@@ -123,7 +127,7 @@ def check_algebra(a) -> None:
     if expected is not None:
         assert d == expected, f"dim_k {d}, Groebner count {expected}"
     # 4. unit law
-    unit = a.unit_vector()
+    unit = _unit(a)
     for i in range(d):
         e = _basis_vec(a, i)
         assert a.multiply(unit, e) == e and a.multiply(e, unit) == e, f"unit law at {i}"
@@ -157,14 +161,30 @@ def check_algebra(a) -> None:
         assert list(filt) == [a.power_subspace(j).dim for j in range(len(filt))], f"filtration {filt}"
 
 
+def dense_action(m, k: int) -> list[list]:
+    """Variable k's action on m as a list of rows, read off its sparse columns."""
+    rows = [[m.algebra.field.zero()] * m.dim for _ in range(m.dim)]
+    for j, col in enumerate(m.var_sparse(k)):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
+
+
+def dense_map(m, n, vec) -> list[list]:
+    """A ``hom_module`` basis map, the sparse vector {s * dim M + t: entry},
+    as the dim N x dim M list of rows of a map M -> N."""
+    zero = m.algebra.field.zero()
+    return [[vec.get(s * m.dim + t, zero) for t in range(m.dim)] for s in range(n.dim)]
+
+
 def dense_basis_action(m, b: int) -> list[list]:
     """The action on m of the b-th basis monomial, as a list of rows: the
-    product of the dense variable actions ``var_actions`` along its exponents."""
+    product of the dense variable actions along its exponents."""
     p = m.algebra.field.p
     mat = identity(p, m.dim)
     for var, e in enumerate(m.algebra.basis_monomials[b]):
         for _ in range(e):
-            mat = mat_mul(p, m.var_actions[var].rows(), mat)
+            mat = mat_mul(p, dense_action(m, var), mat)
     return mat
 
 
@@ -191,14 +211,14 @@ def check_module_action(m) -> None:
     a = m.algebra
     p = a.field.p
     basis = [dense_basis_action(m, b) for b in range(a.dim_k)]
-    assert _element_action(m, a.unit_vector(), basis) == identity(p, m.dim), "unit action"
+    assert _element_action(m, _unit(a), basis) == identity(p, m.dim), "unit action"
     for i in range(a.dim_k):
         for j in range(a.dim_k):
             product = a.multiply(_basis_vec(a, i), _basis_vec(a, j))
             assert _element_action(m, product, basis) == mat_mul(p, basis[i], basis[j]), f"action at {(i, j)}"
-    for k, action in enumerate(m.var_actions):
+    for k in range(a.nvars):
         shift = a._grade(a._var_monomial(k))
-        rows = action.rows()
+        rows = dense_action(m, k)
         for j in range(m.dim):
             target = _degree_sum(m.degrees[j], shift)
             for i in range(m.dim):

@@ -4,12 +4,14 @@ Computes dim Ext^i(M, N) for i <= 2 from a deliberately NON-minimal two-step
 free presentation: every free module covers the whole k-basis of the previous
 kernel, and the Hom complex is assembled from scratch with repeated
 variable-action products.  Only the algebra's multiplication table and the
-modules' dense ``var_actions`` are shared with production; ranks and kernels
-come from the Gauss-Jordan of ``gauss_oracle``, not from ringlab's.
+modules' variable actions (made dense by ``algebra_oracle.dense_action``)
+are shared with production; ranks and kernels come from the Gauss-Jordan of
+``gauss_oracle``, not from ringlab's.
 """
 
 from __future__ import annotations
 
+from algebra_oracle import dense_action
 from gauss_oracle import apply, identity, kernel, mat_mul, rank
 
 
@@ -18,7 +20,7 @@ def _module_mono_action(module, mono) -> list[list]:
     mat = identity(p, module.dim)
     for var, e in enumerate(mono):
         for _ in range(e):
-            mat = mat_mul(p, module.var_actions[var].rows(), mat)
+            mat = mat_mul(p, dense_action(module, var), mat)
     return mat
 
 

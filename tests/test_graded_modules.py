@@ -14,7 +14,8 @@ resolutions are also checked by ``algebra_oracle.check_resolution``
 import pytest
 
 import ringlab.modules as modules
-from algebra_oracle import check_module_action, check_resolution, dense_basis_action
+from algebra_oracle import check_module_action, check_resolution, dense_action, dense_basis_action, dense_map
+from gauss_oracle import mat_mul
 from ringlab.artin import LocalAlgebra, canonical_module, truncate
 from ringlab.constructions import (
     edge_ideal_all_squares,
@@ -25,6 +26,7 @@ from ringlab.constructions import (
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.linalg import Matrix
 from ringlab.modules import (
+    FPModule,
     bass_truncation,
     biduality_is_iso,
     cyclic_module,
@@ -173,26 +175,39 @@ def test_no_kernel_block_is_wider_than_its_betti_number(monkeypatch):
 # flattened basis maps with Matrix.solve, a separate elimination.
 
 
-def _flat(mat) -> list:
-    return [x for row in mat.rows() for x in row]
+def _flat(rows) -> list:
+    return [x for row in rows for x in row]
+
+
+def _columns(f, cols) -> Matrix:
+    """The matrix with the given columns, each of the same length."""
+    return Matrix(f, list(zip(*cols)), len(cols))
 
 
 def _solve_coordinates(f, maps, vectors):
     """Coordinates of each vector in the span of the flattened maps, or None
     for a vector outside it."""
-    basis = Matrix.from_columns(f, [_flat(phi) for phi in maps])
+    basis = _columns(f, [_flat(phi) for phi in maps])
     return [basis.solve(vec) for vec in vectors]
 
 
 def _solve_hom_actions(m, n, maps):
+    """Each variable's action on Hom(M, N) in the basis ``maps``, as rows, or
+    None when some x_k Phi leaves the span of the maps."""
     f = m.algebra.field
+    maps = [dense_map(m, n, phi) for phi in maps]
     actions = []
-    for rn in n.var_actions:
-        cols = _solve_coordinates(f, maps, [_flat(rn.mul(phi)) for phi in maps])
+    for k in range(m.algebra.nvars):
+        rn = dense_action(n, k)
+        cols = _solve_coordinates(f, maps, [_flat(mat_mul(f.p, rn, phi)) for phi in maps])
         if any(c is None for c in cols):
             return None
-        actions.append(Matrix.from_columns(f, cols) if maps else Matrix(f, [], 0))
+        actions.append([list(row) for row in zip(*cols)])
     return actions
+
+
+def _hom_actions(hom) -> list:
+    return [dense_action(hom, k) for k in range(hom.algebra.nvars)]
 
 
 def _solve_semidualizing(c, b) -> bool:
@@ -200,9 +215,10 @@ def _solve_semidualizing(c, b) -> bool:
     hom, maps = hom_module(c, c)
     if hom.dim != a.dim_k:
         return False
-    actions = [[x for row in dense_basis_action(c, i) for x in row] for i in range(a.dim_k)]
+    maps = [dense_map(c, c, phi) for phi in maps]
+    actions = [_flat(dense_basis_action(c, i)) for i in range(a.dim_k)]
     cols = _solve_coordinates(a.field, maps, actions)
-    if any(col is None for col in cols) or (cols and Matrix.from_columns(a.field, cols).rank() != a.dim_k):
+    if any(col is None for col in cols) or (cols and _columns(a.field, cols).rank() != a.dim_k):
         return False
     return all(ext(c, c, i) == 0 for i in range(1, b + 1))
 
@@ -216,10 +232,11 @@ def _solve_biduality(m) -> bool:
         return False
     if m.dim == 0:
         return True
-    evs = [[phis[t].rows()[s][j] for s in range(a.dim_k) for t in range(dual.dim)] for j in range(m.dim)]
-    cols = _solve_coordinates(a.field, psis, evs)
+    phis = [dense_map(m, free, phi) for phi in phis]
+    evs = [[phis[t][s][j] for s in range(a.dim_k) for t in range(dual.dim)] for j in range(m.dim)]
+    cols = _solve_coordinates(a.field, [dense_map(dual, free, psi) for psi in psis], evs)
     assert all(col is not None for col in cols)
-    return Matrix.from_columns(a.field, cols).rank() == m.dim
+    return _columns(a.field, cols).rank() == m.dim
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -230,7 +247,7 @@ def test_hom_coordinates_match_the_solve_route(name, field):
     for m in pool.values():
         for n in (pool["A"], m):
             hom, maps = hom_module(m, n)
-            assert list(hom.var_actions) == _solve_hom_actions(m, n, maps)
+            assert _hom_actions(hom) == _solve_hom_actions(m, n, maps)
         assert is_semidualizing_up_to(m, 2) == _solve_semidualizing(m, 2)
         assert biduality_is_iso(m) == _solve_biduality(m)
 
@@ -264,9 +281,9 @@ def test_sparse_basis_action_matches_the_dense_products(name, field):
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_the_engine_builds_no_matrix(name, field, monkeypatch):
-    # truncate and the module engine keep every normal form and action sparse:
-    # a Matrix appears only for a hand-built FPModule, the var_actions view and
-    # the maps that hom_module returns
+    # truncate and the module engine keep every normal form and action sparse,
+    # at their public edges too: a hand-built FPModule and hom_module build no
+    # Matrix either
     built = []
     real = Matrix.__init__
 
@@ -284,7 +301,10 @@ def test_the_engine_builds_no_matrix(name, field, monkeypatch):
         is_totally_reflexive_up_to(m, 2)
         biduality_is_iso(m)
         dual_module(m)
+        by_hand = FPModule(a, m.dim, [dense_action(m, k) for k in range(a.nvars)], degrees=m.degrees)
+        minimal_resolution(by_hand, 2)
         for n in pool.values():
+            hom_module(m, n)
             for i in range(3):
                 ext(m, n, i)
                 tor(m, n, i)
@@ -333,7 +353,7 @@ def test_hom_refuses_a_basis_that_is_not_closed(field, monkeypatch):
     for keep in range(4):
         monkeypatch.setattr(modules, "null_space", lambda *args, keep=keep: real(*args)[keep : keep + 1])
         hom, _ = hom_module(free, free)
-        if list(hom.var_actions) == _solve_hom_actions(free, free, [maps[keep]]):
+        if _hom_actions(hom) == _solve_hom_actions(free, free, [maps[keep]]):
             closed.append(keep)
     assert len(closed) == 1
-    assert sum(1 for x in _flat(maps[closed[0]]) if x) == 1  # xy maps 1 to xy, all else to 0
+    assert sum(1 for x in maps[closed[0]].values() if x) == 1  # xy maps 1 to xy, all else to 0

@@ -1,11 +1,14 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ringlab
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.linalg import (
     Matrix,
@@ -351,3 +354,12 @@ def test_subspace_coerces_its_entries_over_every_field(field):
         for call in (Subspace(field, 2).add, Subspace(field, 2).contains, Subspace(field, 2).reduce):
             with pytest.raises(ZeroDivisionError, match="mod 2"):
                 call([Fraction(1, 2), 0])
+
+
+def test_only_linalg_names_matrix():
+    # the package computes on sparse rows; the dense Matrix stays in linalg.py
+    # only because the benchmark's probes name its methods.  A module listed
+    # here has started to use it again
+    package = Path(ringlab.__file__).parent
+    users = [p.name for p in sorted(package.glob("*.py")) if re.search(r"\bMatrix\b", p.read_text())]
+    assert users == ["linalg.py"]

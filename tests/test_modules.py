@@ -2,8 +2,9 @@
 
 The oracle builds a deliberately non-minimal two-step free presentation (free
 covers on every k-basis vector, not on minimal generators) and takes the
-homology of its Hom complex directly.  It shares only the Matrix core with the
-production path.
+homology of its Hom complex directly.  It shares only the algebra's
+multiplication table and the modules' variable actions with the production
+path.
 """
 
 import itertools
@@ -12,12 +13,11 @@ import random
 import pytest
 
 import ringlab.modules as modules
-from algebra_oracle import check_module_action, check_resolution, dense_basis_action
+from algebra_oracle import check_module_action, check_resolution, dense_action, dense_basis_action, dense_map
 from gauss_oracle import apply as oracle_apply, mat_mul, rank as oracle_rank
 from ringlab.artin import canonical_module, ideal_direct_sum_check, socle, truncate
 from ringlab.constructions import edge_ideal_all_squares, named_graph, stanley_example_big_ring
 from ringlab.fields import GF2, QQ, FieldSpec
-from ringlab.linalg import Matrix
 from ringlab.modules import (
     FPModule,
     _kernel_of_columns,
@@ -69,11 +69,13 @@ def test_hom_system_with_a_nonzero_diagonal(field):
     # each diagonal unknown of the Hom system gets an entry from M's action
     # and one from N's; End(A) = A is still 2-dimensional
     a = dual_numbers(field)
-    x = Matrix(field, [[1, -1], [1, -1]])
-    m = FPModule(a, 2, [x])
+    m = FPModule(a, 2, [[[1, -1], [1, -1]]])
+    x = dense_action(m, 0)
     hom, maps = hom_module(m, m)
     assert hom.dim == 2
-    assert all(x.mul(phi) == phi.mul(x) for phi in maps)
+    for phi in maps:
+        phi = dense_map(m, m, phi)
+        assert mat_mul(field.p, x, phi) == mat_mul(field.p, phi, x)
     check_module_action(hom)
 
 
@@ -81,15 +83,15 @@ def test_residue_field_basic():
     a = dual_numbers()
     k = residue_field(a)
     assert k.dim == 1 and k.label == "k"
-    assert all(not any(row) for m in k.var_actions for row in m.rows())
+    assert all(not col for v in range(a.nvars) for col in k.var_sparse(v))
 
 
 def test_free_module_is_regular_representation():
     a = dual_numbers()
     f = free_module(a)
     assert f.dim == a.dim_k
-    x = f.var_actions[0]
-    assert x.apply(a.unit_vector()) == a.element_from_linear({"x": 1})
+    unit = a._basis_vec(a.index[(0,)])
+    assert tuple(oracle_apply(a.field.p, dense_action(f, 0), unit)) == a.element_from_linear({"x": 1})
 
 
 def test_cyclic_module_examples():
@@ -115,15 +117,31 @@ def test_hand_built_module_actions_must_commute(field):
     # module keeps it: on k^2 over the fat point, x = e_21 and y = e_12 give
     # xy = e_22 but yx = e_11
     a = fat_point(field)
-    x = Matrix(field, [[0, 0], [1, 0]])
-    y = Matrix(field, [[0, 1], [0, 0]])
+    x = [[0, 0], [1, 0]]
+    y = ((0, 1), (0, 0))
     with pytest.raises(AssertionError, match="variable actions do not commute"):
         FPModule(a, 2, [x, y])
     # with y acting as 0 it is A/(y): its syzygy (y) is k, whose Betti
     # numbers over the fat point double
-    m = FPModule(a, 2, [x, Matrix(field, [[0, 0], [0, 0]])])
+    m = FPModule(a, 2, [x, [[0, 0], [0, 0]]])
     check_module_action(m)
     assert poincare_truncation(m, 3) == [1, 1, 2, 4]
+
+
+@pytest.mark.parametrize(
+    "actions, degrees, error, message",
+    [
+        ([[[0, 0], [1, 0]]], None, ValueError, "need one action per variable"),
+        ([[[0, 0], [1, 0]], [[0, 0]]], None, ValueError, "action has wrong shape"),
+        ([[[0, 0], [1, 0]], [[0, 0], [0]]], None, ValueError, "action has wrong shape"),
+        ([[[0, 0], [1, 0]], [[0, 0], [0, 0]]], [(0, 0)], ValueError, "need one degree per basis element"),
+        ([[[0, 0], [1, 0]], [[0, 0], [0.5, 0]]], None, TypeError, "not an exact field element"),
+    ],
+    ids=["action count", "row count", "ragged row", "degree count", "float entry"],
+)
+def test_hand_built_module_refuses_malformed_input(actions, degrees, error, message):
+    with pytest.raises(error, match=message):
+        FPModule(fat_point(), 2, actions, degrees=degrees)
 
 
 # -- resolutions -------------------------------------------------------------------
@@ -237,9 +255,8 @@ def test_hom_cell_cap_is_checked_before_any_row(monkeypatch):
     monkeypatch.setattr(modules, "_MAX_HOM_CELLS", 15)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a matrix was built")
+        raise AssertionError("a Hom system was built")
 
-    monkeypatch.setattr(Matrix, "__init__", refuse)
     monkeypatch.setattr(modules, "null_space", refuse)
     with pytest.raises(ValueError, match="4 x 4 system, over 15 cells"):
         hom_module(free, free)
@@ -367,7 +384,7 @@ def test_sparse_kernel_check_matches_dense_apply(field):
 
 def test_zero_module_resolution():
     a = dual_numbers()
-    z = FPModule(a, 0, [Matrix(a.field, [], 0) for _ in range(a.nvars)], label="0")
+    z = FPModule(a, 0, [[] for _ in range(a.nvars)], label="0")
     assert poincare_truncation(z, 3) == [0, 0, 0, 0]
 
 
@@ -506,8 +523,8 @@ def test_hom_module_variable_only_matches_full_basis():
     h, maps = hom_module(m, n)
     for phi in maps:
         for b in range(a.dim_k):
-            left = mat_mul(a.field.p, phi.rows(), dense_basis_action(m, b))
-            right = mat_mul(a.field.p, dense_basis_action(n, b), phi.rows())
+            left = mat_mul(a.field.p, dense_map(m, n, phi), dense_basis_action(m, b))
+            right = mat_mul(a.field.p, dense_basis_action(n, b), dense_map(m, n, phi))
             assert left == right
 
 

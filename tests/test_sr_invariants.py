@@ -21,13 +21,12 @@ from ringlab.constructions import (
 from ringlab.fields import GF2, QQ, FieldSpec
 from ringlab.graphs import enumerate_graphs
 from ringlab.linalg import Matrix
-from ringlab.monomials import MonomialIdeal, edge_ideal, parse_monomial, polarize
+from ringlab.monomials import MonomialIdeal, edge_ideal, parse_poly, polarize
 from ringlab.sr_invariants import (
     cohen_macaulay_witness,
     cohen_macaulay_witness_fields,
     depth,
     f_vector,
-    hilbert_coefficients,
     hilbert_series,
     is_cohen_macaulay,
     krull_dim,
@@ -38,7 +37,7 @@ GF3 = FieldSpec.prime(3)
 
 
 def ideal(vars_, *gens):
-    return MonomialIdeal(vars_, [parse_monomial(vars_, g) for g in gens])
+    return MonomialIdeal(vars_, [next(iter(parse_poly(vars_, g, QQ).terms)) for g in gens])
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -191,7 +190,7 @@ def test_depth_size_limit():
         depth(big, QQ)
     # eight variables, sixteen after polarization: only the subset scans refuse
     names = [f"x{i}" for i in range(8)]
-    squares = MonomialIdeal(names, [parse_monomial(names, f"{x}^2") for x in names])
+    squares = ideal(names, *(f"{x}^2" for x in names))
     with pytest.raises(ValueError, match="16 variables after polarization"):
         depth(squares, QQ)
     with pytest.raises(ValueError, match="16 variables after polarization"):
@@ -231,6 +230,15 @@ def test_dimension_and_hilbert_series_refuse_an_oversized_polarization(monkeypat
         for call in (krull_dim, hilbert_series):
             with pytest.raises(ValueError, match=f"size limit exceeded: {k} variables after polarization"):
                 call(power)
+
+
+def test_max_face_search_takes_a_thousand_vertices():
+    # one cubic generator: no flag complex, so no shedding certificate, and
+    # the max-face search walks 1,100 vertices deep.  It recursed once per
+    # vertex and raised RecursionError; its branches now wait on a stack
+    n = 1100
+    cube = MonomialIdeal([f"x{i}" for i in range(n)], [(1, 1, 1) + (0,) * (n - 3)])
+    assert krull_dim(cube) == n - 1
 
 
 def test_face_counts_take_a_squarefree_ring_at_any_size():
@@ -317,7 +325,15 @@ def test_hilbert_matches_truncation_dimensions():
         algebra = truncate(presentation_of(i, GF2), order)
         hf = hilbert_function(algebra)
         hf += [0] * (order - len(hf))
-        assert hilbert_coefficients(num, d, order) == hf
+        assert series_coefficients(num, d, order) == hf
+
+
+def series_coefficients(numerator, d: int, count: int) -> list[int]:
+    """The first ``count`` coefficients of numerator / (1-t)^d: d prefix sums."""
+    coeffs = (list(numerator) + [0] * count)[:count]
+    for _ in range(d):
+        coeffs = list(itertools.accumulate(coeffs))
+    return coeffs
 
 
 def test_multiplicity_examples():
