@@ -98,9 +98,6 @@ class LocalAlgebra:
     def nvars(self) -> int:
         return len(self.var_names)
 
-    def zero_vector(self) -> tuple:
-        return (self.field.zero(),) * self.dim_k
-
     def _dense(self, sparse) -> tuple:
         """A sparse vector ((index, coeff), ...) as a dense tuple over the basis."""
         vec = [self.field.zero()] * self.dim_k
@@ -353,11 +350,9 @@ def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
     for g in p.gens:
         min_deg = g.min_degree()
         for u in monomials:
-            if monomial_degree(u) + min_deg >= n:
-                continue
-            prod = g.mul_monomial(u).truncate_below(n)
-            if not prod.is_zero():
-                rows.append({column[mono]: c for mono, c in prod.terms.items()})
+            d = monomial_degree(u)
+            if d + min_deg < n:
+                rows.append({column[monomial_mul(t, u)]: c for t, c in g.terms.items() if monomial_degree(t) + d < n})
     # A null vector's last key is its free column, a basis monomial, and its
     # entry at a pivot column is that monomial's coefficient in the normal form
     # of the pivot monomial.  The free columns ascend, so the basis monomials
@@ -524,18 +519,12 @@ def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
         nz = next((c for c in coeffs if c), None)
         if nz != 1:
             continue
-        vec = a.zero_vector()
-        named = []
-        for c, k in zip(coeffs, pivot_vars):
-            if c:
-                named.append((a.var_names[k], c))
-                vec = tuple(a.field.add(x, a.field.mul(c, y)) for x, y in zip(vec, a.var_images[k]))
-        lines.append(LinearForm(tuple(named), vec))
-    zero = a.zero_vector()
+        named = tuple((a.var_names[k], c) for c, k in zip(coeffs, pivot_vars) if c)
+        lines.append(LinearForm(named, a.element_from_linear(dict(named))))
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             alpha, beta = lines[i], lines[j]
-            if a.multiply(alpha.vector, beta.vector) != zero:
+            if any(a.multiply(alpha.vector, beta.vector)):
                 continue
             if mode == "necessary":
                 return alpha, beta

@@ -47,7 +47,6 @@ from .modules import (
 )
 from .monomials import (
     Presentation,
-    parse_poly,
     presentation_from_json,
     to_monomial_ideal,
 )
@@ -75,15 +74,13 @@ def _load_graph(args) -> Graph:
 
 
 def _load_presentation(args) -> Presentation:
-    field = FieldSpec.parse(args.field) if getattr(args, "field", None) else QQ
-    if getattr(args, "name", None):
-        return constructions.named_ring(args.name, field)
-    if getattr(args, "input", None):
-        pres = presentation_from_json(Path(args.input).read_text())
-        if getattr(args, "field", None) and pres.field != field:
-            gens = [parse_poly(pres.ambient, s, field) for s in pres.gen_strings()]
-            return Presentation(pres.ambient, gens, field)
-        return pres
+    """The ring of --name (over q unless --field is given) or of --input (over
+    --field if given, else over the file's own field)."""
+    field = FieldSpec.parse(args.field) if args.field else None
+    if args.name:
+        return constructions.named_ring(args.name, field or QQ)
+    if args.input:
+        return presentation_from_json(Path(args.input).read_text(), field)
     raise UsageError("need --input or --name")
 
 
@@ -296,7 +293,7 @@ def main(argv=None) -> int:
     p_artin = sub.add_parser("artin", help="truncated local algebra analysis")
     p_artin.add_argument("--input", help="presentation JSON file")
     p_artin.add_argument("--name", help="ring shortcut")
-    p_artin.add_argument("--field", help="q or fp:<p>", default="q")
+    p_artin.add_argument("--field", help="q or fp:<p>; default: the file's field, q for --name")
     p_artin.add_argument("--trunc", type=int, default=3)
     p_artin.add_argument("--mode", choices=["necessary", "full"], default="necessary")
     p_artin.add_argument("--output", choices=["json", "table"], default="json")
@@ -304,7 +301,7 @@ def main(argv=None) -> int:
     p_res = sub.add_parser("resolve", help="homological invariants of a module")
     p_res.add_argument("--input", help="presentation JSON file")
     p_res.add_argument("--name", help="ring shortcut")
-    p_res.add_argument("--field", help="q or fp:<p>", default="q")
+    p_res.add_argument("--field", help="q or fp:<p>; default: the file's field, q for --name")
     p_res.add_argument("--trunc", type=int, default=6)
     p_res.add_argument("--module", default="k", help="k | free | canonical | cyclic:<var,var,...>")
     p_res.add_argument("--bound", type=int, default=6)

@@ -118,36 +118,33 @@ def star_of_paths_target_ideal(n: int) -> MonomialIdeal:
 # ---------------------------------------------------------------------------
 
 
+def _fixture(ambient: list[str], gens: tuple[str, ...], field: FieldSpec) -> Presentation:
+    return Presentation(ambient, [parse_poly(ambient, g, field) for g in gens], field)
+
+
 def plane_conic_presentation(field: FieldSpec) -> Presentation:
     """k[x,y]/(x^2 + y^2), the rank-two quadric in two variables."""
-    ambient = ["x", "y"]
-    return Presentation(ambient, [parse_poly(ambient, "x^2 + y^2", field)], field)
+    return _fixture(["x", "y"], ("x^2 + y^2",), field)
 
 
 def cusp_square_presentation(field: FieldSpec) -> Presentation:
     """k[x,y,z]/(x^2): the case-1 truncation target."""
-    ambient = ["x", "y", "z"]
-    return Presentation(ambient, [parse_poly(ambient, "x^2", field)], field)
+    return _fixture(["x", "y", "z"], ("x^2",), field)
 
 
 def cusp_square_two_var_presentation(field: FieldSpec) -> Presentation:
     """k[x,u]/(x^2): the case-2 truncation target."""
-    ambient = ["x", "u"]
-    return Presentation(ambient, [parse_poly(ambient, "x^2", field)], field)
+    return _fixture(["x", "u"], ("x^2",), field)
 
 
 def stanley_example_big_ring(field: FieldSpec) -> Presentation:
     """k[x,y,z]/(x^2, xy, y^2, z^2): artinian, not Gorenstein."""
-    ambient = ["x", "y", "z"]
-    gens = [parse_poly(ambient, s, field) for s in ("x^2", "x*y", "y^2", "z^2")]
-    return Presentation(ambient, gens, field)
+    return _fixture(["x", "y", "z"], ("x^2", "x*y", "y^2", "z^2"), field)
 
 
 def stanley_example_base_ring(field: FieldSpec) -> Presentation:
     """k[x,y,z]/(x^2, xy, y^2): one-dimensional with a regular element z."""
-    ambient = ["x", "y", "z"]
-    gens = [parse_poly(ambient, s, field) for s in ("x^2", "x*y", "y^2")]
-    return Presentation(ambient, gens, field)
+    return _fixture(["x", "y", "z"], ("x^2", "x*y", "y^2"), field)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +173,15 @@ def named_graph(token: str) -> Graph:
     return Graph(n, frozenset())
 
 
+_FIXTURES = {
+    "ex45": plane_conic_presentation,
+    "ex46a": cusp_square_presentation,
+    "ex46b": cusp_square_two_var_presentation,
+    "ex54r": stanley_example_big_ring,
+    "ex54s": stanley_example_base_ring,
+}
+
+
 def named_ring(token: str, field: FieldSpec) -> Presentation:
     """Resolve a ring shortcut into a presentation.
 
@@ -198,14 +204,6 @@ def named_ring(token: str, field: FieldSpec) -> Presentation:
         n = int(token[6:])
         g = star_of_paths(n)
         return presentation_of(edge_ideal(g, star_of_paths_names(n)), field)
-    if lowered == "ex45":
-        return plane_conic_presentation(field)
-    if lowered == "ex46a":
-        return cusp_square_presentation(field)
-    if lowered == "ex46b":
-        return cusp_square_two_var_presentation(field)
-    if lowered == "ex54r":
-        return stanley_example_big_ring(field)
-    if lowered == "ex54s":
-        return stanley_example_base_ring(field)
+    if lowered in _FIXTURES:
+        return _FIXTURES[lowered](field)
     raise ValueError(f"unknown ring token {token!r}")

@@ -295,13 +295,6 @@ class Poly:
     def max_degree(self) -> int:
         return max((monomial_degree(m) for m in self.terms), default=0)
 
-    def mul_monomial(self, mono: Monomial) -> "Poly":
-        return Poly(self.field, self.nvars, {monomial_mul(m, mono): c for m, c in self.terms.items()})
-
-    def truncate_below(self, bound: int) -> "Poly":
-        """Drop every term of degree >= bound."""
-        return Poly(self.field, self.nvars, {m: c for m, c in self.terms.items() if monomial_degree(m) < bound})
-
     def key(self):
         return tuple(sorted(self.terms.items()))
 
@@ -409,6 +402,25 @@ def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> Monomi
     return MonomialIdeal._trusted(tuple(keep), _minimalize(gens))
 
 
+def _rewrite(p: Poly, ambient: Sequence[str], column: Sequence[int | None]) -> Poly:
+    """p in the ring on ``ambient``: variable k goes to variable ``column[k]``,
+    and every term in variable k is killed where ``column[k]`` is None.  Terms
+    that land on one monomial add up."""
+    field, nv = p.field, len(ambient)
+    terms: dict[Monomial, object] = {}
+    for mono, c in p.terms.items():
+        e = [0] * nv
+        for k, exp in enumerate(mono):
+            if exp:
+                if column[k] is None:
+                    break
+                e[column[k]] += exp
+        else:
+            key = tuple(e)
+            terms[key] = field.add(terms[key], c) if key in terms else c
+    return Poly(field, nv, terms)
+
+
 def substitute(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
     """Rewrite generators under a variable-to-variable substitution.
 
@@ -417,23 +429,9 @@ def substitute(p: Presentation, mapping: Mapping[str, str]) -> Presentation:
     minimalized.
     """
     keep, column = _substitution_columns(p.ambient, mapping)
-    gens = []
-    for g in p.gens:
-        terms: dict[Monomial, object] = {}
-        for mono, c in g.terms.items():
-            e = [0] * len(keep)
-            for k, exp in enumerate(mono):
-                e[column[k]] += exp
-            key = tuple(e)
-            prev = terms.get(key, p.field.zero())
-            terms[key] = p.field.add(prev, c)
-        poly = Poly(p.field, len(keep), terms)
-        if not poly.is_zero():
-            gens.append(poly)
-    result = Presentation(keep, gens, p.field)
+    result = Presentation(keep, [_rewrite(g, keep, column) for g in p.gens], p.field)
     if result.is_monomial():
-        ideal = to_monomial_ideal(result)
-        return presentation_of(ideal, p.field)
+        return presentation_of(to_monomial_ideal(result), p.field)
     return result
 
 
@@ -445,19 +443,8 @@ def eliminate_variables(p: Presentation, variables: Iterable[str]) -> Presentati
         raise ValueError(f"unknown variables {sorted(unknown)}")
     keep = [v for v in p.ambient if v not in drop]
     index = {v: k for k, v in enumerate(keep)}
-    positions = [k for k, v in enumerate(p.ambient) if v in drop]
-    gens = []
-    for g in p.gens:
-        terms = {}
-        for mono, c in g.terms.items():
-            if any(mono[k] for k in positions):
-                continue
-            e = tuple(mono[k] for k, v in enumerate(p.ambient) if v in index)
-            terms[e] = c
-        poly = Poly(p.field, len(keep), terms)
-        if not poly.is_zero():
-            gens.append(poly)
-    return Presentation(keep, gens, p.field)
+    column = [index.get(v) for v in p.ambient]
+    return Presentation(keep, [_rewrite(g, keep, column) for g in p.gens], p.field)
 
 
 def fiber_product_presentation(ps: Presentation, pt: Presentation) -> Presentation:
@@ -473,25 +460,16 @@ def fiber_product_presentation(ps: Presentation, pt: Presentation) -> Presentati
     left = list(ps.ambient)
     taken = set(left)
     right = []
-    rename: dict[str, str] = {}
     for name in pt.ambient:
-        new = name
-        while new in taken:
-            new = new + "~"
-        taken.add(new)
-        right.append(new)
-        rename[name] = new
+        while name in taken:
+            name = name + "~"
+        taken.add(name)
+        right.append(name)
     ambient = left + right
     nv = len(ambient)
     ls, lt = len(left), len(right)
-
-    def lift_left(g: Poly) -> Poly:
-        return Poly(field, nv, {m + (0,) * lt: c for m, c in g.terms.items()})
-
-    def lift_right(g: Poly) -> Poly:
-        return Poly(field, nv, {(0,) * ls + m: c for m, c in g.terms.items()})
-
-    gens = [lift_left(g) for g in ps.gens] + [lift_right(g) for g in pt.gens]
+    gens = [_rewrite(g, ambient, range(ls)) for g in ps.gens]
+    gens += [_rewrite(g, ambient, range(ls, nv)) for g in pt.gens]
     for i in range(ls):
         for j in range(lt):
             e = [0] * nv
@@ -593,7 +571,10 @@ def format_poly(ambient: Sequence[str], poly: Poly) -> str:
     return out
 
 
-def presentation_from_json(text: str) -> Presentation:
+def presentation_from_json(text: str, field: FieldSpec | None = None) -> Presentation:
+    """A presentation from its JSON object.  The generators are read in
+    ``field`` when it is given, else in the object's own ``"field"``, which is
+    checked either way."""
     obj = json.loads(text)
     if not isinstance(obj, dict) or "vars" not in obj or "gens" not in obj:
         raise ValueError('a presentation needs a JSON object with "vars" and "gens"')
@@ -602,5 +583,6 @@ def presentation_from_json(text: str) -> Presentation:
         raise ValueError('"vars" and "gens" must be lists of strings')
     if not isinstance(text_field, str):
         raise ValueError('"field" must be a string such as "q" or "fp:5"')
-    field = FieldSpec.parse(text_field)
+    own = FieldSpec.parse(text_field)
+    field = own if field is None else field
     return Presentation(ambient, [parse_poly(ambient, g, field) for g in gen_texts], field)

@@ -277,27 +277,23 @@ class _Scan:
     def _max_face_size(self) -> int:
         """Branch and bound over faces, depth first with the vertices in
         ascending order; a branch stops once its face plus every candidate
-        left cannot beat the best size.  The branches wait on an explicit
-        stack, so the search has no recursion depth to exceed."""
+        left cannot beat the best size, which is re-checked whenever a branch
+        is resumed after its child.  The branches wait on an explicit stack,
+        so the search has no recursion depth to exceed."""
         best = 0
-        # (face, its size, candidates above its last vertex, fresh branch?)
-        stack = [(0, 0, self.face_verts, True)]
+        # (face, its size, candidates above its last vertex)
+        stack = [(0, 0, self.face_verts)]
         while stack:
-            mask, size, scan, fresh = stack.pop()
-            if fresh:
-                best = max(best, size)
-                if size + scan.bit_count() <= best:
-                    continue
-            while scan:
+            mask, size, scan = stack.pop()
+            best = max(best, size)
+            while scan and size + scan.bit_count() > best:
                 bit = scan & -scan
                 v = bit.bit_length() - 1
                 scan ^= bit
                 if self.flag or self._extend_ok(mask, v):
                     # finish the branch through v, then come back for the rest
-                    stack.append((mask, size, scan, False))
-                    stack.append((mask | bit, size + 1, scan & self.compat[v], True))
-                    break
-                if size + scan.bit_count() <= best:
+                    stack.append((mask, size, scan))
+                    stack.append((mask | bit, size + 1, scan & self.compat[v]))
                     break
         return best
 

@@ -116,7 +116,7 @@ def check_algebra(a) -> None:
         assert _evaluate_monomial(a, mono, cache) == _basis_vec(a, i), f"basis monomial {mono}"
     # 2. phi kills the generators and m^N
     for g in p.gens:
-        image = a.zero_vector()
+        image = (f.zero(),) * d
         for mono, c in g.terms.items():
             image = tuple(f.add(x, f.mul(c, y)) for x, y in zip(image, _evaluate_monomial(a, mono, cache)))
         assert not any(image), f"generator {g.terms} does not vanish"
@@ -279,7 +279,7 @@ def check_resolution(m, res) -> None:
     for t in range(1, len(differentials)):
         left, right = differentials[t - 1], differentials[t]
         for col in right:
-            total = [a.zero_vector() for _ in range(res.betti[t - 1])]
+            total = [(a.field.zero(),) * a.dim_k for _ in range(res.betti[t - 1])]
             for r_mid, entry in enumerate(col):
                 for r_prev in range(res.betti[t - 1]):
                     prod = a.multiply(left[r_mid][r_prev], entry)

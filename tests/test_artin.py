@@ -118,7 +118,7 @@ def test_general_path_quadric():
     y = a.element_from_linear({"y": 1})
     xx = a.multiply(x, x)
     yy = a.multiply(y, y)
-    assert tuple(a.field.add(u, v) for u, v in zip(xx, yy)) == a.zero_vector()
+    assert tuple(a.field.add(u, v) for u, v in zip(xx, yy)) == (a.field.zero(),) * a.dim_k
 
 
 # -- socle ---------------------------------------------------------------------

@@ -225,6 +225,46 @@ def test_denominator_divisible_by_p_exits_two(tmp_path, capsys):
     assert err.startswith("error:") and "mod 3" in err
 
 
+def test_field_option_reads_the_generators_in_that_field(tmp_path, capsys):
+    # x^2 - y^2 = (x - y)(x + y) over GF(3) has a zero-product pair of linear
+    # forms; read as x^2 + y^2 (its GF(5) reduction, reformatted) it has none
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x", "y"], "gens": ["x^2 - y^2"], "field": "fp:5"}')
+    code, out = run_cli(capsys, "artin", "--input", str(path), "--field", "fp:3", "--trunc", "4", "--mode", "full")
+    assert code == 0
+    assert json.loads(out)["decomposition"]["found"] is True
+
+
+def test_field_option_skips_the_files_own_field(tmp_path, capsys):
+    # 1/2 has no value in GF(2), but the generators are read only over q
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x", "y"], "gens": ["1/2*x^2 + y^2"], "field": "fp:2"}')
+    code, out = run_cli(capsys, "artin", "--input", str(path), "--field", "q", "--trunc", "3")
+    assert code == 0
+    assert json.loads(out)["dim_k"] == 5
+
+
+def test_file_keeps_its_own_field_without_the_option(tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x", "y"], "gens": ["x^2 - y^2"], "field": "fp:3"}')
+    code, out = run_cli(capsys, "artin", "--input", str(path), "--trunc", "4", "--mode", "full")
+    assert code == 0
+    decomposition = json.loads(out)["decomposition"]
+    # over q the search is refused with a reason; over GF(3) it runs
+    assert "reason" not in decomposition
+    assert decomposition["mode"] == "full" and decomposition["found"] is True
+
+
+@pytest.mark.parametrize("verb", ["ring", "artin", "resolve"])
+def test_file_field_is_checked_when_the_option_replaces_it(verb, tmp_path, capsys):
+    path = tmp_path / "ring.json"
+    path.write_text('{"vars": ["x", "y"], "gens": ["x*y"], "field": "fp:4"}')
+    argv = [verb] + (["invariants"] if verb == "ring" else []) + ["--input", str(path), "--field", "q"]
+    code, err = run_cli_error(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and "4 is not prime" in err
+
+
 def test_input_directory_exits_two(tmp_path, capsys):
     code, err = run_cli_error(capsys, "ring", "invariants", "--input", str(tmp_path))
     assert code == 2

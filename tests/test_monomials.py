@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -576,3 +577,116 @@ def test_polarize_and_rename_refuse_bad_names():
         rename_ideal(ideal(["x", "y"], "x*y"), ["z", "z"])
     with pytest.raises(ValueError, match="one name per variable"):
         rename_ideal(ideal(["x", "y"], "x*y"), ["z"])
+
+
+# -- presentation rewrites against sympy -------------------------------------
+
+GF3 = FieldSpec.prime(3)
+
+
+def _random_terms(rng, nv, field):
+    """Two to four distinct monomials of positive degree with nonzero
+    coefficients; exponents stay below 3, so rewrites often merge terms."""
+    size, terms = min(rng.randint(2, 4), 3**nv - 1), {}
+    while len(terms) < size:
+        e = tuple(rng.randint(0, 2) for _ in range(nv))
+        if any(e):
+            c = rng.choice([-2, -1, 1, 2])
+            terms[e] = c if field == GF3 else Fraction(c, rng.randint(1, 3))
+    return terms
+
+
+def _random_presentation(rng, names, field):
+    terms = [_random_terms(rng, len(names), field) for _ in range(rng.randint(1, 3))]
+    return Presentation(names, [Poly(field, len(names), t) for t in terms], field), terms
+
+
+def _value(c, field):
+    """A ringlab or sympy coefficient as an int mod 3 or a Fraction."""
+    return int(c) % 3 if field == GF3 else Fraction(int(c.numerator), int(c.denominator))
+
+
+def _ringlab_gens(p):
+    return {frozenset((m, _value(c, p.field)) for m, c in g.terms.items()) for g in p.gens}
+
+
+def _sympy_gens(sympy, exprs, symbols, field):
+    """The nonzero polynomials among exprs, as sets of (exponents, value)."""
+    domain = sympy.GF(3) if field == GF3 else sympy.QQ
+    out = set()
+    for expr in exprs:
+        poly = sympy.Poly(expr, *symbols, domain=domain)
+        gen = frozenset((m, _value(domain.to_sympy(c), field)) for m, c in poly.terms() if c)
+        if gen:
+            out.add(gen)
+    return out
+
+
+def _sympy_expr(sympy, terms, symbols):
+    return sympy.Add(*(sympy.Rational(c) * sympy.Mul(*(s**k for s, k in zip(symbols, m))) for m, c in terms.items()))
+
+
+@pytest.mark.parametrize("field", [QQ, GF3], ids=["q", "fp:3"])
+def test_rewrites_match_sympy(field):
+    # substitute, eliminate_variables and fiber_product_presentation on random
+    # non-monomial presentations, against sympy's subs, setting variables to 0
+    # and the cross products of the two factors' variables
+    sympy = pytest.importorskip("sympy")
+    merged = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        names = ["x", "y", "z", "w"][: rng.randint(2, 4)]
+        symbols = [sympy.Symbol(v) for v in names]
+        p, terms = _random_presentation(rng, names, field)
+        exprs = [_sympy_expr(sympy, t, symbols) for t in terms]
+
+        # substitute: sources map to variables that are not themselves sources
+        sources = rng.sample(names, rng.randint(1, len(names) - 1))
+        targets = [v for v in names if v not in sources]
+        mapping = {s: rng.choice(targets) for s in sources}
+        got = substitute(p, mapping)
+        keep = [s for v, s in zip(names, symbols) if v in targets]
+        images = [e.subs({sympy.Symbol(s): sympy.Symbol(t) for s, t in mapping.items()}) for e in exprs]
+        want = _sympy_gens(sympy, images, keep, field)
+        merged += sum(len(sympy.Poly(e, *keep).terms()) < len(t) for e, t in zip(images, terms))
+        if all(len(g) == 1 for g in want):
+            # an all-monomial image is minimalized, with unit coefficients
+            monos = {m for g in want for m, _ in g}
+            want = {frozenset({(m, 1)}) for m in monos if not any(d != m and monomial_divides(d, m) for d in monos)}
+        assert got.ambient == tuple(targets), seed
+        assert _ringlab_gens(got) == want, seed
+
+        # eliminate_variables: the dropped variables are set to zero
+        drop = rng.sample(names, rng.randint(1, len(names) - 1))
+        got = eliminate_variables(p, drop)
+        keep = [s for v, s in zip(names, symbols) if v not in drop]
+        killed = [e.subs({sympy.Symbol(v): 0 for v in drop}) for e in exprs]
+        assert got.ambient == tuple(v for v in names if v not in drop), seed
+        assert _ringlab_gens(got) == _sympy_gens(sympy, killed, keep, field), seed
+
+        # fiber_product_presentation: the right factor's names clash with the
+        # left's, and "x~" forces a second rename
+        right = rng.sample(["x", "y", "x~", "v"], rng.randint(1, 3))
+        pt, right_terms = _random_presentation(rng, right, field)
+        renamed = []
+        for v in right:
+            while v in names or v in renamed:
+                v += "~"
+            renamed.append(v)
+        got = fiber_product_presentation(p, pt)
+        left_symbols = [sympy.Symbol(v) for v in names]
+        right_symbols = [sympy.Symbol(v) for v in renamed]
+        pieces = exprs + [_sympy_expr(sympy, t, right_symbols) for t in right_terms]
+        pieces += [a * b for a in left_symbols for b in right_symbols]
+        assert got.ambient == tuple(names + renamed), seed
+        assert _ringlab_gens(got) == _sympy_gens(sympy, pieces, left_symbols + right_symbols, field), seed
+    assert merged, "no substitution merged two terms"
+
+
+def test_json_presentation_is_read_in_the_given_field():
+    text = '{"vars": ["x", "y"], "gens": ["x^2 - y^2", "1/2*x*y"], "field": "fp:5"}'
+    assert presentation_from_json(text).gen_strings() == ["x^2 + 4*y^2", "3*x*y"]
+    assert presentation_from_json(text, GF3).gen_strings() == ["x^2 + 2*y^2", "2*x*y"]
+    assert presentation_from_json(text, QQ).gen_strings() == ["x^2 - y^2", "1/2*x*y"]
+    with pytest.raises(ValueError, match="4 is not prime"):
+        presentation_from_json(text.replace("fp:5", "fp:4"), QQ)

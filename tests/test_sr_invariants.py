@@ -23,6 +23,7 @@ from ringlab.graphs import enumerate_graphs
 from ringlab.linalg import Matrix
 from ringlab.monomials import MonomialIdeal, edge_ideal, parse_poly, polarize
 from ringlab.sr_invariants import (
+    _Scan,
     cohen_macaulay_witness,
     cohen_macaulay_witness_fields,
     depth,
@@ -232,13 +233,26 @@ def test_dimension_and_hilbert_series_refuse_an_oversized_polarization(monkeypat
                 call(power)
 
 
-def test_max_face_search_takes_a_thousand_vertices():
+def test_max_face_search_takes_a_thousand_vertices(monkeypatch):
     # one cubic generator: no flag complex, so no shedding certificate, and
     # the max-face search walks 1,100 vertices deep.  It recursed once per
-    # vertex and raised RecursionError; its branches now wait on a stack
+    # vertex and raised RecursionError; its branches now wait on a stack.
+    # The first greedy face is optimal, so once it is found every resumed
+    # branch is cut by the bound: about one extension test per vertex, not
+    # the n^2 / 2 of a resumed branch that scans its candidates unchecked
+    calls = 0
+    extend_ok = _Scan._extend_ok
+
+    def counted(self, mask, v):
+        nonlocal calls
+        calls += 1
+        return extend_ok(self, mask, v)
+
+    monkeypatch.setattr(_Scan, "_extend_ok", counted)
     n = 1100
     cube = MonomialIdeal([f"x{i}" for i in range(n)], [(1, 1, 1) + (0,) * (n - 3)])
     assert krull_dim(cube) == n - 1
+    assert 0 < calls <= 2 * n
 
 
 def test_face_counts_take_a_squarefree_ring_at_any_size():
