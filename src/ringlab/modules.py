@@ -17,7 +17,12 @@ solve route of ``tests/test_graded_modules.py`` prove them).  Minimal free
 resolutions are computed by syzygy iteration: the kernel of each
 presentation map, sparse from ``linalg.null_space``, spans a k-subspace of
 the ambient free module, and the next differential's columns are kernel
-vectors chosen to span the kernel modulo its m-multiples.
+vectors chosen to span the kernel modulo its m-multiples.  Each step first
+counts the kernel's basis vectors by degree; that count decides, with no
+elimination, every degree that is all m-multiples or has none, and every
+kernel of a degree block that the count already fixes (see
+``_resolution_step``).  It is exact only for a homogeneous action, so a
+hand-built ``FPModule`` has its degrees checked against its action too.
 
 The work is split by degree.  ``residue_field``, ``free_module``,
 ``canonical_module`` and ``cyclic_module`` on homogeneous generators give
@@ -28,10 +33,10 @@ tensor ranks behind Ext and Tor are computed one degree block at a time, on
 sparse vectors.  The differentials keep that form: each column is a sparse
 vector {row * dim_k + basis index: coefficient}, and one homology routine
 reads them to give Ext, Tor and Bass numbers.  Every other module
-(hand-built ones, ``hom_module``, ``dual_module``, quotients by
-inhomogeneous elements) and every module over an inhomogeneous presentation
-is trivially graded: each degree is (), and the whole computation is one
-block.
+(hand-built ones without degrees, ``hom_module``, ``dual_module``,
+quotients by inhomogeneous elements) and every module over an inhomogeneous
+presentation is trivially graded: each degree is (), and the whole
+computation is one block.
 """
 
 from __future__ import annotations
@@ -61,9 +66,10 @@ class FPModule:
     lists or tuples; row i, column j is the coefficient of basis element i in
     x_k times basis element j), and the actions must commute.  ``degrees``
     gives each basis element a degree in the algebra's grading (see
-    ``LocalAlgebra.degrees``); without it every degree is the trivial degree
-    (), and the module is trivially graded.  The action is kept as sparse
-    columns, ``var_sparse(k)``.
+    ``LocalAlgebra.degrees``), under which x_k must send degree d only to
+    degree d + deg(x_k); without it, or with every degree (), the module is
+    trivially graded.  The action is kept as sparse columns,
+    ``var_sparse(k)``.
     """
 
     def __init__(self, algebra: LocalAlgebra, dim: int, actions, label: str | None = None, degrees=None):
@@ -82,6 +88,9 @@ class FPModule:
             for y in cols[i + 1 :]:
                 if any(_act(f, x, dict(yj), dim) != _act(f, y, dict(xj), dim) for xj, yj in zip(x, y)):
                     raise AssertionError("variable actions do not commute")
+        if degrees is not None:
+            degrees = [tuple(deg) for deg in degrees]
+            _check_degrees(algebra, cols, degrees)
         self._build(algebra, dim, cols, label, degrees)
 
     @classmethod
@@ -124,6 +133,25 @@ class FPModule:
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
         return f"FPModule(dim {self.dim} over dim-{self.algebra.dim_k} algebra{tag})"
+
+
+def _check_degrees(algebra: LocalAlgebra, cols, degrees) -> None:
+    """A hand-built grading must make every variable action homogeneous: the
+    resolution counts each degree block's dimension and trusts the count.
+    An all-() grading is the trivial one."""
+    if not any(degrees):
+        return
+    width = len(algebra.degrees[0])
+    for deg in degrees:
+        if len(deg) != width:
+            raise ValueError(f"degree {deg} has length {len(deg)}, but the algebra's degrees have length {width}")
+    for k, name in enumerate(algebra.var_names):
+        shift = algebra._grade(algebra._var_monomial(k))
+        for j, col in enumerate(cols[k]):
+            target = _deg_sum(degrees[j], shift)
+            for i, _ in col:
+                if degrees[i] != target:
+                    raise ValueError(f"{name} sends degree {degrees[j]} to {degrees[i]}, not {target}")
 
 
 @dataclass(frozen=True)
@@ -232,27 +260,45 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     deg(g) + deg(b), each group's kernel taken on the rows of that degree.
     Under the trivial grading every degree is () and there is one block.
     From degree 1 on the generators are the columns of the next differential;
-    taken modulo the m-multiples, they have no unit component."""
+    taken modulo the m-multiples, they have no unit component.
+
+    The span is a basis of the kernel Z, so counting its vectors by degree
+    gives count[deg] = dim Z_deg, and the count settles much of the work
+    without elimination.  A degree's ``Subspace`` of m-multiples takes no
+    more vectors once its dimension reaches count[deg], for then (mZ)_deg =
+    Z_deg and the degree has no generator; in a degree with no m-multiple
+    every span vector is a generator.  Only the span vectors of the degrees
+    in between are inserted, in span order.  The columns of degree deg span
+    Z_deg, so their kernel has dimension len(group) - count[deg]: a group
+    with as many columns as count[deg] has no kernel, and a group over a
+    degree the span misses has each column {pos: 1} in its kernel, which is
+    what ``null_space`` gives for zero rows.  Generators and kernel vectors
+    come out in the order elimination would give them."""
     f = a.field
     d = a.dim_k
     span, at = state["span"], state["at"]
     cols, block = state["action"]
     slot, sizes = _slots(at)
 
+    span_degrees = [at[next(iter(w))] for w in span]
+    count: dict = {}
+    for deg in span_degrees:
+        count[deg] = count.get(deg, 0) + 1
     spaces: dict = {}
 
-    def absorb(vec) -> bool:
-        deg = at[next(iter(vec))]
+    def absorb(vec, deg) -> bool:
+        # True when vec grows its degree's Subspace; a full one takes nothing
         if deg not in spaces:
             spaces[deg] = Subspace(f, sizes[deg])
-        return spaces[deg]._add_row({slot[pos]: c for pos, c in vec.items()})
+        space = spaces[deg]
+        return space.dim < count[deg] and space._add_row({slot[pos]: c for pos, c in vec.items()})
 
     for w in span:
         for k in range(a.nvars):
             v = _act(f, cols[k], w, block)
             if v:
-                absorb(v)
-    gens = [w for w in span if absorb(w)]
+                absorb(v, at[next(iter(v))])
+    gens = [w for w, deg in zip(span, span_degrees) if deg not in spaces or absorb(w, deg)]
     gen_degrees = tuple(at[next(iter(g))] for g in gens)
     if state["betti"]:
         state["diffs"].append(tuple(gens))
@@ -270,8 +316,15 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
             deg = _deg_sum(gdeg, a.degrees[b])
             new_at.append(deg)
             groups.setdefault(deg, []).append((j * d + b, vec))
-    kernels = (_kernel_of_columns(f, members, slot, sizes.get(deg, 0)) for deg, members in groups.items())
-    state["span"], state["at"] = [w for kernel in kernels for w in kernel], new_at
+    one = f.one()
+    span = []
+    for deg, members in groups.items():
+        rank = count.get(deg, 0)  # the rank of the group's columns
+        if not rank:
+            span.extend({pos: one} for pos, _ in members)
+        elif rank < len(members):
+            span.extend(_kernel_of_columns(f, members, slot, sizes[deg]))
+    state["span"], state["at"] = span, new_at
     state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
 
 

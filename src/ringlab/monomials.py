@@ -450,9 +450,10 @@ def eliminate_variables(p: Presentation, variables: Iterable[str]) -> Presentati
 def fiber_product_presentation(ps: Presentation, pt: Presentation) -> Presentation:
     """The presentation of the fiber product over the common residue field.
 
-    Variables are concatenated (the right factor is renamed with a ``~``
-    suffix on clashes) and the generators are those of both factors together
-    with every cross product x*y.
+    Variables are concatenated (the right factor is renamed with a ``_``
+    suffix on clashes, a name the presentation grammar reads and the
+    polarization's ``'`` copies never make) and the generators are those of
+    both factors together with every cross product x*y.
     """
     if ps.field != pt.field:
         raise ValueError("factors live over different fields")
@@ -462,7 +463,7 @@ def fiber_product_presentation(ps: Presentation, pt: Presentation) -> Presentati
     right = []
     for name in pt.ambient:
         while name in taken:
-            name = name + "~"
+            name = name + "_"
         taken.add(name)
         right.append(name)
     ambient = left + right

@@ -205,11 +205,16 @@ def _element_action(m, coeffs, basis_actions) -> list[list]:
 
 def check_module_action(m) -> None:
     """Assert action(b * b') = action(b) o action(b') on every basis pair,
-    that the unit acts as the identity, and that variable k sends degree d
-    into degree d + deg(x_k) (always true of a trivially graded module).
-    Basis actions are the dense products of ``dense_basis_action``."""
+    that the unit acts as the identity, that every degree has the length of
+    the algebra's degrees unless all are () (the trivial grading), and that
+    variable k sends degree d into degree d + deg(x_k) (always true of a
+    trivially graded module): the homogeneity ``FPModule`` demands of a
+    hand-built grading.  Basis actions are the dense products of
+    ``dense_basis_action``."""
     a = m.algebra
     p = a.field.p
+    if any(m.degrees):
+        assert {len(deg) for deg in m.degrees} == {len(a.degrees[0])}, "degree lengths"
     basis = [dense_basis_action(m, b) for b in range(a.dim_k)]
     assert _element_action(m, _unit(a), basis) == identity(p, m.dim), "unit action"
     for i in range(a.dim_k):

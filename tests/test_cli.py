@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from ringlab.cli import main
 from ringlab.graphs import from_edge_list, from_json
-from ringlab.monomials import presentation_from_json
+from ringlab.fields import QQ
+from ringlab.monomials import Presentation, fiber_product_presentation, parse_poly, presentation_from_json
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +243,17 @@ def test_field_option_skips_the_files_own_field(tmp_path, capsys):
     code, out = run_cli(capsys, "artin", "--input", str(path), "--field", "q", "--trunc", "3")
     assert code == 0
     assert json.loads(out)["dim_k"] == 5
+
+
+def test_fiber_product_with_a_renamed_variable_is_read_back(tmp_path, capsys):
+    # k[x]/(x^2) times itself over k renames the right factor's x to x_
+    square = Presentation(["x"], [parse_poly(["x"], "x^2", QQ)], QQ)
+    fp = fiber_product_presentation(square, square)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"vars": list(fp.ambient), "gens": fp.gen_strings(), "field": "q"}))
+    code, out = run_cli(capsys, "artin", "--input", str(path), "--trunc", "3")
+    assert code == 0
+    assert json.loads(out)["dim_k"] == 3
 
 
 def test_file_keeps_its_own_field_without_the_option(tmp_path, capsys):

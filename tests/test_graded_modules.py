@@ -143,28 +143,67 @@ def test_dress_kramer_betti_numbers_of_kprime_c4(field, bound):
 def test_no_kernel_block_is_wider_than_its_betti_number(monkeypatch):
     # the five basis monomials of kprime(P3) have distinct multidegrees, so a
     # degree block of the columns b * g_j holds at most one column per
-    # generator g_j; a single ungraded block would hold five
+    # generator g_j; a single ungraded block would hold five.  A step groups
+    # the columns by the degrees it leaves in state["at"], so those give the
+    # width of every group, also of the groups whose kernel the step reads
+    # off its dimension count without elimination
     a = _kprime("p3", 4)(GF2)
     assert len(set(a.degrees)) == a.dim_k == 5
     widths: list = []
-    real_step, real_kernel = modules._resolution_step, modules._kernel_of_columns
+    real_step = modules._resolution_step
 
     def step(alg, state):
-        widths.append([])
         real_step(alg, state)
-
-    def kernel(f, columns, slot, size):
-        widths[-1].append(len(columns))
-        return real_kernel(f, columns, slot, size)
+        groups: dict = {}
+        for deg in state["at"]:
+            groups[deg] = groups.get(deg, 0) + 1
+        widths.append(list(groups.values()))
 
     monkeypatch.setattr(modules, "_resolution_step", step)
-    monkeypatch.setattr(modules, "_kernel_of_columns", kernel)
     res = minimal_resolution(canonical_module(a), 7)
     assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
     assert len(widths) == 8
     for t, blocks in enumerate(widths):
         assert sum(blocks) == res.betti[t] * a.dim_k
         assert max(blocks) <= res.betti[t], (t, max(blocks))
+
+
+def _count_eliminations(monkeypatch) -> dict:
+    calls = {"kernel": 0, "insert": 0}
+    real_kernel, real_add = modules._kernel_of_columns, modules.Subspace._add_row
+
+    def kernel(*args):
+        calls["kernel"] += 1
+        return real_kernel(*args)
+
+    def add_row(self, row):
+        calls["insert"] += 1
+        return real_add(self, row)
+
+    monkeypatch.setattr(modules, "_kernel_of_columns", kernel)
+    monkeypatch.setattr(modules.Subspace, "_add_row", add_row)
+    return calls
+
+
+def test_dimension_counts_settle_every_block_of_k_over_kprime_k5(monkeypatch):
+    # over k[x1..x5]/m^2 every m-multiple of the span is zero, so each span
+    # vector is a generator with no insertion, and each group of columns
+    # either has as many columns as the span has vectors in its degree (no
+    # kernel) or lies over a degree the span misses (all kernel): no group
+    # is eliminated
+    calls = _count_eliminations(monkeypatch)
+    res = minimal_resolution(residue_field(_kprime("k5", 6)(GF2)), 5)
+    assert res.betti == (1, 5, 25, 125, 625, 3125)
+    assert calls == {"kernel": 0, "insert": 0}
+
+
+def test_dimension_counts_leave_the_eliminations_they_do_not_settle(monkeypatch):
+    # the canonical module of kprime(P3) fills some degrees only partly, so
+    # both eliminations still run there
+    calls = _count_eliminations(monkeypatch)
+    res = minimal_resolution(canonical_module(_kprime("p3", 4)(GF2)), 7)
+    assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
+    assert calls == {"kernel": 141, "insert": 4871}
 
 
 # -- Hom coordinates against Matrix.solve -------------------------------------------

@@ -144,6 +144,30 @@ def test_hand_built_module_refuses_malformed_input(actions, degrees, error, mess
         FPModule(fat_point(), 2, actions, degrees=degrees)
 
 
+@pytest.mark.parametrize(
+    "degrees, message",
+    [
+        ([(0, 1), (0, 0)], r"y sends degree \(0, 1\) to \(0, 0\), not \(0, 2\)"),
+        ([(0, 0), (0, 0)], r"y sends degree \(0, 0\) to \(0, 0\), not \(0, 1\)"),
+        ([(0, 0), (1, 0)], r"y sends degree \(0, 0\) to \(1, 0\), not \(0, 1\)"),
+        ([(0,), (1,)], r"degree \(0,\) has length 1, but the algebra's degrees have length 2"),
+    ],
+    ids=["swapped", "flat", "wrong variable", "short"],
+)
+def test_hand_built_degrees_must_make_the_action_homogeneous(degrees, message):
+    # A/(x) over k[x,y]/(x^2, y^2) by hand: basis 1, y, with x acting as 0 and
+    # y sending 1 to y.  The resolution trusts each degree block's dimension,
+    # so a grading under which y's action is not homogeneous is refused:
+    # trusting the counts, the first two would give Betti numbers 1, 2, 3, 4, 5
+    a = ci_algebra(GF2)
+    actions = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+    with pytest.raises(ValueError, match=message):
+        FPModule(a, 2, actions, degrees=degrees)
+    m = FPModule(a, 2, actions, degrees=[(0, 0), (0, 1)])
+    check_module_action(m)
+    assert minimal_resolution(m, 4).betti == (1, 1, 1, 1, 1)
+
+
 # -- resolutions -------------------------------------------------------------------
 
 
@@ -263,17 +287,17 @@ def test_hom_cell_cap_is_checked_before_any_row(monkeypatch):
 
 
 def test_non_minimal_cover_is_refused(monkeypatch):
-    # a Subspace that always reports growth takes every span vector as a
-    # generator, so the cover A^2 -> A/(x) over the fat point (basis 1, y) is
-    # not minimal: its kernel holds y * e_1 - e_2, which has a unit component.
-    # The engine inserts its sparse span vectors through _add_row and trusts
-    # them; the resolution oracle refuses the result.
-    class Growing(modules.Subspace):
+    # a Subspace that reports growth but keeps nothing never fills a degree,
+    # so the m-multiple y of A/(x) over the fat point (basis 1, y) does not
+    # settle its degree and the span vector y is inserted and taken as a
+    # generator: the cover A^2 -> A/(x) is not minimal, and its kernel holds
+    # y * e_1 - e_2, which has a unit component.  The engine trusts what
+    # _add_row reports; the resolution oracle refuses the result.
+    class Forgetful(modules.Subspace):
         def _add_row(self, row):
-            super()._add_row(row)
             return True
 
-    monkeypatch.setattr(modules, "Subspace", Growing)
+    monkeypatch.setattr(modules, "Subspace", Forgetful)
     a = fat_point(GF2)
     m = cyclic_module(a, [a.element_from_linear({"x": 1})])
     res = minimal_resolution(m, 1)

@@ -271,7 +271,17 @@ def test_fiber_product_renames_clashes():
     ps = Presentation(["x"], [parse_poly(["x"], "x^2", QQ)], QQ)
     pt = Presentation(["x"], [parse_poly(["x"], "x^3", QQ)], QQ)
     fp = fiber_product_presentation(ps, pt)
-    assert fp.ambient == ("x", "x~")
+    assert fp.ambient == ("x", "x_")
+
+
+def test_fiber_product_round_trips_through_json():
+    # the renamed variable is one the presentation grammar reads back
+    p = Presentation(["x"], [parse_poly(["x"], "x^2", QQ)], QQ)
+    fp = fiber_product_presentation(p, p)
+    text = json.dumps({"vars": list(fp.ambient), "gens": fp.gen_strings(), "field": str(fp.field)})
+    back = presentation_from_json(text)
+    assert back.ambient == fp.ambient == ("x", "x_")
+    assert back.gen_strings() == fp.gen_strings() == ["x^2", "x_^2", "x*x_"]
 
 
 # -- membership --------------------------------------------------------------
@@ -665,13 +675,13 @@ def test_rewrites_match_sympy(field):
         assert _ringlab_gens(got) == _sympy_gens(sympy, killed, keep, field), seed
 
         # fiber_product_presentation: the right factor's names clash with the
-        # left's, and "x~" forces a second rename
-        right = rng.sample(["x", "y", "x~", "v"], rng.randint(1, 3))
+        # left's, and "x_" forces a second rename
+        right = rng.sample(["x", "y", "x_", "v"], rng.randint(1, 3))
         pt, right_terms = _random_presentation(rng, right, field)
         renamed = []
         for v in right:
             while v in names or v in renamed:
-                v += "~"
+                v += "_"
             renamed.append(v)
         got = fiber_product_presentation(p, pt)
         left_symbols = [sympy.Symbol(v) for v in names]
