@@ -94,6 +94,8 @@ def _module_from_token(algebra, token: str):
         return canonical_module(algebra)
     if token.startswith("cyclic:"):
         names = [t for t in token[7:].split(",") if t]
+        if not names:
+            raise UsageError(f"module token {token!r} names no variable: use cyclic:<var,var,...>")
         gens = [algebra.element_from_linear({name: 1}) for name in names]
         return cyclic_module(algebra, gens)
     raise UsageError(f"unknown module token {token!r}")

@@ -19,10 +19,11 @@ presentation map, sparse from ``linalg.null_space``, spans a k-subspace of
 the ambient free module, and the next differential's columns are kernel
 vectors chosen to span the kernel modulo its m-multiples.  Each step first
 counts the kernel's basis vectors by degree; that count decides, with no
-elimination, every degree that is all m-multiples or has none, and every
-kernel of a degree block that the count already fixes (see
-``_resolution_step``).  It is exact only for a homogeneous action, so a
-hand-built ``FPModule`` has its degrees checked against its action too.
+elimination, every degree that is all m-multiples or has none, every
+kernel of a degree block that the count already fixes, and which products
+are formed at all (see ``_resolution_step``).  It is exact only for a
+homogeneous action, so a hand-built ``FPModule`` has its degrees checked
+against its action too.
 
 The work is split by degree.  ``residue_field``, ``free_module``,
 ``canonical_module`` and ``cyclic_module`` on homogeneous generators give
@@ -89,8 +90,7 @@ class FPModule:
                 if any(_act(f, x, dict(yj), dim) != _act(f, y, dict(xj), dim) for xj, yj in zip(x, y)):
                     raise AssertionError("variable actions do not commute")
         if degrees is not None:
-            degrees = [tuple(deg) for deg in degrees]
-            _check_degrees(algebra, cols, degrees)
+            degrees = _check_degrees(algebra, cols, degrees)
         self._build(algebra, dim, cols, label, degrees)
 
     @classmethod
@@ -135,12 +135,24 @@ class FPModule:
         return f"FPModule(dim {self.dim} over dim-{self.algebra.dim_k} algebra{tag})"
 
 
-def _check_degrees(algebra: LocalAlgebra, cols, degrees) -> None:
-    """A hand-built grading must make every variable action homogeneous: the
-    resolution counts each degree block's dimension and trusts the count.
-    An all-() grading is the trivial one."""
+def _check_degrees(algebra: LocalAlgebra, cols, degrees) -> list:
+    """A hand-built grading as tuples of ints.  Like ``monomials._exponents``
+    it refuses an entry that is not an integer value (0.5, "a"), and a bool;
+    negative entries are legal, as in canonical degrees.  Every variable
+    action must be homogeneous, for the resolution counts each degree
+    block's dimension and trusts the count.  An all-() grading is trivial."""
+    ints = []
+    for deg in degrees:
+        try:
+            deg = tuple(deg)
+            ints.append(tuple(map(int, deg)))
+        except (TypeError, ValueError, OverflowError):
+            ints.append(None)
+        if ints[-1] != deg or any(isinstance(e, bool) for e in deg):
+            raise ValueError(f"degree {deg!r} is not a tuple of integers")
+    degrees = ints
     if not any(degrees):
-        return
+        return degrees
     width = len(algebra.degrees[0])
     for deg in degrees:
         if len(deg) != width:
@@ -152,6 +164,7 @@ def _check_degrees(algebra: LocalAlgebra, cols, degrees) -> None:
             for i, _ in col:
                 if degrees[i] != target:
                     raise ValueError(f"{name} sends degree {degrees[j]} to {degrees[i]}, not {target}")
+    return degrees
 
 
 @dataclass(frozen=True)
@@ -263,16 +276,20 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     taken modulo the m-multiples, they have no unit component.
 
     The span is a basis of the kernel Z, so counting its vectors by degree
-    gives count[deg] = dim Z_deg, and the count settles much of the work
-    without elimination.  A degree's ``Subspace`` of m-multiples takes no
-    more vectors once its dimension reaches count[deg], for then (mZ)_deg =
-    Z_deg and the degree has no generator; in a degree with no m-multiple
-    every span vector is a generator.  Only the span vectors of the degrees
-    in between are inserted, in span order.  The columns of degree deg span
-    Z_deg, so their kernel has dimension len(group) - count[deg]: a group
-    with as many columns as count[deg] has no kernel, and a group over a
-    degree the span misses has each column {pos: 1} in its kernel, which is
-    what ``null_space`` gives for zero rows.  Generators and kernel vectors
+    gives count[deg] = dim Z_deg, which settles much of the work without
+    elimination.  Z is a submodule and the action is homogeneous, so x_k * w
+    lies in Z at degree deg(w) + deg(x_k): it is not formed when the count
+    misses that degree (it is zero) or that degree's ``Subspace`` of
+    m-multiples is full (dimension count[deg], so (mZ)_deg = Z_deg and the
+    degree has no generator).  In a degree with no m-multiple every span
+    vector is a generator; only the degrees in between insert span vectors,
+    in span order.  The columns of degree deg span Z_deg, so their kernel
+    has dimension len(group) - count[deg]: a group with count[deg] columns
+    has none, and a group over a degree the span misses has each column
+    {pos: 1} in its kernel, as ``null_space`` gives for zero rows.  So the
+    groups come from degrees alone, and the columns b * g are formed, along
+    the division tree and once per step, only for the other groups, x_k * g
+    reusing the m-multiple if it was formed.  Generators and kernel vectors
     come out in the order elimination would give them."""
     f = a.field
     d = a.dim_k
@@ -293,38 +310,57 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
         space = spaces[deg]
         return space.dim < count[deg] and space._add_row({slot[pos]: c for pos, c in vec.items()})
 
-    for w in span:
-        for k in range(a.nvars):
-            v = _act(f, cols[k], w, block)
-            if v:
-                absorb(v, at[next(iter(v))])
-    gens = [w for w, deg in zip(span, span_degrees) if deg not in spaces or absorb(w, deg)]
-    gen_degrees = tuple(at[next(iter(g))] for g in gens)
+    parents = a.basis_parents()
+    root = parents.index(None)
+    formed: dict = {}
+
+    def times(k, i, b) -> dict:
+        # x_k * (b * span[i]), formed once per step
+        if (k, i, b) not in formed:
+            formed[k, i, b] = _act(f, cols[k], product(i, b), block)
+        return formed[k, i, b]
+
+    def product(i, b) -> dict:
+        # b * span[i], along the division tree
+        if b == root:
+            return span[i]
+        k, below = parents[b]
+        return times(k, i, below)
+
+    shifts = [a._grade(a._var_monomial(k)) for k in range(a.nvars)]
+    targets: dict = {}
+    for i, deg in enumerate(span_degrees):
+        if deg not in targets:
+            targets[deg] = [(k, t) for k, s in enumerate(shifts) if (t := _deg_sum(deg, s)) in count]
+        for k, t in targets[deg]:
+            if (t not in spaces or spaces[t].dim < count[t]) and (v := times(k, i, root)):
+                absorb(v, t)
+    gen_ids = [i for i, deg in enumerate(span_degrees) if deg not in spaces or absorb(span[i], deg)]
+    gen_degrees = tuple(span_degrees[i] for i in gen_ids)
     if state["betti"]:
-        state["diffs"].append(tuple(gens))
-    state["betti"].append(len(gens))
+        state["diffs"].append(tuple(span[i] for i in gen_ids))
+    state["betti"].append(len(gen_ids))
     state["degrees"].append(gen_degrees)
 
-    parents = a.basis_parents()
+    shifted: dict = {}
     groups: dict = {}
     new_at = []
-    for j, (g, gdeg) in enumerate(zip(gens, gen_degrees)):
-        products: list = []
-        for b, parent in enumerate(parents):
-            vec = g if parent is None else _act(f, cols[parent[0]], products[parent[1]], block)
-            products.append(vec)
-            deg = _deg_sum(gdeg, a.degrees[b])
-            new_at.append(deg)
-            groups.setdefault(deg, []).append((j * d + b, vec))
+    for j, gdeg in enumerate(gen_degrees):
+        if gdeg not in shifted:
+            shifted[gdeg] = [_deg_sum(gdeg, bdeg) for bdeg in a.degrees]
+        new_at.extend(shifted[gdeg])
+        for b, deg in enumerate(shifted[gdeg]):
+            groups.setdefault(deg, []).append(j * d + b)
     one = f.one()
-    span = []
+    kernel = []
     for deg, members in groups.items():
         rank = count.get(deg, 0)  # the rank of the group's columns
         if not rank:
-            span.extend({pos: one} for pos, _ in members)
+            kernel.extend({pos: one} for pos in members)
         elif rank < len(members):
-            span.extend(_kernel_of_columns(f, members, slot, sizes[deg]))
-    state["span"], state["at"] = span, new_at
+            columns = [(pos, product(gen_ids[pos // d], pos % d)) for pos in members]
+            kernel.extend(_kernel_of_columns(f, columns, slot, sizes[deg]))
+    state["span"], state["at"] = kernel, new_at
     state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
 
 

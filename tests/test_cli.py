@@ -341,6 +341,9 @@ def test_oversized_relation_matrix_exits_two_without_building(names, field, orde
         (("verify", "thmA", "--max-n", "0"), "empty corpus"),
         (("verify", "ex54", "--bound", "-1"), "negative"),
         (("resolve", "--name", "ex54R", "--module", "cyclic:w"), "unknown variable 'w'"),
+        # an empty name list would resolve A/(0), the free module
+        (("resolve", "--name", "ex54R", "--module", "cyclic:"), "names no variable"),
+        (("resolve", "--name", "ex54R", "--module", "cyclic:,"), "names no variable"),
     ],
 )
 def test_out_of_range_argument_exits_two(argv, message, capsys):

@@ -185,25 +185,104 @@ def _count_eliminations(monkeypatch) -> dict:
     return calls
 
 
+def _count_products(monkeypatch) -> list:
+    # one entry per variable applied to a sparse vector, the step's products
+    calls: list = []
+    real = modules._act
+
+    def act(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(modules, "_act", act)
+    return calls
+
+
 def test_dimension_counts_settle_every_block_of_k_over_kprime_k5(monkeypatch):
     # over k[x1..x5]/m^2 every m-multiple of the span is zero, so each span
     # vector is a generator with no insertion, and each group of columns
     # either has as many columns as the span has vectors in its degree (no
     # kernel) or lies over a degree the span misses (all kernel): no group
-    # is eliminated
+    # is eliminated.  Every x_k * w lands in a degree the span misses, and
+    # no group needs its columns, so no product is formed either
     calls = _count_eliminations(monkeypatch)
+    products = _count_products(monkeypatch)
     res = minimal_resolution(residue_field(_kprime("k5", 6)(GF2)), 5)
     assert res.betti == (1, 5, 25, 125, 625, 3125)
     assert calls == {"kernel": 0, "insert": 0}
+    assert len(products) == 0
 
 
 def test_dimension_counts_leave_the_eliminations_they_do_not_settle(monkeypatch):
     # the canonical module of kprime(P3) fills some degrees only partly, so
-    # both eliminations still run there
+    # both eliminations still run there, and only the products they read are
+    # formed (17,974 when every m-multiple and column was)
     calls = _count_eliminations(monkeypatch)
+    products = _count_products(monkeypatch)
     res = minimal_resolution(canonical_module(_kprime("p3", 4)(GF2)), 7)
     assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
     assert calls == {"kernel": 141, "insert": 4871}
+    assert len(products) == 5581
+
+
+def _half_y_module(field) -> FPModule:
+    # A/(y) (+) A(-(1, 0)) over k[x,y]/(x^2, y^2) by hand, basis u, xu, v,
+    # yv, xv, xyv: y acts as zero on u and xu only
+    x = [[0] * 6 for _ in range(6)]
+    y = [[0] * 6 for _ in range(6)]
+    for row, col in ((1, 0), (4, 2), (5, 3)):
+        x[row][col] = 1
+    for row, col in ((3, 2), (5, 4)):
+        y[row][col] = 1
+    degrees = [(0, 0), (1, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+    return FPModule(ALGEBRAS["k[x,y]/(x2,y2)"](field), 6, [x, y], degrees=degrees)
+
+
+def _ex54_modules(field):
+    a = ALGEBRAS["ex54R"](field)
+    return {"A/(z)": cyclic_module(a, [a.element_from_linear({"z": 1})]), "k": residue_field(a)}
+
+
+SKIP_CASES = {
+    "hand-built": lambda f: (_half_y_module(f), 6, (2, 1, 1, 1, 1, 1, 1)),
+    "ex54R A/(z)": lambda f: (_ex54_modules(f)["A/(z)"], 6, (1,) * 7),
+    "ex54R k": lambda f: (_ex54_modules(f)["k"], 6, (1, 3, 7, 15, 31, 63, 127)),
+}
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+@pytest.mark.parametrize("case", list(SKIP_CASES))
+def test_products_skipped_by_the_count_match_the_trivial_grading(case, field, monkeypatch):
+    # a step forms x_k * w only when the span has vectors in its degree
+    # deg(w) + deg(x_k); these modules cross such empty degrees at every
+    # step.  The trivially graded copy, built by hand without degrees, has
+    # one degree and skips nothing
+    m, bound, betti = SKIP_CASES[case](field)
+    a = m.algebra
+    shifts = [a._grade(a._var_monomial(k)) for k in range(a.nvars)]
+    missed: list = []
+    real_step = modules._resolution_step
+
+    def step(alg, state):
+        at = state["at"]
+        degrees = [at[next(iter(w))] for w in state["span"]]
+        present = set(degrees)
+        missed.append(sum(modules._deg_sum(deg, s) not in present for deg in degrees for s in shifts))
+        real_step(alg, state)
+
+    monkeypatch.setattr(modules, "_resolution_step", step)
+    res = minimal_resolution(m, bound)
+    monkeypatch.undo()
+    assert res.betti == betti
+    assert len(missed) == bound + 1 and all(missed)
+    check_resolution(m, res)
+    trivial = FPModule(a, m.dim, [dense_action(m, k) for k in range(a.nvars)])
+    assert set(trivial.degrees) == {()}
+    assert minimal_resolution(trivial, bound).betti == betti
+    k = residue_field(a)
+    for n in (k, m):
+        assert [ext(m, n, i) for i in range(4)] == [ext(trivial, n, i) for i in range(4)]
+        assert [tor(m, n, i) for i in range(4)] == [tor(trivial, n, i) for i in range(4)]
 
 
 # -- Hom coordinates against Matrix.solve -------------------------------------------

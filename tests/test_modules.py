@@ -128,6 +128,9 @@ def test_hand_built_module_actions_must_commute(field):
     assert poincare_truncation(m, 3) == [1, 1, 2, 4]
 
 
+ZERO_ACTIONS = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
 @pytest.mark.parametrize(
     "actions, degrees, error, message",
     [
@@ -136,12 +139,26 @@ def test_hand_built_module_actions_must_commute(field):
         ([[[0, 0], [1, 0]], [[0, 0], [0]]], None, ValueError, "action has wrong shape"),
         ([[[0, 0], [1, 0]], [[0, 0], [0, 0]]], [(0, 0)], ValueError, "need one degree per basis element"),
         ([[[0, 0], [1, 0]], [[0, 0], [0.5, 0]]], None, TypeError, "not an exact field element"),
+        (ZERO_ACTIONS, [("a", 0), (0, 0)], ValueError, r"degree \('a', 0\) is not a tuple of integers"),
+        (ZERO_ACTIONS, [(0, 0), (0.5, 0)], ValueError, r"degree \(0.5, 0\) is not a tuple of integers"),
+        (ZERO_ACTIONS, [(True, 0), (0, 0)], ValueError, r"degree \(True, 0\) is not a tuple of integers"),
+        (ZERO_ACTIONS, [(0, None), (0, 0)], ValueError, r"degree \(0, None\) is not a tuple of integers"),
+        (ZERO_ACTIONS, [0, 1], ValueError, "degree 0 is not a tuple of integers"),
     ],
-    ids=["action count", "row count", "ragged row", "degree count", "float entry"],
+    ids=["action count", "row count", "ragged row", "degree count", "float entry"]
+    + ["string degree", "fractional degree", "bool degree", "None degree", "bare int degree"],
 )
 def test_hand_built_module_refuses_malformed_input(actions, degrees, error, message):
     with pytest.raises(error, match=message):
         FPModule(fat_point(), 2, actions, degrees=degrees)
+
+
+def test_hand_built_degrees_are_kept_as_ints():
+    # an integer value is accepted as its int, and negative entries are legal,
+    # as in the canonical module's degrees
+    m = FPModule(fat_point(), 2, ZERO_ACTIONS, degrees=[[-1, 0], (2.0, 0)])
+    assert m.degrees == ((-1, 0), (2, 0))
+    assert all(type(e) is int for deg in minimal_resolution(m, 1).degrees[1] for e in deg)
 
 
 @pytest.mark.parametrize(
