@@ -211,11 +211,10 @@ def _cmd_resolve(args) -> int:
     pres = _load_presentation(args)
     algebra = truncate(pres, args.trunc)
     module = _module_from_token(algebra, args.module)
-    # reflexivity needs Hom(M, A) and semidualizing Hom(M, M): refuse an
-    # oversized system before any resolution runs.  Hom(M*, A) is sized only
-    # once M* exists, so reflexivity, which builds it first, runs first.
+    # reflexivity builds Hom(M, A) and Hom(M*, A), semidualizing no Hom:
+    # refuse an oversized Hom(M, A) before any resolution runs.  Hom(M*, A) is
+    # sized only once M* exists, so reflexivity, which builds it first, runs first.
     _check_hom_cells(module, free_module(algebra))
-    _check_hom_cells(module, module)
     b = args.bound
     payload = {
         "module": args.module,

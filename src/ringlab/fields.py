@@ -123,15 +123,6 @@ class FieldSpec:
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
 
-    def inv(self, a):
-        if self.p is not None:
-            if a % self.p == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return pow(a, -1, self.p)
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
-
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)

@@ -13,8 +13,11 @@ columns, and ``hom_module`` returns each basis map as its sparse
 hand-built ``FPModule`` has its actions checked to commute; the constructors
 here trust what they build, and no kernel, Hom coordinate or differential is
 re-checked at run time (``tests/algebra_oracle.check_resolution`` and the
-solve route of ``tests/test_graded_modules.py`` prove them).  Minimal free
-resolutions are computed by syzygy iteration: the kernel of each
+solve route of ``tests/test_graded_modules.py`` prove them).  Hom(C, C) is
+never built: ``is_semidualizing_up_to`` reads its dimension as Ext^0(C, C)
+and the homothety's injectivity as C's faithfulness; total reflexivity builds
+Hom(M, A) once and Hom(M*, A) for dim M**.  Minimal free resolutions are
+computed by syzygy iteration: the kernel of each
 presentation map, sparse from ``linalg.null_space``, spans a k-subspace of
 the ambient free module, and the next differential's columns are kernel
 vectors chosen to span the kernel modulo its m-multiples.  Each step first
@@ -534,7 +537,10 @@ def hom_module(m: FPModule, n: FPModule):
                     row[s * dm + b_] = f.sub(row.get(s * dm + b_, 0), v)
                 rows.append(row)
     basis = null_space(f, rows, unknowns)
-    frees = _free_columns(basis)
+    # each basis map has a 1 at its own free column and a 0 at every other
+    # one's, so a map of the span has its entries there as its coordinates;
+    # x_k Phi is A-linear, so it lies in the span
+    frees = [next(reversed(vec)) for vec in basis]
     actions = []
     for k in range(m.algebra.nvars):
         rn_cols = n.var_sparse(k)
@@ -563,16 +569,6 @@ def _check_hom_cells(m: FPModule, n: FPModule) -> None:
         )
 
 
-def _free_columns(basis) -> list:
-    """The free column of each ``null_space`` vector (sparse, ascending keys).
-
-    Each basis vector has a 1 at its own free column, its last key, and a 0
-    at every other one's, so a vector of the span has its entries at those
-    columns as its coordinates.  Every caller reads the image of an A-linear
-    map, which lies in the span."""
-    return [next(reversed(vec)) for vec in basis]
-
-
 def dual_module(m: FPModule) -> FPModule:
     """M* = Hom_A(M, A) with its natural action."""
     mod, _ = hom_module(m, free_module(m.algebra))
@@ -582,20 +578,25 @@ def dual_module(m: FPModule) -> FPModule:
 
 def biduality_is_iso(m: FPModule) -> bool:
     """Is the evaluation map M -> M** bijective?"""
-    a = m.algebra
-    f = a.field
-    free = free_module(a)
-    dual, phis = hom_module(m, free)
-    double, psis = hom_module(dual, free)
+    return _is_bidual(m, *hom_module(m, free_module(m.algebra)))
+
+
+def _is_bidual(m: FPModule, dual: FPModule, phis) -> bool:
+    """``biduality_is_iso`` given M* = Hom(M, A) and its basis maps phis.
+
+    The Hom(M*, A) system gives dim M**.  ev(e_j): Phi |-> Phi(e_j) is the
+    map M* -> A with entry s of phi_t(e_j) at position s * dim M* + t, so ev
+    is injective when these dim M vectors, read straight off the phis, are
+    independent."""
+    double, _ = hom_module(dual, free_module(m.algebra))
     if double.dim != m.dim:
         return False
-    if m.dim == 0:
-        return True
-    cells = [divmod(j, dual.dim) for j in _free_columns(psis)]
-    # ev(e_j): Phi |-> Phi(e_j), a map from M* to A, has entry s of
-    # phi_t(e_j) at position s * dim M* + t
-    coords = [[phis[t].get(s * m.dim + j, 0) for s, t in cells] for j in range(m.dim)]
-    return _rank(f, coords, m.dim) == m.dim
+    evs: list[dict] = [{} for _ in range(m.dim)]
+    for t, phi in enumerate(phis):
+        for pos, x in phi.items():
+            s, j = divmod(pos, m.dim)
+            evs[j][s * dual.dim + t] = x
+    return _rank(m.algebra.field, evs, m.algebra.dim_k * dual.dim) == m.dim
 
 
 def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
@@ -605,26 +606,27 @@ def is_totally_reflexive_up_to(m: FPModule, b: int) -> bool:
     bound, never an unconditional certificate.
     """
     _check_bound(b, "bound")
-    if not biduality_is_iso(m):
-        return False
     free = free_module(m.algebra)
-    duals = _homology(dual_module(m), free, 1, b)
+    dual, phis = hom_module(m, free)
+    if not _is_bidual(m, dual, phis):
+        return False
+    duals = _homology(dual, free, 1, b)
     return all(x == 0 and next(duals) == 0 for x in _homology(m, free, 1, b))
 
 
 def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
-    """Homothety A -> Hom(C, C) bijective and Ext^i(C, C) = 0 for 1 <= i <= b."""
+    """Homothety A -> Hom(C, C) bijective and Ext^i(C, C) = 0 for 1 <= i <= b.
+
+    No Hom system is built: dim Hom(C, C) is Ext^0(C, C), and the homothety
+    is injective when C is faithful, that is when the actions of A's basis
+    elements are independent."""
     _check_bound(b, "bound")
     a = c.algebra
-    f = a.field
-    hom, maps = hom_module(c, c)
-    if hom.dim != a.dim_k:
+    exts = _homology(c, c, 0, b)
+    if next(exts) != a.dim_k:
         return False
-    if a.dim_k:
-        # the homothety by basis element e has entry s of e * c_t at
-        # position s * dim C + t
-        cells = [divmod(j, c.dim) for j in _free_columns(maps)]
-        cols = [[c._basis_action(e)[t].get(s, 0) for s, t in cells] for e in range(a.dim_k)]
-        if _rank(f, cols, a.dim_k) != a.dim_k:
-            return False
-    return all(x == 0 for x in _homology(c, c, 1, b))
+    # the action of basis element e has entry s of e * c_t at position s * dim C + t
+    actions = [
+        {s * c.dim + t: x for t, col in enumerate(c._basis_action(e)) for s, x in col.items()} for e in range(a.dim_k)
+    ]
+    return _rank(a.field, actions, c.dim * c.dim) == a.dim_k and all(x == 0 for x in exts)

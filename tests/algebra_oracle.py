@@ -281,15 +281,25 @@ def check_resolution(m, res) -> None:
                     if c:
                         got = _degree_sum(res.degrees[t - 1][r], a.degrees[b])
                         assert got == res.degrees[t][i], f"d_{t} column {i} is not homogeneous"
-    for t in range(1, len(differentials)):
-        left, right = differentials[t - 1], differentials[t]
-        for col in right:
-            total = [(a.field.zero(),) * a.dim_k for _ in range(res.betti[t - 1])]
-            for r_mid, entry in enumerate(col):
-                for r_prev in range(res.betti[t - 1]):
-                    prod = a.multiply(left[r_mid][r_prev], entry)
-                    total[r_prev] = tuple(a.field.add(u, v) for u, v in zip(total[r_prev], prod))
-            assert all(not any(vec) for vec in total), f"d_{t} d_{t + 1} != 0"
+    # d_t d_{t+1} over the nonzero coefficients of the sparse columns only,
+    # with basis products from the public multiply, each pair taken once
+    f, d = a.field, a.dim_k
+    table: dict = {}
+    for t in range(1, len(res.differentials)):
+        left = res.differentials[t - 1]
+        for col in res.differentials[t]:
+            total: dict = {}
+            for pos, c in col.items():
+                r_mid, b = divmod(pos, d)
+                for pos_prev, c_prev in left[r_mid].items():
+                    r_prev, b_prev = divmod(pos_prev, d)
+                    if (b, b_prev) not in table:
+                        table[b, b_prev] = _sparse(a.multiply(_basis_vec(a, b), _basis_vec(a, b_prev)))
+                    cc = f.mul(c, c_prev)
+                    for j, x in table[b, b_prev].items():
+                        key = r_prev * d + j
+                        total[key] = f.add(total.get(key, f.zero()), f.mul(cc, x))
+            assert not any(total.values()), f"d_{t} d_{t + 1} != 0"
     ranks = [_k_rank(a, diff) for diff in differentials]
     if ranks:
         assert ranks[0] == res.betti[0] * a.dim_k - m.dim, "F_1 -> F_0 -> M is not exact"

@@ -118,6 +118,20 @@ def test_resolve_verb(capsys):
     assert payload["semidualizing_up_to"] is False
 
 
+def test_resolve_builds_hom_of_the_module_and_its_dual_only(monkeypatch, capsys):
+    # Hom(M, A) once and Hom(M*, A) once; semidualizing builds no Hom(M, M)
+    import ringlab.modules
+
+    built = []
+    real = ringlab.modules.hom_module
+    monkeypatch.setattr(ringlab.modules, "hom_module", lambda m, n: built.append(n.label) or real(m, n))
+    code, _ = run_cli(
+        capsys, "resolve", "--name", "ex54R", "--field", "fp:2", "--trunc", "3", "--module", "cyclic:z", "--bound", "5"
+    )
+    assert code == 0
+    assert built == ["A", "A"]
+
+
 def test_resolve_k_module(capsys):
     code, out = run_cli(
         capsys, "resolve", "--name", "kprime:k2", "--field", "fp:2", "--trunc", "3",

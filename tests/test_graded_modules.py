@@ -287,10 +287,13 @@ def test_products_skipped_by_the_count_match_the_trivial_grading(case, field, mo
 
 # -- Hom coordinates against Matrix.solve -------------------------------------------
 #
-# hom_module, the homothety of is_semidualizing_up_to and the evaluation map of
-# biduality_is_iso read coordinates off the free columns of the kernel basis.
+# hom_module reads the action's coordinates off the free columns of the kernel
+# basis; is_semidualizing_up_to takes dim Hom(C, C) as Ext^0(C, C) and ranks
+# the homotheties as flattened actions, and biduality_is_iso ranks the
+# evaluation maps as they come off the basis maps of M*, with no coordinates.
 # The oracle below is the older route: every vector is solved for against the
-# flattened basis maps with Matrix.solve, a separate elimination.
+# flattened basis maps of the Hom system with Matrix.solve, a separate
+# elimination.
 
 
 def _flat(rows) -> list:
@@ -368,6 +371,22 @@ def test_hom_coordinates_match_the_solve_route(name, field):
             assert _hom_actions(hom) == _solve_hom_actions(m, n, maps)
         assert is_semidualizing_up_to(m, 2) == _solve_semidualizing(m, 2)
         assert biduality_is_iso(m) == _solve_biduality(m)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_semidualizing_builds_no_hom_system(name, field, monkeypatch):
+    # Ext^0(C, C) and the faithfulness rank stand in for Hom(C, C); the
+    # answers are the solve route's, taken before hom_module is refused
+    a = ALGEBRAS[name](field)
+    pool = _pool(a)
+    expected = {key: _solve_semidualizing(m, 2) for key, m in pool.items()}
+
+    def refuse(*args):
+        raise AssertionError("a Hom system was built")
+
+    monkeypatch.setattr(modules, "hom_module", refuse)
+    assert {key: is_semidualizing_up_to(m, 2) for key, m in pool.items()} == expected
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)

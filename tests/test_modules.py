@@ -407,6 +407,21 @@ def test_check_resolution_catches_a_corrupted_kernel_vector(field, monkeypatch):
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_check_resolution_catches_a_nonzero_composite(field):
+    # over k[x,y]/(x^2, y^2), d_2 of k has the column y e_1 - x e_2; without
+    # its term -x e_2 it stays homogeneous and minimal, but d_1 sends it to xy
+    a = ci_algebra(field)
+    k = residue_field(a)
+    res = minimal_resolution(k, 3)
+    j, col = next((j, col) for j, col in enumerate(res.differentials[1]) if len(col) > 1)
+    d2 = list(res.differentials[1])
+    d2[j] = dict(list(col.items())[:-1])
+    broken = modules.Resolution(res.betti, (res.differentials[0], tuple(d2), *res.differentials[2:]), res.degrees)
+    with pytest.raises(AssertionError, match="d_1 d_2 != 0"):
+        check_resolution(k, broken)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 def test_sparse_kernel_check_matches_dense_apply(field):
     # the kernel the engine takes from sparse columns, against the textbook
     # dense apply and rank of gauss_oracle: every vector is killed by the
@@ -556,6 +571,18 @@ def test_free_modules_totally_reflexive():
         assert is_totally_reflexive_up_to(free_module(a), 4)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_total_reflexivity_builds_the_dual_once(field, monkeypatch):
+    # Hom(M, A) serves both biduality and Ext(M*, A); Hom(M*, A) gives dim M**
+    a = ex54_ring(field)
+    m = cyclic_module(a, [a.element_from_linear({"z": 1})])
+    built = []
+    real = modules.hom_module
+    monkeypatch.setattr(modules, "hom_module", lambda m, n: built.append((m.label, n.label)) or real(m, n))
+    assert is_totally_reflexive_up_to(m, 3)
+    assert built == [(m.label, "A"), (f"Hom({m.label},A)", "A")]
+
+
 def test_hom_module_variable_only_matches_full_basis():
     # commuting with the variables equals commuting with every basis element
     a = ex54_ring(GF2)
@@ -585,6 +612,18 @@ def test_canonical_semidualizing_small():
 def test_k_not_semidualizing():
     a = fat_point()
     assert not is_semidualizing_up_to(residue_field(a), 2)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+def test_an_unfaithful_module_is_not_semidualizing(field):
+    # C = k + k over k[x]/(x^4): x kills C, so Hom(C, C) is all 2 x 2
+    # matrices, of dimension 4 = dim A, and at bound 0 only the homothety's
+    # rank, 1, tells C from a semidualizing module
+    a = truncate(pres(["x"], ["x^4"], field), 4)
+    c = FPModule(a, 2, [[[0, 0], [0, 0]]])
+    assert ext(c, c, 0) == a.dim_k == 4
+    assert not is_semidualizing_up_to(c, 0)
+    assert not is_semidualizing_up_to(c, 2)
 
 
 # -- the independent Ext oracle ---------------------------------------------------------
