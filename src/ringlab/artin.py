@@ -453,12 +453,11 @@ def _check_full_ring(a: LocalAlgebra) -> None:
 
 def canonical_module(a: LocalAlgebra):
     """Hom_k(A, k) with the contragredient action: the dualizing module."""
-    from .modules import FPModule
+    from .modules import _matlis_dual, free_module
 
-    actions = [_transpose(a.var_sparse(k), a.dim_k) for k in range(a.nvars)]
-    # the dual basis element of b has degree -deg(b)
-    degrees = [tuple(-e for e in deg) for deg in a.degrees]
-    return FPModule._trusted(a, a.dim_k, actions, label="canonical", degrees=degrees)
+    omega = _matlis_dual(free_module(a))
+    omega.label = "canonical"
+    return omega
 
 
 def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:

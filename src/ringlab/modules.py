@@ -16,8 +16,22 @@ re-checked at run time (``tests/algebra_oracle.check_resolution`` and the
 solve route of ``tests/test_graded_modules.py`` prove them).  Hom(C, C) is
 never built: ``is_semidualizing_up_to`` reads its dimension as Ext^0(C, C)
 and the homothety's injectivity as C's faithfulness; total reflexivity builds
-Hom(M, A) once and Hom(M*, A) for dim M**.  Minimal free resolutions are
-computed by syzygy iteration: the kernel of each
+Hom(M, A) once and Hom(M*, A) for dim M**.
+
+Matlis duality skips resolutions.  M^v = Hom_k(M, k) with the transposed
+action (``_matlis_dual``) is Hom_A(M, E), so dim Ext^i(k, M) = beta_i(M^v)
+and Ext^i(C, C) = Ext^i(C^v, C^v).  ``bass_truncation`` resolves M^v and
+ranks nothing, except for a trivially graded M over a graded algebra, where
+it ranks k's graded resolution against M (M^v would be one block: forcing
+the dual there takes 1.7 s instead of 0.09-0.16 s for A/(x+y) over
+kprime(P3) to degree 7 over GF(2)).  ``is_semidualizing_up_to`` runs on
+whichever of C and C^v has fewer generators, building C^v only when C is
+not cyclic: the canonical module of a non-Gorenstein algebra runs as its
+dual, A.  Over the 144 cases of 8 algebras x GF(2), GF(3), q x 6 modules
+of ``tests/test_graded_modules.py``, Bass numbers to degree 5 take
+0.5-0.9 s in all (1.3-1.7 s through k alone).
+
+Minimal free resolutions are computed by syzygy iteration: the kernel of each
 presentation map, sparse from ``linalg.null_space``, spans a k-subspace of
 the ambient free module, and the next differential's columns are kernel
 vectors chosen to span the kernel modulo its m-multiples.  Each step first
@@ -36,7 +50,8 @@ so the syzygies are homogeneous: minimal generators, kernels and the Hom and
 tensor ranks behind Ext and Tor are computed one degree block at a time, on
 sparse vectors.  The differentials keep that form: each column is a sparse
 vector {row * dim_k + basis index: coefficient}, and one homology routine
-reads them to give Ext, Tor and Bass numbers.  Every other module
+reads them to give Ext and Tor, and Bass numbers on the route through k.
+Every other module
 (hand-built ones without degrees, ``hom_module``, ``dual_module``,
 quotients by inhomogeneous elements) and every module over an inhomogeneous
 presentation is trivially graded: each degree is (), and the whole
@@ -500,14 +515,37 @@ def poincare_truncation(m: FPModule, b: int) -> list[int]:
 
 
 def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
-    """dims of Ext^i(k, M) for i = 0..b, via the resolution of k."""
+    """dims of Ext^i(k, M) for i = 0..b.
+
+    Matlis duality gives dim Ext^i(k, M) = dim Tor_i(k, M^v) = beta_i(M^v),
+    so the Bass numbers are the Betti numbers of ``_matlis_dual(m)``: one
+    resolution to degree b and no rank.  A trivially graded M over a graded
+    algebra keeps the route through k's resolution, ranked against M: there
+    k's resolution runs per degree block, while M^v's would be one block
+    (A/(x+y) over kprime(P3) to degree 7 over GF(2): 0.09-0.16 s through k,
+    1.7 s through M^v).  Over the 8 x 3 x 6 module grid of
+    ``tests/test_graded_modules.py`` degree 7 takes 2.7-4.3 s in all,
+    against 7.8-9.0 s through k alone."""
     _check_bound(b, "resolution bound")
-    return list(_homology(residue_field(a), m, 0, b))
+    k = residue_field(a)
+    _check_same_algebra(k, m)
+    if any(a.degrees) and not any(m.degrees):
+        return list(_homology(k, m, 0, b))
+    return poincare_truncation(_matlis_dual(m), b)
 
 
 # ---------------------------------------------------------------------------
 # Hom, duality, reflexivity, semidualizing
 # ---------------------------------------------------------------------------
+
+
+def _matlis_dual(m: FPModule) -> FPModule:
+    """M^v = Hom_k(M, k), which is Hom_A(M, E) for a finite-length M: x_k acts
+    on the dual basis by the transpose of its action on M, and the dual of a
+    basis element of degree d has degree -d (the trivial degree () stays ())."""
+    actions = [_transpose(m.var_sparse(k), m.dim) for k in range(m.algebra.nvars)]
+    degrees = [tuple(-e for e in deg) for deg in m.degrees]
+    return FPModule._trusted(m.algebra, m.dim, actions, label=f"({m.label or '?'})^v", degrees=degrees)
 
 
 def hom_module(m: FPModule, n: FPModule):
@@ -619,8 +657,20 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
 
     No Hom system is built: dim Hom(C, C) is Ext^0(C, C), and the homothety
     is injective when C is faithful, that is when the actions of A's basis
-    elements are independent."""
+    elements are independent.  Matlis duality is exact and contravariant on
+    finite-length modules, so Ext^i(C, C) = Ext^i(C^v, C^v), the homotheties
+    correspond and C^v is faithful with C: the check runs on whichever of C
+    and C^v has fewer generators (ties keep C).  C^v is built only when C
+    needs more than one generator, so a cyclic C builds no dual; the
+    canonical module of a non-Gorenstein algebra runs as its dual, A, and is
+    resolved to degree 0 only (to bound 2: 0.35 ms instead of 2.3 ms for
+    kprime(P3) at order 4 over GF(2))."""
     _check_bound(b, "bound")
+    gens = _resolution_state(c, 0)["betti"][0]
+    if gens > 1:
+        dual = _matlis_dual(c)
+        if _resolution_state(dual, 0)["betti"][0] < gens:
+            c = dual
     a = c.algebra
     exts = _homology(c, c, 0, b)
     if next(exts) != a.dim_k:

@@ -236,11 +236,21 @@ def _degree_sum(u: tuple, v: tuple) -> tuple:
     return tuple(x + y for x, y in zip(u, v))
 
 
-def _k_rank(a, diff) -> int:
-    """k-rank of a differential, one column per (generator, basis element)."""
-    cols = [[c for entry in col for c in a.multiply(entry, _basis_vec(a, b))] for col in diff for b in range(a.dim_k)]
+def _k_rank(a, diff, nrows: int, product) -> int:
+    """k-rank of a sparse differential into A^nrows, one column b * col per
+    (column, basis element b), from the basis products ``product(b', b)``."""
+    f, d = a.field, a.dim_k
+    cols = []
+    for col in diff:
+        for b in range(d):
+            dense = [f.zero()] * (nrows * d)
+            for pos, c in col.items():
+                r, b_entry = divmod(pos, d)
+                for j, x in product(b_entry, b).items():
+                    dense[r * d + j] = f.add(dense[r * d + j], f.mul(c, x))
+            cols.append(dense)
     # the rank of a matrix is the rank of its columns
-    return rank(a.field.p, cols, len(cols[0])) if cols else 0
+    return rank(f.p, cols, nrows * d)
 
 
 def _dense(a, res) -> list:
@@ -285,6 +295,12 @@ def check_resolution(m, res) -> None:
     # with basis products from the public multiply, each pair taken once
     f, d = a.field, a.dim_k
     table: dict = {}
+
+    def product(b, b_prev) -> dict:
+        if (b, b_prev) not in table:
+            table[b, b_prev] = _sparse(a.multiply(_basis_vec(a, b), _basis_vec(a, b_prev)))
+        return table[b, b_prev]
+
     for t in range(1, len(res.differentials)):
         left = res.differentials[t - 1]
         for col in res.differentials[t]:
@@ -293,14 +309,12 @@ def check_resolution(m, res) -> None:
                 r_mid, b = divmod(pos, d)
                 for pos_prev, c_prev in left[r_mid].items():
                     r_prev, b_prev = divmod(pos_prev, d)
-                    if (b, b_prev) not in table:
-                        table[b, b_prev] = _sparse(a.multiply(_basis_vec(a, b), _basis_vec(a, b_prev)))
                     cc = f.mul(c, c_prev)
-                    for j, x in table[b, b_prev].items():
+                    for j, x in product(b, b_prev).items():
                         key = r_prev * d + j
                         total[key] = f.add(total.get(key, f.zero()), f.mul(cc, x))
             assert not any(total.values()), f"d_{t} d_{t + 1} != 0"
-    ranks = [_k_rank(a, diff) for diff in differentials]
+    ranks = [_k_rank(a, diff, res.betti[t], product) for t, diff in enumerate(res.differentials)]
     if ranks:
         assert ranks[0] == res.betti[0] * a.dim_k - m.dim, "F_1 -> F_0 -> M is not exact"
     for t in range(1, len(ranks)):

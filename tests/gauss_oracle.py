@@ -1,14 +1,17 @@
 """A textbook Gauss-Jordan for the test oracles.
 
 Matrices are lists of rows of exact entries: ``Fraction`` (or int) over q,
-given by ``p = None``, and ints over GF(p).  Nothing here comes from
-``ringlab``, so an oracle built on these helpers shares no elimination with
-the engine it checks; ``tests/test_linalg_oracle.py`` checks them against
-sympy.
+given by ``p = None``, and ints over GF(p).  ``rank`` over q eliminates
+fraction-free on integer rows instead of running the ``Fraction`` rref.
+Nothing here comes from ``ringlab``, so an oracle built on these helpers
+shares no elimination with the engine it checks;
+``tests/test_linalg_oracle.py`` checks them against sympy and the integer
+rank against the ``Fraction`` rref.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -36,7 +39,38 @@ def rref(p, rows, ncols: int) -> tuple[list[list], list[int]]:
 
 
 def rank(p, rows, ncols: int) -> int:
+    if p is None:
+        return _integer_rank(rows)
     return len(rref(p, rows, ncols)[1])
+
+
+def _integer_rank(rows) -> int:
+    """Rank over q, fraction-free: each row is scaled by the lcm of its
+    denominators to a sparse integer row and reduced against the pivot rows
+    kept so far, each keyed by its first column.  A step replaces the row by
+    (p / g) * row - (e / g) * pivot, for pivot entry p, row entry e and
+    g = gcd(p, e), and then divides it by the gcd of its entries, so the
+    entries stay integers and small.  A row that survives with a new first
+    column becomes a pivot."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        entries = [(j, Fraction(x)) for j, x in enumerate(row) if x]
+        den = math.lcm(*(x.denominator for _, x in entries))
+        vec = {j: x.numerator * (den // x.denominator) for j, x in entries}
+        while vec:
+            c = min(vec)
+            if c not in pivots:
+                pivots[c] = vec
+                break
+            pivot = pivots[c]
+            g = math.gcd(pivot[c], vec[c])
+            scale, e = pivot[c] // g, vec[c] // g
+            out = {j: scale * x for j, x in vec.items()}
+            for j, y in pivot.items():
+                out[j] = out.get(j, 0) - e * y
+            content = math.gcd(*out.values())
+            vec = {j: x // content for j, x in out.items() if x}
+    return len(pivots)
 
 
 def kernel(p, rows, ncols: int) -> list[list]:

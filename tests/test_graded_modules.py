@@ -389,6 +389,49 @@ def test_semidualizing_builds_no_hom_system(name, field, monkeypatch):
     assert {key: is_semidualizing_up_to(m, 2) for key, m in pool.items()} == expected
 
 
+def test_semidualizing_resolves_the_canonical_module_to_degree_zero_only(monkeypatch):
+    # kprime(P3) at order 4 is not Gorenstein: omega needs two generators and
+    # its dual, A, one, so the check resolves A and reads omega's beta_0 only.
+    # A cyclic C builds no dual at all
+    a = _kprime("p3", 4)(GF2)
+    omega = canonical_module(a)
+    assert is_semidualizing_up_to(omega, 6)
+    assert omega._res_state["betti"] == [2]
+
+    def refuse(m):
+        raise AssertionError("a Matlis dual was built")
+
+    pool = _pool(a)
+    monkeypatch.setattr(modules, "_matlis_dual", refuse)
+    assert is_semidualizing_up_to(pool["A"], 6)
+    assert not is_semidualizing_up_to(pool["A/(x)"], 2)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_bass_numbers_match_the_route_through_k(name, field):
+    # bass_truncation reads the Betti numbers of M^v, except for a trivially
+    # graded M over a graded algebra; ext(k, M) ranks k's resolution against M
+    a = ALGEBRAS[name](field)
+    k = residue_field(a)
+    modules_ = list(_pool(a).values()) + [FPModule(a, 0, [[]] * a.nvars)]
+    for m in modules_:
+        assert bass_truncation(a, m, 5) == [ext(k, m, i) for i in range(6)], m
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_matlis_dual_is_an_involution_on_the_action(name, field):
+    a = ALGEBRAS[name](field)
+    for m in _pool(a).values():
+        dual = modules._matlis_dual(m)
+        check_module_action(dual)
+        again = modules._matlis_dual(dual)
+        assert again.dim == m.dim and again.degrees == m.degrees
+        for k in range(a.nvars):
+            assert [dict(col) for col in again.var_sparse(k)] == [dict(col) for col in m.var_sparse(k)]
+
+
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_trusted_modules_pass_the_action_oracle(name, field):

@@ -166,6 +166,39 @@ def test_wide_rational_entries_match_sympy(seed):
         check_rationals(rows)
 
 
+def sparse_dependent_matrices(seed: int, count: int):
+    """Wider, mostly zero matrices with entries -1, 1, 2 and 1/3, plus rows
+    that combine two of them with rational coefficients, shuffled in: the
+    shape of the k-rank checks of ``algebra_oracle.check_resolution``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randint(2, 24), rng.randint(1, 30)
+        rows = [
+            [rng.choice((-1, 1, 2, Fraction(1, 3))) if rng.random() < 0.15 else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        for _ in range(rng.randint(0, nrows)):
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2)
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        rng.shuffle(rows)
+        yield rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_integer_rank_matches_the_fraction_rref(seed):
+    # gauss_oracle.rank over q eliminates fraction-free on integer rows; the
+    # Fraction rref is the reference
+    matrices = [
+        *random_int_matrices(seed, 40),
+        *wide_rational_matrices(seed, 40),
+        *sparse_dependent_matrices(seed, 40),
+    ]
+    for rows in matrices:
+        ncols = len(rows[0])
+        assert gauss_oracle.rank(None, rows, ncols) == len(gauss_oracle.rref(None, rows, ncols)[1])
+
+
 def sympy_rows(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
 
