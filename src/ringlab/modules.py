@@ -21,15 +21,11 @@ Hom(M, A) once and Hom(M*, A) for dim M**.
 Matlis duality skips resolutions.  M^v = Hom_k(M, k) with the transposed
 action (``_matlis_dual``) is Hom_A(M, E), so dim Ext^i(k, M) = beta_i(M^v)
 and Ext^i(C, C) = Ext^i(C^v, C^v).  ``bass_truncation`` resolves M^v and
-ranks nothing, except for a trivially graded M over a graded algebra, where
-it ranks k's graded resolution against M (M^v would be one block: forcing
-the dual there takes 1.7 s instead of 0.09-0.16 s for A/(x+y) over
-kprime(P3) to degree 7 over GF(2)).  ``is_semidualizing_up_to`` runs on
-whichever of C and C^v has fewer generators, building C^v only when C is
-not cyclic: the canonical module of a non-Gorenstein algebra runs as its
-dual, A.  Over the 144 cases of 8 algebras x GF(2), GF(3), q x 6 modules
-of ``tests/test_graded_modules.py``, Bass numbers to degree 5 take
-0.5-0.9 s in all (1.3-1.7 s through k alone).
+ranks nothing; a trivially graded M gives a trivially graded M^v, resolved
+as one block even over a graded algebra.  ``is_semidualizing_up_to`` runs
+on whichever of C and C^v has fewer generators, building C^v only when C
+is not cyclic: the canonical module of a non-Gorenstein algebra runs as its
+dual, A.
 
 Minimal free resolutions are computed by syzygy iteration: the kernel of each
 presentation map, sparse from ``linalg.null_space``, spans a k-subspace of
@@ -50,10 +46,9 @@ so the syzygies are homogeneous: minimal generators, kernels and the Hom and
 tensor ranks behind Ext and Tor are computed one degree block at a time, on
 sparse vectors.  The differentials keep that form: each column is a sparse
 vector {row * dim_k + basis index: coefficient}, and one homology routine
-reads them to give Ext and Tor, and Bass numbers on the route through k.
-Every other module
-(hand-built ones without degrees, ``hom_module``, ``dual_module``,
-quotients by inhomogeneous elements) and every module over an inhomogeneous
+reads them to give Ext and Tor.  Every other module (hand-built ones
+without degrees, ``hom_module``, ``dual_module``, quotients by
+inhomogeneous elements) and every module over an inhomogeneous
 presentation is trivially graded: each degree is (), and the whole
 computation is one block.
 """
@@ -519,18 +514,9 @@ def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
 
     Matlis duality gives dim Ext^i(k, M) = dim Tor_i(k, M^v) = beta_i(M^v),
     so the Bass numbers are the Betti numbers of ``_matlis_dual(m)``: one
-    resolution to degree b and no rank.  A trivially graded M over a graded
-    algebra keeps the route through k's resolution, ranked against M: there
-    k's resolution runs per degree block, while M^v's would be one block
-    (A/(x+y) over kprime(P3) to degree 7 over GF(2): 0.09-0.16 s through k,
-    1.7 s through M^v).  Over the 8 x 3 x 6 module grid of
-    ``tests/test_graded_modules.py`` degree 7 takes 2.7-4.3 s in all,
-    against 7.8-9.0 s through k alone."""
+    resolution to degree b and no rank."""
     _check_bound(b, "resolution bound")
-    k = residue_field(a)
-    _check_same_algebra(k, m)
-    if any(a.degrees) and not any(m.degrees):
-        return list(_homology(k, m, 0, b))
+    _check_same_algebra(residue_field(a), m)
     return poincare_truncation(_matlis_dual(m), b)
 
 
@@ -663,8 +649,7 @@ def is_semidualizing_up_to(c: FPModule, b: int) -> bool:
     and C^v has fewer generators (ties keep C).  C^v is built only when C
     needs more than one generator, so a cyclic C builds no dual; the
     canonical module of a non-Gorenstein algebra runs as its dual, A, and is
-    resolved to degree 0 only (to bound 2: 0.35 ms instead of 2.3 ms for
-    kprime(P3) at order 4 over GF(2))."""
+    resolved to degree 0 only."""
     _check_bound(b, "bound")
     gens = _resolution_state(c, 0)["betti"][0]
     if gens > 1:

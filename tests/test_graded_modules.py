@@ -410,8 +410,8 @@ def test_semidualizing_resolves_the_canonical_module_to_degree_zero_only(monkeyp
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_bass_numbers_match_the_route_through_k(name, field):
-    # bass_truncation reads the Betti numbers of M^v, except for a trivially
-    # graded M over a graded algebra; ext(k, M) ranks k's resolution against M
+    # bass_truncation reads the Betti numbers of M^v; ext(k, M) ranks k's
+    # resolution against M
     a = ALGEBRAS[name](field)
     k = residue_field(a)
     modules_ = list(_pool(a).values()) + [FPModule(a, 0, [[]] * a.nvars)]
