@@ -8,10 +8,12 @@ subtraction.  Degree by degree it forms each candidate c once, as m*x_k with
 k at or after m's last variable, keeps it iff it is no generator and every
 c/x_j is standard, and marks those c/x_j: the unmarked basis monomials are
 the socle.  The filtration and the cut-ring check are read off the basis.
-General presentations put the sparse relation rows into ``null_space`` and
-read both the basis and the normal forms off it: each null vector's free
-column is a basis monomial, and its entries at the pivot columns are that
-monomial's coefficients in the pivot monomials' normal forms.  Standard
+General presentations take every monomial below the order from the same
+walk, run with no generator codes, put the sparse relation rows into
+``null_space`` and read both the basis and the normal forms off it: each null
+vector's free column is a basis monomial, and its entries at the pivot
+columns are that monomial's coefficients in the pivot monomials' normal
+forms.  Standard
 monomials are taken against the graded lexicographic order with the leading
 term the largest monomial, so the basis is closed under division - several
 engines rely on that.  Normal forms are stored sparse, as ((basis index,
@@ -59,10 +61,6 @@ _MAX_TRUNC_MONOMIALS = 20_000
 # sit well below what these times allow; raising them waits for a measured
 # worst case.
 _MAX_RELATION_CELLS = 1_000_000
-
-
-def _mono_key(m: Monomial):
-    return (monomial_degree(m), tuple(-e for e in m))
 
 
 class LocalAlgebra:
@@ -295,30 +293,43 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
 
 def _truncate_monomial(p: Presentation, n: int) -> LocalAlgebra:
     w, gens = _coding(p, n)
-    walked = level = [(0, (0,) * p.nvars, ())]
     covered: set = set()
-    # degree by degree; each level comes in _mono_key order, so the basis does
-    for _ in range(1, n):
-        level = _next_degree(level, gens, w, covered)
-        walked = walked + level
+    walked = _walk(w, gens, covered, n)
     socle = [m for code, m, _ in walked if code not in covered]
     return LocalAlgebra(p.field, p.ambient, n, [m for _, m, _ in walked], {}, p, socle)
 
 
+def _weights(nvars: int, n: int) -> list[int]:
+    """Weights w, code(m) = sum m_k * w_k in base n + 1."""
+    return [(n + 1) ** (nvars - 1 - k) for k in range(nvars)]
+
+
 def _coding(p: Presentation, n: int):
-    """Weights w, code(m) = sum m_k * w_k in base n + 1, and the codes of the
-    generators of degree <= n (no higher one equals a monomial walked)."""
-    w = [(n + 1) ** (p.nvars - 1 - k) for k in range(p.nvars)]
+    """The weights w and the codes of the generators of degree <= n (no
+    higher one equals a monomial walked)."""
+    w = _weights(p.nvars, n)
     return w, {sum(map(mul, m, w)) for g in p.gens for m in g.terms if sum(m) <= n}
+
+
+def _walk(w, gens, covered: set, n: int) -> list:
+    """The standard monomials of degree < n against the generator codes gens,
+    as (code, exponents, support) entries, degree by degree; each level comes
+    in descending codes, so the walk ascends in (degree, -lex), the basis
+    order.  With no generator codes it is every monomial below n."""
+    walked = level = [(0, (0,) * len(w), ())]
+    for _ in range(1, n):
+        level = _next_degree(level, gens, w, covered)
+        walked = walked + level
+    return walked
 
 
 def _next_degree(level: list, gens, w, covered: set) -> list:
     """The standard monomials one degree above level (which holds every
     standard monomial of its degree) as (code, exponents, support) entries in
-    descending codes, which is _mono_key order.  A candidate c is formed once,
-    as m*x_k with k at or after m's last variable.  A generator properly
-    dividing c divides some c/x_j, so c is standard iff it is no generator and
-    each c/x_j is standard; each c/x_j of a standard c then goes into covered."""
+    descending codes.  A candidate c is formed once, as m*x_k with k at or
+    after m's last variable.  A generator properly dividing c divides some
+    c/x_j, so c is standard iff it is no generator and each c/x_j is
+    standard; each c/x_j of a standard c then goes into covered."""
     below = {code for code, _, _ in level}
     out = []
     for code, m, support in level:
@@ -341,7 +352,8 @@ def _next_degree(level: list, gens, w, covered: set) -> list:
 
 def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
     f = p.field
-    monomials = sorted(_monomials_below(p.nvars, n), key=_mono_key)
+    # every monomial below n: a walk with no generator codes to avoid
+    monomials = [m for _, m, _ in _walk(_weights(p.nvars, n), set(), set(), n)]
     count = len(monomials)
     # columns in reverse, so that each relation pivots on its largest monomial
     column = {m: count - 1 - i for i, m in enumerate(monomials)}
@@ -367,23 +379,6 @@ def _truncate_general(p: Presentation, n: int) -> LocalAlgebra:
             terms.setdefault(monomials[count - 1 - c], []).append((b, coeff))
     reductions = {mono: tuple(nf) for mono, nf in terms.items()}
     return LocalAlgebra(f, p.ambient, n, basis, reductions, p, None)
-
-
-def _monomials_below(nv: int, n: int):
-    """All exponent tuples of total degree < n."""
-    if nv == 0:
-        yield ()
-        return
-
-    def rec(prefix, remaining, budget):
-        if remaining == 1:
-            for e in range(budget + 1):
-                yield tuple(prefix + [e])
-            return
-        for e in range(budget + 1):
-            yield from rec(prefix + [e], remaining - 1, budget - e)
-
-    yield from rec([], nv, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .graphs import (
 )
 from .modules import (
     _check_bound,
-    _check_hom_cells,
     bass_truncation,
     cyclic_module,
     free_module,
@@ -211,11 +210,8 @@ def _cmd_resolve(args) -> int:
     pres = _load_presentation(args)
     algebra = truncate(pres, args.trunc)
     module = _module_from_token(algebra, args.module)
-    # reflexivity builds Hom(M, A) and Hom(M*, A), semidualizing no Hom:
-    # refuse an oversized Hom(M, A) before any resolution runs.  Hom(M*, A) is
-    # sized only once M* exists, so reflexivity, which builds it first, runs first.
-    _check_hom_cells(module, free_module(algebra))
     b = args.bound
+    # reflexivity first: its hom_module refuses an oversized Hom before any elimination
     payload = {
         "module": args.module,
         "totally_reflexive_up_to": b if is_totally_reflexive_up_to(module, b) else False,

@@ -19,7 +19,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n == small:
             return True
         if n % small == 0:

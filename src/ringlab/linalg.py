@@ -6,8 +6,8 @@ reductions fill one row by row and read its rows and pivots.  No other
 module of the package builds a ``Matrix``; the benchmark's probes still name
 its methods.  Rows enter the kernel dense or sparse ({column: entry}, as the
 module engine and ``truncate`` build them) and go straight into its form,
-with no per-entry ``coerce``; only the public ``Subspace.add``,
-``contains`` and ``reduce`` check and coerce their input.
+with no per-entry ``coerce``; only the public ``Subspace.add`` and
+``contains`` check and coerce their input.
 Over GF(2) that form is a row packed into a Python int, so each row
 operation is a single XOR.  Elsewhere it is a sparse integer row {column:
 nonzero int}, so a row operation costs the nonzeros of the two rows, not
@@ -333,7 +333,7 @@ class Subspace:
         return self._add(_kernel_row(self.field, row)[0])
 
     def _residual(self, row) -> tuple:
-        """``reduce`` for a dense or sparse row of field elements, unchecked."""
+        """A dense or sparse row of field elements, unchecked, modulo the span."""
         v, d = self._reduce(*_kernel_row(self.field, row))
         if self._packed:
             return tuple((v >> j) & 1 for j in range(self.ncols))
@@ -346,10 +346,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return not any(self._residual(self._checked(vec)))
-
-    def reduce(self, vec) -> tuple:
-        """The residual of ``vec`` modulo the span, as a dense tuple."""
-        return self._residual(self._checked(vec))
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))

@@ -383,7 +383,7 @@ class _Scan:
             return True
         cache = _SubsetHomology(self, self.face_verts, d - 1)
         chi = sum((-1) ** (s - 1) * len(faces) for s, faces in enumerate(cache.faces))
-        return cache.f(d - 1) - cache.rank2(d - 1) == (-1) ** (d - 1) * chi
+        return cache.f(d - 1) - cache.rank(d - 1, 2) == (-1) ** (d - 1) * chi
 
     # -- cheap topology ------------------------------------------------------
 
@@ -471,13 +471,12 @@ class _SubsetHomology:
     """Face lists and boundary ranks of one induced subcomplex, cached so that
     consecutive homology degrees share their boundary computations."""
 
-    __slots__ = ("faces", "_r2", "_r_exact")
+    __slots__ = ("faces", "_ranks")
 
     def __init__(self, scan: "_Scan", wfv: int, max_degree: int):
         # faces of size s have dimension s-1; degree i needs sizes i..i+2
         self.faces = scan.faces_by_size(wfv, min(max_degree + 2, wfv.bit_count()))
-        self._r2: dict[int, int] = {}
-        self._r_exact: dict[tuple[int, int | None], int] = {}
+        self._ranks: dict[tuple[int, int | None], int] = {}
 
     def f(self, i: int) -> int:
         return len(self.faces[i + 1]) if i + 1 < len(self.faces) else 0
@@ -485,28 +484,24 @@ class _SubsetHomology:
     def _faces_at(self, size: int) -> list[int]:
         return self.faces[size] if size < len(self.faces) else []
 
-    def rank2(self, t: int) -> int:
-        got = self._r2.get(t)
+    def rank(self, t: int, p: int | None) -> int:
+        """Rank of the boundary map over GF(p), or over q when p is None;
+        over GF(2) the unsigned map, packed."""
+        got = self._ranks.get((t, p))
         if got is None:
-            got = _rank2_unsigned(self._faces_at(t + 1), self._faces_at(t))
-            self._r2[t] = got
-        return got
-
-    def rank_exact(self, t: int, p: int | None) -> int:
-        """Rank of the signed boundary map over GF(p), or over q when p is None."""
-        got = self._r_exact.get((t, p))
-        if got is None:
-            rows = _signed_rows(self._faces_at(t + 1), self._faces_at(t))
-            got = rational_rank(rows) if p is None else modp_rank(rows, p)
-            self._r_exact[(t, p)] = got
+            faces, subfaces = self._faces_at(t + 1), self._faces_at(t)
+            if p == 2:
+                got = _rank2_unsigned(faces, subfaces)
+            else:
+                rows = _signed_rows(faces, subfaces)
+                got = rational_rank(rows) if p is None else modp_rank(rows, p)
+            self._ranks[(t, p)] = got
         return got
 
     def betti(self, i: int, field: FieldSpec) -> int:
         if self.f(i) == 0:
             return 0
-        if field.p == 2:
-            return self.f(i) - self.rank2(i) - self.rank2(i + 1)
-        return self.f(i) - self.rank_exact(i, field.p) - self.rank_exact(i + 1, field.p)
+        return self.f(i) - self.rank(i, field.p) - self.rank(i + 1, field.p)
 
     def betti_positive(self, i: int, field: FieldSpec) -> bool:
         """Exact test H~_i != 0; over q the mod-2 betti screens first (a rank
@@ -516,7 +511,7 @@ class _SubsetHomology:
         return self.betti(i, field) > 0
 
 
-def _rank2_unsigned(faces: list[int], subfaces: list[int], ) -> int:
+def _rank2_unsigned(faces: list[int], subfaces: list[int]) -> int:
     if not faces or not subfaces:
         return 0
     index = {m: pos for pos, m in enumerate(subfaces)}

@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .artin import (
-    _check_full_ring,
     is_gorenstein_artinian,
     pair_decomposition_search,
     socle,
@@ -252,7 +251,6 @@ def check_gorenstein_exclusion(corpus) -> Report:
             continue
         decomposable += 1
         algebra = truncate(presentation_of(kprime, GF2), g.n + 1)
-        _check_full_ring(algebra)
         socle_dim = len(socle_monomials(algebra))
         # Gorenstein is socle dimension one
         if socle_dim < 2:

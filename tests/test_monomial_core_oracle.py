@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 
 from ringlab import artin
 from ringlab.artin import (
-    _mono_key,
-    _monomials_below,
     hilbert_function,
     is_gorenstein_artinian,
     socle,
@@ -28,7 +26,7 @@ from ringlab.artin import (
     truncate,
 )
 from ringlab.constructions import edge_ideal_all_squares
-from ringlab.fields import GF2
+from ringlab.fields import GF2, QQ
 from ringlab.graphs import enumerate_graphs
 from ringlab.monomials import (
     MonomialIdeal,
@@ -62,9 +60,11 @@ def oracle_contains(ideal: MonomialIdeal, m) -> bool:
 
 
 def oracle_basis(ideal: MonomialIdeal, order: int) -> tuple:
-    return tuple(
-        sorted((m for m in _monomials_below(ideal.nvars, order) if not oracle_contains(ideal, m)), key=_mono_key)
-    )
+    """The monomials below order outside the ideal, by degree and then in
+    descending exponent tuples, the basis order."""
+    below = [m for d in range(order) for m in monomials_of_degree(ideal.nvars, d)]
+    standard = [m for m in below if not oracle_contains(ideal, m)]
+    return tuple(sorted(standard, key=lambda m: (sum(m), [-e for e in m])))
 
 
 def oracle_socle(a) -> list:
@@ -297,3 +297,25 @@ def test_truncate_tests_each_candidate_once(monkeypatch):
         tested.clear()
         a = truncate(p, order)
         assert len(tested) == len(set(tested)) == degree_extensions(a)
+
+
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_general_path_agrees_with_the_monomial_path(field):
+    """Both paths take their monomials from one walk; the general path's
+    elimination must then reproduce the monomial path's generator exclusion:
+    the same basis, variable actions and socle, the general socle being the
+    null space of the stacked actions and the monomial one the walk's record."""
+    cases = []
+    for n in range(1, 5):
+        for g in enumerate_graphs(n):
+            p = presentation_of(edge_ideal_all_squares(g), field)
+            cases += [(p, order) for order in sorted({2, n + 1})]
+    for ambient, gens in NON_SQUAREFREE:
+        cases += [(presentation_of(MonomialIdeal(ambient, gens), field), order) for order in (1, 3, 5, 7)]
+    for p, order in cases:
+        general, monomial = artin._truncate_general(p, order), artin._truncate_monomial(p, order)
+        assert not general._monomial_path and monomial._monomial_path
+        assert general.basis_monomials == monomial.basis_monomials
+        for k in range(p.nvars):
+            assert general.var_sparse(k) == monomial.var_sparse(k)
+        assert socle(general) == socle(monomial)

@@ -87,6 +87,18 @@ def test_gorenstein_exclusion_small():
     assert r.witness["decomposable"] > 0
 
 
+def test_gorenstein_exclusion_rings_are_full():
+    # check_gorenstein_exclusion reads the socle of kprime(G) truncated at
+    # n + 1 without the cut-ring check: every degree-(n + 1) monomial in n
+    # variables has an exponent of at least 2, and each v_i^2 is a generator
+    from ringlab.artin import _check_full_ring, truncate
+    from ringlab.monomials import presentation_of
+
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            _check_full_ring(truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1))
+
+
 def test_ex311_instances():
     for n in (1, 2, 3):
         r = check_example_3_11(n)
