@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from operator import le
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
@@ -36,7 +37,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_degree(a: Monomial) -> int:
@@ -127,9 +128,9 @@ class MonomialIdeal:
     @cached_property
     def _polarization(self) -> "MonomialIdeal":
         """See ``polarize``; computed at most once per ideal object."""
-        mults = list(map(max, zip(*self.gens)))
-        if max(mults, default=0) <= 1:
+        if max(map(max, self.gens), default=0) <= 1:
             return self
+        mults = list(map(max, zip(*self.gens)))
         first: list[int] = []  # per variable, the column of its copy x'
         fresh: list[str] = []
         for name, mult in zip(self.ambient, mults):

@@ -7,14 +7,15 @@ degree |W|-j-1, and the depth is the variable count minus the top nonzero j.
 Non-squarefree ideals are polarized by the scan (``_Scan``); dimension and
 depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
-polarization is. The f-vector, Hilbert series and multiplicity read one count
-of the full complex's faces (``_Scan.f_counts``); ``f_vector`` takes the
-squarefree ideal itself, not a complex. Depth and the CM check refuse a ring
-whose polarization has more than ``_MAX_VARS`` variables, counted from the
-exponents before it polarizes (``_limited_scan``). The dimension and the
-Hilbert series refuse above it only a non-squarefree ring, whose polarization
-grows with its exponents (``_face_scan``); ``krull_dim`` answers a certified
-ring at any size.
+polarization is; Theorem B's square quotient reads the scan of the partly
+whiskered ring its polarization equals (``_adopt_scan``). The f-vector,
+Hilbert series and multiplicity read one count of the full complex's faces
+(``_Scan.f_counts``); ``f_vector`` takes the squarefree ideal itself, not a
+complex. Depth and the CM check refuse a ring whose polarization has more
+than ``_MAX_VARS`` variables, counted from the exponents before it polarizes
+(``_limited_scan``). The dimension and the Hilbert series refuse above it only
+a non-squarefree ring, whose polarization grows with its exponents
+(``_face_scan``); ``krull_dim`` answers a certified ring at any size.
 
 Dimension, depth and Cohen-Macaulayness try a certificate first. For a flag
 complex a shedding order (``_Scan.vd_facet_sizes``) proves it
@@ -41,6 +42,7 @@ pay for exact rational elimination.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 from math import comb
 
 from .fields import GF2, FieldSpec
@@ -166,6 +168,20 @@ def _scan_of(ideal: MonomialIdeal) -> "_Scan":
     return scan
 
 
+def _adopt_scan(ideal: MonomialIdeal, twin: MonomialIdeal) -> bool:
+    """Whether the polarizations of ``ideal`` and ``twin`` agree up to names
+    (same variable count and generators); if so ``ideal`` gets a copy of
+    ``twin``'s scan with its own names and ``added``.  The copy shares the
+    masks and the cached searches, which nothing rewrites."""
+    pol, twin_pol = polarize(ideal), polarize(twin)
+    same = pol.gens == twin_pol.gens and pol.nvars == twin_pol.nvars
+    if same:
+        scan = object.__new__(_Scan)
+        scan.__dict__.update(_scan_of(twin).__dict__, ambient=pol.ambient, added=pol.nvars - ideal.nvars)
+        object.__setattr__(ideal, "_scan", scan)
+    return same
+
+
 def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
     """The ideal's scan, or a refusal when the ring is too large for the
     subset scan; called by depth and the CM check before either scans.  A new
@@ -193,35 +209,29 @@ class _Scan:
     def __init__(self, ideal: MonomialIdeal):
         work = polarize(ideal)
         self.ambient = work.ambient
-        self.n = work.nvars
-        self.added = work.nvars - ideal.nvars
-        self.gen_masks = []
-        for g in work.gens:
-            mask = 0
-            for k, e in enumerate(g):
-                if e:
-                    mask |= 1 << k
-            self.gen_masks.append(mask)
-        self.gen_masks.sort()
-        face_verts = (1 << self.n) - 1
-        for m in self.gen_masks:
-            if m.bit_count() == 1:
-                face_verts &= ~m
+        n = self.n = work.nvars
+        self.added = n - ideal.nvars
+        bits = [1 << k for k in range(n)]
+        face_verts = (1 << n) - 1
+        pairs, big = [], []
+        for mask in (sum(compress(bits, g)) for g in work.gens):
+            size = mask.bit_count()
+            if size == 1:
+                face_verts ^= mask
+            elif size == 2:
+                pairs.append(mask)
+            else:
+                big.append(mask)
         self.face_verts = face_verts
         # 1-skeleton compatibility: bit b of compat[a] iff {a,b} is a face
-        compat = [face_verts & ~(1 << a) if face_verts >> a & 1 else 0 for a in range(self.n)]
-        for m in self.gen_masks:
-            if m.bit_count() == 2:
-                a = (m & -m).bit_length() - 1
-                b = m.bit_length() - 1
-                compat[a] &= ~(1 << b)
-                compat[b] &= ~(1 << a)
+        compat = [face_verts & ~bit if face_verts & bit else 0 for bit in bits]
+        for mask in pairs:
+            low = mask & -mask
+            compat[low.bit_length() - 1] &= ~(mask ^ low)
+            compat[mask.bit_length() - 1] &= ~low
         self.compat = compat
-        self.flag = all(m.bit_count() <= 2 for m in self.gen_masks)
-        self.big_gens = [m for m in self.gen_masks if m.bit_count() >= 3]
-        self.gens_by_vertex = [
-            [m for m in self.big_gens if m >> v & 1] for v in range(self.n)
-        ]
+        self.flag = not big
+        self.gens_by_vertex = [[m for m in big if m & bit] for bit in bits]
 
     # -- faces ---------------------------------------------------------------
 

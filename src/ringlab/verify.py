@@ -57,7 +57,7 @@ from .monomials import (
     to_monomial_ideal,
     variable_partition_decomposable,
 )
-from .sr_invariants import cohen_macaulay_witness_fields, depth, krull_dim
+from .sr_invariants import _adopt_scan, cohen_macaulay_witness_fields, depth, krull_dim
 
 
 @dataclass
@@ -130,6 +130,7 @@ def check_theorem_A_fields(g: Graph, fields) -> dict:
         shared["socle_clique_mismatch"] = mismatch
 
     elapsed = time.perf_counter() - start
+    tag = _graph_tag(g)
     out = {}
     for f in fields:
         problems = dict(shared)
@@ -137,7 +138,7 @@ def check_theorem_A_fields(g: Graph, fields) -> dict:
             problems["not_cohen_macaulay"] = cm_wits[f]
         out[f] = Report(
             "thmA",
-            f"{_graph_tag(g)} field={f}",
+            f"{tag} field={f}",
             not problems,
             problems,
             elapsed / len(fields),
@@ -183,7 +184,9 @@ def check_theorem_B(g: Graph, star: int, f: FieldSpec) -> Report:
     if dep != n - 1:
         problems["tilde_depth"] = {"expected": n - 1, "got": dep}
 
+    # polarizing kdp should give tilde up to names; then kdp reads tilde's scan
     kdp = edge_ideal_squares_except(g, star)
+    polarizes_to_tilde = _adopt_scan(kdp, tilde)
     kdp_dim = krull_dim(kdp)
     kdp_depth = depth(kdp, f)
     if kdp_dim != 1:
@@ -201,15 +204,14 @@ def check_theorem_B(g: Graph, star: int, f: FieldSpec) -> Report:
             "target": kdp.gen_strings(),
         }
     # and back up by polarization
-    repolarized = polarize(kdp)
-    if repolarized.nvars != tilde.nvars:
-        problems["polarization_mismatch"] = {"pol_vars": list(repolarized.ambient)}
-    else:
-        target = rename_ideal(tilde, repolarized.ambient)
-        if repolarized != target:
+    if not polarizes_to_tilde:
+        repolarized = polarize(kdp)
+        if repolarized.nvars != tilde.nvars:
+            problems["polarization_mismatch"] = {"pol_vars": list(repolarized.ambient)}
+        else:
             problems["polarization_mismatch"] = {
                 "polarized": repolarized.gen_strings(),
-                "whiskered": target.gen_strings(),
+                "whiskered": rename_ideal(tilde, repolarized.ambient).gen_strings(),
             }
 
     # multiplication facts in the square quotient: star kills every other

@@ -256,9 +256,10 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
     assert all(r.passed for r in run_theorem_A_corpus(4))
     assert counts == {"scan": 0, "gf2": 29, "q": 0, "certified": 29}
     counts.update(gf2=0, certified=0)
-    # two depths per (graph, star, field): 80 reports
+    # two depths per (graph, star, field), 80 reports, on one search each:
+    # the square quotient reads the partly whiskered ring's scan
     assert all(r.passed for r in run_theorem_B_corpus(4))
-    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 160}
+    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 80}
 
 
 def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
@@ -295,8 +296,9 @@ def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
 
 
 def test_theorem_runners_scan_each_ideal_once(monkeypatch):
-    # dimension, depth and the CM check of one ideal share its scan, and thmB's
-    # substitution w_u -> v_u builds no polynomial presentation
+    # dimension, depth and the CM check of one ideal share its scan, thmB's
+    # square quotient holds a copy of the partly whiskered ring's scan, and
+    # thmB's substitution w_u -> v_u builds no polynomial presentation
     import ringlab.monomials
     import ringlab.sr_invariants as sr
     import ringlab.verify
@@ -326,7 +328,8 @@ def test_theorem_runners_scan_each_ideal_once(monkeypatch):
     reports = run_theorem_B_corpus(4)
     assert len(reports) == 80 and all(r.passed for r in reports)
     assert len(built) == 160 and counts == {"presentation_of": 0, "substitute": 0}
-    assert [sum(s is b for s in scanned) for b in built] == [1] * 160
+    assert [sum(s is b for s in scanned) for b in built] == [1, 0] * 80
+    assert all("_scan" in kdp.__dict__ for kdp in built[1::2])
     scanned.clear()
     built.clear()
     reports = run_theorem_A_corpus(4)
