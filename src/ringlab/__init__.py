@@ -19,7 +19,6 @@ from .graphs import (
 from .monomials import (
     MonomialIdeal,
     Presentation,
-    add_squares,
     contains,
     edge_ideal,
     fiber_product_presentation,
@@ -32,7 +31,6 @@ from .sr_invariants import (
     depth,
     f_vector,
     hilbert_series,
-    is_cohen_macaulay,
     krull_dim,
     multiplicity,
 )

@@ -49,12 +49,7 @@ from .monomials import (
     presentation_from_json,
     to_monomial_ideal,
 )
-from .sr_invariants import (
-    depth,
-    f_vector,
-    hilbert_series,
-    krull_dim,
-)
+from .sr_invariants import depth, f_vector, hilbert_series, krull_dim, multiplicity
 
 
 class UsageError(ValueError):
@@ -161,7 +156,7 @@ def _cmd_ring(args) -> int:
         "depth": depths,
         "cm": cm,
         "hilbert_numerator": list(numerator),
-        "multiplicity": sum(numerator),
+        "multiplicity": multiplicity(ideal),
     }
     if ideal.is_squarefree():
         payload["f_vector"] = list(f_vector(ideal))

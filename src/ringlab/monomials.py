@@ -191,20 +191,6 @@ def _quadrics(n: int, pairs) -> frozenset:
     return frozenset(gens)
 
 
-def add_squares(ideal: MonomialIdeal, variables: Iterable[str]) -> MonomialIdeal:
-    """Minimal generating set of ideal + (x^2 : x in variables)."""
-    variables = list(variables)
-    unknown = [v for v in variables if v not in ideal.ambient]
-    if unknown:
-        raise ValueError(f"unknown variables {unknown}")
-    gens = set(ideal.gens)
-    for v in variables:
-        e = [0] * ideal.nvars
-        e[ideal.ambient.index(v)] = 2
-        gens.add(tuple(e))
-    return MonomialIdeal(ideal.ambient, gens)
-
-
 def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     """The standard squarefree polarization, memoized on the ideal.
 

@@ -1,5 +1,5 @@
-"""Stanley-Reisner machinery: dimension, depth, Cohen-Macaulayness,
-f-vectors, Hilbert series and multiplicity of squarefree monomial quotients.
+"""Stanley-Reisner machinery: dimension, depth, Cohen-Macaulay witnesses,
+f-vectors, Hilbert series and multiplicity of monomial quotients.
 
 Depth is computed from the squarefree graded Betti numbers: beta_{j,W} equals
 the dimension of the reduced homology of the induced subcomplex on W in
@@ -11,11 +11,12 @@ polarization is; Theorem B's square quotient reads the scan of the partly
 whiskered ring its polarization equals (``_adopt_scan``). The f-vector,
 Hilbert series and multiplicity read one count of the full complex's faces
 (``_Scan.f_counts``); ``f_vector`` takes the squarefree ideal itself, not a
-complex. Depth and the CM check refuse a ring whose polarization has more
-than ``_MAX_VARS`` variables, counted from the exponents before it polarizes
-(``_limited_scan``). The dimension and the Hilbert series refuse above it only
-a non-squarefree ring, whose polarization grows with its exponents
-(``_face_scan``); ``krull_dim`` answers a certified ring at any size.
+complex, and the series and the multiplicity are those of the polarization.
+Depth and the CM check refuse a ring whose polarization has more than
+``_MAX_VARS`` variables, counted from the exponents before it polarizes
+(``_limited_scan``). The dimension, the Hilbert series and the multiplicity
+refuse above it only a non-squarefree ring, whose polarization grows with its
+exponents (``_face_scan``); ``krull_dim`` answers a certified ring at any size.
 
 Dimension, depth and Cohen-Macaulayness try a certificate first. For a flag
 complex a shedding order (``_Scan.vd_facet_sizes``) proves it
@@ -90,18 +91,12 @@ def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     return scan.n - pd - scan.added
 
 
-def is_cohen_macaulay(ideal: MonomialIdeal, field: FieldSpec) -> bool:
-    return cohen_macaulay_witness(ideal, field) is None
-
-
-def cohen_macaulay_witness(ideal: MonomialIdeal, field: FieldSpec):
-    """None when the quotient is Cohen-Macaulay over the field; otherwise a
-    dict naming a subset W and homology degree witnessing depth < dim."""
-    return cohen_macaulay_witness_fields(ideal, (field,))[field]
-
-
 def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
-    """Cohen-Macaulay witnesses for several fields in one subset scan.
+    """Each field's Cohen-Macaulay witness, from one subset scan: None when
+    the quotient is Cohen-Macaulay over the field, otherwise
+    {"subset": W, "homology_degree": i, "dim": d}, a nonzero reduced homology
+    H_i of the subcomplex induced on W (variable names, sorted) that puts
+    the depth below the dimension d.
 
     The scan shares its combinatorics and GF(2) ranks between the fields (over
     the rationals vanishing is settled by the mod-2 screen), so checking q and
@@ -146,11 +141,9 @@ def hilbert_series(ideal: MonomialIdeal) -> tuple[tuple, int]:
 
 
 def multiplicity(ideal: MonomialIdeal) -> int:
-    """Number of top-dimensional facets = numerator of the series at t=1."""
-    if not ideal.is_squarefree():
-        raise ValueError("multiplicity expects a squarefree ideal")
-    fv = _scan_of(ideal).f_counts
-    return fv[-1]
+    """Number of top-dimensional facets of the polarization's complex, the
+    numerator of ``hilbert_series`` at t=1; refused as that series is."""
+    return _face_scan(ideal).f_counts[-1]
 
 
 # ---------------------------------------------------------------------------

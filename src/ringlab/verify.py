@@ -87,17 +87,12 @@ def _graph_tag(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def check_theorem_A(g: Graph, f: FieldSpec) -> Report:
-    """For a graph with a star vertex: the whiskered ring is Cohen-Macaulay of
-    dimension n; the vertex-square quotient splits off the star vertex and its
-    socle monomials match the maximal cliques of the complement."""
-    return check_theorem_A_fields(g, (f,))[f]
-
-
 def check_theorem_A_fields(g: Graph, fields) -> dict:
-    """check_theorem_A over several fields at once; the homology scan and the
-    combinatorial sub-checks are shared, so the reports come cheaper than
-    separate calls (same verdicts, shared timing)."""
+    """One report per field for a graph with a star vertex: the whiskered
+    ring is Cohen-Macaulay of dimension n; the vertex-square quotient splits
+    off the star vertex and its socle monomials match the maximal cliques of
+    the complement.  The homology scan and the combinatorial sub-checks are
+    shared between the fields (same verdicts, shared timing)."""
     stars = star_vertices(g)
     if not stars:
         raise ValueError("graph has no star vertex")
@@ -384,12 +379,6 @@ def starred_graphs(max_n: int):
     return (g for g in _labeled_graphs(1, max_n) if star_vertices(g))
 
 
-def _thmA_worker(args):
-    g, fields = args
-    reports = check_theorem_A_fields(g, fields)
-    return [reports[f] for f in fields]
-
-
 def _check_threads(threads: int, name: str) -> None:
     """Refuse a worker count outside 1..os.cpu_count() before any work starts."""
     cpus = os.cpu_count() or 1
@@ -397,22 +386,21 @@ def _check_threads(threads: int, name: str) -> None:
         raise ValueError(f"{name} must lie in 1..{cpus}, got {threads}")
 
 
-def _map(worker, jobs: list, threads: int, chunksize: int) -> list:
-    """worker applied to each job in order, in threads processes when threads > 1."""
+def _map(fn, jobs: list, threads: int, chunksize: int) -> list:
+    """fn(*job) for each job in order, in threads processes when threads > 1."""
+    if not jobs:
+        return []
     if threads == 1:
-        return list(map(worker, jobs))
+        return list(map(fn, *zip(*jobs)))
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, jobs, chunksize=chunksize))
+        return list(pool.map(fn, *zip(*jobs), chunksize=chunksize))
 
 
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
-    jobs = [(g, tuple(fields)) for g in starred_graphs(max_n)]
-    return [r for chunk in _map(_thmA_worker, jobs, threads, 64) for r in chunk]
-
-
-def _thmB_worker(args):
-    return check_theorem_B(*args)
+    fields = tuple(fields)
+    jobs = [(g, fields) for g in starred_graphs(max_n)]
+    return [reports[f] for reports in _map(check_theorem_A_fields, jobs, threads, 64) for f in fields]
 
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
@@ -423,7 +411,7 @@ def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list
         for star in star_vertices(g)
         for f in fields
     ]
-    return _map(_thmB_worker, jobs, threads, 16)
+    return _map(check_theorem_B, jobs, threads, 16)
 
 
 def run_gorenstein_corpus(max_n: int) -> Report:

@@ -21,7 +21,6 @@ from ringlab.monomials import (
     _minimalize,
     Poly,
     Presentation,
-    add_squares,
     contains,
     edge_ideal,
     eliminate_variables,
@@ -84,28 +83,20 @@ def test_edge_ideal_refuses_bad_names(names, message):
         edge_ideal(named_graph("k2"), names)
 
 
-# -- add_squares -------------------------------------------------------------
+# -- vertex squares ----------------------------------------------------------
+
+
+def add_squares(ideal: MonomialIdeal, variables) -> MonomialIdeal:
+    """Oracle: ideal + (x^2 : x in variables), minimalized by the validating
+    constructor."""
+    squares = [tuple(2 * (name == v) for name in ideal.ambient) for v in variables]
+    return MonomialIdeal(ideal.ambient, [*ideal.gens, *squares])
 
 
 def test_add_squares_p3():
     # exponent two on every vertex: the definition wins over the typo'd display
     got = edge_ideal_all_squares(named_graph("p3"))
     assert got.gen_strings() == ["v1^2", "v1*v2", "v2^2", "v2*v3", "v3^2"]
-
-
-def test_add_squares_zero_ideal():
-    base = MonomialIdeal(["x"], [])
-    assert add_squares(base, ["x"]).gen_strings() == ["x^2"]
-
-
-def test_add_squares_idempotent_on_overlap():
-    base = ideal(["x"], "x^2")
-    assert add_squares(base, ["x"]) == base
-
-
-def test_add_squares_unknown_variable():
-    with pytest.raises(ValueError):
-        add_squares(ideal(["x"], "x^2"), ["y"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -24,12 +24,10 @@ from ringlab.linalg import Matrix
 from ringlab.monomials import MonomialIdeal, edge_ideal, parse_poly, polarize
 from ringlab.sr_invariants import (
     _Scan,
-    cohen_macaulay_witness,
     cohen_macaulay_witness_fields,
     depth,
     f_vector,
     hilbert_series,
-    is_cohen_macaulay,
     krull_dim,
     multiplicity,
 )
@@ -156,8 +154,8 @@ def test_cm_agrees_with_depth_eq_dim():
         work = polarize(i)
         for f in (QQ, GF2, GF3):
             want = oracle_depth(i, f)
-            assert is_cohen_macaulay(i, f) == (want == krull_dim(i)), (i, f)
-            wit = cohen_macaulay_witness(i, f)
+            wit = cohen_macaulay_witness_fields(i, (f,))[f]
+            assert (wit is None) == (want == krull_dim(i)), (i, f)
             if wit is not None:
                 assert replays(i, wit, f), (i, f, wit)
                 j = len(wit["subset"]) - 1 - wit["homology_degree"]
@@ -212,7 +210,7 @@ def test_depth_refuses_from_the_exponents_before_polarizing(monkeypatch):
     with pytest.raises(ValueError, match="size limit exceeded: 100000 variables after polarization"):
         depth(big, QQ)
     with pytest.raises(ValueError, match="size limit exceeded: 100000 variables after polarization"):
-        is_cohen_macaulay(big, GF2)
+        cohen_macaulay_witness_fields(big, (GF2,))
 
 
 def test_dimension_and_hilbert_series_refuse_an_oversized_polarization(monkeypatch):
@@ -228,7 +226,7 @@ def test_dimension_and_hilbert_series_refuse_an_oversized_polarization(monkeypat
     monkeypatch.setattr(sr, "polarize", refuse)
     for k in (18, 2000, 3000000):
         power = MonomialIdeal(["x"], [(k,)])
-        for call in (krull_dim, hilbert_series):
+        for call in (krull_dim, hilbert_series, multiplicity):
             with pytest.raises(ValueError, match=f"size limit exceeded: {k} variables after polarization"):
                 call(power)
 
@@ -269,15 +267,15 @@ def test_cm_examples():
     for n in (1, 2, 3, 4):
         for g in enumerate_graphs(n):
             sigma = whiskered_edge_ideal(g)
-            assert is_cohen_macaulay(sigma, QQ)
-            assert is_cohen_macaulay(sigma, GF2)
-    assert not is_cohen_macaulay(edge_ideal_squares_except(named_graph("p3"), 2), QQ)
-    assert is_cohen_macaulay(MonomialIdeal(["x", "y"], []), QQ)
+            assert cohen_macaulay_witness_fields(sigma, (QQ,))[QQ] is None
+            assert cohen_macaulay_witness_fields(sigma, (GF2,))[GF2] is None
+    assert cohen_macaulay_witness_fields(edge_ideal_squares_except(named_graph("p3"), 2), (QQ,))[QQ] is not None
+    assert cohen_macaulay_witness_fields(MonomialIdeal(["x", "y"], []), (QQ,))[QQ] is None
 
 
 def test_cm_witness_is_replayable():
     kdp = edge_ideal_squares_except(named_graph("p3"), 2)
-    wit = cohen_macaulay_witness(kdp, QQ)
+    wit = cohen_macaulay_witness_fields(kdp, (QQ,))[QQ]
     assert wit is not None
     assert replays(kdp, wit, QQ)
 
@@ -317,11 +315,13 @@ def test_hilbert_series_examples():
 
 
 def test_hilbert_numerator_at_one_is_multiplicity():
-    for i in SMALL_IDEALS:
-        if not i.is_squarefree():
-            continue
+    # squarefree or not: both are read off the polarization, and the
+    # multiplicity is its complex's count of top faces (the oracle's).
+    # graph_ideals covers the kprime and kdprime rings of ``ringlab ring``
+    named = [edge_ideal_all_squares(named_graph("c4")), whiskered_edge_ideal(named_graph("c5"))]
+    for i in SMALL_IDEALS + list(graph_ideals(3)) + named:
         num, _ = hilbert_series(i)
-        assert sum(num) == multiplicity(i)
+        assert sum(num) == multiplicity(i) == oracle_f_vector(polarize(i))[-1], i
 
 
 def test_hilbert_matches_truncation_dimensions():
@@ -354,8 +354,9 @@ def test_multiplicity_examples():
     assert multiplicity(MonomialIdeal(["x"], [])) == 1
     assert multiplicity(ideal(["v1", "v2"], "v1*v2")) == 2
     assert multiplicity(whiskered_edge_ideal(named_graph("k2"))) == 3
-    with pytest.raises(ValueError):
-        multiplicity(ideal(["x"], "x^2"))
+    # k[x]/(x^2) polarizes to k[x, x']/(x x'): two points, length 2
+    assert multiplicity(ideal(["x"], "x^2")) == 2
+    assert multiplicity(edge_ideal_all_squares(named_graph("p3"))) == 5
 
 
 def test_cone_homology_vanishes():
@@ -415,8 +416,8 @@ def test_projective_plane_distinguishes_fields():
     i = projective_plane_ideal()
     assert depth(i, QQ) == 3  # Cohen-Macaulay over the rationals
     assert depth(i, GF2) == 2  # but not over GF(2)
-    assert is_cohen_macaulay(i, QQ)
-    assert not is_cohen_macaulay(i, GF2)
+    assert cohen_macaulay_witness_fields(i, (QQ,))[QQ] is None
+    assert cohen_macaulay_witness_fields(i, (GF2,))[GF2] is not None
 
 
 def test_multi_field_scan_separates_diverging_verdicts():
@@ -426,4 +427,4 @@ def test_multi_field_scan_separates_diverging_verdicts():
     assert wits[QQ] is None and wits[GF3] is None
     assert wits[GF2] is not None and replays(i, wits[GF2], GF2)
     for f in fields:
-        assert wits[f] == cohen_macaulay_witness(i, f)
+        assert wits[f] == cohen_macaulay_witness_fields(i, (f,))[f]

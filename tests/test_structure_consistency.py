@@ -21,7 +21,7 @@ from ringlab.monomials import (
     presentation_of,
     variable_partition_decomposable,
 )
-from ringlab.sr_invariants import depth, is_cohen_macaulay, krull_dim, multiplicity
+from ringlab.sr_invariants import cohen_macaulay_witness_fields, depth, krull_dim, multiplicity
 
 GF3 = FieldSpec.prime(3)
 
@@ -62,7 +62,7 @@ def test_one_dimensional_hypersurface_fiber_product():
     i = edge_ideal(Graph.from_edges(2, [(1, 2)]), ["x", "y"])
     assert krull_dim(i) == 1
     assert depth(i, QQ) == 1 and depth(i, GF2) == 1
-    assert is_cohen_macaulay(i, QQ)
+    assert cohen_macaulay_witness_fields(i, (QQ,))[QQ] is None
     assert multiplicity(i) == 2
     split = variable_partition_decomposable(i)
     assert {split[0], split[1]} == {frozenset({"x"}), frozenset({"y"})}

@@ -20,7 +20,6 @@ from ringlab.verify import (
     check_example_4x,
     check_example_5_4,
     check_gorenstein_exclusion,
-    check_theorem_A,
     check_theorem_A_fields,
     check_theorem_B,
     run_gorenstein_corpus,
@@ -33,25 +32,25 @@ from ringlab.verify import (
 
 
 def test_thmA_p3():
-    r = check_theorem_A(named_graph("p3"), QQ)
+    r = check_theorem_A_fields(named_graph("p3"), (QQ,))[QQ]
     assert r.passed and r.witness == {}
 
 
 def test_thmA_k2_dimension_two():
-    r = check_theorem_A(named_graph("k2"), GF2)
+    r = check_theorem_A_fields(named_graph("k2"), (GF2,))[GF2]
     assert r.passed
 
 
 def test_thmA_c4_precondition():
     with pytest.raises(ValueError):
-        check_theorem_A(named_graph("c4"), QQ)
+        check_theorem_A_fields(named_graph("c4"), (QQ,))
 
 
 def test_thmA_fused_fields_match_single():
     g = named_graph("p3")
     both = check_theorem_A_fields(g, (QQ, GF2))
-    assert both[QQ].passed == check_theorem_A(g, QQ).passed
-    assert both[GF2].passed == check_theorem_A(g, GF2).passed
+    assert both[QQ].passed == check_theorem_A_fields(g, (QQ,))[QQ].passed
+    assert both[GF2].passed == check_theorem_A_fields(g, (GF2,))[GF2].passed
 
 
 def test_thmB_k2():
@@ -133,8 +132,8 @@ def test_ex54_small_bound():
 
 def test_reports_deterministic():
     g = named_graph("p3")
-    r1 = check_theorem_A(g, GF2)
-    r2 = check_theorem_A(g, GF2)
+    r1 = check_theorem_A_fields(g, (GF2,))[GF2]
+    r2 = check_theorem_A_fields(g, (GF2,))[GF2]
     assert (r1.check, r1.instance, r1.passed, r1.witness) == (
         r2.check,
         r2.instance,
@@ -152,9 +151,15 @@ def test_small_corpora_pass():
 
 
 def test_corpus_parallel_matches_serial():
-    serial = run_theorem_A_corpus(3, threads=1)
-    parallel = run_theorem_A_corpus(3, threads=min(2, os.cpu_count() or 1))
-    assert [(r.instance, r.passed) for r in serial] == [(r.instance, r.passed) for r in parallel]
+    for runner in (run_theorem_A_corpus, run_theorem_B_corpus):
+        serial = runner(3, threads=1)
+        parallel = runner(3, threads=min(2, os.cpu_count() or 1))
+        assert [(r.instance, r.passed) for r in serial] == [(r.instance, r.passed) for r in parallel], runner
+
+
+@pytest.mark.parametrize("runner", [run_theorem_A_corpus, run_theorem_B_corpus])
+def test_corpus_with_no_fields_is_empty(runner):
+    assert runner(3, fields=()) == []
 
 
 @pytest.mark.parametrize(
