@@ -12,21 +12,27 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-_MAX_ENUM_N = 8
+_MAX_ENUM_N = 7
 
 
 def _norm_edge(i: int, j: int) -> tuple[int, int]:
+    if type(i) is not int or type(j) is not int:
+        raise ValueError(f"edge ({i!r},{j!r}) has a vertex that is not an integer")
     if i == j:
         raise ValueError(f"loop at vertex {i}")
     return (i, j) if i < j else (j, i)
 
 
-@dataclass(frozen=True)
+# Slotted: a corpus holds millions of graphs, and without a per-instance dict
+# each one is two GC-tracked objects (itself and its edges), not three.
+@dataclass(frozen=True, slots=True)
 class Graph:
     n: int
     edges: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("negative vertex count")
         norm = frozenset(_norm_edge(i, j) for i, j in self.edges)
@@ -40,12 +46,13 @@ class Graph:
         """A graph whose edges are normalized (i < j) and within 1..n by
         construction, built without ``__post_init__``."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, edges=edges)  # past the frozen __setattr__
+        object.__setattr__(g, "n", n)  # past the frozen __setattr__
+        object.__setattr__(g, "edges", edges)
         return g
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        return Graph(n, frozenset(_norm_edge(i, j) for i, j in pairs))
+        return Graph(n, tuple(pairs))
 
     def adjacency_masks(self) -> list[int]:
         """Bitmask adjacency, index and bit positions both 0-based."""
@@ -56,6 +63,8 @@ class Graph:
         return adj
 
     def _check_vertex(self, v: int) -> None:
+        if type(v) is not int:
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not (1 <= v <= self.n):
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
 

@@ -304,9 +304,11 @@ def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, caps
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
-    code, err = run_cli_error(capsys, "verify", "thmA", "--max-n", "9")
-    assert code == 2
-    assert err.startswith("error:") and "n <= 8" in err
+    # 2^28 labeled graphs at n = 8: the starred ones alone outgrow memory
+    for suite, max_n in (("thmA", "9"), ("thmA", "8"), ("all", "8")):
+        code, err = run_cli_error(capsys, "verify", suite, "--max-n", max_n)
+        assert code == 2
+        assert err.startswith("error:") and "n <= 7" in err
 
 
 def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):

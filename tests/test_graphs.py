@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,6 +51,13 @@ def test_star_vertex_k1_vacuous():
 def test_star_vertex_out_of_range():
     with pytest.raises(ValueError):
         is_star_vertex(Graph(2), 3)
+    # 2.5 passed the range test, and whisker_except(p3, 2.5) built a graph on
+    # 5 vertices with the edge (3, 6)
+    p3 = named_graph("p3")
+    for v in (2.5, 2.0, True):
+        for op in (is_star_vertex, whisker_except):
+            with pytest.raises(ValueError, match="not an integer"):
+                op(p3, v)
 
 
 def test_whisker_k2_is_path():
@@ -115,8 +125,9 @@ def test_enumerate_counts():
 def test_enumerate_distinct_and_capped():
     seen = {g.edges for g in enumerate_graphs(4)}
     assert len(seen) == 64
-    with pytest.raises(ValueError):
-        next(enumerate_graphs(9))
+    for n in (8, 9):
+        with pytest.raises(ValueError, match="n <= 7"):
+            next(enumerate_graphs(n))
 
 
 def test_no_loops():
@@ -132,11 +143,37 @@ def test_no_loops():
         (lambda: Graph.from_edges(3, [(0, 1)]), "out of range"),
         (lambda: Graph.from_edges(2, [(3, 1)]), "out of range"),
         (lambda: Graph(-1), "negative vertex count"),
+        (lambda: Graph(2.5), "not an integer"),
+        (lambda: Graph(True), "not an integer"),
+        (lambda: Graph("3"), "not an integer"),
+        (lambda: Graph(3, [(1.0, 2)]), "not an integer"),
+        (lambda: Graph(3, [(1, True)]), "not an integer"),
+        (lambda: Graph.from_edges(3, [(1, 2), (2, "3")]), "not an integer"),
     ],
 )
 def test_public_constructors_refuse_bad_edges(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_graph_is_slotted_and_frozen():
+    g = Graph.from_edges(3, [(1, 2)])
+    assert not hasattr(g, "__dict__")
+    for name, value in (("n", 4), ("edges", frozenset())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(g, name, value)
+    assert g == Graph(3, frozenset({(1, 2)})) and Graph(2) == Graph(2, frozenset())
+    assert repr(g) == "Graph(n=3, edges=frozenset({(1, 2)}))"
+
+
+def test_library_built_graphs_pickle_round_trip():
+    # verify --threads sends graphs to its worker processes by pickle
+    built = list(enumerate_graphs(4))
+    built += [whisker_all(g) for g in built[::7]] + [complement(g) for g in built[::5]]
+    for g in built:
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g and hash(back) == hash(g)
+        assert type(back.edges) is frozenset
 
 
 @pytest.mark.parametrize("n", range(7))
