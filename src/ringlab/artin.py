@@ -47,8 +47,8 @@ from .monomials import (
 )
 
 # Largest monomial count C(N - 1 + n, n) below the order that truncate builds.
-# The vertex-square quotient of an 8-vertex graph at order 9 (the corpus cap)
-# needs C(16, 8) = 12,870.
+# The labeled corpus stops at 7 vertices (order 8, C(14, 7) = 3,432), but named
+# rings are not capped by it: kprime:e8 at order 9 needs C(16, 8) = 12,870.
 _MAX_TRUNC_MONOMIALS = 20_000
 # Largest relation matrix (rows x monomials below the order) that the general
 # path eliminates over GF(p); the largest fixture needs 6,720 cells.  Its rows
@@ -211,6 +211,14 @@ class LocalAlgebra:
         return tuple(vec)
 
     # -- filtration ------------------------------------------------------------
+
+    def _in_maximal_ideal(self, vec) -> bool:
+        """Whether an element vector lies in m.  The first basis monomial is 1
+        and every other one lies in m, so that is iff its unit coordinate is
+        0; dim m is dim_k - 1."""
+        if len(vec) != self.dim_k:
+            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.dim_k}")
+        return not self.field.coerce(vec[0])
 
     def power_subspace(self, j: int) -> Subspace:
         self._ensure_powers()
@@ -457,16 +465,15 @@ def canonical_module(a: LocalAlgebra):
 
 def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:
     """Do (gens1) and (gens2) decompose m as a direct sum of nonzero ideals?"""
-    m_space = a.power_subspace(1)
     for vec in list(gens1) + list(gens2):
-        if not m_space.contains(vec):
+        if not a._in_maximal_ideal(vec):
             raise ValueError("generators must lie in the maximal ideal")
     ideal1 = _ideal_span(a, gens1)
     ideal2 = _ideal_span(a, gens2)
     if ideal1.dim == 0 or ideal2.dim == 0:
         return False
     total = _row_space(a.field, ideal1.basis_rows() + ideal2.basis_rows(), a.dim_k)
-    return ideal1.dim + ideal2.dim == m_space.dim and total.dim == m_space.dim
+    return ideal1.dim + ideal2.dim == a.dim_k - 1 and total.dim == a.dim_k - 1
 
 
 def _ideal_span(a: LocalAlgebra, gens) -> Subspace:

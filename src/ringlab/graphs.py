@@ -15,7 +15,11 @@ from typing import Iterator
 _MAX_ENUM_N = 7
 
 
-def _norm_edge(i: int, j: int) -> tuple[int, int]:
+def _norm_edge(edge) -> tuple[int, int]:
+    try:
+        i, j = edge
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
     if type(i) is not int or type(j) is not int:
         raise ValueError(f"edge ({i!r},{j!r}) has a vertex that is not an integer")
     if i == j:
@@ -35,7 +39,11 @@ class Graph:
             raise ValueError(f"vertex count {self.n!r} is not an integer")
         if self.n < 0:
             raise ValueError("negative vertex count")
-        norm = frozenset(_norm_edge(i, j) for i, j in self.edges)
+        try:
+            edges = iter(self.edges)
+        except TypeError:
+            raise ValueError(f"edges {self.edges!r} is not an iterable of pairs") from None
+        norm = frozenset(map(_norm_edge, edges))
         for i, j in norm:
             if not (1 <= i <= self.n and 1 <= j <= self.n):
                 raise ValueError(f"edge ({i},{j}) out of range 1..{self.n}")
@@ -52,7 +60,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        return Graph(n, tuple(pairs))
+        return Graph(n, pairs)
 
     def adjacency_masks(self) -> list[int]:
         """Bitmask adjacency, index and bit positions both 0-based."""

@@ -36,11 +36,6 @@ from .fields import QQ, FieldSpec
 # ---------------------------------------------------------------------------
 
 
-def gf2_pack(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Pack 0/1 rows into ints, bit j <-> column j."""
-    return [_pack_one(enumerate(row)) for row in rows]
-
-
 def gf2_rank(packed: list[int]) -> int:
     """Rank of packed GF(2) rows (row-reduction without column order bookkeeping)."""
     basis: dict[int, int] = {}  # lowest-bit position -> row
@@ -130,8 +125,7 @@ def null_space(field: FieldSpec, rows: Iterable, ncols: int) -> list[dict]:
 
 
 def modp_rank(rows: Iterable[Sequence[int]], p: int) -> int:
-    if p == 2:
-        return gf2_rank(gf2_pack(rows))
+    """Rank over GF(p) of integer rows."""
     work = [[v % p for v in r] for r in rows]
     return _row_space(FieldSpec.prime(p), work, len(work[0])).dim if work else 0
 

@@ -219,9 +219,8 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
     Homogeneous generators span a graded ideal, whose reduced echelon rows
     are homogeneous too, so the quotient keeps the degrees of its basis."""
     gens = list(gens)
-    m_space = a.power_subspace(1)
     for g in gens:
-        if not m_space.contains(g):
+        if not a._in_maximal_ideal(g):
             raise ValueError("cyclic quotient generators must lie in the maximal ideal")
     ideal = _ideal_span(a, gens)
     pivots = set(ideal.pivots())

@@ -240,7 +240,9 @@ class _Scan:
     def faces_by_size(self, wfv: int, smax: int) -> list[list[int]]:
         """Face masks inside wfv grouped by size 0..smax (wfv: face vertices
         only), built level by level: each face keeps the vertices above its
-        last one that may still extend it."""
+        last one that may still extend it.  So each size lists its faces in
+        lexicographic order of their ascending vertex tuples, which fixes the
+        signs of ``_signed``."""
         out: list[list[int]] = [[0]]
         level, allowed = [0], [wfv]
         compat = self.compat
@@ -386,7 +388,7 @@ class _Scan:
             return True
         cache = _SubsetHomology(self, self.face_verts, d - 1)
         chi = sum((-1) ** (s - 1) * len(faces) for s, faces in enumerate(cache.faces))
-        return cache.f(d - 1) - cache.rank(d - 1, 2) == (-1) ** (d - 1) * chi
+        return len(cache._faces_at(d)) - cache.rank(d - 1, 2) == (-1) ** (d - 1) * chi
 
     # -- cheap topology ------------------------------------------------------
 
@@ -416,15 +418,7 @@ class _Scan:
 
     def reduced_betti(self, w_mask: int, i: int, field: FieldSpec) -> int:
         """dim of reduced homology of the induced subcomplex in degree i >= -1."""
-        wfv = w_mask & self.face_verts
-        if i == -1:
-            return 1 if wfv == 0 else 0
-        if wfv == 0:
-            return 0
-        if i == 0:
-            return self.n_components(wfv) - 1
-        cache = _SubsetHomology(self, wfv, i + 2)
-        return cache.betti(i, field)
+        return _SubsetHomology(self, w_mask & self.face_verts, i).betti(i, field)
 
     # -- the Hochster scan -----------------------------------------------------
 
@@ -481,30 +475,28 @@ class _SubsetHomology:
         self.faces = scan.faces_by_size(wfv, min(max_degree + 2, wfv.bit_count()))
         self._ranks: dict[tuple[int, int | None], int] = {}
 
-    def f(self, i: int) -> int:
-        return len(self.faces[i + 1]) if i + 1 < len(self.faces) else 0
-
     def _faces_at(self, size: int) -> list[int]:
-        return self.faces[size] if size < len(self.faces) else []
+        """The faces of one size; [] for any size outside 0..top."""
+        return self.faces[size] if 0 <= size < len(self.faces) else []
 
     def rank(self, t: int, p: int | None) -> int:
-        """Rank of the boundary map over GF(p), or over q when p is None;
-        over GF(2) the unsigned map, packed."""
+        """Rank of the boundary map from size t + 1 to size t over GF(p), or
+        over q when p is None; an empty map makes no kernel call."""
         got = self._ranks.get((t, p))
         if got is None:
             faces, subfaces = self._faces_at(t + 1), self._faces_at(t)
-            if p == 2:
-                got = _rank2_unsigned(faces, subfaces)
+            if not faces or not subfaces:
+                got = 0
+            elif p == 2:
+                got = gf2_rank(_boundary(faces, subfaces))
             else:
-                rows = _signed_rows(faces, subfaces)
+                rows = [_signed(row, len(subfaces)) for row in _boundary(faces, subfaces)]
                 got = rational_rank(rows) if p is None else modp_rank(rows, p)
             self._ranks[(t, p)] = got
         return got
 
     def betti(self, i: int, field: FieldSpec) -> int:
-        if self.f(i) == 0:
-            return 0
-        return self.f(i) - self.rank(i, field.p) - self.rank(i + 1, field.p)
+        return len(self._faces_at(i + 1)) - self.rank(i, field.p) - self.rank(i + 1, field.p)
 
     def betti_positive(self, i: int, field: FieldSpec) -> bool:
         """Exact test H~_i != 0; over q the mod-2 betti screens first (a rank
@@ -514,9 +506,9 @@ class _SubsetHomology:
         return self.betti(i, field) > 0
 
 
-def _rank2_unsigned(faces: list[int], subfaces: list[int]) -> int:
-    if not faces or not subfaces:
-        return 0
+def _boundary(faces: list[int], subfaces: list[int]) -> list[int]:
+    """The boundary map from faces to subfaces, one packed row per face: bit j
+    is set when ``subfaces[j]`` is a facet of the face."""
     index = {m: pos for pos, m in enumerate(subfaces)}
     rows = []
     for m in faces:
@@ -527,25 +519,16 @@ def _rank2_unsigned(faces: list[int], subfaces: list[int]) -> int:
             scan ^= bit
             row |= 1 << index[m ^ bit]
         rows.append(row)
-    return gf2_rank(rows)
-
-
-def _signed_rows(faces: list[int], subfaces: list[int]) -> list[list[int]]:
-    if not faces or not subfaces:
-        return []
-    index = {m: pos for pos, m in enumerate(subfaces)}
-    width = len(subfaces)
-    rows = []
-    for m in faces:
-        row = [0] * width
-        verts = []
-        scan = m
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            verts.append(bit)
-        for k, bit in enumerate(verts):  # verts ascend, so k is the drop position
-            row[index[m ^ bit]] = -1 if k % 2 else 1
-        rows.append(row)
     return rows
 
+
+def _signed(row: int, width: int) -> list[int]:
+    """A packed ``_boundary`` row, dense and signed: subfaces come in
+    lexicographic order (``faces_by_size``), so the facet at the k-th highest
+    set bit drops the face's k-th lowest vertex and gets sign (-1)^k."""
+    out, sign = [0] * width, 1
+    while row:
+        j = row.bit_length() - 1
+        row ^= 1 << j
+        out[j], sign = sign, -sign
+    return out

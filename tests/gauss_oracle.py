@@ -38,6 +38,19 @@ def rref(p, rows, ncols: int) -> tuple[list[list], list[int]]:
     return work[: len(pivots)], pivots
 
 
+def solve(p, rows, ncols: int, b) -> list | None:
+    """One solution x of rows @ x = b, 0 at every free column, or None when
+    the system is inconsistent."""
+    assert len(b) == len(rows)
+    reduced, pivots = rref(p, [list(row) + [x] for row, x in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [_norm(0, p)] * ncols
+    for row, pc in zip(reduced, pivots):
+        x[pc] = row[ncols]
+    return x
+
+
 def rank(p, rows, ncols: int) -> int:
     if p is None:
         return _integer_rank(rows)

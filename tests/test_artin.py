@@ -83,7 +83,9 @@ def test_truncate_requires_positive_order():
 
 
 def test_truncate_size_cap_admits_the_largest_corpus():
-    # the vertex-square quotient of an 8-vertex graph at order 9 has C(16, 8) = 12,870 monomials below the order
+    # named rings are not capped by the n <= 7 labeled corpus: the vertex-square
+    # quotient of an 8-vertex graph (kprime:e8) at order 9 has C(16, 8) = 12,870
+    # monomials below the order
     a = truncate(presentation_of(edge_ideal_all_squares(Graph(8)), GF2), 9)
     assert a.dim_k == 2**8
     with pytest.raises(ValueError, match="monomials below the order"):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from ringlab.cli import main
 from ringlab.graphs import from_edge_list, from_json
 from ringlab.fields import QQ
-from ringlab.monomials import Presentation, fiber_product_presentation, parse_poly, presentation_from_json
+from ringlab.monomials import (
+    Presentation,
+    fiber_product_presentation,
+    format_monomial,
+    parse_poly,
+    presentation_from_json,
+)
+from test_sr_invariants import projective_plane_ideal
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +80,51 @@ def test_ring_presentation_file_round_trip(tmp_path, capsys):
     code, out = run_cli(capsys, "ring", "invariants", "--input", str(path))
     assert code == 0
     assert json.loads(out)["dim"] == 0
+
+
+def _projective_plane_json() -> dict:
+    ideal = projective_plane_ideal()
+    return {"vars": list(ideal.ambient), "gens": [format_monomial(ideal.ambient, g) for g in ideal.gens]}
+
+
+@pytest.mark.parametrize(
+    "ring, field, expected",
+    [
+        (
+            {"vars": ["a", "b", "c", "d", "e"], "gens": ["a*b", "b*c", "c*d", "d*e", "a*e"]},
+            None,
+            {"cm": True, "depth": {"fp:2": 2, "q": 2}, "dim": 2, "f_vector": [1, 5, 5],
+             "hilbert_numerator": [1, 3, 1], "multiplicity": 5},
+        ),
+        (
+            _projective_plane_json(),
+            None,
+            {"cm": False, "depth": {"fp:2": 2, "q": 3}, "dim": 3, "f_vector": [1, 6, 15, 10],
+             "hilbert_numerator": [1, 3, 6], "multiplicity": 10},
+        ),
+        (
+            _projective_plane_json(),
+            "fp:3",
+            {"cm": True, "depth": {"fp:3": 3}, "dim": 3, "f_vector": [1, 6, 15, 10],
+             "hilbert_numerator": [1, 3, 6], "multiplicity": 10},
+        ),
+    ],
+    ids=["c5", "rp2", "rp2-fp3"],
+)
+def test_uncertified_rings_reach_the_hochster_scan(ring, field, expected, tmp_path, capsys, monkeypatch):
+    # the pentagon (a CM circle) has no shedding certificate and the
+    # projective plane is not flag, so depth and the CM check scan subsets
+    from ringlab.sr_invariants import _Scan
+
+    scans = []
+    top_hochster = _Scan.top_hochster
+    monkeypatch.setattr(_Scan, "top_hochster", lambda scan, *args: scans.append(args) or top_hochster(scan, *args))
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring))
+    code, out = run_cli(capsys, "ring", "invariants", "--input", str(path), *(["--field", field] if field else []))
+    assert code == 0
+    assert json.loads(out) == expected
+    assert scans
 
 
 def test_artin_verb(capsys):

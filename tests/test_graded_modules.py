@@ -15,7 +15,7 @@ import pytest
 
 import ringlab.modules as modules
 from algebra_oracle import check_module_action, check_resolution, dense_action, dense_basis_action, dense_map
-from gauss_oracle import mat_mul
+import gauss_oracle
 from ringlab.artin import LocalAlgebra, canonical_module, truncate
 from ringlab.constructions import (
     edge_ideal_all_squares,
@@ -285,31 +285,32 @@ def test_products_skipped_by_the_count_match_the_trivial_grading(case, field, mo
         assert [tor(m, n, i) for i in range(4)] == [tor(trivial, n, i) for i in range(4)]
 
 
-# -- Hom coordinates against Matrix.solve -------------------------------------------
+# -- Hom coordinates against an independent solve -----------------------------------
 #
 # hom_module reads the action's coordinates off the free columns of the kernel
 # basis; is_semidualizing_up_to takes dim Hom(C, C) as Ext^0(C, C) and ranks
 # the homotheties as flattened actions, and biduality_is_iso ranks the
 # evaluation maps as they come off the basis maps of M*, with no coordinates.
 # The oracle below is the older route: every vector is solved for against the
-# flattened basis maps of the Hom system with Matrix.solve, a separate
-# elimination.
+# flattened basis maps of the Hom system, and the solutions are ranked, by the
+# tests' own Gauss-Jordan (gauss_oracle), which shares no elimination with
+# ringlab.
 
 
 def _flat(rows) -> list:
     return [x for row in rows for x in row]
 
 
-def _columns(f, cols) -> Matrix:
-    """The matrix with the given columns, each of the same length."""
-    return Matrix(f, list(zip(*cols)), len(cols))
-
-
 def _solve_coordinates(f, maps, vectors):
     """Coordinates of each vector in the span of the flattened maps, or None
     for a vector outside it."""
-    basis = _columns(f, [_flat(phi) for phi in maps])
-    return [basis.solve(vec) for vec in vectors]
+    basis = list(zip(*(_flat(phi) for phi in maps)))
+    return [gauss_oracle.solve(f.p, basis, len(maps), vec) for vec in vectors]
+
+
+def _column_rank(f, cols) -> int:
+    """The rank of the matrix with the given columns, each of the same length."""
+    return gauss_oracle.rank(f.p, cols, len(cols[0]))
 
 
 def _solve_hom_actions(m, n, maps):
@@ -320,7 +321,7 @@ def _solve_hom_actions(m, n, maps):
     actions = []
     for k in range(m.algebra.nvars):
         rn = dense_action(n, k)
-        cols = _solve_coordinates(f, maps, [_flat(mat_mul(f.p, rn, phi)) for phi in maps])
+        cols = _solve_coordinates(f, maps, [_flat(gauss_oracle.mat_mul(f.p, rn, phi)) for phi in maps])
         if any(c is None for c in cols):
             return None
         actions.append([list(row) for row in zip(*cols)])
@@ -339,7 +340,7 @@ def _solve_semidualizing(c, b) -> bool:
     maps = [dense_map(c, c, phi) for phi in maps]
     actions = [_flat(dense_basis_action(c, i)) for i in range(a.dim_k)]
     cols = _solve_coordinates(a.field, maps, actions)
-    if any(col is None for col in cols) or (cols and _columns(a.field, cols).rank() != a.dim_k):
+    if any(col is None for col in cols) or (cols and _column_rank(a.field, cols) != a.dim_k):
         return False
     return all(ext(c, c, i) == 0 for i in range(1, b + 1))
 
@@ -357,7 +358,7 @@ def _solve_biduality(m) -> bool:
     evs = [[phis[t][s][j] for s in range(a.dim_k) for t in range(dual.dim)] for j in range(m.dim)]
     cols = _solve_coordinates(a.field, [dense_map(dual, free, psi) for psi in psis], evs)
     assert all(col is not None for col in cols)
-    return _columns(a.field, cols).rank() == m.dim
+    return _column_rank(a.field, cols) == m.dim
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
@@ -494,8 +495,8 @@ def test_the_engine_builds_no_matrix(name, field, monkeypatch):
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
 @pytest.mark.parametrize("name", list(ALGEBRAS))
 def test_block_rank_matches_the_dense_matrix_rank(name, field, monkeypatch):
-    # _block_rank ranks sparse rows; the reference is Matrix.rank on the same
-    # block made dense
+    # _block_rank ranks sparse rows; the reference is gauss_oracle's rank of
+    # the same block made dense
     a = ALGEBRAS[name](field)
     pool = _pool(a)
     real = modules._rank
@@ -504,7 +505,7 @@ def test_block_rank_matches_the_dense_matrix_rank(name, field, monkeypatch):
     def rank(f, block, ncols):
         dense = [[row.get(j, 0) for j in range(ncols)] for row in block]
         got = real(f, block, ncols)
-        assert got == Matrix(f, dense, ncols).rank()
+        assert got == gauss_oracle.rank(f.p, dense, ncols)
         blocks.append(ncols)
         return got
 

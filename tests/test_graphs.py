@@ -149,6 +149,12 @@ def test_no_loops():
         (lambda: Graph(3, [(1.0, 2)]), "not an integer"),
         (lambda: Graph(3, [(1, True)]), "not an integer"),
         (lambda: Graph.from_edges(3, [(1, 2), (2, "3")]), "not an integer"),
+        (lambda: Graph(3, [1]), r"edge 1 is not a pair"),
+        (lambda: Graph(3, 5), "edges 5 is not an iterable of pairs"),
+        (lambda: Graph(3, [(1, 2, 3)]), r"edge \(1, 2, 3\) is not a pair"),
+        (lambda: Graph(3, [(1, 2), (2,)]), r"edge \(2,\) is not a pair"),
+        (lambda: Graph.from_edges(3, 5), "edges 5 is not an iterable of pairs"),
+        (lambda: Graph.from_edges(3, [(1, 2), None]), "edge None is not a pair"),
     ],
 )
 def test_public_constructors_refuse_bad_edges(build, message):

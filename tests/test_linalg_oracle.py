@@ -4,8 +4,9 @@ sympy is an implementation of exact linear algebra that shares no code with
 ringlab, so agreement here is independent evidence for ``Subspace``, the one
 Gauss-Jordan (packed over GF(2), sparse integer rows otherwise) behind every
 ``Matrix`` reduction, and for the rank helpers the subset scan uses.  The
-tests' own Gauss-Jordan, ``gauss_oracle``, which the Ext and module-action
-oracles use instead of ringlab's, is checked against sympy here as well.
+tests' own Gauss-Jordan, ``gauss_oracle``, which the Ext, module-action,
+Hom-coordinate and homology oracles use instead of ringlab's, is checked
+against sympy here as well.
 """
 
 import random
@@ -21,7 +22,7 @@ from ringlab.fields import QQ, FieldSpec  # noqa: E402
 from ringlab.graphs import Graph  # noqa: E402
 from ringlab.linalg import Matrix, Subspace, modp_rank, rational_rank  # noqa: E402
 from ringlab.monomials import edge_ideal  # noqa: E402
-from ringlab.sr_invariants import _Scan, _signed_rows  # noqa: E402
+from ringlab.sr_invariants import _boundary, _Scan, _signed  # noqa: E402
 
 PRIMES = (2, 3, 5)
 
@@ -40,7 +41,8 @@ def random_int_matrices(seed: int, count: int):
 
 
 def boundary_matrices():
-    """Signed boundary rows of independence complexes of a few graphs on 6 vertices."""
+    """The scan's signed boundary rows (``_boundary`` unpacked by ``_signed``)
+    of independence complexes of a few graphs on 6 vertices."""
     rng = random.Random(7)
     pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     for _ in range(12):
@@ -48,7 +50,7 @@ def boundary_matrices():
         scan = _Scan(edge_ideal(g))
         faces = scan.faces_by_size(scan.face_verts, scan.n)
         for size in range(1, len(faces) - 1):
-            rows = _signed_rows(faces[size + 1], faces[size])
+            rows = [_signed(row, len(faces[size])) for row in _boundary(faces[size + 1], faces[size])]
             if rows:
                 yield rows
 
@@ -76,6 +78,26 @@ def check_gauss_oracle(rows, p, reduced, pivots):
     assert gauss_oracle.mat_mul(p, rows, [list(col) for col in zip(*rows)]) == expected
 
 
+def check_oracle_solve(rows, p):
+    """gauss_oracle.solve, over q for p None and over GF(p) otherwise, against
+    sympy: a solution exactly when the system is consistent by sympy's ranks,
+    and then one that solves it, for a consistent right-hand side (the sum of
+    the columns) and a unit vector."""
+    ncols = len(rows[0])
+
+    def rank(m):
+        return sympy.Matrix(m).rank() if p is None else DomainMatrix.from_list(m, sympy.GF(p)).rank()
+
+    unit = [0] * (len(rows) - 1) + [1]
+    for b in ([sum(row) for row in rows], unit):
+        x = gauss_oracle.solve(p, rows, ncols, b)
+        consistent = rank([list(row) + [v] for row, v in zip(rows, b)]) == rank(rows)
+        assert (x is not None) == consistent
+        if x is not None:
+            product = sympy.Matrix(rows) * sympy.Matrix(x)
+            assert all((got - want if p is None else (got - want) % p) == 0 for got, want in zip(product, b))
+
+
 def check_rationals(rows):
     ncols = len(rows[0])
     ref, pivots = sympy.Matrix(rows).rref()
@@ -83,6 +105,7 @@ def check_rationals(rows):
     assert piv == tuple(pivots)
     assert [list(row) for row in r.rows()] == [[as_fraction(x) for x in ref.row(i)] for i in range(ref.rows)]
     check_gauss_oracle(rows, None, [[as_fraction(x) for x in ref.row(i)] for i in range(len(pivots))], pivots)
+    check_oracle_solve(rows, None)
     rank = len(pivots)
     assert Matrix(QQ, rows, ncols).rank() == rank
     assert rational_rank(rows) == rank
@@ -104,6 +127,7 @@ def check_prime(rows, p):
     assert piv == tuple(pivots)
     assert [list(row) for row in r.rows()] == [[int(x) % p for x in row] for row in ref.to_list()]
     check_gauss_oracle(rows, p, [[int(x) % p for x in row] for row in ref.to_list()[:rank]], pivots)
+    check_oracle_solve(rows, p)
     assert Matrix(field, rows, ncols).rank() == rank
     assert modp_rank(rows, p) == rank
     kernel = Matrix(field, rows, ncols).kernel_basis()

@@ -104,6 +104,29 @@ def test_cyclic_module_examples():
     assert cyclic_module(r, mm).dim == 1
 
 
+def test_membership_in_m_reads_the_unit_coordinate(monkeypatch):
+    # the first basis monomial is 1 and the others lie in m, so no power of m
+    # is built to test a generator; a wrong length is refused first
+    a = truncate(stanley_example_big_ring(GF3), 3)
+    for name in ("power_subspace", "_ensure_powers"):
+        monkeypatch.setattr(type(a), name, lambda *args: pytest.fail("a power of m was built"))
+    x, z = a.element_from_linear({"x": 1}), a.element_from_linear({"z": 1})
+    unit = a._basis_vec(0)
+    with pytest.raises(ValueError, match="cyclic quotient generators must lie in the maximal ideal"):
+        cyclic_module(a, [z, unit])
+    with pytest.raises(ValueError, match="^generators must lie in the maximal ideal"):
+        ideal_direct_sum_check(a, [x], [unit])
+    short = f"vector of length {a.dim_k - 1} in a subspace of k\\^{a.dim_k}"
+    with pytest.raises(ValueError, match=short):
+        cyclic_module(a, [unit[:-1]])
+    with pytest.raises(ValueError, match=short):
+        ideal_direct_sum_check(a, [x], [unit[:-1]])
+    # 3 is 0 in GF(3), so z + 3 * 1 lies in m and generates what z does
+    shifted = (3,) + z[1:]
+    assert cyclic_module(a, [shifted]).dim == cyclic_module(a, [z]).dim
+    assert ideal_direct_sum_check(a, [x], [shifted]) == ideal_direct_sum_check(a, [x], [z])
+
+
 def test_action_respects_table():
     r = ex54_ring(GF2)
     check_module_action(cyclic_module(r, [r.element_from_linear({"z": 1})]))
@@ -327,18 +350,19 @@ def test_library_built_vectors_skip_the_checked_entry_path(field, monkeypatch):
     # Subspace.add, contains and reduce coerce every entry of a caller's
     # vector; rows the library built itself (the ideal's closure under the
     # variables, the quotient's action, the sum of two ideals) go in
-    # unchecked, so only each caller generator is coerced: once where it is
-    # tested against m and once where it enters the ideal, 2 * dim_k = 12
+    # unchecked, so only each caller generator is coerced: at its unit
+    # coordinate where it is tested against m and entry by entry where it
+    # enters the ideal, 1 + dim_k = 7
     a = truncate(stanley_example_big_ring(field), 3)
     x, y, z = (a.element_from_linear({name: 1}) for name in ("x", "y", "z"))
     calls = []
     real = FieldSpec.coerce
     monkeypatch.setattr(FieldSpec, "coerce", lambda self, value: calls.append(value) or real(self, value))
     cyclic_module(a, [z])
-    assert len(calls) == 2 * a.dim_k == 12
+    assert len(calls) == 1 + a.dim_k == 7
     calls.clear()
     assert ideal_direct_sum_check(a, [x, y], [z]) is False  # xz lies in both ideals
-    assert len(calls) == 3 * 2 * a.dim_k
+    assert len(calls) == 3 * (1 + a.dim_k)
 
 
 def _ranked_differentials(monkeypatch) -> list:
