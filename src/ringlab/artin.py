@@ -7,18 +7,19 @@ base-(N + 1) digit per variable, so that m*x_k and c/x_j are one addition or
 subtraction.  Degree by degree it forms each candidate c once, as m*x_k with
 k at or after m's last variable, keeps it iff it is no generator and every
 c/x_j is standard, and marks those c/x_j: the unmarked basis monomials are
-the socle.  The filtration and the cut-ring check are read off the basis.
+the socle.  The cut-ring check is read off the basis.
 General presentations take every monomial below the order from the same
 walk, run with no generator codes, put the sparse relation rows into
 ``null_space`` and read both the basis and the normal forms off it: each null
 vector's free column is a basis monomial, and its entries at the pivot
 columns are that monomial's coefficients in the pivot monomials' normal
-forms.  Standard
-monomials are taken against the graded lexicographic order with the leading
-term the largest monomial, so the basis is closed under division - several
-engines rely on that.  Normal forms are stored sparse, as ((basis index,
-coeff), ...); dense vectors appear only at the public edges (``var_images``,
-``multiply``, ``var_multiply`` and the rows of ``power_subspace``).
+forms.  Standard monomials are taken against the graded lexicographic order
+with the leading term the largest monomial, so the basis is closed under
+division - several engines rely on that.  Normal forms are stored sparse, as
+((basis index, coeff), ...); dense vectors appear only at the public edges
+(``var_images``, ``multiply`` and ``var_multiply``).  Every presentation
+reads dim m^j off the normal forms of the reduced monomials of degree >= j
+(a monomial algebra has none, so its filtration is a count by degree).
 
 Algebras are trusted by construction and not re-checked when built: the
 monomial path is k[x] modulo the complement of its standard monomials, and the
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -83,7 +85,6 @@ class LocalAlgebra:
         self._monomial_path = socle is not None
         self._products: dict[tuple[int, int], tuple] = {}
         self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * len(names)
-        self._powers: list[Subspace] | None = None
         self._parents: list[tuple[int, int] | None] | None = None
 
     # -- basic element helpers ------------------------------------------------
@@ -131,7 +132,13 @@ class LocalAlgebra:
             self._products[(i, j)] = cached
         return cached
 
+    def _check_length(self, vec) -> None:
+        if len(vec) != self.dim_k:
+            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.dim_k}")
+
     def multiply(self, u, v) -> tuple:
+        self._check_length(u)
+        self._check_length(v)
         f = self.field
         out = [f.zero()] * self.dim_k
         nz_u = [(i, a) for i, a in enumerate(u) if a]
@@ -152,6 +159,7 @@ class LocalAlgebra:
         return self._var_sparse[k]
 
     def var_multiply(self, k: int, vec) -> tuple:
+        self._check_length(vec)
         f = self.field
         cols = self.var_sparse(k)
         out = [f.zero()] * self.dim_k
@@ -216,37 +224,26 @@ class LocalAlgebra:
         """Whether an element vector lies in m.  The first basis monomial is 1
         and every other one lies in m, so that is iff its unit coordinate is
         0; dim m is dim_k - 1."""
-        if len(vec) != self.dim_k:
-            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.dim_k}")
+        self._check_length(vec)
         return not self.field.coerce(vec[0])
 
-    def power_subspace(self, j: int) -> Subspace:
-        self._ensure_powers()
-        j = min(j, len(self._powers) - 1)
-        return self._powers[j]
-
-    def _ensure_powers(self) -> None:
-        if self._powers is not None:
-            return
-        f, d = self.field, self.dim_k
-        # m^0 = A, then m^(j+1) is the span of x_k * (rows of m^j), down to the first zero
-        powers = [_row_space(f, ({t: f.one()} for t in range(d)), d)]
-        while powers[-1].dim:
-            rows = powers[-1].basis_rows()
-            powers.append(_row_space(f, (self.var_multiply(k, row) for row in rows for k in range(self.nvars)), d))
-        self._powers = powers
+    def _modulo_power(self, j: int) -> tuple[int, Subspace]:
+        """A/m^j as the coordinates below ``low``, those of the basis monomials
+        of degree < j, modulo the span of the normal forms of the reduced
+        monomials of degree >= j there; the basis monomials of degree >= j
+        fill the other coordinates of m^j."""
+        low = bisect_left(self.basis_monomials, j, key=monomial_degree)
+        nfs = (nf for mono, nf in self._reductions.items() if monomial_degree(mono) >= j)
+        return low, _row_space(self.field, ({t: c for t, c in nf if t < low} for nf in nfs), low)
 
     @cached_property
     def filtration(self) -> tuple:
-        """dim m^j for j = 0, 1, ... up to the first zero."""
-        if self._monomial_path:
-            # dim m^j is the number of basis monomials of degree >= j
-            counts = [0] * (monomial_degree(self.basis_monomials[-1]) + 1)
-            for m in self.basis_monomials:
-                counts[monomial_degree(m)] += 1
-            return tuple(itertools.accumulate(reversed(counts), initial=0))[::-1]
-        self._ensure_powers()
-        return tuple(s.dim for s in self._powers)
+        """dim m^j for j = 0, 1, ... up to the first zero; see ``_modulo_power``."""
+        dims = [self.dim_k]
+        while dims[-1]:
+            low, span = self._modulo_power(len(dims))
+            dims.append(self.dim_k - low + span.dim)
+        return tuple(dims)
 
     def _basis_vec(self, i: int) -> tuple:
         vec = [self.field.zero()] * self.dim_k
@@ -477,17 +474,16 @@ def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:
 
 
 def _ideal_span(a: LocalAlgebra, gens) -> Subspace:
+    """The ideal (gens), closed by a worklist: the basis rows of the span of
+    gens, then each product that grows it, multiplied once by every variable."""
     span = Subspace(a.field, a.dim_k)
     for g in gens:
         span.add(g)
-    # close under the variable actions until the dimension stabilizes
-    while True:
-        before = span.dim
-        for row in span.basis_rows():
-            for k in range(a.nvars):
-                span._add_row(a.var_multiply(k, row))
-        if span.dim == before:
-            return span
+    todo = span.basis_rows()
+    while todo:
+        vec = todo.pop()
+        todo += [prod for k in range(a.nvars) if span._add_row(prod := a.var_multiply(k, vec))]
+    return span
 
 
 def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
@@ -512,9 +508,8 @@ def pair_decomposition_search(a: LocalAlgebra, mode: str = "necessary"):
         raise ValueError("projective search space exceeds 400 lines")
     # pick variables whose images form a basis of m/m^2: they generate m, so
     # e of them do
-    m2 = a.power_subspace(2)
-    probe = _row_space(a.field, m2.basis_rows(), a.dim_k)
-    pivot_vars = [k for k in range(a.nvars) if probe._add_row(a.var_images[k])]
+    low, probe = a._modulo_power(2)
+    pivot_vars = [k for k in range(a.nvars) if probe._add_row(a.var_images[k][:low])]
     lines = []
     for coeffs in itertools.product(range(p), repeat=e):
         nz = next((c for c in coeffs if c), None)

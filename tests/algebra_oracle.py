@@ -8,7 +8,7 @@ maps to its unit vector (check 1), it kills I + m^N when every generator and
 every degree-N monomial maps to 0 (check 2), and then dim_k A equal to the
 number of standard monomials of I + m^N, counted by sympy's Groebner bases
 (check 3), makes the induced map k[x]/(I + m^N) -> A an isomorphism.  Check 6
-pins the m-adic filtration.
+pins the m-adic filtration against ``power_dims``, the chain of powers of m.
 
 Products are taken only through the public ``multiply``: each basis pair once,
 and triples are expanded from that table by bilinearity, so the exhaustive
@@ -29,7 +29,7 @@ try:
 except ImportError:  # without sympy the Groebner dimension check is skipped
     sympy = None
 
-from gauss_oracle import identity, mat_mul, rank
+from gauss_oracle import identity, mat_mul, rank, rref
 
 EXHAUSTIVE_DIM = 60
 SAMPLED_TRIPLES = 1000
@@ -157,8 +157,18 @@ def check_algebra(a) -> None:
     filt = a.filtration
     assert filt[0] == d and filt[-1] == 0, f"filtration {filt}"
     assert all(filt[j] >= filt[j + 1] for j in range(len(filt) - 1)), f"filtration {filt}"
-    if a._monomial_path:
-        assert list(filt) == [a.power_subspace(j).dim for j in range(len(filt))], f"filtration {filt}"
+    assert filt == power_dims(a), f"filtration {filt}, powers of m {power_dims(a)}"
+
+
+def power_dims(a) -> tuple:
+    """dim m^j for j = 0, 1, ... up to the first zero, from the chain of
+    powers: m^0 = A, and m^(j+1) is the span of x_k times the rows of m^j."""
+    p, d = a.field.p, a.dim_k
+    rows, dims = identity(p, d), [d]
+    while rows:
+        rows = rref(p, [a.var_multiply(k, row) for row in rows for k in range(a.nvars)], d)[0]
+        dims.append(len(rows))
+    return tuple(dims)
 
 
 def dense_action(m, k: int) -> list[list]:

@@ -4,6 +4,7 @@ from algebra_oracle import check_algebra
 from ringlab.constructions import (
     edge_ideal_all_squares,
     named_graph,
+    named_ring,
     plane_conic_presentation,
     stanley_example_big_ring,
 )
@@ -169,6 +170,24 @@ def test_hilbert_function_examples():
     assert hilbert_function(truncate(presentation_of(kp, QQ), 4)) == [1, 3, 1]
 
 
+@pytest.mark.parametrize("field", [QQ, GF2, GF3], ids=str)
+@pytest.mark.parametrize(
+    "vars_, gens, order, hilbert",
+    [
+        # m^2 holds the basis monomial x, since x = y^2: a count of the basis
+        # monomials by degree would give [1, 2, ...]
+        *((["x", "y"], ["x - y^2"], n, [1] * n) for n in range(3, 7)),
+        (["x", "y"], ["x^2 - y^3"], 3, [1, 2, 2]),
+        (["x", "y"], ["x^2 - y^3"], 6, [1, 2, 2, 2, 2, 2]),
+        (["x", "y", "z"], ["x - y*z", "y^2 - z^3"], 4, [1, 2, 2, 2]),
+    ],
+)
+def test_filtration_of_non_monomial_presentations(vars_, gens, order, hilbert, field):
+    a = truncate(pres(vars_, gens, field), order)
+    assert hilbert_function(a) == hilbert
+    assert a.filtration == tuple(sum(hilbert[j:]) for j in range(len(hilbert) + 1))
+
+
 def test_hilbert_function_sums_to_dim():
     for g in enumerate_graphs(3):
         a = truncate(presentation_of(edge_ideal_all_squares(g), GF2), 4)
@@ -260,11 +279,35 @@ def test_pair_search_requires_finite_field():
         pair_decomposition_search(a)
 
 
+def test_pair_search_refuses_a_large_space_before_any_probe():
+    # e = dim m/m^2 = 10, so the search would walk (3^10 - 1) / 2 lines
+    a = truncate(named_ring("sigma:e5", GF3), 7)
+    assert hilbert_function(a)[1] == 10
+    with pytest.raises(ValueError, match="projective search space exceeds 400 lines"):
+        pair_decomposition_search(a, mode="full")
+    assert "var_images" not in vars(a)
+
+
 def test_pair_search_deterministic():
     a = truncate(plane_conic_presentation(GF5), 4)
     first = pair_decomposition_search(a, mode="full")
     second = pair_decomposition_search(a, mode="full")
     assert first == second
+
+
+def test_products_refuse_a_vector_of_the_wrong_length():
+    a = truncate(stanley_example_big_ring(GF2), 3)
+    assert a.dim_k == 6
+    e0 = unit(a)
+    for n in (2, 7):
+        vec = (0,) * (n - 1) + (1,)
+        message = f"vector of length {n} in a subspace of k\\^6"
+        with pytest.raises(ValueError, match=message):
+            a.multiply(vec, e0)
+        with pytest.raises(ValueError, match=message):
+            a.multiply(e0, vec)
+        with pytest.raises(ValueError, match=message):
+            a.var_multiply(0, vec)
 
 
 # -- ideal direct sums -----------------------------------------------------------

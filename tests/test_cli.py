@@ -148,6 +148,28 @@ def test_artin_over_q_has_no_search(capsys):
     assert payload["hilbert"] == [1, 3, 1]
 
 
+@pytest.mark.parametrize(
+    "gen, dim_k, hilbert, socle_dim",
+    [("x^2 - y^3", 9, [1, 2, 2, 2, 2], 2), ("x - y^2", 5, [1, 1, 1, 1, 1], 1)],
+    ids=["cusp", "smooth"],
+)
+def test_artin_input_reads_the_filtration_off_the_normal_forms(gen, dim_k, hilbert, socle_dim, tmp_path, capsys):
+    # non-monomial presentations: the Hilbert function is not a count of the
+    # basis monomials by degree, and the search probes m/m^2 off the normal forms
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"vars": ["x", "y"], "gens": [gen], "field": "fp:3"}))
+    code, out = run_cli(capsys, "artin", "--input", str(path), "--trunc", "5", "--mode", "full")
+    assert code == 0
+    assert json.loads(out) == {
+        "decomposition": {"found": False, "mode": "full", "order": 5, "witness": None},
+        "dim_k": dim_k,
+        "gorenstein": None,
+        "hilbert": hilbert,
+        "order": 5,
+        "socle_dim": socle_dim,
+    }
+
+
 def test_resolve_verb(capsys):
     code, out = run_cli(
         capsys,
