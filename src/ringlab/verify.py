@@ -79,7 +79,7 @@ class Report:
 
 
 def _graph_tag(g: Graph) -> str:
-    return f"n={g.n} edges={sorted(g.edges)}"
+    return f"n={g.n} edges={g.sorted_edges()}"
 
 
 # ---------------------------------------------------------------------------

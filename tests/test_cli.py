@@ -57,6 +57,12 @@ def test_graph_cliques(capsys):
     assert payload["maximal_cliques"] == "[[1, 2, 3]]"
 
 
+def test_graph_cliques_of_a_large_clique(capsys):
+    code, out = run_cli(capsys, "graph", "cliques", "--name", "k1100")
+    assert code == 0
+    assert out.startswith("n: 1100\nmaximal_cliques: [[1, 2, 3,")
+
+
 def test_ring_invariants_sigma_k2(capsys):
     code, out = run_cli(capsys, "ring", "invariants", "--name", "sigma:k2")
     assert code == 0

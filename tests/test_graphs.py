@@ -1,11 +1,16 @@
+import ast
 import pickle
+import time
+import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.constructions import named_graph
+import ringlab
+from ringlab.constructions import edge_ideal_all_squares, edge_ideal_squares_except, named_graph
 from ringlab.graphs import (
     Graph,
     complement,
@@ -20,6 +25,7 @@ from ringlab.graphs import (
     whisker_all,
     whisker_except,
 )
+from ringlab.monomials import edge_ideal
 
 
 def test_complement_k3():
@@ -254,3 +260,105 @@ def test_edge_list_round_trip():
 def test_json_round_trip():
     g = whisker_all(named_graph("p3"))
     assert from_json(to_json(g)) == g
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 3\n1 2\n1 2 3\n", r"line 3 \('1 2 3'\) is not an edge 'i j' of two integers"),
+        ("n 3\n\n2 x\n", r"line 3 \('2 x'\) is not an edge 'i j' of two integers"),
+        ("n 2.5\n1 2\n", r"line 1 \('n 2.5'\) is not 'n <count>' with an integer count"),
+        ("\nn 3 4\n", r"line 2 \('n 3 4'\) is not 'n <count>'"),
+    ],
+    ids=["three-numbers", "non-integer-vertex", "fractional-count", "two-counts"],
+)
+def test_edge_list_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        from_edge_list(text)
+
+
+def test_maximal_cliques_of_a_large_clique_need_no_recursion():
+    # one stack frame per clique vertex used to exceed the recursion limit
+    assert maximal_cliques(named_graph("k1100")) == [frozenset(range(1, 1101))]
+
+
+# the frozenset definitions the neighbour masks must agree with
+
+
+def _pair(u, v):
+    return (min(u, v), max(u, v))
+
+
+def _quadric(n, i, j):
+    e = [0] * n
+    e[i - 1] += 1
+    e[j - 1] += 1
+    return tuple(e)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_mask_operations_match_the_pair_sets(n):
+    vertices = range(1, n + 1)
+    for g in enumerate_graphs(n):
+        edges = g.edges
+        assert g.sorted_edges() == sorted(edges)
+        adj = g.adjacency_masks()
+        for i in vertices:
+            for j in vertices:
+                assert adj[i - 1] >> (j - 1) & 1 == adj[j - 1] >> (i - 1) & 1 == (_pair(i, j) in edges)
+        assert complement(g) == Graph(n, {(i, j) for i in vertices for j in vertices if i < j} - edges)
+        assert whisker_all(g) == Graph(2 * n, edges | {(v, n + v) for v in vertices})
+        for v in vertices:
+            others = [u for u in vertices if u != v]
+            assert whisker_except(g, v) == Graph(2 * n - 1, edges | {(u, n + k) for k, u in enumerate(others, 1)})
+        squares = {_quadric(n, v, v) for v in vertices}
+        quadrics = {_quadric(n, i, j) for i, j in edges}
+        assert edge_ideal(g).gens == quadrics
+        assert edge_ideal_all_squares(g).gens == quadrics | squares
+        for v in vertices:
+            assert edge_ideal_squares_except(g, v).gens == quadrics | (squares - {_quadric(n, v, v)})
+
+
+def test_large_graph_operations_are_linear_in_the_masks():
+    g = Graph(1000)
+    start = time.perf_counter()
+    assert len(complement(g).adjacency_masks()) == 1000
+    assert whisker_all(g).n == 2000
+    assert time.perf_counter() - start < 1.0
+
+
+def test_six_vertex_corpus_footprint():
+    # one small tuple of neighbour masks per graph: 4.5 MB for the 32,768
+    # graphs, against 19.7 MB when each graph held a frozenset of pairs
+    tracemalloc.start()
+    try:
+        corpus = list(enumerate_graphs(6))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == 1 << 15
+    assert held <= 6 * 2**20
+
+
+def _edges_readers(sources: dict[str, str]) -> list[str]:
+    """``file:line`` of each ``.edges`` read in ``sources`` (file name to
+    source text) outside ``graphs.py``."""
+    return [
+        f"{path}:{node.lineno}"
+        for path, source in sources.items()
+        if path != "graphs.py"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "edges"
+    ]
+
+
+def test_only_graphs_reads_the_edge_frozenset():
+    # every other module reads the neighbour masks or sorted_edges, so no
+    # library path builds the frozenset of pairs
+    sources = {p.name: p.read_text() for p in Path(ringlab.__file__).parent.glob("*.py")}
+    assert _edges_readers(sources) == []
+
+
+def test_the_edges_guard_sees_a_read():
+    sources = {"graphs.py": "g.edges\n", "m.py": "x = 1\ny = sorted(g.edges)\n"}
+    assert _edges_readers(sources) == ["m.py:2"]
