@@ -36,7 +36,12 @@ elimination, every degree that is all m-multiples or has none, every
 kernel of a degree block that the count already fixes, and which products
 are formed at all (see ``_resolution_step``).  It is exact only for a
 homogeneous action, so a hand-built ``FPModule`` has its degrees checked
-against its action too.
+against its action too.  The kernel of a cover is taken only when the next
+degree is asked for: the state keeps the last cover as plain data, so a
+resolution to degree b stops after beta_b and d_b, a later call resumes it,
+and a resolved module still pickles.  Only the degree blocks that are
+eliminated get a row index, read off the previous kernel step's column
+groups.
 
 The work is split by degree.  ``residue_field``, ``free_module``,
 ``canonical_module`` and ``cyclic_module`` on homogeneous generators give
@@ -258,12 +263,17 @@ def _check_bound(b: int, name: str) -> None:
 def _resolution_state(m: FPModule, bound: int) -> dict:
     if m._res_state is None:
         one = m.algebra.field.one()
+        rows: dict = {}
+        for j, deg in enumerate(m.degrees):
+            rows.setdefault(deg, []).append(j)
         m._res_state = {
             "betti": [],
             "diffs": [],
             "degrees": [],
             "span": [{j: one} for j in range(m.dim)],
-            "at": m.degrees,
+            "span_degrees": m.degrees,
+            "rows": rows,
+            "index": {},
             "action": (m._var_sparse, m.dim),
         }
     state = m._res_state
@@ -274,18 +284,25 @@ def _resolution_state(m: FPModule, bound: int) -> dict:
 
 def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     """One homological degree: the span's generators modulo its m-multiples
-    cover it by a free module, and the cover's kernel is the next span.
+    cover it by a free module F_t, whose kernel is the next span.  The kernel
+    is taken by the next step (``_cover_kernel``), so a resolution to degree
+    b stops after beta_b and d_b and never takes the kernel of F_b.
 
-    The state holds the span as homogeneous sparse vectors ({position:
-    coefficient}), the degree of every ambient position (``at``) and the
-    variable action on the ambient space as sparse columns on one block of
-    positions: M's own action at degree 0, A's on every copy of A after.  All
-    linear algebra runs per degree: the m-multiples and the generators g in
-    one ``Subspace`` per degree, and the columns b * g grouped by their degree
+    The state holds plain data: the span as homogeneous sparse vectors
+    ({position: coefficient}) with their degrees, the ambient positions of
+    each degree in ascending order (``rows``), and the variable action on the
+    ambient space as sparse columns on one block of positions: M's own
+    action at degree 0, A's on every copy of A after.  After a step it also
+    holds the cover F_t pending its kernel: the generator ids (``gens``),
+    the span's count per degree and the products formed.  All linear
+    algebra runs per degree: the m-multiples and the generators g in one
+    ``Subspace`` per degree, and the columns b * g grouped by their degree
     deg(g) + deg(b), each group's kernel taken on the rows of that degree.
-    Under the trivial grading every degree is () and there is one block.
-    From degree 1 on the generators are the columns of the next differential;
-    taken modulo the m-multiples, they have no unit component.
+    Only a block that is eliminated gets a row index ({position: row}),
+    read off ``rows`` and kept for the kernel step.  Under the trivial
+    grading every degree is () and there is one block.  From degree 1 on
+    the generators are the columns of the next differential; taken modulo
+    the m-multiples, they have no unit component.
 
     The span is a basis of the kernel Z, so counting its vectors by degree
     gives count[deg] = dim Z_deg, which settles much of the work without
@@ -295,50 +312,28 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     m-multiples is full (dimension count[deg], so (mZ)_deg = Z_deg and the
     degree has no generator).  In a degree with no m-multiple every span
     vector is a generator; only the degrees in between insert span vectors,
-    in span order.  The columns of degree deg span Z_deg, so their kernel
-    has dimension len(group) - count[deg]: a group with count[deg] columns
-    has none, and a group over a degree the span misses has each column
-    {pos: 1} in its kernel, as ``null_space`` gives for zero rows.  So the
-    groups come from degrees alone, and the columns b * g are formed, along
-    the division tree and once per step, only for the other groups, x_k * g
-    reusing the m-multiple if it was formed.  Generators and kernel vectors
-    come out in the order elimination would give them."""
+    in span order.  The products are formed along the division tree, once
+    per step, and the kernel step reuses them."""
+    if state["betti"]:
+        _cover_kernel(a, state)
     f = a.field
-    d = a.dim_k
-    span, at = state["span"], state["at"]
-    cols, block = state["action"]
-    slot, sizes = _slots(at)
-
-    span_degrees = [at[next(iter(w))] for w in span]
+    span, span_degrees = state["span"], state["span_degrees"]
     count: dict = {}
     for deg in span_degrees:
         count[deg] = count.get(deg, 0) + 1
+    state["count"], state["formed"] = count, {}
+    times, _ = _products(a, state)
     spaces: dict = {}
 
     def absorb(vec, deg) -> bool:
         # True when vec grows its degree's Subspace; a full one takes nothing
+        index = _row_index(state, deg)
         if deg not in spaces:
-            spaces[deg] = Subspace(f, sizes[deg])
+            spaces[deg] = Subspace(f, len(index))
         space = spaces[deg]
-        return space.dim < count[deg] and space._add_row({slot[pos]: c for pos, c in vec.items()})
+        return space.dim < count[deg] and space._add_row({index[pos]: c for pos, c in vec.items()})
 
-    parents = a.basis_parents()
-    root = parents.index(None)
-    formed: dict = {}
-
-    def times(k, i, b) -> dict:
-        # x_k * (b * span[i]), formed once per step
-        if (k, i, b) not in formed:
-            formed[k, i, b] = _act(f, cols[k], product(i, b), block)
-        return formed[k, i, b]
-
-    def product(i, b) -> dict:
-        # b * span[i], along the division tree
-        if b == root:
-            return span[i]
-        k, below = parents[b]
-        return times(k, i, below)
-
+    root = a.basis_parents().index(None)
     shifts = [a._grade(a._var_monomial(k)) for k in range(a.nvars)]
     targets: dict = {}
     for i, deg in enumerate(span_degrees):
@@ -348,32 +343,84 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
             if (t not in spaces or spaces[t].dim < count[t]) and (v := times(k, i, root)):
                 absorb(v, t)
     gen_ids = [i for i, deg in enumerate(span_degrees) if deg not in spaces or absorb(span[i], deg)]
-    gen_degrees = tuple(span_degrees[i] for i in gen_ids)
     if state["betti"]:
         state["diffs"].append(tuple(span[i] for i in gen_ids))
     state["betti"].append(len(gen_ids))
-    state["degrees"].append(gen_degrees)
+    state["degrees"].append(tuple(span_degrees[i] for i in gen_ids))
+    state["gens"] = gen_ids
 
+
+def _cover_kernel(a: LocalAlgebra, state: dict) -> None:
+    """The kernel of the pending cover F_t -> span becomes the span.
+
+    The columns b * g of F_t are grouped by degree, each group listing its
+    positions in ascending order; the groups are the next step's ``rows``.
+    The columns of degree deg span Z_deg, so their kernel has dimension
+    len(group) - count[deg]: a group with count[deg] columns has none, and
+    a group over a degree the span misses has each column {pos: 1} in its
+    kernel, as ``null_space`` gives for zero rows.  So the groups come from
+    degrees alone, and only the other groups form their columns (reusing
+    the cover's products) and go through ``null_space``.  Kernel vectors
+    come out in the order elimination would give them."""
+    f, d = a.field, a.dim_k
+    gen_ids, count = state["gens"], state["count"]
+    _, product = _products(a, state)
     shifted: dict = {}
     groups: dict = {}
-    new_at = []
-    for j, gdeg in enumerate(gen_degrees):
+    for j, gdeg in enumerate(state["degrees"][-1]):
         if gdeg not in shifted:
             shifted[gdeg] = [_deg_sum(gdeg, bdeg) for bdeg in a.degrees]
-        new_at.extend(shifted[gdeg])
         for b, deg in enumerate(shifted[gdeg]):
             groups.setdefault(deg, []).append(j * d + b)
     one = f.one()
-    kernel = []
+    kernel: list = []
+    degrees: list = []
     for deg, members in groups.items():
         rank = count.get(deg, 0)  # the rank of the group's columns
         if not rank:
-            kernel.extend({pos: one} for pos in members)
+            found = [{pos: one} for pos in members]
         elif rank < len(members):
             columns = [(pos, product(gen_ids[pos // d], pos % d)) for pos in members]
-            kernel.extend(_kernel_of_columns(f, columns, slot, sizes[deg]))
-    state["span"], state["at"] = kernel, new_at
+            index = _row_index(state, deg)
+            found = _kernel_of_columns(f, columns, index, len(index))
+        else:
+            continue
+        kernel.extend(found)
+        degrees.extend([deg] * len(found))
+    state["span"], state["span_degrees"], state["rows"], state["index"] = kernel, degrees, groups, {}
     state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
+
+
+def _products(a: LocalAlgebra, state: dict):
+    """times(k, i, b) = x_k * (b * span[i]) and product(i, b) = b * span[i],
+    along the division tree; each x_k * (...) is kept in state["formed"],
+    so it is formed once per step."""
+    f = a.field
+    span, formed = state["span"], state["formed"]
+    cols, block = state["action"]
+    parents = a.basis_parents()
+
+    def times(k, i, b) -> dict:
+        if (k, i, b) not in formed:
+            formed[k, i, b] = _act(f, cols[k], product(i, b), block)
+        return formed[k, i, b]
+
+    def product(i, b) -> dict:
+        if parents[b] is None:
+            return span[i]
+        k, below = parents[b]
+        return times(k, i, below)
+
+    return times, product
+
+
+def _row_index(state: dict, deg) -> dict:
+    """Each ambient position of degree deg to its row in the degree's block,
+    built once per span, and only for the blocks that are eliminated."""
+    index = state["index"]
+    if deg not in index:
+        index[deg] = {pos: r for r, pos in enumerate(state["rows"][deg])}
+    return index[deg]
 
 
 def _slots(degrees) -> tuple[list, dict]:
@@ -480,8 +527,9 @@ def _homology(m: FPModule, n: FPModule, lo: int, hi: int, tensor: bool = False):
     """dim_k Ext^i(M, N), or with ``tensor`` dim_k Tor_i(M, N), for
     i = lo..hi: beta_i dim N - rank d_i - rank d_{i+1} on Hom(F, N) or
     F (x) N, F the minimal resolution of M (d_0 = 0).  Each value extends F
-    only to degree i + 1, so a caller that stops early resolves no further,
-    and each d_t is ranked once per call."""
+    only to beta_{i+1} and d_{i+1}, with the kernel of F_{i+1} left pending,
+    so a caller that stops early resolves no further, and each d_t is ranked
+    once per call."""
     _check_same_algebra(m, n)
     r_in = _block_rank(n, _resolution_state(m, lo), lo, tensor) if lo else 0
     for i in range(lo, hi + 1):

@@ -11,6 +11,8 @@ resolutions are also checked by ``algebra_oracle.check_resolution``
 (minimality, d o d = 0, exactness by k-ranks, homogeneity).
 """
 
+import pickle
+
 import pytest
 
 import ringlab.modules as modules
@@ -114,18 +116,67 @@ def test_graded_engine_matches_the_trivial_grading(name, field, monkeypatch):
 
     def step(alg, state):
         real_step(alg, state)
-        spans.append((state["span"], state["at"]))
+        at = {pos: deg for deg, positions in state["rows"].items() for pos in positions}
+        spans.append([({at[pos] for pos in w}, deg) for w, deg in zip(state["span"], state["span_degrees"])])
 
     monkeypatch.setattr(modules, "_resolution_step", step)
     for m in pool.values():
         check_module_action(m)
         check_resolution(m, minimal_resolution(m, BOUND))
-    # every kernel vector lies in one degree
-    assert spans and all(len({at[pos] for pos in w}) == 1 for span, at in spans for w in span)
+    # every kernel vector lies in the one degree the state gives it
+    assert spans and all(found == {deg} for span in spans for found, deg in span)
     graded = _invariants(a)
     monkeypatch.setattr(LocalAlgebra, "degrees", property(lambda self: ((),) * self.dim_k))
     trivial = _invariants(ALGEBRAS[name](field))
     assert graded == trivial
+
+
+def _exact(res) -> tuple:
+    # the differentials with their key order, which dict equality ignores
+    return res.betti, res.degrees, tuple(tuple(tuple(col.items()) for col in d) for d in res.differentials)
+
+
+def _prefix(res, b) -> tuple:
+    betti, degrees, diffs = _exact(res)
+    return betti[: b + 1], degrees[: b + 1], diffs[:b]
+
+
+def _homology_values(m, n) -> list:
+    return [(ext(m, n, i), tor(m, n, i)) for i in range(4)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_a_resolution_raised_in_pieces_matches_one_shot(name, field):
+    # a resolution to b stops after beta_b and d_b, with the kernel of F_b
+    # pending in the state; every later bound, and the Ext and Tor values
+    # that resolve one degree further, must take that kernel exactly once
+    a = ALGEBRAS[name](field)
+    whole, pieces = _pool(a), _pool(a)
+    k = whole["k"]
+    for key, m in pieces.items():
+        one_shot = minimal_resolution(whole[key], 7)
+        for b in (2, 5, 3):
+            assert _exact(minimal_resolution(m, b)) == _prefix(one_shot, b), (key, b)
+            # Ext^b and Tor_b resolve to b + 1; the Bass numbers resolve M^v
+            assert (ext(m, k, b), tor(m, k, b)) == (ext(whole[key], k, b), tor(whole[key], k, b)), (key, b)
+            assert bass_truncation(a, m, b) == bass_truncation(a, whole[key], b), (key, b)
+        assert _exact(minimal_resolution(m, 7)) == _exact(one_shot), key
+        assert _homology_values(m, k) == _homology_values(whole[key], k), key
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_a_resolved_module_pickles_and_resumes(name, field):
+    # the state, the cover pending its kernel included, is plain data
+    a = ALGEBRAS[name](field)
+    whole, pieces = _pool(a), _pool(a)
+    for key, m in pieces.items():
+        first = _exact(minimal_resolution(m, 3))
+        copy = pickle.loads(pickle.dumps(m))
+        assert _exact(minimal_resolution(copy, 3)) == first, key
+        assert _exact(minimal_resolution(copy, 5)) == _exact(minimal_resolution(whole[key], 5)), key
+        assert _homology_values(copy, whole["k"]) == _homology_values(whole[key], whole["k"]), key
 
 
 @pytest.mark.parametrize("field, bound", [(GF2, 6), (QQ, 5)], ids=["fp:2", "q"])
@@ -143,25 +194,27 @@ def test_dress_kramer_betti_numbers_of_kprime_c4(field, bound):
 def test_no_kernel_block_is_wider_than_its_betti_number(monkeypatch):
     # the five basis monomials of kprime(P3) have distinct multidegrees, so a
     # degree block of the columns b * g_j holds at most one column per
-    # generator g_j; a single ungraded block would hold five.  A step groups
-    # the columns by the degrees it leaves in state["at"], so those give the
-    # width of every group, also of the groups whose kernel the step reads
-    # off its dimension count without elimination
+    # generator g_j; a single ungraded block would hold five.  Taking the
+    # kernel of F_t groups its columns by degree and leaves the groups in
+    # state["rows"], so those give the width of every group, also of the
+    # groups whose kernel is read off the dimension count without
+    # elimination.  The kernel of F_t is taken only when beta_{t+1} is asked
+    # for: resolving to degree 7 takes seven, and extending to 8 the eighth
     a = _kprime("p3", 4)(GF2)
     assert len(set(a.degrees)) == a.dim_k == 5
     widths: list = []
-    real_step = modules._resolution_step
+    real_kernel = modules._cover_kernel
 
-    def step(alg, state):
-        real_step(alg, state)
-        groups: dict = {}
-        for deg in state["at"]:
-            groups[deg] = groups.get(deg, 0) + 1
-        widths.append(list(groups.values()))
+    def cover_kernel(alg, state):
+        real_kernel(alg, state)
+        widths.append([len(positions) for positions in state["rows"].values()])
 
-    monkeypatch.setattr(modules, "_resolution_step", step)
-    res = minimal_resolution(canonical_module(a), 7)
-    assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
+    monkeypatch.setattr(modules, "_cover_kernel", cover_kernel)
+    omega = canonical_module(a)
+    assert minimal_resolution(omega, 7).betti == (2, 4, 11, 29, 76, 199, 521, 1364)
+    assert len(widths) == 7
+    res = minimal_resolution(omega, 8)
+    assert res.betti[8] == 3571
     assert len(widths) == 8
     for t, blocks in enumerate(widths):
         assert sum(blocks) == res.betti[t] * a.dim_k
@@ -216,13 +269,26 @@ def test_dimension_counts_settle_every_block_of_k_over_kprime_k5(monkeypatch):
 def test_dimension_counts_leave_the_eliminations_they_do_not_settle(monkeypatch):
     # the canonical module of kprime(P3) fills some degrees only partly, so
     # both eliminations still run there, and only the products they read are
-    # formed (17,974 when every m-multiple and column was)
+    # formed.  A resolution to degree 7 stops at beta_7 and d_7: the kernel
+    # of F_7 is taken, once, only when the bound is raised to 8, so the
+    # extension adds exactly what a fresh resolution to 8 takes beyond 7
     calls = _count_eliminations(monkeypatch)
     products = _count_products(monkeypatch)
-    res = minimal_resolution(canonical_module(_kprime("p3", 4)(GF2)), 7)
+    omega = canonical_module(_kprime("p3", 4)(GF2))
+    res = minimal_resolution(omega, 7)
     assert res.betti == (2, 4, 11, 29, 76, 199, 521, 1364)
-    assert calls == {"kernel": 141, "insert": 4871}
-    assert products == {"act": 5581}
+    assert calls == {"kernel": 92, "insert": 3352}
+    assert products == {"act": 3740}
+    assert minimal_resolution(omega, 7) == res
+    assert calls == {"kernel": 92, "insert": 3352} and products == {"act": 3740}
+    assert minimal_resolution(omega, 8).betti[8] == 3571
+    assert calls == {"kernel": 92 + 49, "insert": 3352 + 5965}
+    assert products == {"act": 3740 + 6869}
+    calls.update(kernel=0, insert=0)
+    products.update(act=0)
+    minimal_resolution(canonical_module(omega.algebra), 8)
+    assert calls == {"kernel": 141, "insert": 9317}
+    assert products == {"act": 10609}
 
 
 def _half_y_module(field) -> FPModule:
@@ -264,11 +330,10 @@ def test_products_skipped_by_the_count_match_the_trivial_grading(case, field, mo
     real_step = modules._resolution_step
 
     def step(alg, state):
-        at = state["at"]
-        degrees = [at[next(iter(w))] for w in state["span"]]
+        real_step(alg, state)
+        degrees = state["span_degrees"]  # of the span the step covered
         present = set(degrees)
         missed.append(sum(modules._deg_sum(deg, s) not in present for deg in degrees for s in shifts))
-        real_step(alg, state)
 
     monkeypatch.setattr(modules, "_resolution_step", step)
     res = minimal_resolution(m, bound)
