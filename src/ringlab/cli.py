@@ -9,8 +9,10 @@ depth, Hilbert data), ``artin`` (truncation, socle, decomposability),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import constructions, verify
@@ -219,52 +221,32 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # refused here, before any graph is enumerated: check_example_5_4 reads
-    # the bound after every other suite, and a pool starts at its first job
+    suites = [row for name, row in verify.SUITES.items() if args.suite in (name, "all")]
+    # refused before the first suite runs: check_example_5_4 reads the bound
+    # after every corpus suite, a pool starts at its first job, and a later
+    # suite's corpus range would be refused only once the earlier ones ran
     _check_bound(args.bound, "bound")
     verify._check_threads(args.threads, "--threads")
     fields = [FieldSpec.parse(args.field)] if args.field else [QQ, GF2]
-    reports: list[verify.Report] = []
-    suite = args.suite
-    max_n = args.max_n
-    # refuse every corpus range before the first suite starts: the later
-    # suites' ranges lie within thmA's, except thmB's, which starts at n = 2
-    if suite in ("thmB", "all"):
-        verify._labeled_graphs(2, min(max_n, 5))
-    if suite in ("thmA", "all"):
-        reports.extend(verify.run_theorem_A_corpus(max_n, fields, threads=args.threads))
-    if suite in ("thmB", "all"):
-        reports.extend(verify.run_theorem_B_corpus(min(max_n, 5), fields, threads=args.threads))
-    if suite in ("gorenstein", "all"):
-        reports.append(verify.run_gorenstein_corpus(min(max_n, 5)))
-    if suite == "all":
-        reports.append(verify.run_socle_clique_corpus(max_n))
-        reports.append(verify.run_star_split_corpus(max_n))
-    if suite in ("ex311", "all"):
-        for k in range(1, 4):
-            reports.append(verify.check_example_3_11(k))
-    if suite in ("ex4x", "all"):
-        for p in (2, 3, 5, 7):
-            reports.append(verify.check_example_4x(p))
-    if suite in ("ex54", "all"):
-        reports.append(verify.check_example_5_4(args.bound))
+    for first, _ in suites:
+        if first is not None:
+            verify._check_range(first, args.max_n)
+    reports = [r for _, run in suites for r in run(args.max_n, fields, args.threads, args.bound)]
     failures = [r for r in reports if not r.passed]
     if args.output == "json":
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
     else:
         for r in failures:
             print(f"FAIL {r.check} {r.instance} witness={r.witness}")
-        by_check: dict[str, int] = {}
-        for r in reports:
-            by_check[r.check] = by_check.get(r.check, 0) + 1
-        for check, count in sorted(by_check.items()):
-            bad = sum(1 for r in failures if r.check == check)
-            print(f"{check:<22} {count - bad}/{count} passed")
+        bad = Counter(r.check for r in failures)
+        for check, count in sorted(Counter(r.check for r in reports).items()):
+            print(f"{check:<22} {count - bad[check]}/{count} passed")
         print(f"total: {len(reports) - len(failures)}/{len(reports)} passed")
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ringlab", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -300,14 +282,17 @@ def main(argv=None) -> int:
     p_res.add_argument("--output", choices=["json", "table"], default="json")
 
     p_ver = sub.add_parser("verify", help="theorem suites")
-    p_ver.add_argument("suite", choices=["thmA", "thmB", "gorenstein", "ex311", "ex4x", "ex54", "all"])
+    p_ver.add_argument("suite", choices=[*verify.SUITES, "all"])
     p_ver.add_argument("--max-n", type=int, default=5, dest="max_n")
     p_ver.add_argument("--field", help="q or fp:<p>; default runs both")
     p_ver.add_argument("--bound", type=int, default=6)
     p_ver.add_argument("--threads", type=int, default=1)
     p_ver.add_argument("--output", choices=["json", "table"], default="table")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "graph": _cmd_graph,
         "ring": _cmd_ring,

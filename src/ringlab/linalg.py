@@ -262,6 +262,7 @@ class Subspace:
         self.ncols = ncols
         self._packed = field.p == 2
         self._rows: dict = {}  # pivot column -> row in the kernel's form
+        self._mask = 0  # the pivots as bits, for packed rows
 
     @property
     def dim(self) -> int:
@@ -278,14 +279,13 @@ class Subspace:
         form: a row in the kernel's form and a nonzero integer (mod p)
         denominator."""
         rows = self._rows
-        if self._packed:
-            for pc, row in rows.items():
-                if (v >> pc) & 1:
-                    v ^= row
-            return v, d
-        p = self.field.p
         # a basis row has no entry at another pivot, so clearing the pivots
         # present in v brings no new pivot into it
+        if self._packed:
+            for pc in _set_bits(v & self._mask):
+                v ^= rows[pc]
+            return v, d
+        p = self.field.p
         for pc in [c for c in v if c in rows]:
             v, x = _clear(v, rows[pc], pc, p)
             if p is None:
@@ -310,6 +310,7 @@ class Subspace:
             for q, row in rows.items():
                 if (row >> pc) & 1:
                     rows[q] = row ^ v
+            self._mask |= 1 << pc
         else:
             p = self.field.p
             pc = min(v)

@@ -69,13 +69,7 @@ class Report:
     seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instance": self.instance,
-            "passed": self.passed,
-            "witness": self.witness,
-            "seconds": round(self.seconds, 4),
-        }
+        return {**vars(self), "seconds": round(self.seconds, 4)}
 
 
 def _graph_tag(g: Graph) -> str:
@@ -365,13 +359,17 @@ def check_example_5_4(b: int) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _labeled_graphs(first: int, max_n: int):
-    """Every labeled graph on first..max_n vertices; an oversized or empty
-    range is refused here, before any enumeration starts."""
+def _check_range(first: int, max_n: int) -> None:
+    """Refuse an oversized or empty corpus range before any enumeration."""
     if max_n > _MAX_ENUM_N:
         raise ValueError(f"corpus enumeration is capped at n <= {_MAX_ENUM_N}")
     if max_n < first:
         raise ValueError(f"empty corpus: max_n = {max_n} < {first}")
+
+
+def _labeled_graphs(first: int, max_n: int):
+    """Every labeled graph on first..max_n vertices, the range refused first."""
+    _check_range(first, max_n)
     return (g for n in range(first, max_n + 1) for g in enumerate_graphs(n))
 
 
@@ -418,52 +416,66 @@ def run_gorenstein_corpus(max_n: int) -> Report:
     return check_gorenstein_exclusion(_labeled_graphs(1, max_n))
 
 
-def run_socle_clique_corpus(max_n: int) -> Report:
-    """The socle <-> maximal clique bijection over every labeled graph."""
+def _graph_walk(check: str, max_n: int, problem) -> Report:
+    """One report over every labeled graph with n <= max_n: problem(g) is a
+    dict describing a violation at g, or None."""
     start = time.perf_counter()
     total = 0
     violations = []
     for g in _labeled_graphs(1, max_n):
         total += 1
-        mismatch = _socle_clique_mismatch(g, edge_ideal_all_squares(g))
-        if mismatch:
-            violations.append({"graph": _graph_tag(g), **mismatch})
+        found = problem(g)
+        if found:
+            violations.append({"graph": _graph_tag(g), **found})
     return Report(
-        "socle-clique",
+        check,
         f"graphs with n<={max_n}",
         not violations,
         {"graphs": total, "violations": violations},
         time.perf_counter() - start,
     )
+
+
+def run_socle_clique_corpus(max_n: int) -> Report:
+    """The socle <-> maximal clique bijection over every labeled graph."""
+    return _graph_walk("socle-clique", max_n, lambda g: _socle_clique_mismatch(g, edge_ideal_all_squares(g)))
 
 
 def run_star_split_corpus(max_n: int) -> Report:
     """Decomposability of the vertex-square quotient is exactly
     disconnectedness of the complement, and a star last vertex is isolated."""
-    start = time.perf_counter()
-    total = 0
-    violations = []
-    for g in _labeled_graphs(1, max_n):
-        total += 1
-        kprime = edge_ideal_all_squares(g)
-        split = variable_partition_decomposable(kprime)
-        comp = complement(g)
-        comp_disconnected = _is_disconnected(comp)
-        if (split is not None) != comp_disconnected:
-            violations.append({"graph": _graph_tag(g), "split": split is not None})
-            continue
-        if split is not None and is_star_vertex(g, g.n):
-            if split[0] != frozenset({f"v{g.n}"}):
-                violations.append({"graph": _graph_tag(g), "first_part": sorted(split[0])})
-    return Report(
-        "star-split",
-        f"graphs with n<={max_n}",
-        not violations,
-        {"graphs": total, "violations": violations},
-        time.perf_counter() - start,
-    )
+    return _graph_walk("star-split", max_n, _star_split_problem)
+
+
+def _star_split_problem(g: Graph) -> dict | None:
+    split = variable_partition_decomposable(edge_ideal_all_squares(g))
+    if (split is not None) != _is_disconnected(complement(g)):
+        return {"split": split is not None}
+    if split is not None and is_star_vertex(g, g.n) and split[0] != frozenset({f"v{g.n}"}):
+        return {"first_part": sorted(split[0])}
+    return None
 
 
 def _is_disconnected(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return g.n > 1 and _component_mask(g.adjacency_masks(), 1, full) != full
+
+
+# ---------------------------------------------------------------------------
+# the suite table behind `ringlab verify`
+# ---------------------------------------------------------------------------
+
+# name -> (first n of the suite's corpus, None for the fixed examples;
+# run(max_n, fields, threads, bound) giving its reports), in `verify all`
+# order.  A row looks its runner up on this module when it runs, so a runner
+# patched here is the one the row calls.
+SUITES = {
+    "thmA": (1, lambda n, fields, threads, b: run_theorem_A_corpus(n, fields, threads)),
+    "thmB": (2, lambda n, fields, threads, b: run_theorem_B_corpus(n, fields, threads)),
+    "gorenstein": (1, lambda n, fields, threads, b: [run_gorenstein_corpus(n)]),
+    "socle-clique": (1, lambda n, fields, threads, b: [run_socle_clique_corpus(n)]),
+    "star-split": (1, lambda n, fields, threads, b: [run_star_split_corpus(n)]),
+    "ex311": (None, lambda n, fields, threads, b: [check_example_3_11(k) for k in range(1, 4)]),
+    "ex4x": (None, lambda n, fields, threads, b: [check_example_4x(p) for p in (2, 3, 5, 7)]),
+    "ex54": (None, lambda n, fields, threads, b: [check_example_5_4(b)]),
+}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringlab.cli import main
+from ringlab.cli import _parser, main
 from ringlab.graphs import from_edge_list, from_json
 from ringlab.fields import QQ
 from ringlab.monomials import (
@@ -14,6 +14,7 @@ from ringlab.monomials import (
     parse_poly,
     presentation_from_json,
 )
+from ringlab.verify import SUITES
 from test_sr_invariants import projective_plane_ideal
 
 
@@ -235,6 +236,28 @@ def test_verify_ex54_at_the_bound_cap(capsys):
     assert "1/1 passed" in out
 
 
+def test_verify_thmB_runs_to_max_n(capsys):
+    # 720 (graph, star, field) checks with n <= 5 and 12,288 more at n = 6
+    code, out = run_cli(capsys, "verify", "thmB", "--max-n", "6", "--output", "json")
+    reports = json.loads(out)
+    assert code == 0
+    assert len(reports) == 13008 and all(r["passed"] for r in reports)
+
+
+def test_verify_gorenstein_runs_to_max_n(capsys):
+    code, out = run_cli(capsys, "verify", "gorenstein", "--max-n", "6", "--output", "json")
+    (report,) = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["instance"] == "graphs=33867"
+
+
+def test_verify_choices_are_the_suite_table():
+    verbs = next(a for a in _parser()._actions if a.dest == "verb")
+    suite = next(a for a in verbs.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == [*SUITES, "all"]
+    assert list(SUITES) == ["thmA", "thmB", "gorenstein", "socle-clique", "star-split", "ex311", "ex4x", "ex54"]
+
+
 def test_verify_json_schema_stable(capsys):
     code1, out1 = run_cli(capsys, "verify", "ex311", "--output", "json")
     code2, out2 = run_cli(capsys, "verify", "ex311", "--output", "json")
@@ -377,7 +400,13 @@ def test_input_directory_exits_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, capsys):
+CORPUS_SUITES = [name for name, (first, _) in SUITES.items() if first is not None]
+
+
+@pytest.mark.parametrize(
+    "suite, max_n", [("thmA", "9"), ("all", "8")] + [(name, "8") for name in CORPUS_SUITES]
+)
+def test_verify_oversized_corpus_exits_two_without_enumerating(suite, max_n, monkeypatch, capsys):
     import ringlab.verify
 
     def refuse(n):
@@ -385,10 +414,9 @@ def test_verify_oversized_corpus_exits_two_without_enumerating(monkeypatch, caps
 
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
     # 2^28 labeled graphs at n = 8: the starred ones alone outgrow memory
-    for suite, max_n in (("thmA", "9"), ("thmA", "8"), ("all", "8")):
-        code, err = run_cli_error(capsys, "verify", suite, "--max-n", max_n)
-        assert code == 2
-        assert err.startswith("error:") and "n <= 7" in err
+    code, err = run_cli_error(capsys, "verify", suite, "--max-n", max_n)
+    assert code == 2
+    assert err.startswith("error:") and "n <= 7" in err
 
 
 def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):
