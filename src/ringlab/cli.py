@@ -231,18 +231,33 @@ def _cmd_verify(args) -> int:
     for first, _ in suites:
         if first is not None:
             verify._check_range(first, args.max_n)
-    reports = [r for _, run in suites for r in run(args.max_n, fields, args.threads, args.bound)]
-    failures = [r for r in reports if not r.passed]
+    total, failed = Counter(), Counter()
+    for _, run in suites:
+        _print_reports(run(args.max_n, fields, args.threads, args.bound), args.output, total, failed)
     if args.output == "json":
-        print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
+        print("\n]" if total else "[]")
     else:
-        for r in failures:
+        for check, count in sorted(total.items()):
+            print(f"{check:<22} {count - failed[check]}/{count} passed")
+        print(f"total: {total.total() - failed.total()}/{total.total()} passed")
+    return 1 if failed else 0
+
+
+def _print_reports(reports, output: str, total: Counter, failed: Counter) -> None:
+    """Print one suite's reports as they are read and count them by check.
+
+    In JSON each report is one element of the list the whole run prints, so
+    the bytes match json.dumps of every report at once; only one suite's
+    reports are held at a time."""
+    for r in reports:
+        if output == "json":
+            body = json.dumps(r.as_dict(), indent=2, sort_keys=True).replace("\n", "\n  ")
+            print("," if total else "[", "  " + body, sep="\n", end="")
+        elif not r.passed:
             print(f"FAIL {r.check} {r.instance} witness={r.witness}")
-        bad = Counter(r.check for r in failures)
-        for check, count in sorted(Counter(r.check for r in reports).items()):
-            print(f"{check:<22} {count - bad[check]}/{count} passed")
-        print(f"total: {len(reports) - len(failures)}/{len(reports)} passed")
-    return 1 if failures else 0
+        total[r.check] += 1
+        if not r.passed:
+            failed[r.check] += 1
 
 
 @functools.cache

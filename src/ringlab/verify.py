@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .artin import (
@@ -390,6 +389,9 @@ def _map(fn, jobs: list, threads: int, chunksize: int) -> list:
         return []
     if threads == 1:
         return list(map(fn, *zip(*jobs)))
+    # imported here: the pool's multiprocessing stack costs every other run about 2.3 MB resident
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, *zip(*jobs), chunksize=chunksize))
 

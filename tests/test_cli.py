@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from ringlab.monomials import (
     parse_poly,
     presentation_from_json,
 )
-from ringlab.verify import SUITES
+from ringlab.verify import SUITES, Report
 from test_sr_invariants import projective_plane_ideal
 
 
@@ -269,6 +271,76 @@ def test_verify_json_schema_stable(capsys):
         b.pop("seconds")
     assert r1 == r2
     assert {"check", "instance", "passed", "witness"} <= set(r1[0].keys())
+
+
+def _fixed_reports(failing: bool) -> list[list[Report]]:
+    """Three suites of fresh reports: the second is empty, and the third fails one check if asked."""
+    return [
+        [Report("beta", "b1", True, {}, 0.125), Report("alpha", "a1", True, {"n": 2}, 1.5)],
+        [],
+        [Report("alpha", "a2", not failing, {"edges": [[1, 2]]}), Report("gamma", "g1", True, {}, 0.03125)],
+    ]
+
+
+def _patch_suites(monkeypatch, runners):
+    import ringlab.verify
+
+    monkeypatch.setattr(ringlab.verify, "SUITES", {f"s{i}": (None, run) for i, run in enumerate(runners)})
+
+
+def _fixed_suites(monkeypatch, failing):
+    _patch_suites(monkeypatch, [lambda *args, i=i: _fixed_reports(failing)[i] for i in range(3)])
+
+
+@pytest.mark.parametrize("failing", [True, False])
+def test_verify_streams_the_json_of_every_suite(failing, monkeypatch, capsys):
+    _fixed_suites(monkeypatch, failing)
+    reports = [r for suite in _fixed_reports(failing) for r in suite]
+    code, out = run_cli(capsys, "verify", "all", "--output", "json")
+    assert out == json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True) + "\n"
+    assert code == (1 if failing else 0)
+
+
+@pytest.mark.parametrize("failing", [True, False])
+def test_verify_streams_the_failures_and_counts_every_suite(failing, monkeypatch, capsys):
+    _fixed_suites(monkeypatch, failing)
+    reports = [r for suite in _fixed_reports(failing) for r in suite]
+    fails = [f"FAIL {r.check} {r.instance} witness={r.witness}" for r in reports if not r.passed]
+    table = [
+        f"{check:<22} {sum(r.passed for r in reports if r.check == check)}/{sum(r.check == check for r in reports)} passed"
+        for check in sorted({r.check for r in reports})
+    ]
+    total = f"total: {sum(r.passed for r in reports)}/{len(reports)} passed"
+    code, out = run_cli(capsys, "verify", "all")
+    assert out == "\n".join([*fails, *table, total]) + "\n"
+    assert len(fails) == failing
+    assert code == (1 if failing else 0)
+
+
+def test_verify_with_only_empty_suites_prints_an_empty_list(monkeypatch, capsys):
+    _patch_suites(monkeypatch, [lambda *args: [], lambda *args: []])
+    assert run_cli(capsys, "verify", "all", "--output", "json") == (0, "[]\n")
+    assert run_cli(capsys, "verify", "all") == (0, "total: 0/0 passed\n")
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_verify_holds_one_suite_at_a_time(output, monkeypatch, capsys):
+    first, alive = [], []
+
+    def run_first(*args):
+        reports = _fixed_reports(True)[0]
+        first.extend(weakref.ref(r) for r in reports)
+        return reports
+
+    def run_second(*args):
+        gc.collect()
+        alive.extend(ref() is not None for ref in first)
+        return _fixed_reports(True)[2]
+
+    _patch_suites(monkeypatch, [run_first, run_second])
+    code, _ = run_cli(capsys, "verify", "all", "--output", output)
+    assert code == 1
+    assert alive == [False, False]
 
 
 def test_usage_error_exit_two(capsys):
@@ -540,6 +612,8 @@ def test_ring_invariants_refuses_an_oversized_ring_before_the_face_search(monkey
 
 
 def _refuse_enumeration_and_pools(monkeypatch, cpus):
+    import concurrent.futures
+
     import ringlab.verify
 
     def refuse(*args, **kwargs):
@@ -547,7 +621,8 @@ def _refuse_enumeration_and_pools(monkeypatch, cpus):
 
     monkeypatch.setattr(ringlab.verify.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
-    monkeypatch.setattr(ringlab.verify, "ProcessPoolExecutor", refuse)
+    # _map imports the pool when it starts one, so the trap sits on its home module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 @pytest.mark.parametrize("threads", ["0", "-2", "5"])

@@ -3,6 +3,9 @@
 ``__init__.py`` is left out: its imports are the package's exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,3 +37,15 @@ def test_every_import_is_used(path):
 def test_the_guard_sees_an_unused_import():
     source = "from __future__ import annotations\nimport json, os.path\nfrom os import path as p, sep\nx: sep = os.sep\n"
     assert _unused_imports(source) == ["json (line 2)", "p (line 3)"]
+
+
+def test_importing_the_cli_loads_no_worker_pool():
+    # only verify --threads > 1 starts a pool; every other run would pay for
+    # multiprocessing, sockets and subprocess at import
+    probe = (
+        "import sys, ringlab, ringlab.cli, ringlab.verify; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ringlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True).stdout
+    assert out == "[]\n"

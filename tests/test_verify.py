@@ -189,6 +189,8 @@ def test_corpus_size_refused_before_enumeration(runner, monkeypatch):
 def test_corpus_thread_count_refused_before_enumeration(runner, threads, monkeypatch):
     # 0 and -4 used to run serially without a word, and 5 went straight to
     # the pool on a 4-cpu host
+    import concurrent.futures
+
     import ringlab.verify
 
     def refuse(*args, **kwargs):
@@ -196,7 +198,8 @@ def test_corpus_thread_count_refused_before_enumeration(runner, threads, monkeyp
 
     monkeypatch.setattr(ringlab.verify.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(ringlab.verify, "enumerate_graphs", refuse)
-    monkeypatch.setattr(ringlab.verify, "ProcessPoolExecutor", refuse)
+    # _map imports the pool when it starts one, so the trap sits on its home module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.raises(ValueError, match=f"threads must lie in 1..4, got {threads}"):
         runner(3, threads=threads)
 
