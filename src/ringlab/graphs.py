@@ -27,17 +27,19 @@ def _norm_edge(edge) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-class Graph:
-    """A simple graph on 1..n as one neighbour mask per vertex: bit u-1 of
-    ``adjacency_masks()[v-1]`` is set iff {u, v} is an edge.  The masks are
-    canonical, so equality and hashing read them; ``edges``, the frozenset of
-    pairs i < j, is built from them when read.  Slotted and frozen by hand: a
-    slots dataclass with an ``edges`` property raises ``TypeError``, not
-    ``FrozenInstanceError``, on assignment."""
+class Graph(tuple):
+    """A simple graph on 1..n as the tuple of its neighbour masks: bit u-1 of
+    ``g[v-1]`` is set iff {u, v} is an edge, and ``n`` is the length.  The
+    masks are canonical, so tuple hashing serves; ``edges``, the frozenset of
+    pairs i < j, is built from them when read.  One object per graph: the
+    library builds one from masks it knows are good by ``tuple.__new__``.  A
+    Graph equals only a Graph, is always truthy, and is frozen by hand."""
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ()
+    n = property(len)
+    __hash__ = tuple.__hash__
 
-    def __init__(self, n: int, edges=()):
+    def __new__(cls, n: int, edges=()):
         if type(n) is not int:
             raise ValueError(f"vertex count {n!r} is not an integer")
         if n < 0:
@@ -53,17 +55,7 @@ class Graph:
                 raise ValueError(f"edge ({i},{j}) out of range 1..{n}")
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
-        _set_n(self, n)
-        _set_adj(self, tuple(adj))
-
-    @classmethod
-    def _trusted(cls, n: int, adj: tuple) -> "Graph":
-        """The graph of the symmetric, loop-free neighbour masks ``adj`` on
-        1..n, built without validation."""
-        g = _new(cls)
-        _set_n(g, n)
-        _set_adj(g, adj)
-        return g
+        return _new(cls, adj)
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
@@ -73,13 +65,21 @@ class Graph:
     def edges(self) -> frozenset:
         return frozenset(self.sorted_edges())
 
+    # answered here, not NotImplemented: tuple's reflected == would match a plain tuple
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.n, self._adj))
+    def __ne__(self, other):
+        return not self == other
+
+    def __bool__(self):
+        return True
+
+    def _unordered(self, other):
+        raise TypeError("graphs are not ordered")
+
+    # tuple's order would rank a Graph against plain tuples it never equals
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -88,14 +88,14 @@ class Graph:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return (Graph._trusted, (self.n, self._adj))
+        return (_new, (Graph, tuple(self)))
 
     def __repr__(self):
         return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Bitmask adjacency, index and bit positions both 0-based."""
-        return self._adj
+        return tuple(self)
 
     def _check_vertex(self, v: int) -> None:
         if type(v) is not int:
@@ -107,7 +107,7 @@ class Graph:
         """The edges (i, j), i < j, in lexicographic order: the set bits
         above i of mask i-1, for i = 1..n."""
         out = []
-        for i, mask in enumerate(self._adj, 1):
+        for i, mask in enumerate(self, 1):
             mask >>= i
             while mask:
                 low = mask & -mask
@@ -116,33 +116,30 @@ class Graph:
         return out
 
 
-# the slot descriptors' setters, past the frozen __setattr__
-_new = object.__new__
-_set_n = Graph.n.__set__
-_set_adj = Graph._adj.__set__
+_new = tuple.__new__
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph._trusted(g.n, tuple(full ^ mask ^ 1 << v for v, mask in enumerate(g._adj)))
+    return _new(Graph, [full ^ mask ^ 1 << v for v, mask in enumerate(g)])
 
 
 def is_star_vertex(g: Graph, v: int) -> bool:
     """True iff v is adjacent to every other vertex (vacuously true on K1)."""
     g._check_vertex(v)
-    return g._adj[v - 1] | 1 << (v - 1) == (1 << g.n) - 1
+    return g[v - 1] | 1 << (v - 1) == (1 << g.n) - 1
 
 
 def star_vertices(g: Graph) -> list[int]:
     full = (1 << g.n) - 1
-    return [v for v, mask in enumerate(g._adj, 1) if mask | 1 << (v - 1) == full]
+    return [v for v, mask in enumerate(g, 1) if mask | 1 << (v - 1) == full]
 
 
 def whisker_all(g: Graph) -> Graph:
     """Attach a pendant vertex w_i = n+i to every vertex v_i."""
     n = g.n
-    core = tuple(mask | 1 << (n + v) for v, mask in enumerate(g._adj))
-    return Graph._trusted(2 * n, core + tuple(1 << v for v in range(n)))
+    core = [mask | 1 << (n + v) for v, mask in enumerate(g)]
+    return _new(Graph, core + [1 << v for v in range(n)])
 
 
 def whisker_except(g: Graph, v: int) -> Graph:
@@ -150,8 +147,8 @@ def whisker_except(g: Graph, v: int) -> Graph:
     g._check_vertex(v)
     n = g.n
     # the pendant of vertex u (0-based) is vertex n+u, or n+u-1 past the spared v
-    core = tuple(mask if u == v - 1 else mask | 1 << (n + u - (u >= v)) for u, mask in enumerate(g._adj))
-    return Graph._trusted(2 * n - 1, core + tuple(1 << u for u in range(n) if u != v - 1))
+    core = [mask if u == v - 1 else mask | 1 << (n + u - (u >= v)) for u, mask in enumerate(g)]
+    return _new(Graph, core + [1 << u for u in range(n) if u != v - 1])
 
 
 def maximal_cliques(g: Graph) -> list[frozenset]:
@@ -163,11 +160,10 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
     """
     if g.n == 0:
         return []
-    adj = g._adj
     full = (1 << g.n) - 1
     out: list[int] = []
     # each frame is [r, p, x, the candidates it has still to branch on]
-    stack = [[0, full, 0, _pivot_candidates(adj, full, 0)]]
+    stack = [[0, full, 0, _pivot_candidates(g, full, 0)]]
     while stack:
         frame = stack[-1]
         r, p, x, cand = frame
@@ -177,9 +173,9 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
         v = _low_vertex(cand)
         bit = 1 << v
         frame[1:] = p & ~bit, x | bit, cand & (cand - 1)
-        r, p, x = r | bit, p & adj[v], x & adj[v]
+        r, p, x = r | bit, p & g[v], x & g[v]
         if p or x:
-            stack.append([r, p, x, _pivot_candidates(adj, p, x)])
+            stack.append([r, p, x, _pivot_candidates(g, p, x)])
         else:
             out.append(r)
     cliques = [frozenset(_mask_vertices(m)) for m in out]
@@ -214,7 +210,7 @@ def enumerate_graphs(n: int) -> Iterator[Graph]:
     # the graph of low[a] | high[b] has edge mask b << half | a
     for high in _packed_masks(pairs[half:]):
         for packed in low:
-            yield Graph._trusted(n, tuple((packed | high).to_bytes(n, "little")))
+            yield _new(Graph, (packed | high).to_bytes(n, "little"))
 
 
 def _packed_masks(pairs: list) -> list[int]:

@@ -153,41 +153,40 @@ def _pair_monomial(ideal, a: str, b: str):
 
 
 def check_theorem_B(g: Graph, star: int, f: FieldSpec) -> Report:
-    """Whiskering everywhere except at a star vertex: dimension n, depth n-1;
-    the intermediate square quotient has dimension 1 and depth 0 and is
-    reached from the whiskered ring by the substitution w_u -> v_u."""
+    """The report of ``check_theorem_B_fields`` over the one field f."""
+    return check_theorem_B_fields(g, star, (f,))[f]
+
+
+def check_theorem_B_fields(g: Graph, star: int, fields) -> dict:
+    """One report per field for whiskering everywhere except at a star
+    vertex: dimension n, depth n-1; the intermediate square quotient has
+    dimension 1 and depth 0 and is reached from the whiskered ring by the
+    substitution w_u -> v_u.  Only the depths read the field; the ideals and
+    the other sub-checks are shared between the fields (shared timing)."""
     if not is_star_vertex(g, star):
         raise ValueError(f"vertex {star} is not a star vertex")
     if g.n < 2:
         raise ValueError("the one-vertex case is degenerate (no whiskers are added)")
     start = time.perf_counter()
     n = g.n
-    problems: dict = {}
+    shared: dict = {}
 
     tilde = whisker_except_edge_ideal(g, star)
     dim = krull_dim(tilde)
-    dep = depth(tilde, f)
-    if dim != n:
-        problems["tilde_dim"] = {"expected": n, "got": dim}
-    if dep != n - 1:
-        problems["tilde_depth"] = {"expected": n - 1, "got": dep}
+    deps = [depth(tilde, f) for f in fields]
 
     # polarizing kdp should give tilde up to names; then kdp reads tilde's scan
     kdp = edge_ideal_squares_except(g, star)
     polarizes_to_tilde = _adopt_scan(kdp, tilde)
     kdp_dim = krull_dim(kdp)
-    kdp_depth = depth(kdp, f)
-    if kdp_dim != 1:
-        problems["square_quotient_dim"] = {"expected": 1, "got": kdp_dim}
-    if kdp_depth != 0:
-        problems["square_quotient_depth"] = {"expected": 0, "got": kdp_depth}
+    kdp_deps = [depth(kdp, f) for f in fields]
 
     # killing v_u - w_u in the partially whiskered ring maps monomials to
     # monomials, so the substitution runs on exponent tuples
     mapping = {f"w{u}": f"v{u}" for u in range(1, n + 1) if u != star}
     collapsed = substitute_ideal(tilde, mapping)
     if collapsed != kdp:
-        problems["substitution_mismatch"] = {
+        shared["substitution_mismatch"] = {
             "collapsed": collapsed.gen_strings(),
             "target": kdp.gen_strings(),
         }
@@ -195,9 +194,9 @@ def check_theorem_B(g: Graph, star: int, f: FieldSpec) -> Report:
     if not polarizes_to_tilde:
         repolarized = polarize(kdp)
         if repolarized.nvars != tilde.nvars:
-            problems["polarization_mismatch"] = {"pol_vars": list(repolarized.ambient)}
+            shared["polarization_mismatch"] = {"pol_vars": list(repolarized.ambient)}
         else:
-            problems["polarization_mismatch"] = {
+            shared["polarization_mismatch"] = {
                 "polarized": repolarized.gen_strings(),
                 "whiskered": rename_ideal(tilde, repolarized.ambient).gen_strings(),
             }
@@ -208,17 +207,26 @@ def check_theorem_B(g: Graph, star: int, f: FieldSpec) -> Report:
     star_name = f"v{star}"
     for u in range(1, n + 1):
         if u != star and not contains(kdp, _pair_monomial(kdp, star_name, f"v{u}")):
-            problems["star_product_nonzero"] = {"u": u}
+            shared["star_product_nonzero"] = {"u": u}
     if contains(kdp, _pair_monomial(kdp, star_name, star_name)):
-        problems["star_square_zero"] = {}
+        shared["star_square_zero"] = {}
 
-    return Report(
-        "thmB",
-        f"{_graph_tag(g)} star={star} field={f}",
-        not problems,
-        problems,
-        time.perf_counter() - start,
-    )
+    elapsed = time.perf_counter() - start
+    tag = f"{_graph_tag(g)} star={star}"
+    out = {}
+    for f, dep, kdp_depth in zip(fields, deps, kdp_deps):
+        problems: dict = {}
+        if dim != n:
+            problems["tilde_dim"] = {"expected": n, "got": dim}
+        if dep != n - 1:
+            problems["tilde_depth"] = {"expected": n - 1, "got": dep}
+        if kdp_dim != 1:
+            problems["square_quotient_dim"] = {"expected": 1, "got": kdp_dim}
+        if kdp_depth != 0:
+            problems["square_quotient_depth"] = {"expected": 0, "got": kdp_depth}
+        problems.update(shared)
+        out[f] = Report("thmB", f"{tag} field={f}", not problems, problems, elapsed / len(fields))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +391,20 @@ def _check_threads(threads: int, name: str) -> None:
         raise ValueError(f"{name} must lie in 1..{cpus}, got {threads}")
 
 
-def _map(fn, jobs: list, threads: int, chunksize: int) -> list:
-    """fn(*job) for each job in order, in threads processes when threads > 1."""
+def _map(fn, jobs: list, threads: int, chunksize: int):
+    """fn(*job) for each job in order, yielded one at a time so a caller
+    that keeps only part of each result never holds them all; in threads
+    processes when threads > 1."""
     if not jobs:
-        return []
+        return
     if threads == 1:
-        return list(map(fn, *zip(*jobs)))
+        yield from map(fn, *zip(*jobs))
+        return
     # imported here: the pool's multiprocessing stack costs every other run about 2.3 MB resident
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, *zip(*jobs), chunksize=chunksize))
+        yield from pool.map(fn, *zip(*jobs), chunksize=chunksize)
 
 
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
@@ -405,13 +416,10 @@ def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list
 
 def run_theorem_B_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
-    jobs = [
-        (g, star, f)
-        for g in _labeled_graphs(2, max_n)
-        for star in star_vertices(g)
-        for f in fields
-    ]
-    return _map(check_theorem_B, jobs, threads, 16)
+    fields = tuple(fields)
+    graphs = _labeled_graphs(2, max_n)  # the range is refused even with no fields
+    jobs = [(g, star, fields) for g in graphs for star in star_vertices(g)] if fields else []
+    return [reports[f] for reports in _map(check_theorem_B_fields, jobs, threads, 16) for f in fields]
 
 
 def run_gorenstein_corpus(max_n: int) -> Report:
@@ -460,7 +468,7 @@ def _star_split_problem(g: Graph) -> dict | None:
 
 def _is_disconnected(g: Graph) -> bool:
     full = (1 << g.n) - 1
-    return g.n > 1 and _component_mask(g.adjacency_masks(), 1, full) != full
+    return g.n > 1 and _component_mask(g, 1, full) != full
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,17 @@ def test_reduced_betti_circle():
         assert scan.reduced_betti(full, 0, f) == 0
 
 
+def test_subset_homology_has_no_faces_below_size_zero():
+    # faces[-1] is the top size: read as size -1 it would be handed to
+    # rank(-1), where it changes no answer, so only a direct read sees it
+    from ringlab.sr_invariants import _SubsetHomology
+
+    scan = _Scan(ideal(["x", "y", "z"], "x*y*z"))
+    cache = _SubsetHomology(scan, scan.face_verts, 0)
+    assert cache.faces[-1] and cache.faces[0] == [0]
+    assert cache._faces_at(-1) == [] and cache._faces_at(len(cache.faces)) == []
+
+
 def random_complexes(seed: int, count: int):
     """(scan, W) pairs: random squarefree ideals on 6 variables, flag and not,
     with random vertex subsets W."""

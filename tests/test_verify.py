@@ -22,6 +22,7 @@ from ringlab.verify import (
     check_gorenstein_exclusion,
     check_theorem_A_fields,
     check_theorem_B,
+    check_theorem_B_fields,
     run_gorenstein_corpus,
     run_socle_clique_corpus,
     run_star_split_corpus,
@@ -66,6 +67,40 @@ def test_thmB_p3():
 def test_thmB_k3_multiplication_facts():
     r = check_theorem_B(named_graph("k3"), 3, QQ)
     assert r.passed, r.witness
+
+
+def test_thmB_fused_fields_match_single():
+    # one job per (graph, star) gives each field the report of its own call
+    for n in range(2, 5):
+        for g in enumerate_graphs(n):
+            for star in star_vertices(g):
+                both = check_theorem_B_fields(g, star, (QQ, GF2))
+                assert list(both) == [QQ, GF2]
+                for f in (QQ, GF2):
+                    one = check_theorem_B(g, star, f)
+                    assert (both[f].instance, both[f].passed, both[f].witness) == (one.instance, one.passed, one.witness)
+
+
+def test_thmB_witness_keys_keep_their_order(monkeypatch):
+    # every sub-check forced to fail, and the depths wrong over q only: each
+    # field's witness holds its own depths, then the shared checks, in the
+    # order of the checks (text mode prints the dict as it stands)
+    import ringlab.verify as v
+
+    real_depth = v.depth
+    monkeypatch.setattr(v, "krull_dim", lambda ideal: 9)
+    monkeypatch.setattr(v, "depth", lambda ideal, f: 9 if f is QQ else real_depth(ideal, f))
+    monkeypatch.setattr(v, "_adopt_scan", lambda ideal, twin: False)
+    monkeypatch.setattr(v, "substitute_ideal", lambda ideal, mapping: ideal)
+    monkeypatch.setattr(v, "contains", lambda ideal, mono: max(mono) == 2)
+    g = named_graph("k3")
+    reports = check_theorem_B_fields(g, 3, (QQ, GF2))
+    shared = ["substitution_mismatch", "polarization_mismatch", "star_product_nonzero", "star_square_zero"]
+    assert list(reports[QQ].witness) == ["tilde_dim", "tilde_depth", "square_quotient_dim", "square_quotient_depth", *shared]
+    assert list(reports[GF2].witness) == ["tilde_dim", "square_quotient_dim", *shared]
+    assert reports[GF2].witness["star_product_nonzero"] == {"u": 2} and not reports[GF2].passed
+    assert reports[QQ].instance == "n=3 edges=[(1, 2), (1, 3), (2, 3)] star=3 field=q"
+    assert check_theorem_B(g, 3, QQ).witness == reports[QQ].witness
 
 
 def test_thmB_rejects_non_star():
@@ -160,6 +195,16 @@ def test_corpus_parallel_matches_serial():
 @pytest.mark.parametrize("runner", [run_theorem_A_corpus, run_theorem_B_corpus])
 def test_corpus_with_no_fields_is_empty(runner):
     assert runner(3, fields=()) == []
+
+
+def test_thmB_corpus_with_no_fields_checks_no_pair(monkeypatch):
+    import ringlab.verify
+
+    def refuse(*args):
+        raise AssertionError("a pair was checked for no field")
+
+    monkeypatch.setattr(ringlab.verify, "check_theorem_B_fields", refuse)
+    assert run_theorem_B_corpus(5, fields=()) == []
 
 
 @pytest.mark.parametrize(
@@ -265,16 +310,18 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
     assert all(r.passed for r in run_theorem_A_corpus(4))
     assert counts == {"scan": 0, "gf2": 29, "q": 0, "certified": 29}
     counts.update(gf2=0, certified=0)
-    # two depths per (graph, star, field), 80 reports, on one search each:
-    # the square quotient reads the partly whiskered ring's scan
+    # one search per (graph, star), 40 pairs for 80 reports: both fields'
+    # depths read it, and the square quotient reads the partly whiskered
+    # ring's scan
     assert all(r.passed for r in run_theorem_B_corpus(4))
-    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 80}
+    assert counts == {"scan": 0, "gf2": 0, "q": 0, "certified": 40}
 
 
 def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
     # the star's products are settled by ideal membership, so no truncation
-    # runs; the dimension, the depth and the polarization check of a report
-    # share one polarization of its square quotient
+    # runs; the dimension, the depth over each field and the polarization
+    # check of a (graph, star) pair share one polarization of its square
+    # quotient, built once for both fields' reports
     from functools import cached_property
 
     import ringlab.verify
@@ -299,9 +346,9 @@ def test_thmB_polarizes_each_square_quotient_once(monkeypatch):
     counts = {"truncate": 0}
     monkeypatch.setattr(ringlab.verify, "truncate", _counting(counts, "truncate", ringlab.verify.truncate))
     reports = run_theorem_B_corpus(4)
-    assert len(reports) == len(kdps) == 80 and all(r.passed for r in reports)
+    assert len(reports) == 2 * len(kdps) == 80 and all(r.passed for r in reports)
     assert counts == {"truncate": 0}
-    assert [sum(p is k for p in polarized) for k in kdps] == [1] * 80
+    assert [sum(p is k for p in polarized) for k in kdps] == [1] * 40
 
 
 def test_theorem_runners_scan_each_ideal_once(monkeypatch):
@@ -336,8 +383,9 @@ def test_theorem_runners_scan_each_ideal_once(monkeypatch):
             monkeypatch.setattr(module, name, _counting(counts, name, real), raising=False)
     reports = run_theorem_B_corpus(4)
     assert len(reports) == 80 and all(r.passed for r in reports)
-    assert len(built) == 160 and counts == {"presentation_of": 0, "substitute": 0}
-    assert [sum(s is b for s in scanned) for b in built] == [1, 0] * 80
+    # two ideals per (graph, star), shared by its two fields' reports
+    assert len(built) == 80 and counts == {"presentation_of": 0, "substitute": 0}
+    assert [sum(s is b for s in scanned) for b in built] == [1, 0] * 40
     assert all("_scan" in kdp.__dict__ for kdp in built[1::2])
     scanned.clear()
     built.clear()
