@@ -69,8 +69,8 @@ class LocalAlgebra:
     """A finite-dimensional commutative local algebra over an exact field.
 
     Not constructed directly; use :func:`truncate`.  ``var_images``,
-    ``filtration`` and ``index`` are computed on first read: the socle of a
-    monomial algebra needs none of them.
+    ``var_sparse``, ``basis_parents``, ``filtration`` and ``index`` are
+    computed on first read: the socle of a monomial algebra needs none of them.
     """
 
     def __init__(self, field, names, trunc_order, basis, reductions, presentation, socle):
@@ -84,8 +84,6 @@ class LocalAlgebra:
         self._socle = socle  # the socle monomials on the monomial path, else None
         self._monomial_path = socle is not None
         self._products: dict[tuple[int, int], tuple] = {}
-        self._var_sparse: list[list[list[tuple[int, object]]] | None] = [None] * len(names)
-        self._parents: list[tuple[int, int] | None] | None = None
 
     # -- basic element helpers ------------------------------------------------
 
@@ -150,18 +148,19 @@ class LocalAlgebra:
                     out[k] = f.add(out[k], f.mul(ab, c))
         return tuple(out)
 
-    def var_sparse(self, k: int) -> list[list[tuple[int, object]]]:
-        """Multiplication by variable k as sparse columns: column j lists the
-        nonzero (index, coefficient) pairs of the normal form of x_k * m_j."""
-        if self._var_sparse[k] is None:
-            x = self._var_monomial(k)
-            self._var_sparse[k] = [list(self._normal_form(monomial_mul(x, m))) for m in self.basis_monomials]
-        return self._var_sparse[k]
+    @cached_property
+    def var_sparse(self) -> list[list[list[tuple[int, object]]]]:
+        """Multiplication by each variable k as sparse columns: column j lists
+        the nonzero (index, coefficient) pairs of the normal form of x_k * m_j."""
+        return [
+            [list(self._normal_form(monomial_mul(self._var_monomial(k), m))) for m in self.basis_monomials]
+            for k in range(self.nvars)
+        ]
 
     def var_multiply(self, k: int, vec) -> tuple:
         self._check_length(vec)
         f = self.field
-        cols = self.var_sparse(k)
+        cols = self.var_sparse[k]
         out = [f.zero()] * self.dim_k
         for j, c in enumerate(vec):
             if c:
@@ -190,20 +189,19 @@ class LocalAlgebra:
     def _homogeneous(self) -> bool:
         return all(g.min_degree() == g.max_degree() for g in self.presentation.gens)
 
+    @cached_property
     def basis_parents(self) -> list[tuple[int, int] | None]:
         """For each basis monomial, a (variable, smaller basis index) factorization."""
-        if self._parents is None:
-            parents: list[tuple[int, int] | None] = []
-            for m in self.basis_monomials:
-                if monomial_degree(m) == 0:
-                    parents.append(None)
-                    continue
-                k = next(idx for idx, e in enumerate(m) if e)
-                reduced = list(m)
-                reduced[k] -= 1
-                parents.append((k, self.index[tuple(reduced)]))
-            self._parents = parents
-        return self._parents
+        parents: list[tuple[int, int] | None] = []
+        for m in self.basis_monomials:
+            if monomial_degree(m) == 0:
+                parents.append(None)
+                continue
+            k = next(idx for idx, e in enumerate(m) if e)
+            reduced = list(m)
+            reduced[k] -= 1
+            parents.append((k, self.index[tuple(reduced)]))
+        return parents
 
     def element_from_linear(self, coeffs: dict[str, object]) -> tuple:
         f = self.field
@@ -399,7 +397,7 @@ def socle(a: LocalAlgebra) -> list[tuple]:
     """
     if a._monomial_path:
         return [a._basis_vec(a.index[m]) for m in socle_monomials(a)]
-    rows = [dict(row) for k in range(a.nvars) for row in _transpose(a.var_sparse(k), a.dim_k)]
+    rows = [dict(row) for cols in a.var_sparse for row in _transpose(cols, a.dim_k)]
     zero = a.field.zero()
     return [tuple(vec.get(j, zero) for j in range(a.dim_k)) for vec in null_space(a.field, rows, a.dim_k)]
 

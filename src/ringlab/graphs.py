@@ -93,10 +93,6 @@ class Graph(tuple):
     def __repr__(self):
         return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Bitmask adjacency, index and bit positions both 0-based."""
-        return tuple(self)
-
     def _check_vertex(self, v: int) -> None:
         if type(v) is not int:
             raise ValueError(f"vertex {v!r} is not an integer")

@@ -6,8 +6,8 @@ reductions fill one row by row and read its rows and pivots.  No other
 module of the package builds a ``Matrix``; the benchmark's probes still name
 its methods.  Rows enter the kernel dense or sparse ({column: entry}, as the
 module engine and ``truncate`` build them) and go straight into its form,
-with no per-entry ``coerce``; only the public ``Subspace.add`` and
-``contains`` check and coerce their input.
+with no per-entry ``coerce``; only the public ``Subspace.add`` checks and
+coerces its input.
 Over GF(2) that form is a row packed into a Python int, so each row
 operation is a single XOR.  Elsewhere it is a sparse integer row {column:
 nonzero int}, so a row operation costs the nonzeros of the two rows, not
@@ -268,12 +268,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _checked(self, vec) -> list:
-        """vec with its length checked and its entries coerced."""
-        if len(vec) != self.ncols:
-            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
-        return [self.field.coerce(x) for x in vec]
-
     def _reduce(self, v, d: int) -> tuple:
         """The residual of v / d modulo the span, as (row, d) in the same
         form: a row in the kernel's form and a nonzero integer (mod p)
@@ -336,11 +330,11 @@ class Subspace:
         return tuple(_quotient(v.get(j, 0), d, p) for j in range(self.ncols))
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True iff it enlarged the span."""
-        return self._add_row(self._checked(vec))
-
-    def contains(self, vec) -> bool:
-        return not any(self._residual(self._checked(vec)))
+        """Insert a vector, its length checked and its entries coerced;
+        returns True iff it enlarged the span."""
+        if len(vec) != self.ncols:
+            raise ValueError(f"vector of length {len(vec)} in a subspace of k^{self.ncols}")
+        return self._add_row([self.field.coerce(x) for x in vec])
 
     def pivots(self) -> tuple[int, ...]:
         return tuple(sorted(self._rows))

@@ -87,8 +87,9 @@ class FPModule:
     gives each basis element a degree in the algebra's grading (see
     ``LocalAlgebra.degrees``), under which x_k must send degree d only to
     degree d + deg(x_k); without it, or with every degree (), the module is
-    trivially graded.  The action is kept as sparse columns,
-    ``var_sparse(k)``.
+    trivially graded.  The action is kept as sparse columns: column j of
+    ``var_sparse[k]`` lists the nonzero (row, entry) pairs of x_k times basis
+    element j.
     """
 
     def __init__(self, algebra: LocalAlgebra, dim: int, actions, label: str | None = None, degrees=None):
@@ -125,25 +126,20 @@ class FPModule:
         self.dim = dim
         self.label = label
         self.degrees = ((),) * dim if degrees is None else tuple(degrees)
-        self._var_sparse = var_sparse
+        self.var_sparse = var_sparse
         self._basis_actions: list[list[dict] | None] = [None] * algebra.dim_k
         self._res_state: dict | None = None
-
-    def var_sparse(self, k: int) -> list[list[tuple[int, object]]]:
-        """Variable k's action as sparse columns: column j lists the nonzero
-        (row, entry) pairs of x_k times basis element j."""
-        return self._var_sparse[k]
 
     def _basis_action(self, b: int) -> list[dict]:
         """Action of the b-th algebra basis element as sparse columns
         {row: entry}, built along the division tree."""
         if self._basis_actions[b] is None:
-            parent = self.algebra.basis_parents()[b]
+            parent = self.algebra.basis_parents[b]
             if parent is None:
                 one = self.algebra.field.one()
                 self._basis_actions[b] = [{j: one} for j in range(self.dim)]
             else:
-                cols = self._var_sparse[parent[0]]
+                cols = self.var_sparse[parent[0]]
                 below = self._basis_action(parent[1])
                 self._basis_actions[b] = [_act(self.algebra.field, cols, col, self.dim) for col in below]
         return self._basis_actions[b]
@@ -214,8 +210,7 @@ def residue_field(a: LocalAlgebra) -> FPModule:
 
 
 def free_module(a: LocalAlgebra) -> FPModule:
-    actions = [a.var_sparse(k) for k in range(a.nvars)]
-    return FPModule._trusted(a, a.dim_k, actions, label="A", degrees=a.degrees)
+    return FPModule._trusted(a, a.dim_k, a.var_sparse, label="A", degrees=a.degrees)
 
 
 def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
@@ -274,7 +269,7 @@ def _resolution_state(m: FPModule, bound: int) -> dict:
             "span_degrees": m.degrees,
             "rows": rows,
             "index": {},
-            "action": (m._var_sparse, m.dim),
+            "action": (m.var_sparse, m.dim),
         }
     state = m._res_state
     while len(state["betti"]) <= bound:
@@ -333,7 +328,7 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
         space = spaces[deg]
         return space.dim < count[deg] and space._add_row({index[pos]: c for pos, c in vec.items()})
 
-    root = a.basis_parents().index(None)
+    root = a.basis_parents.index(None)
     shifts = [a._grade(a._var_monomial(k)) for k in range(a.nvars)]
     targets: dict = {}
     for i, deg in enumerate(span_degrees):
@@ -388,7 +383,7 @@ def _cover_kernel(a: LocalAlgebra, state: dict) -> None:
         kernel.extend(found)
         degrees.extend([deg] * len(found))
     state["span"], state["span_degrees"], state["rows"], state["index"] = kernel, degrees, groups, {}
-    state["action"] = ([a.var_sparse(k) for k in range(a.nvars)], d)
+    state["action"] = (a.var_sparse, d)
 
 
 def _products(a: LocalAlgebra, state: dict):
@@ -398,7 +393,7 @@ def _products(a: LocalAlgebra, state: dict):
     f = a.field
     span, formed = state["span"], state["formed"]
     cols, block = state["action"]
-    parents = a.basis_parents()
+    parents = a.basis_parents
 
     def times(k, i, b) -> dict:
         if (k, i, b) not in formed:
@@ -576,7 +571,7 @@ def _matlis_dual(m: FPModule) -> FPModule:
     """M^v = Hom_k(M, k), which is Hom_A(M, E) for a finite-length M: x_k acts
     on the dual basis by the transpose of its action on M, and the dual of a
     basis element of degree d has degree -d (the trivial degree () stays ())."""
-    actions = [_transpose(m.var_sparse(k), m.dim) for k in range(m.algebra.nvars)]
+    actions = [_transpose(cols, m.dim) for cols in m.var_sparse]
     degrees = [tuple(-e for e in deg) for deg in m.degrees]
     return FPModule._trusted(m.algebra, m.dim, actions, label=f"({m.label or '?'})^v", degrees=degrees)
 
@@ -600,8 +595,8 @@ def hom_module(m: FPModule, n: FPModule):
     unknowns = dn * dm  # Phi[s][t], flat index s * dm + t
     rows = []
     for k in range(m.algebra.nvars):
-        rm_cols = m.var_sparse(k)
-        for a_, rn_row in enumerate(_transpose(n.var_sparse(k), dn)):
+        rm_cols = m.var_sparse[k]
+        for a_, rn_row in enumerate(_transpose(n.var_sparse[k], dn)):
             for b_ in range(dm):
                 row = {a_ * dm + t: v for t, v in rm_cols[b_]}
                 for s, v in rn_row:
@@ -614,7 +609,7 @@ def hom_module(m: FPModule, n: FPModule):
     frees = [next(reversed(vec)) for vec in basis]
     actions = []
     for k in range(m.algebra.nvars):
-        rn_cols = n.var_sparse(k)
+        rn_cols = n.var_sparse[k]
         cols = []
         for vec in basis:
             # (rn Phi)[s][t] = sum over u of rn[s][u] Phi[u][t]

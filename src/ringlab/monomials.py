@@ -185,7 +185,7 @@ def _quadrics(g: Graph, squares: int) -> frozenset:
     distinct degree-2 monomials, a minimal generating set."""
     n = g.n
     gens = []
-    # the graph itself, not adjacency_masks(): module-engine's benchmark guard
+    # read the masks off the graph itself: module-engine's benchmark guard
     # counts every call into graphs, and its one fixture ideal makes none
     for i, mask in enumerate(g):
         if squares >> i & 1:

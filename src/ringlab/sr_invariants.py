@@ -73,17 +73,17 @@ def krull_dim(ideal: MonomialIdeal) -> int:
     above the size limit."""
     if max(map(sum, ideal.gens), default=0) <= 2:
         scan = _scan_of(ideal)
-        sizes = scan.vd_facet_sizes()
+        sizes = scan.vd_facet_sizes
         if sizes is not None:
             return sizes[1] - scan.added
     scan = _face_scan(ideal)
-    return scan.max_face_size() - scan.added
+    return scan.max_face_size - scan.added
 
 
 def depth(ideal: MonomialIdeal, field: FieldSpec) -> int:
     """Depth of the quotient over the given field."""
     scan = _limited_scan(ideal)
-    sizes = scan.vd_facet_sizes()
+    sizes = scan.vd_facet_sizes
     if sizes is not None:
         return sizes[0] - scan.added
     top = scan.top_hochster((field,), 0)[field]
@@ -103,10 +103,10 @@ def cohen_macaulay_witness_fields(ideal: MonomialIdeal, fields) -> dict:
     fp:2 together costs about as much as one of them.
     """
     scan = _limited_scan(ideal)
-    sizes = scan.vd_facet_sizes()
+    sizes = scan.vd_facet_sizes
     if sizes is not None and sizes[0] == sizes[1] and scan.is_sphere_wedge_shaped(sizes[1]):
         return dict.fromkeys(fields)
-    d = scan.max_face_size() if sizes is None else sizes[1]
+    d = scan.max_face_size if sizes is None else sizes[1]
     found = scan.top_hochster(tuple(fields), scan.n - d)
     out = {}
     for f, witness in found.items():
@@ -270,21 +270,14 @@ class _Scan:
             by_size.pop()
         return tuple(len(s) for s in by_size)
 
-    def max_face_size(self) -> int:
-        """Size of a largest face; searched at most once per scan."""
-        return self._max_face_size
-
-    def vd_facet_sizes(self) -> tuple[int, int] | None:
-        """See ``_vd_facet_sizes``; searched at most once per scan."""
-        return self._vd_facet_sizes
-
     @cached_property
-    def _max_face_size(self) -> int:
-        """Branch and bound over faces, depth first with the vertices in
-        ascending order; a branch stops once its face plus every candidate
-        left cannot beat the best size, which is re-checked whenever a branch
-        is resumed after its child.  The branches wait on an explicit stack,
-        so the search has no recursion depth to exceed."""
+    def max_face_size(self) -> int:
+        """Size of a largest face, by branch and bound over faces, depth first
+        with the vertices in ascending order; a branch stops once its face
+        plus every candidate left cannot beat the best size, which is
+        re-checked whenever a branch is resumed after its child.  The branches
+        wait on an explicit stack, so the search has no recursion depth to
+        exceed."""
         best = 0
         # (face, its size, candidates above its last vertex)
         stack = [(0, 0, self.face_verts)]
@@ -303,7 +296,7 @@ class _Scan:
         return best
 
     @cached_property
-    def _vd_facet_sizes(self) -> tuple[int, int] | None:
+    def vd_facet_sizes(self) -> tuple[int, int] | None:
         """(smallest, largest) facet size of a flag complex certified
         vertex-decomposable, or None (non-flag, or no certificate found).
 
@@ -410,7 +403,7 @@ class _Scan:
             scan ^= bit
             if self.compat[u] & wfv != wfv & ~bit:
                 continue
-            if all(g & ~(w_mask | bit) != 0 or not g >> u & 1 for g in self.gens_by_vertex[u]):
+            if all(g & ~w_mask for g in self.gens_by_vertex[u]):
                 return True
         return False
 

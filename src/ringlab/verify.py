@@ -410,7 +410,8 @@ def _map(fn, jobs: list, threads: int, chunksize: int):
 def run_theorem_A_corpus(max_n: int, fields=(QQ, GF2), threads: int = 1) -> list[Report]:
     _check_threads(threads, "threads")
     fields = tuple(fields)
-    jobs = [(g, fields) for g in starred_graphs(max_n)]
+    graphs = starred_graphs(max_n)  # the range is refused even with no fields
+    jobs = [(g, fields) for g in graphs] if fields else []
     return [reports[f] for reports in _map(check_theorem_A_fields, jobs, threads, 64) for f in fields]
 
 

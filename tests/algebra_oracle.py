@@ -174,7 +174,7 @@ def power_dims(a) -> tuple:
 def dense_action(m, k: int) -> list[list]:
     """Variable k's action on m as a list of rows, read off its sparse columns."""
     rows = [[m.algebra.field.zero()] * m.dim for _ in range(m.dim)]
-    for j, col in enumerate(m.var_sparse(k)):
+    for j, col in enumerate(m.var_sparse[k]):
         for i, x in col:
             rows[i][j] = x
     return rows

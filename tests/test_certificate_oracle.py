@@ -51,7 +51,7 @@ def scan_answers(ideal, witnesses: bool = True) -> dict:
     ring is not CM over some field) the raw CM witness (W mask, degree) of
     the forced scan."""
     scan = _Scan(ideal)
-    top = scan.max_face_size()
+    top = scan.max_face_size
     pd_top = scan.top_hochster(FIELDS, 0)
     out = {"dim": top - scan.added}
     for f, t in pd_top.items():
@@ -84,7 +84,7 @@ def check_certificate(ideal, want: dict) -> bool:
     """The certificate's answers against the scan's; False when the rule
     finds no certificate."""
     scan = _Scan(ideal)
-    sizes = scan.vd_facet_sizes()
+    sizes = scan.vd_facet_sizes
     if sizes is None:
         return False
     low, high = sizes[0] - scan.added, sizes[1] - scan.added
@@ -145,7 +145,7 @@ def test_the_five_cycle_reaches_the_scan():
     # no vertex of C5 has a neighbour whose closed neighbourhood lies in its
     # own, so the rule finds no certificate although the complex is CM
     ideal = edge_ideal(named_graph("c5"))
-    assert _Scan(ideal).vd_facet_sizes() is None
+    assert _Scan(ideal).vd_facet_sizes is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [2, 2, 2] and want["dim"] == 2
     check_public_answers(ideal, want)
@@ -160,10 +160,10 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
 
     ideal = edge_ideal(named_graph("c4"))
     scan = _Scan(ideal)
-    assert scan.vd_facet_sizes() is None
+    assert scan.vd_facet_sizes is None
     assert not scan.is_sphere_wedge_shaped(2)
     want = scan_answers(ideal)
-    monkeypatch.setattr(sr._Scan, "vd_facet_sizes", lambda self: (2, 2))
+    monkeypatch.setattr(sr._Scan, "vd_facet_sizes", property(lambda self: (2, 2)))
     assert cohen_macaulay_witness_fields(ideal, (GF2,))[GF2] is not None
     witnesses = cohen_macaulay_witness_fields(ideal, FIELDS)
     assert all(raw_witness(ideal, witnesses[f]) == want["witness"][f] for f in FIELDS)
@@ -173,7 +173,7 @@ def test_the_projective_plane_keeps_its_diverging_verdicts():
     # non-flag, so never certified: q and GF(3) say CM, GF(2) does not
     ideal = projective_plane_ideal()
     scan = _Scan(ideal)
-    assert scan.vd_facet_sizes() is None
+    assert scan.vd_facet_sizes is None
     want = scan_answers(ideal)
     assert [want[f] for f in FIELDS] == [3, 2, 3]
     check_public_answers(ideal, want)
@@ -205,9 +205,9 @@ def test_dimension_of_a_certified_ring_skips_the_face_search(monkeypatch):
     def refuse(self):
         raise AssertionError("max-face search started")
 
-    monkeypatch.setattr(sr._Scan, "max_face_size", refuse)
+    monkeypatch.setattr(sr._Scan, "max_face_size", property(refuse))
     assert krull_dim(whiskered_edge_ideal(Graph(20, []))) == 20
-    assert _Scan(whiskered_edge_ideal(Graph(20, []))).vd_facet_sizes() == (20, 20)
+    assert _Scan(whiskered_edge_ideal(Graph(20, []))).vd_facet_sizes == (20, 20)
 
 
 @pytest.mark.parametrize("m", [1, 3, 5])
@@ -221,7 +221,7 @@ def test_cones_certify_through_their_apexes(m):
     triangle = Graph(m + 3, [(1, 2), (2, 3), (1, 3)])
     for g in (simplex, pendants, triangle):
         ideal = edge_ideal(g)
-        assert _Scan(ideal).vd_facet_sizes() == facet_sizes(g), g
+        assert _Scan(ideal).vd_facet_sizes == facet_sizes(g), g
         check_public_answers(ideal, scan_answers(ideal))
 
 
@@ -240,13 +240,13 @@ def test_uncertified_rings_above_the_size_limit(monkeypatch):
 
     cycles = Graph(15, [(5 * c + k, 5 * c + k % 5 + 1) for c in range(3) for k in range(1, 6)])
     ideal = edge_ideal(cycles)
-    assert _Scan(ideal).vd_facet_sizes() is None
+    assert _Scan(ideal).vd_facet_sizes is None
     assert krull_dim(ideal) == 6
 
     def refuse(self):
         raise AssertionError("max-face search started")
 
-    monkeypatch.setattr(sr._Scan, "max_face_size", refuse)
+    monkeypatch.setattr(sr._Scan, "max_face_size", property(refuse))
     squared = MonomialIdeal(ideal.ambient + ("y",), [g + (0,) for g in ideal.gens] + [(0,) * 15 + (2,)])
     with pytest.raises(ValueError, match="size limit exceeded: 17 variables after polarization"):
         krull_dim(squared)

@@ -605,7 +605,7 @@ def test_ring_invariants_refuses_an_oversized_ring_before_the_face_search(monkey
     def refuse(*args):
         raise AssertionError("face search started")
 
-    monkeypatch.setattr(ringlab.sr_invariants._Scan, "max_face_size", refuse)
+    monkeypatch.setattr(ringlab.sr_invariants._Scan, "max_face_size", property(refuse))
     code, err = run_cli_error(capsys, "ring", "invariants", "--name", "sigma:e8")
     assert code == 2
     assert err.startswith("error:") and "size limit exceeded" in err

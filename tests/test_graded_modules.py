@@ -495,7 +495,7 @@ def test_matlis_dual_is_an_involution_on_the_action(name, field):
         again = modules._matlis_dual(dual)
         assert again.dim == m.dim and again.degrees == m.degrees
         for k in range(a.nvars):
-            assert [dict(col) for col in again.var_sparse(k)] == [dict(col) for col in m.var_sparse(k)]
+            assert [dict(col) for col in again.var_sparse[k]] == [dict(col) for col in m.var_sparse[k]]
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)

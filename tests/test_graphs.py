@@ -181,7 +181,7 @@ def test_graph_is_slotted_and_frozen():
 
 def test_graph_is_one_tuple_that_equals_only_graphs():
     g = Graph.from_edges(4, [(1, 2), (2, 3)])
-    masks = g.adjacency_masks()
+    masks = tuple(g)
     assert type(masks) is tuple and masks == (2, 5, 2, 0)
     # no second object holds the masks
     assert sys.getsizeof(g) == sys.getsizeof(masks)
@@ -261,10 +261,9 @@ def test_whisker_restriction_and_degrees(g):
     # restriction to the original vertices is g
     original = frozenset(e for e in w.edges if max(e) <= g.n)
     assert original == g.edges
-    adj = w.adjacency_masks()
     for i in range(1, g.n + 1):
-        assert adj[g.n + i - 1].bit_count() == 1
-        assert adj[i - 1].bit_count() >= 1
+        assert w[g.n + i - 1].bit_count() == 1
+        assert w[i - 1].bit_count() >= 1
 
 
 @given(graphs(max_n=5))
@@ -326,10 +325,9 @@ def test_mask_operations_match_the_pair_sets(n):
     for g in enumerate_graphs(n):
         edges = g.edges
         assert g.sorted_edges() == sorted(edges)
-        adj = g.adjacency_masks()
         for i in vertices:
             for j in vertices:
-                assert adj[i - 1] >> (j - 1) & 1 == adj[j - 1] >> (i - 1) & 1 == (_pair(i, j) in edges)
+                assert g[i - 1] >> (j - 1) & 1 == g[j - 1] >> (i - 1) & 1 == (_pair(i, j) in edges)
         assert complement(g) == Graph(n, {(i, j) for i in vertices for j in vertices if i < j} - edges)
         assert whisker_all(g) == Graph(2 * n, edges | {(v, n + v) for v in vertices})
         for v in vertices:
@@ -346,7 +344,7 @@ def test_mask_operations_match_the_pair_sets(n):
 def test_large_graph_operations_are_linear_in_the_masks():
     g = Graph(1000)
     start = time.perf_counter()
-    assert len(complement(g).adjacency_masks()) == 1000
+    assert len(complement(g)) == 1000
     assert whisker_all(g).n == 2000
     assert time.perf_counter() - start < 1.0
 

@@ -195,7 +195,6 @@ def test_subspace_matches_sympy():
             assert sub.dim == len(pivots) and sub.pivots() == pivots
             assert [list(r) for r in sub.basis_rows()] == rows
             for v in vecs:
-                assert sub.contains(v)
                 assert not any(sub._residual([field.coerce(x) for x in v]))
 
 
@@ -245,7 +244,6 @@ def test_sparse_rows_match_sympy_on_the_dense_rows(field):
             rng.shuffle(keys)
             assert list(span._residual(vec)) == residual
             assert list(span._residual({j: vec[j] for j in keys})) == residual
-            assert span.contains(vec) == (not any(residual))
     assert empty and late_pivot
 
 
@@ -325,16 +323,15 @@ def test_subspace_refuses_wrong_length_vectors(field):
     sub = Subspace(field, 3)
     sub.add([1, 1, 0])
     for vec in ([0, 0, 1, 0], [1, 2], []):
-        for call in (sub.add, sub.contains):
-            with pytest.raises(ValueError, match="length"):
-                call(vec)
+        with pytest.raises(ValueError, match="length"):
+            sub.add(vec)
     assert sub.dim == 1
     assert sub.basis_rows() == [(1, 1, 0)]
 
 
 @pytest.mark.parametrize("field", [GF2, GF5, QQ], ids=str)
 def test_subspace_coerces_its_entries_over_every_field(field):
-    # add and contains take each entry through the field's coerce,
+    # add takes each entry through the field's coerce,
     # GF(2) included: a Fraction, a string, a bool or a negative entry means
     # what coerce makes of it
     entries = [Fraction(1, 3), "2/7", True, -3, Fraction(-4, 9), "-1"]
@@ -344,13 +341,11 @@ def test_subspace_coerces_its_entries_over_every_field(field):
         sub, ref = Subspace(field, 3), Subspace(field, 3)
         assert sub.add(vec) == ref.add(want) == any(want)
         assert sub.basis_rows() == ref.basis_rows()
-        assert sub.contains(want) and ref.contains(vec)
         assert sub._residual(probe) == ref._residual(probe)
     if field == GF2:
         # 1/2 has no value mod 2: the error is coerce's, not a TypeError
-        for call in (Subspace(field, 2).add, Subspace(field, 2).contains):
-            with pytest.raises(ZeroDivisionError, match="mod 2"):
-                call([Fraction(1, 2), 0])
+        with pytest.raises(ZeroDivisionError, match="mod 2"):
+            Subspace(field, 2).add([Fraction(1, 2), 0])
 
 
 def test_only_linalg_names_matrix():

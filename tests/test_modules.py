@@ -83,7 +83,7 @@ def test_residue_field_basic():
     a = dual_numbers()
     k = residue_field(a)
     assert k.dim == 1 and k.label == "k"
-    assert all(not col for v in range(a.nvars) for col in k.var_sparse(v))
+    assert all(not col for v in range(a.nvars) for col in k.var_sparse[v])
 
 
 def test_free_module_is_regular_representation():

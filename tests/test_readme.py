@@ -1,11 +1,14 @@
-"""The README's library example and CLI lines run as written against the installed package."""
+"""The README's library example and CLI lines run as written against the
+installed package, and its ``verify`` suite table lists ``verify.SUITES``."""
 
 import json
 import re
 import shlex
+from itertools import takewhile
 from pathlib import Path
 
 from ringlab.cli import main
+from ringlab.verify import SUITES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +39,16 @@ def test_readme_cli_lines_exit_zero(tmp_path, monkeypatch, capsys):
             assert argv[argv.index("--input") + 1] in INPUT_FILES, line
         assert main(argv) == 0, line
         capsys.readouterr()
+
+
+def test_readme_suite_table_lists_verify_suites():
+    # one row per suite, in the order `verify all` runs them, with its first n
+    def cells(line):
+        return [cell.strip() for cell in line.strip("|").split("|")]
+
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| suite |"))
+    first_n = cells(lines[start]).index("first n")
+    rows = [cells(line) for line in takewhile(lambda line: line.startswith("|"), lines[start + 2 :])]
+    want = [(f"`{name}`", "–" if first is None else str(first)) for name, (first, _) in SUITES.items()]
+    assert [(row[0], row[first_n]) for row in rows] == want

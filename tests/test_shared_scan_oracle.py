@@ -31,9 +31,9 @@ def scan_answers(scan: _Scan) -> tuple:
         scan.compat,
         scan.flag,
         [sorted(gens) for gens in scan.gens_by_vertex],
-        scan.vd_facet_sizes(),
+        scan.vd_facet_sizes,
         scan.f_counts,
-        scan.max_face_size(),
+        scan.max_face_size,
     )
 
 

@@ -205,6 +205,20 @@ def test_thmB_corpus_with_no_fields_checks_no_pair(monkeypatch):
 
     monkeypatch.setattr(ringlab.verify, "check_theorem_B_fields", refuse)
     assert run_theorem_B_corpus(5, fields=()) == []
+    with pytest.raises(ValueError, match="n <= 7"):
+        run_theorem_B_corpus(8, fields=())
+
+
+def test_thmA_corpus_with_no_fields_checks_no_graph(monkeypatch):
+    import ringlab.verify
+
+    def refuse(*args):
+        raise AssertionError("a graph was checked for no field")
+
+    monkeypatch.setattr(ringlab.verify, "check_theorem_A_fields", refuse)
+    assert run_theorem_A_corpus(5, fields=()) == []
+    with pytest.raises(ValueError, match="n <= 7"):
+        run_theorem_A_corpus(8, fields=())
 
 
 @pytest.mark.parametrize(
@@ -269,7 +283,7 @@ def test_rank_counts_fix_the_scan_order(monkeypatch):
     monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
     for g in starred_graphs(4):
         scan = sr._Scan(whiskered_edge_ideal(g))
-        scan.top_hochster((QQ, GF2), scan.n - scan.max_face_size())
+        scan.top_hochster((QQ, GF2), scan.n - scan.max_face_size)
     assert counts == {"gf2": 261, "q": 0}
     counts.update(gf2=0, q=0)
     for n in range(2, 5):
@@ -287,13 +301,13 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
     # certified vertex-decomposable, so no Hochster scan runs; each pure
     # certificate of a CM check pays one GF(2) rank for its audit.  The
     # dimension and the depth of a ring share its one shedding search, so
-    # runs of the cached search are counted, not calls of its accessor
+    # runs of the cached search are counted, not reads of it
     from functools import cached_property
 
     import ringlab.sr_invariants as sr
 
     counts = {"scan": 0, "gf2": 0, "q": 0, "certified": 0}
-    real_search = sr._Scan._vd_facet_sizes.func
+    real_search = sr._Scan.vd_facet_sizes.func
 
     def certifying(scan):
         sizes = real_search(scan)
@@ -301,8 +315,8 @@ def test_certificates_settle_the_small_corpora(monkeypatch):
         return sizes
 
     probe = cached_property(certifying)
-    probe.__set_name__(sr._Scan, "_vd_facet_sizes")
-    monkeypatch.setattr(sr._Scan, "_vd_facet_sizes", probe)
+    probe.__set_name__(sr._Scan, "vd_facet_sizes")
+    monkeypatch.setattr(sr._Scan, "vd_facet_sizes", probe)
     monkeypatch.setattr(sr._Scan, "top_hochster", _counting(counts, "scan", sr._Scan.top_hochster))
     monkeypatch.setattr(sr, "gf2_rank", _counting(counts, "gf2", sr.gf2_rank))
     monkeypatch.setattr(sr, "rational_rank", _counting(counts, "q", sr.rational_rank))
