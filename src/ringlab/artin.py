@@ -16,8 +16,9 @@ columns are that monomial's coefficients in the pivot monomials' normal
 forms.  Standard monomials are taken against the graded lexicographic order
 with the leading term the largest monomial, so the basis is closed under
 division - several engines rely on that.  Normal forms are stored sparse, as
-((basis index, coeff), ...); dense vectors appear only at the public edges
-(``var_images``, ``multiply`` and ``var_multiply``).  Every presentation
+((basis index, coeff), ...), and an element times a variable is ``_act`` over
+``var_sparse``; dense vectors appear only at the public edges (``var_images``,
+``multiply``, ``element_from_linear`` and ``socle``).  Every presentation
 reads dim m^j off the normal forms of the reduced monomials of degree >= j
 (a monomial algebra has none, so its filtration is a count by degree).
 
@@ -39,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
+from .fields import FieldSpec
 from .linalg import Subspace, _row_space, null_space
 from .monomials import (
     Monomial,
@@ -156,17 +158,6 @@ class LocalAlgebra:
             [list(self._normal_form(monomial_mul(self._var_monomial(k), m))) for m in self.basis_monomials]
             for k in range(self.nvars)
         ]
-
-    def var_multiply(self, k: int, vec) -> tuple:
-        self._check_length(vec)
-        f = self.field
-        cols = self.var_sparse[k]
-        out = [f.zero()] * self.dim_k
-        for j, c in enumerate(vec):
-            if c:
-                for i, a in cols[j]:
-                    out[i] = f.add(out[i], f.mul(c, a))
-        return tuple(out)
 
     # -- grading ----------------------------------------------------------------
 
@@ -412,6 +403,19 @@ def _transpose(cols, n: int) -> list[list[tuple[int, object]]]:
     return out
 
 
+def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
+    """A variable, given by its sparse columns on one block of positions,
+    applied to a sparse vector of a direct sum of such blocks."""
+    out: dict = {}
+    for pos, c in vec.items():
+        base = pos - pos % block
+        for t, x in cols[pos % block]:
+            key = base + t
+            prod = f.mul(c, x)
+            out[key] = f.add(out[key], prod) if key in out else prod
+    return {key: x for key, x in out.items() if x}
+
+
 def socle_monomials(a: LocalAlgebra) -> list[Monomial]:
     """The socle basis as monomials (monomial algebras only): the basis
     monomials m with no m*x_k in the basis, recorded by truncate's walk."""
@@ -467,20 +471,20 @@ def ideal_direct_sum_check(a: LocalAlgebra, gens1, gens2) -> bool:
     ideal2 = _ideal_span(a, gens2)
     if ideal1.dim == 0 or ideal2.dim == 0:
         return False
-    total = _row_space(a.field, ideal1.basis_rows() + ideal2.basis_rows(), a.dim_k)
+    total = _row_space(a.field, (row for ideal in (ideal1, ideal2) for _, row in ideal._entries()), a.dim_k)
     return ideal1.dim + ideal2.dim == a.dim_k - 1 and total.dim == a.dim_k - 1
 
 
 def _ideal_span(a: LocalAlgebra, gens) -> Subspace:
-    """The ideal (gens), closed by a worklist: the basis rows of the span of
-    gens, then each product that grows it, multiplied once by every variable."""
+    """The ideal (gens), closed by a worklist of sparse rows: the span of gens,
+    then each row that grows it, multiplied once by every variable by ``_act``."""
     span = Subspace(a.field, a.dim_k)
     for g in gens:
         span.add(g)
-    todo = span.basis_rows()
+    todo = [row for _, row in span._entries()]
     while todo:
         vec = todo.pop()
-        todo += [prod for k in range(a.nvars) if span._add_row(prod := a.var_multiply(k, vec))]
+        todo += [prod for cols in a.var_sparse if span._add_row(prod := _act(a.field, cols, vec, a.dim_k))]
     return span
 
 

@@ -291,10 +291,9 @@ class Subspace:
                 d = d * x % p
         return v, d
 
-    def _add(self, v) -> bool:
-        """``add`` for a row already in the kernel's form (see
-        ``_kernel_row``).  Nothing is checked or coerced."""
-        v = self._reduce(v, 1)[0]
+    def _add_row(self, row) -> bool:
+        """``add`` for a dense or sparse row of field elements, unchecked."""
+        v = self._reduce(_kernel_row(self.field, row)[0], 1)[0]
         if not v:
             return False
         rows = self._rows
@@ -316,10 +315,6 @@ class Subspace:
                     rows[q] = row if p is not None else _primitive(row)
         rows[pc] = v
         return True
-
-    def _add_row(self, row) -> bool:
-        """``_add`` for a dense or sparse row of field elements, unchecked."""
-        return self._add(_kernel_row(self.field, row)[0])
 
     def _residual(self, row) -> tuple:
         """A dense or sparse row of field elements, unchecked, modulo the span."""

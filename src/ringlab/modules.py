@@ -63,7 +63,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .artin import LocalAlgebra, _ideal_span, _transpose
+from .artin import LocalAlgebra, _act, _ideal_span, _transpose
 from .fields import FieldSpec
 from .linalg import Subspace, _rank, null_space
 
@@ -227,7 +227,7 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
     actions = []
     for k in range(a.nvars):
-        images = [ideal._residual(a.var_multiply(k, a._basis_vec(j))) for j in free_coords]
+        images = [ideal._residual(dict(a.var_sparse[k][j])) for j in free_coords]
         actions.append([[(i, x) for i, t in enumerate(free_coords) if (x := image[t])] for image in images])
     graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
     degrees = [a.degrees[j] for j in free_coords] if graded else None
@@ -433,19 +433,6 @@ def _deg_sum(u: tuple, v: tuple) -> tuple:
     return tuple(map(operator.add, u, v))
 
 
-def _act(f: FieldSpec, cols, vec: dict, block: int) -> dict:
-    """A variable, given by its sparse columns on one block of positions,
-    applied to a sparse vector of a direct sum of such blocks."""
-    out: dict = {}
-    for pos, c in vec.items():
-        base = pos - pos % block
-        for t, x in cols[pos % block]:
-            key = base + t
-            prod = f.mul(c, x)
-            out[key] = f.add(out[key], prod) if key in out else prod
-    return {key: x for key, x in out.items() if x}
-
-
 def _kernel_of_columns(f: FieldSpec, columns, slot, size: int) -> list[dict]:
     """The kernel, keyed by the columns' positions, of a degree block with size
     rows (slot[pos] is the row of position pos) and (position, vector) columns."""
@@ -461,8 +448,7 @@ def _kernel_of_columns(f: FieldSpec, columns, slot, size: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_algebra(m: FPModule, n: FPModule) -> None:
-    am, an = m.algebra, n.algebra
+def _check_same_algebra(am: LocalAlgebra, an: LocalAlgebra) -> None:
     if am is an:
         return
     # one basis with the same normal forms is one multiplication
@@ -525,7 +511,7 @@ def _homology(m: FPModule, n: FPModule, lo: int, hi: int, tensor: bool = False):
     only to beta_{i+1} and d_{i+1}, with the kernel of F_{i+1} left pending,
     so a caller that stops early resolves no further, and each d_t is ranked
     once per call."""
-    _check_same_algebra(m, n)
+    _check_same_algebra(m.algebra, n.algebra)
     r_in = _block_rank(n, _resolution_state(m, lo), lo, tensor) if lo else 0
     for i in range(lo, hi + 1):
         state = _resolution_state(m, i + 1)
@@ -558,7 +544,7 @@ def bass_truncation(a: LocalAlgebra, m: FPModule, b: int) -> list[int]:
     so the Bass numbers are the Betti numbers of ``_matlis_dual(m)``: one
     resolution to degree b and no rank."""
     _check_bound(b, "resolution bound")
-    _check_same_algebra(residue_field(a), m)
+    _check_same_algebra(a, m.algebra)
     return poincare_truncation(_matlis_dual(m), b)
 
 
@@ -587,7 +573,7 @@ def hom_module(m: FPModule, n: FPModule):
     equals full A-linearity (tested against all-basis commutation on small
     instances).
     """
-    _check_same_algebra(m, n)
+    _check_same_algebra(m.algebra, n.algebra)
     _check_hom_cells(m, n)
     f = m.algebra.field
     p = f.p

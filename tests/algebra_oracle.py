@@ -166,7 +166,7 @@ def power_dims(a) -> tuple:
     p, d = a.field.p, a.dim_k
     rows, dims = identity(p, d), [d]
     while rows:
-        rows = rref(p, [a.var_multiply(k, row) for row in rows for k in range(a.nvars)], d)[0]
+        rows = rref(p, [a.multiply(a.var_images[k], row) for row in rows for k in range(a.nvars)], d)[0]
         dims.append(len(rows))
     return tuple(dims)
 

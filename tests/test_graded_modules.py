@@ -85,6 +85,21 @@ def _pool(a):
     }
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, QQ], ids=str)
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_cyclic_quotient_dimension_against_the_product_table(name, field):
+    # the products e_i * g over the basis span the ideal (g), so dim A/(g) is
+    # dim A minus their rank; ``multiply`` reads the product table and shares
+    # no code with the closure's ``_act`` over ``var_sparse``
+    a = ALGEBRAS[name](field)
+    first, last = a.var_names[0], a.var_names[-1]
+    forms = [{v: 1} for v in a.var_names] + ([{first: 1, last: -1}] if first != last else [])
+    for form in forms:
+        g = a.element_from_linear(form)
+        products = [a.multiply(a._basis_vec(i), g) for i in range(a.dim_k)]
+        assert cyclic_module(a, [g]).dim == a.dim_k - gauss_oracle.rank(field.p, products, a.dim_k), form
+
+
 def _invariants(a) -> dict:
     pool = _pool(a)
     out = {}

@@ -605,6 +605,19 @@ def test_k_not_reflexive_over_fat_point():
     assert ext(k, fa, 1) > 0
 
 
+@pytest.mark.parametrize("field", [GF2, QQ], ids=str)
+def test_biduality_needs_the_evaluation_map_injective(field):
+    # M = A over k[x,y]/(x^2, y^2): the honest basis maps of M* give an
+    # injective ev: M -> M**.  One map repeated leaves the dual module, so
+    # dim M** still equals dim M, but ev then has rank 1: only the rank of
+    # ev tells the two apart
+    m = free_module(ci_algebra(field))
+    dual, phis = hom_module(m, free_module(m.algebra))
+    assert hom_module(dual, free_module(m.algebra))[0].dim == m.dim
+    assert modules._is_bidual(m, dual, phis)
+    assert not modules._is_bidual(m, dual, [phis[0]] * len(phis))
+
+
 def test_free_modules_totally_reflexive():
     for a in (dual_numbers(), fat_point()):
         assert is_totally_reflexive_up_to(free_module(a), 4)

@@ -72,7 +72,7 @@ def oracle_socle(a) -> list:
     out = []
     for j in range(a.dim_k):
         vec = a._basis_vec(j)
-        if all(not any(a.var_multiply(k, vec)) for k in range(a.nvars)):
+        if all(not any(a.multiply(a.var_images[k], vec)) for k in range(a.nvars)):
             out.append(vec)
     return out
 
