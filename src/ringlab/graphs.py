@@ -174,8 +174,7 @@ def maximal_cliques(g: Graph) -> list[frozenset]:
             stack.append([r, p, x, _pivot_candidates(g, p, x)])
         else:
             out.append(r)
-    cliques = [frozenset(_mask_vertices(m)) for m in out]
-    return sorted(cliques, key=lambda c: sorted(c))
+    return [frozenset(c) for c in sorted(_mask_vertices(m) for m in out)]
 
 
 def _pivot_candidates(adj, p: int, x: int) -> int:

@@ -316,13 +316,14 @@ class Subspace:
         rows[pc] = v
         return True
 
-    def _residual(self, row) -> tuple:
-        """A dense or sparse row of field elements, unchecked, modulo the span."""
+    def _residual(self, row) -> list:
+        """A dense or sparse row of field elements, unchecked, modulo the span,
+        as its nonzero (column, entry) pairs in ascending columns."""
         v, d = self._reduce(*_kernel_row(self.field, row))
         if self._packed:
-            return tuple((v >> j) & 1 for j in range(self.ncols))
+            return [(j, 1) for j in _set_bits(v)]
         p = self.field.p
-        return tuple(_quotient(v.get(j, 0), d, p) for j in range(self.ncols))
+        return [(j, _quotient(v[j], d, p)) for j in sorted(v)]
 
     def add(self, vec) -> bool:
         """Insert a vector, its length checked and its entries coerced;

@@ -225,10 +225,12 @@ def cyclic_module(a: LocalAlgebra, gens) -> FPModule:
     ideal = _ideal_span(a, gens)
     pivots = set(ideal.pivots())
     free_coords = [j for j in range(a.dim_k) if j not in pivots]
-    actions = []
-    for k in range(a.nvars):
-        images = [ideal._residual(dict(a.var_sparse[k][j])) for j in free_coords]
-        actions.append([[(i, x) for i, t in enumerate(free_coords) if (x := image[t])] for image in images])
+    # a residual has no entry at a pivot, so each of its columns is free
+    index = {j: i for i, j in enumerate(free_coords)}
+    actions = [
+        [[(index[t], x) for t, x in ideal._residual(dict(a.var_sparse[k][j]))] for j in free_coords]
+        for k in range(a.nvars)
+    ]
     graded = all(len({a.degrees[i] for i, c in enumerate(g) if c}) <= 1 for g in gens)
     degrees = [a.degrees[j] for j in free_coords] if graded else None
     return FPModule._trusted(a, len(free_coords), actions, label=f"A/({len(gens)} gens)", degrees=degrees)

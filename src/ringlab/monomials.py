@@ -224,29 +224,29 @@ def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:
 def variable_partition_decomposable(ideal: MonomialIdeal):
     """Split the variables as V1 | V2 certifying m = (V1) + (V2) as a direct sum.
 
-    Builds the cross graph joining x-y whenever xy is not in the ideal and
-    returns (component of the last variable, the rest) when that graph is
-    disconnected, else None.  In a monomial quotient every mixed monomial is
-    divisible by a mixed quadratic, so vanishing of the degree-2 cross
-    products certifies the full direct-sum decomposition.
+    The cross graph joins x-y whenever xy is not in the ideal; it is read off
+    the generators, since with no generator of degree one x_a x_b lies in
+    the ideal iff it is a generator.  Returns (component of the last
+    variable, the rest) when that graph is disconnected, else None.  In a
+    monomial quotient every mixed monomial is divisible by a mixed
+    quadratic, so vanishing of the degree-2 cross products certifies the
+    full direct-sum decomposition.
     """
     n = ideal.nvars
+    full = (1 << n) - 1
+    # every pair joined, then each squarefree quadric x_a x_b cuts its pair
+    adj = [full ^ 1 << a for a in range(n)]
     for g in ideal.gens:
-        if monomial_degree(g) == 1:
+        d = monomial_degree(g)
+        if d == 1:
             raise ValueError("presentation is not minimal: a variable generates")
+        if d == 2 and 1 in g:
+            a = g.index(1)
+            b = g.index(1, a + 1)
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
     if n <= 1:
         return None
-    # no generator has degree 1, so xy lies in the ideal iff it is a generator
-    adj = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            e = [0] * n
-            e[a] += 1
-            e[b] += 1
-            if tuple(e) not in ideal.gens:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    full = (1 << n) - 1
     comp = _component_mask(adj, 1 << (n - 1), full)  # component of the last variable
     if comp == full:
         return None

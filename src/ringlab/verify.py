@@ -141,7 +141,7 @@ def _socle_clique_mismatch(g: Graph, kprime) -> dict | None:
     soc_sets = sorted(
         sorted(i + 1 for i, e in enumerate(mono) if e) for mono in socle_monomials(algebra)
     )
-    cliques = sorted(sorted(c) for c in maximal_cliques(complement(g)))
+    cliques = [sorted(c) for c in maximal_cliques(complement(g))]
     return None if soc_sets == cliques else {"socle": soc_sets, "cliques": cliques}
 
 

@@ -114,6 +114,30 @@ def test_cliques_edgeless():
     assert [sorted(c) for c in maximal_cliques(Graph(3))] == [[1], [2], [3]]
 
 
+def brute_force_cliques(g: Graph) -> list[list[int]]:
+    """The maximal cliques of g from a scan of every vertex subset, as
+    ascending vertex lists, sorted."""
+    edges = g.edges
+    subsets = [[v for v in range(1, g.n + 1) if mask >> (v - 1) & 1] for mask in range(1, 1 << g.n)]
+    cliques = [c for c in subsets if all((u, v) in edges for i, u in enumerate(c) for v in c[i + 1 :])]
+    sets = [set(c) for c in cliques]
+    return sorted(c for c in cliques if not any(s > set(c) for s in sets))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_clique_order_against_a_subset_scan(n):
+    for g in enumerate_graphs(n):
+        assert [sorted(c) for c in maximal_cliques(g)] == brute_force_cliques(g)
+
+
+def test_clique_order_of_a_matching_complement():
+    # one vertex from each of the six matched pairs: 64 maximal cliques
+    g = complement(Graph.from_edges(12, [(i, i + 1) for i in range(1, 12, 2)]))
+    expected = brute_force_cliques(g)
+    assert len(expected) == 64
+    assert [sorted(c) for c in maximal_cliques(g)] == expected
+
+
 def test_cliques_cover_all_vertices():
     for g in enumerate_graphs(4):
         covered = set()

@@ -248,5 +248,5 @@ def test_subspace_over_q_matches_sympy(seed):
             # the residual of vec modulo a reduced echelon basis subtracts
             # vec's entry at each pivot times that pivot's row
             residual = [v - sum(vec[pc] * row[j] for pc, row in zip(pivots, basis)) for j, v in enumerate(vec)]
-            assert list(sub._residual(vec)) == residual
+            assert sub._residual(vec) == [(j, x) for j, x in enumerate(residual) if x]
             assert (not any(residual)) == (sympy_rows(rows + [vec]).rank() == rank)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,14 @@ def test_partition_star_vertex_is_first_part():
     g = named_graph("k3")
     split = variable_partition_decomposable(edge_ideal_all_squares(g))
     assert split[0] == frozenset({"v3"})
+
+
+def test_partition_of_a_large_path_is_linear_in_the_generators():
+    # the cross graph is read off the generators, not off every variable pair
+    g = named_graph("p1000")
+    start = time.perf_counter()
+    assert variable_partition_decomposable(edge_ideal_all_squares(g)) is None
+    assert time.perf_counter() - start < 1.0
 
 
 # -- presentations, parsing, elimination --------------------------------------
