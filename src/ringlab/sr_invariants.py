@@ -26,10 +26,15 @@ dimension its largest facet size (the largest face of any complex is a facet),
 and it is Cohen-Macaulay iff pure. The shedding search strips cone apexes
 before it looks for a shedding vertex, so a whiskered cone costs one step per
 whisker. Only an uncertified ring runs the max-face search. A pure
-certificate is audited before it answers the CM check: its top mod-2 Betti
-number (one GF(2) rank) must equal its reduced Euler characteristic up to
-sign, as for a wedge of spheres (``_Scan.is_sphere_wedge_shaped``). Every other
-complex, and every non-CM witness, goes through the scan below.
+certificate is audited before it answers the CM check, as a wedge of
+top-dimensional spheres: its reduced mod-2 Betti numbers must vanish below
+the top degree and equal its reduced Euler characteristic, up to sign, there
+(``_Scan.is_sphere_wedge_shaped``). They are read on the complex folded to a
+core of the same homotopy type, by deleting every vertex whose non-face
+neighbourhood contains another vertex's (Engstrom's fold lemma,
+``_Scan._folded_core``); Sigma_G folds to one vertex whenever G has an edge,
+so its audit costs one 1 x 1 GF(2) rank. Every other complex, and every
+non-CM witness, goes through the scan below.
 
 Depth and Cohen-Macaulayness share one exact, pruned subset scan: degrees -1
 and 0 are field-independent and settled for every W in one pass (degree 0 by
@@ -372,16 +377,46 @@ class _Scan:
         out = memo[root]
         return out and (out[0] + apexes, out[1] + apexes)
 
+    def _folded_core(self) -> int:
+        """The face vertices left after deleting, one at a time and until
+        none qualifies, a vertex w whose neighbourhood in the graph of
+        non-faces contains some other vertex u's.  Such a u is no neighbour
+        of w, and the flag complex keeps its homotopy type (the fold lemma:
+        Engstrom, Europ. J. Combin. 29, 2008), so a cone folds to one vertex.
+        A non-flag scan keeps every face vertex."""
+        core = self.face_verts
+        if not self.flag:
+            return core
+        apart = [core & ~c ^ (1 << v) for v, c in enumerate(self.compat)]  # read only at face vertices
+        scan = core
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            outside = ~apart[bit.bit_length() - 1]
+            others = core ^ bit
+            while others:
+                u = others & -others
+                others ^= u
+                if apart[u.bit_length() - 1] & core & outside == 0:
+                    core ^= bit
+                    scan = core  # a deletion can free a vertex passed over before
+                    break
+        return core
+
     def is_sphere_wedge_shaped(self, d: int) -> bool:
-        """Audit of a pure certificate with facets of size d: a pure
-        vertex-decomposable complex is a wedge of (d-1)-spheres, so its top
-        mod-2 Betti number (one GF(2) rank) equals (-1)^(d-1) times its
-        reduced Euler characteristic. False means the certificate is wrong."""
+        """Audit of a pure certificate, for d the top face size of a pure flag
+        complex: a pure vertex-decomposable complex is a wedge of
+        (d-1)-spheres, so its reduced mod-2 Betti numbers in degrees 0..d-1
+        are (0, ..., 0, (-1)^(d-1) times its reduced Euler characteristic).
+        They are read on the folded core (``_folded_core``), which has the
+        complex's homotopy type; a core of one vertex costs one 1 x 1 GF(2)
+        rank. False means the certificate is wrong."""
         if d == 0:
             return True
-        cache = _SubsetHomology(self, self.face_verts, d - 1)
+        cache = _SubsetHomology(self, self._folded_core(), d - 1)
         chi = sum((-1) ** (s - 1) * len(faces) for s, faces in enumerate(cache.faces))
-        return len(cache._faces_at(d)) - cache.rank(d - 1, 2) == (-1) ** (d - 1) * chi
+        want = [0] * (d - 1) + [(-1) ** (d - 1) * chi]
+        return [cache.betti(i, GF2) for i in range(d)] == want
 
     # -- cheap topology ------------------------------------------------------
 

@@ -153,9 +153,9 @@ def test_the_five_cycle_reaches_the_scan():
 
 def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
     # C4's independence complex is two disjoint edges: pure, not CM, and not
-    # certified.  Its top mod-2 Betti number is 0 against a reduced Euler
-    # characteristic of 1, so a forged certificate claiming it pure VD is
-    # refused and the scan decides.
+    # certified.  It folds to two points, whose reduced mod-2 Betti number
+    # 1 in degree 0 lies below the top degree 1, so a forged certificate
+    # claiming it pure VD is refused and the scan decides.
     import ringlab.sr_invariants as sr
 
     ideal = edge_ideal(named_graph("c4"))
@@ -167,6 +167,64 @@ def test_a_forged_pure_certificate_is_caught_by_the_audit(monkeypatch):
     assert cohen_macaulay_witness_fields(ideal, (GF2,))[GF2] is not None
     witnesses = cohen_macaulay_witness_fields(ideal, FIELDS)
     assert all(raw_witness(ideal, witnesses[f]) == want["witness"][f] for f in FIELDS)
+
+
+@pytest.mark.parametrize("n, complexes", [(1, 5), (2, 14), (3, 72), (4, 704)])
+def test_the_folded_core_keeps_the_homology(n, complexes):
+    # the fold lemma: deleting w when the non-face neighbourhood of some
+    # other vertex u lies in w's keeps the flag complex's homotopy type, so
+    # every reduced Betti number of the core equals the complex's own.  All
+    # 3 + 2n ideals of kinds(g) are flag: 795 complexes over n = 1..4
+    flags = 0
+    for g in enumerate_graphs(n):
+        for _, _, ideal in kinds(g):
+            scan = _Scan(ideal)
+            if not scan.flag:
+                continue
+            flags += 1
+            core = scan._folded_core()
+            assert core & ~scan.face_verts == 0, ideal
+            for f in FIELDS:
+                for i in range(-1, scan.n + 1):
+                    assert scan.reduced_betti(core, i, f) == scan.reduced_betti(scan.face_verts, i, f), (ideal, f, i)
+    assert flags == complexes
+
+
+def test_every_whiskered_ring_with_an_edge_folds_to_one_vertex():
+    # the regression guard that keeps the audit at one 1 x 1 GF(2) rank
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            if g.edges:
+                assert _Scan(whiskered_edge_ideal(g))._folded_core().bit_count() == 1, g
+
+
+def test_no_fold_applies_to_a_disjoint_union_of_edges():
+    # sigma(E3) is three disjoint edges, whose independence complex is the
+    # octahedral 2-sphere: no neighbourhood lies in another's, so the core is
+    # all six vertices and the audit reads the Betti vector (0, 0, 1)
+    scan = _Scan(whiskered_edge_ideal(named_graph("e3")))
+    assert scan._folded_core() == scan.face_verts == 0b111111
+    assert [scan.reduced_betti(scan.face_verts, i, GF2) for i in range(3)] == [0, 0, 1]
+    assert scan.vd_facet_sizes == (3, 3) and scan.is_sphere_wedge_shaped(3)
+    # sigma(K1) is one edge: two points, d = 1, reduced Betti number 1 in degree 0
+    scan = _Scan(whiskered_edge_ideal(named_graph("k1")))
+    assert scan._folded_core() == scan.face_verts == 0b11
+    assert scan.vd_facet_sizes == (1, 1) and scan.is_sphere_wedge_shaped(1)
+
+
+def test_a_non_flag_complex_is_audited_unfolded():
+    # the fold reads only the graph of non-faces, which is edgeless for the
+    # projective plane (every pair of its six vertices is a face): folding
+    # it would leave one point.  A non-flag scan keeps every face vertex, and
+    # the audit reads the plane's own mod-2 Betti numbers (0, 1, 1)
+    scan = _Scan(projective_plane_ideal())
+    assert not scan.flag and scan._folded_core() == scan.face_verts
+    betti = [scan.reduced_betti(scan.face_verts, i, GF2) for i in range(3)]
+    chi = sum((-1) ** (s - 1) * f for s, f in enumerate(scan.f_counts))
+    assert betti == [0, 1, 1] and chi == 0
+    unfolded = betti == [0, 0, chi]
+    assert scan.is_sphere_wedge_shaped(3) == unfolded
+    assert not unfolded
 
 
 def test_the_projective_plane_keeps_its_diverging_verdicts():
