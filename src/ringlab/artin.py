@@ -302,17 +302,20 @@ def _coding(p: Presentation, n: int):
     """The weights w and the codes of the generators of degree <= n (no
     higher one equals a monomial walked)."""
     w = _weights(p.nvars, n)
-    return w, {sum(map(mul, m, w)) for g in p.gens for m in g.terms if sum(m) <= n}
+    return w, {sum(map(mul, m, w)) for m in p._monomials if sum(m) <= n}
 
 
 def _walk(w, gens, covered: set, n: int) -> list:
     """The standard monomials of degree < n against the generator codes gens,
     as (code, exponents, support) entries, degree by degree; each level comes
     in descending codes, so the walk ascends in (degree, -lex), the basis
-    order.  With no generator codes it is every monomial below n."""
+    order.  With no generator codes it is every monomial below n.  It stops
+    at the first empty degree: standard monomials are closed under division."""
     walked = level = [(0, (0,) * len(w), ())]
     for _ in range(1, n):
         level = _next_degree(level, gens, w, covered)
+        if not level:
+            break
         walked = walked + level
     return walked
 

@@ -9,8 +9,8 @@ input format for the truncated-algebra engine.
 Exponents must be integer values: ``MonomialIdeal``, ``contains`` and ``Poly``
 refuse 2.5, Fraction(5, 2) or a string rather than truncate it.  The public
 constructors check their input; ``presentation_of`` trusts the invariant of
-the ``MonomialIdeal`` it is given and skips the ``Poly`` and ``Presentation``
-checks, which that invariant already answers.
+the ``MonomialIdeal`` it is given, keeps its exponent tuples and builds the
+one-term ``gens`` only when they are read (a monomial ``truncate`` never does).
 """
 
 from __future__ import annotations
@@ -336,8 +336,28 @@ class Presentation:
     def nvars(self) -> int:
         return len(self.ambient)
 
+    def __getattr__(self, name: str):
+        """``gens`` of a ``presentation_of`` result, built on first read."""
+        if name != "gens" or "_monomials" not in self.__dict__:
+            raise AttributeError(name)
+        one, nvars = self.field.one(), self.nvars
+        gens = []
+        for g in sorted(sorted(self._monomials, reverse=True), key=sum):  # sorted_gens order
+            poly = object.__new__(Poly)
+            poly.field, poly.nvars, poly.terms = self.field, nvars, {g: one}
+            gens.append(poly)
+        self.__dict__["gens"] = gens = tuple(gens)
+        return gens
+
+    @cached_property
+    def _monomials(self) -> frozenset | None:
+        """The generators' exponent tuples when each has one term, else None."""
+        if all(g.is_monomial() for g in self.gens):
+            return frozenset(next(iter(g.terms)) for g in self.gens)
+        return None
+
     def is_monomial(self) -> bool:
-        return all(g.is_monomial() for g in self.gens)
+        return self._monomials is not None
 
     def gen_strings(self) -> list[str]:
         return [format_poly(self.ambient, g) for g in self.gens]
@@ -346,26 +366,18 @@ class Presentation:
 def presentation_of(ideal: MonomialIdeal, field: FieldSpec) -> Presentation:
     """The ideal's generators as one-term polynomials, in ``sorted_gens`` order.
 
-    Built without the ``Poly`` and ``Presentation`` checks: the ideal's
-    invariant already guarantees what they test (exponent tuples of ambient
-    length, no constant term, distinct generators)."""
-    one, nvars = field.one(), ideal.nvars
-    gens = []
-    for g in ideal.sorted_gens():
-        poly = object.__new__(Poly)
-        poly.field, poly.nvars, poly.terms = field, nvars, {g: one}
-        gens.append(poly)
+    Holds the ideal's exponent tuples, unsorted, and builds ``gens`` on first
+    read; the monomial ``truncate`` path reads only the tuples.  Skips the
+    ``Poly`` and ``Presentation`` checks, which the ideal's invariant answers."""
     p = object.__new__(Presentation)
-    object.__setattr__(p, "ambient", ideal.ambient)
-    object.__setattr__(p, "gens", tuple(gens))
-    object.__setattr__(p, "field", field)
+    p.__dict__.update(ambient=ideal.ambient, field=field, _monomials=ideal.gens)  # past the frozen __setattr__
     return p
 
 
 def to_monomial_ideal(p: Presentation) -> MonomialIdeal:
     if not p.is_monomial():
         raise ValueError("presentation has non-monomial generators")
-    return MonomialIdeal(p.ambient, [next(iter(g.terms)) for g in p.gens])
+    return MonomialIdeal(p.ambient, p._monomials)
 
 
 def _substitution_columns(ambient: Sequence[str], mapping: Mapping[str, str]) -> tuple[list, list]:

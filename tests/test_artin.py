@@ -460,3 +460,19 @@ def test_socle_monomials_of_vertex_square_quotients_build_no_index():
             a = truncate(presentation_of(edge_ideal_all_squares(g), GF2), n + 1)
             socle_monomials(a)
             assert "index" not in a.__dict__
+
+
+def test_the_monomial_truncation_leaves_gens_unread():
+    """truncate, socle_monomials and the Gorenstein check read the exponent
+    tuples of a presentation_of result; its one-term polynomials are built
+    only when gens is read, and repr still lists them."""
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            kprime = edge_ideal_all_squares(g)
+            p = presentation_of(kprime, GF2)
+            a = truncate(p, n + 1)
+            socle_monomials(a)
+            is_gorenstein_artinian(a)
+            assert "gens" not in vars(p)
+    assert f"/({', '.join(kprime.gen_strings())}) mod m^{n + 1}, dim {a.dim_k})" in repr(a)
+    assert "gens" in vars(p)

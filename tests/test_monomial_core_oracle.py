@@ -25,7 +25,7 @@ from ringlab.artin import (
     socle_monomials,
     truncate,
 )
-from ringlab.constructions import edge_ideal_all_squares
+from ringlab.constructions import edge_ideal_all_squares, named_graph
 from ringlab.fields import GF2, QQ
 from ringlab.graphs import enumerate_graphs
 from ringlab.monomials import (
@@ -318,3 +318,41 @@ def test_general_path_agrees_with_the_monomial_path(field):
         assert general.basis_monomials == monomial.basis_monomials
         assert general.var_sparse == monomial.var_sparse
         assert socle(general) == socle(monomial)
+
+
+def full_walk(w, gens, covered, n):
+    """The walk with no stop: a step for every degree below n, empty or not."""
+    walked = level = [(0, (0,) * len(w), ())]
+    for _ in range(1, n):
+        level = artin._next_degree(level, gens, w, covered)
+        walked = walked + level
+    return walked
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_walk_stops_at_the_first_empty_degree(n, monkeypatch):
+    """At order n + 1, kprime(K_n) has no standard monomial of degree 2, so
+    the walk takes 2 degree steps; kprime(E_n) has one in every degree up to
+    n, so it takes n.  The full walk takes n steps on both and gives the same
+    algebra."""
+    step = artin._next_degree
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(artin, "_next_degree", counted)
+    for name, steps in ((f"k{n}", 2), (f"e{n}", n)):
+        p = presentation_of(edge_ideal_all_squares(named_graph(name)), GF2)
+        calls.clear()
+        a = truncate(p, n + 1)
+        assert len(calls) == steps
+        with monkeypatch.context() as m:
+            m.setattr(artin, "_walk", full_walk)
+            calls.clear()
+            full = truncate(p, n + 1)
+            assert len(calls) == n
+        assert a.basis_monomials == full.basis_monomials
+        assert socle_monomials(a) == socle_monomials(full)
+        assert repr(a) == repr(full)

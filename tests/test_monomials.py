@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -505,7 +506,17 @@ def _validated_presentation(i, field):
 def _assert_trusted_presentation(i):
     assert i.sorted_gens() == sorted(i.gens, key=lambda g: (sum(g), tuple(-e for e in g)))
     for field in (FieldSpec.prime(2), FieldSpec.prime(3), QQ):
-        got, want = presentation_of(i, field), _validated_presentation(i, field)
+        want = _validated_presentation(i, field)
+        # gens is built on first read: each check below starts from an unread presentation
+        unread = presentation_of(i, field)
+        assert "gens" not in vars(unread)
+        assert unread.is_monomial() and want.is_monomial()
+        assert unread._monomials == want._monomials == i.gens
+        assert hash(presentation_of(i, field)) == hash(want)
+        restored = pickle.loads(pickle.dumps(presentation_of(i, field)))
+        assert "gens" not in vars(restored) and restored == want
+        assert to_monomial_ideal(presentation_of(i, field)) == i
+        got = presentation_of(i, field)
         assert got == want
         assert got.ambient == want.ambient and got.field == want.field
         assert [g.key() for g in got.gens] == [g.key() for g in want.gens]
@@ -515,6 +526,28 @@ def _assert_trusted_presentation(i):
             type(c) for g in want.gens for c in g.terms.values()
         ]
     assert presentation_of(i, QQ).gen_strings() == i.gen_strings()
+
+
+def test_to_monomial_ideal_reads_the_exponent_tuples(monkeypatch):
+    """It builds through the validating constructor from the exponent tuples,
+    so a presentation_of result keeps its gens unread."""
+    built = []
+    init = MonomialIdeal.__init__
+
+    def counted(self, ambient, gens):
+        built.append(ambient)
+        init(self, ambient, gens)
+
+    i = edge_ideal_all_squares(named_graph("c4"))
+    p = presentation_of(i, QQ)
+    monkeypatch.setattr(MonomialIdeal, "__init__", counted)
+    assert to_monomial_ideal(p) == i and len(built) == 1 and "gens" not in vars(p)
+    # a hand-built presentation is minimalized by that constructor: x*y | 3*x^2*y
+    raw = Presentation(["x", "y"], [Poly(QQ, 2, {(1, 1): 1}), Poly(QQ, 2, {(2, 1): 3})], QQ)
+    assert to_monomial_ideal(raw).gens == frozenset({(1, 1)}) and len(built) == 2
+    with pytest.raises(ValueError, match="^presentation has non-monomial generators$"):
+        to_monomial_ideal(Presentation(["x", "y"], [Poly(QQ, 2, {(1, 0): 1, (0, 2): 1})], QQ))
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
