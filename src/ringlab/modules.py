@@ -319,7 +319,6 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
     for deg in span_degrees:
         count[deg] = count.get(deg, 0) + 1
     state["count"], state["formed"] = count, {}
-    times, _ = _products(a, state)
     spaces: dict = {}
 
     def absorb(vec, deg) -> bool:
@@ -337,7 +336,7 @@ def _resolution_step(a: LocalAlgebra, state: dict) -> None:
         if deg not in targets:
             targets[deg] = [(k, t) for k, s in enumerate(shifts) if (t := _deg_sum(deg, s)) in count]
         for k, t in targets[deg]:
-            if (t not in spaces or spaces[t].dim < count[t]) and (v := times(k, i, root)):
+            if (t not in spaces or spaces[t].dim < count[t]) and (v := _times(a, state, k, i, root)):
                 absorb(v, t)
     gen_ids = [i for i, deg in enumerate(span_degrees) if deg not in spaces or absorb(span[i], deg)]
     if state["betti"]:
@@ -361,7 +360,6 @@ def _cover_kernel(a: LocalAlgebra, state: dict) -> None:
     come out in the order elimination would give them."""
     f, d = a.field, a.dim_k
     gen_ids, count = state["gens"], state["count"]
-    _, product = _products(a, state)
     shifted: dict = {}
     groups: dict = {}
     for j, gdeg in enumerate(state["degrees"][-1]):
@@ -377,7 +375,7 @@ def _cover_kernel(a: LocalAlgebra, state: dict) -> None:
         if not rank:
             found = [{pos: one} for pos in members]
         elif rank < len(members):
-            columns = [(pos, product(gen_ids[pos // d], pos % d)) for pos in members]
+            columns = [(pos, _product(a, state, gen_ids[pos // d], pos % d)) for pos in members]
             index = _row_index(state, deg)
             found = _kernel_of_columns(f, columns, index, len(index))
         else:
@@ -388,27 +386,32 @@ def _cover_kernel(a: LocalAlgebra, state: dict) -> None:
     state["action"] = (a.var_sparse, d)
 
 
-def _products(a: LocalAlgebra, state: dict):
-    """times(k, i, b) = x_k * (b * span[i]) and product(i, b) = b * span[i],
-    along the division tree; each x_k * (...) is kept in state["formed"],
-    so it is formed once per step."""
-    f = a.field
-    span, formed = state["span"], state["formed"]
-    cols, block = state["action"]
-    parents = a.basis_parents
-
-    def times(k, i, b) -> dict:
-        if (k, i, b) not in formed:
-            formed[k, i, b] = _act(f, cols[k], product(i, b), block)
-        return formed[k, i, b]
-
-    def product(i, b) -> dict:
+def _times(a: LocalAlgebra, state: dict, k: int, i: int, b: int) -> dict:
+    """x_k * (b * span[i]), formed along the division tree: b * span[i] is
+    span[i] at the root, else x_j * (c * span[i]) for parents[b] = (j, c).
+    Each x_k * (...) is kept in state["formed"], so it is formed once per
+    step; the walk down the tree is a loop, so no closure holds the cache
+    and the step's products are freed with the state's."""
+    formed, parents = state["formed"], a.basis_parents
+    chain = []
+    while (k, i, b) not in formed:
+        chain.append((k, b))
         if parents[b] is None:
-            return span[i]
-        k, below = parents[b]
-        return times(k, i, below)
+            vec = state["span"][i]
+            break
+        k, b = parents[b]
+    else:
+        vec = formed[k, i, b]
+    cols, block = state["action"]
+    for k, b in reversed(chain):
+        vec = formed[k, i, b] = _act(a.field, cols[k], vec, block)
+    return vec
 
-    return times, product
+
+def _product(a: LocalAlgebra, state: dict, i: int, b: int) -> dict:
+    """b * span[i], read off ``_times`` below the root."""
+    parent = a.basis_parents[b]
+    return state["span"][i] if parent is None else _times(a, state, parent[0], i, parent[1])
 
 
 def _row_index(state: dict, deg) -> dict:

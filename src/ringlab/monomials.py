@@ -126,10 +126,12 @@ class MonomialIdeal:
         return f"MonomialIdeal({list(self.ambient)}, ({', '.join(self.gen_strings()) or '0'}))"
 
     @cached_property
-    def _polarization(self) -> "MonomialIdeal":
-        """See ``polarize``; computed at most once per ideal object."""
+    def _polarization(self) -> "MonomialIdeal | None":
+        """See ``polarize``; computed at most once per ideal object.  None for
+        a squarefree ideal, which is its own polarization: an ideal that kept
+        itself here would be a reference cycle, freed only by the collector."""
         if max(map(max, self.gens), default=0) <= 1:
-            return self
+            return None
         mults = list(map(max, zip(*self.gens)))
         first: list[int] = []  # per variable, the column of its copy x'
         fresh: list[str] = []
@@ -168,7 +170,11 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 
 
 def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
-    """The ideal generated by v_i v_j over the edges of g."""
+    """The ideal generated by v_i v_j over the edges of g.
+
+    The ideal keeps g privately: its scan reads the 1-skeleton off g's
+    neighbour masks, and it is squarefree, so its own polarization, without
+    a generator read."""
     if names is None:
         names = [f"v{i}" for i in range(1, g.n + 1)]
     names = tuple(names)
@@ -176,7 +182,9 @@ def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
         raise ValueError("need one variable name per vertex")
     if len(set(names)) != g.n:
         raise ValueError("duplicate variable names")
-    return MonomialIdeal._trusted(names, _quadrics(g, 0))
+    ideal = MonomialIdeal._trusted(names, _quadrics(g, 0))
+    ideal.__dict__.update(_graph=g, _polarization=None)  # past the frozen __setattr__
+    return ideal
 
 
 def _quadrics(g: Graph, squares: int) -> frozenset:
@@ -208,9 +216,10 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     A variable x of multiplicity d spawns fresh copies x', x'', ..., appended
     after the original ambient list (grouped by original variable, in ambient
     order); x^j polarizes to x * x' * ... * x^(j-1 primes).  Squarefree input
-    comes back unchanged.
+    comes back unchanged; an ``edge_ideal`` is known squarefree, so none of its
+    generators is read.
     """
-    return ideal._polarization
+    return ideal._polarization or ideal
 
 
 def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:

@@ -408,6 +408,49 @@ def test_theorem_runners_scan_each_ideal_once(monkeypatch):
     assert len(built) == 29 and [sum(s is b for s in scanned) for b in built] == [1] * 29
 
 
+def test_theorem_runners_read_the_edge_rings_scans_off_their_graphs(monkeypatch):
+    # Sigma_G and the partly whiskered ring are edge ideals: their scans take
+    # the 1-skeleton from the graph, so no ideal of either corpus enters the
+    # generator-to-mask loop (thmB's square quotient adopts its scan), and
+    # no edge ideal runs the polarization body, which reads the generators
+    from functools import cached_property
+
+    import ringlab.sr_invariants as sr
+    import ringlab.verify
+    from ringlab.monomials import MonomialIdeal
+
+    tabled, polarized, built = [], [], []
+    real_table, real_body = sr._nonface_table, MonomialIdeal._polarization.func
+
+    def tabling(gens, bits):
+        tabled.append(gens)
+        return real_table(gens, bits)
+
+    def counting(ideal):
+        polarized.append(ideal)
+        return real_body(ideal)
+
+    def recording(real):
+        def build(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        return build
+
+    probe = cached_property(counting)
+    probe.__set_name__(MonomialIdeal, "_polarization")
+    monkeypatch.setattr(MonomialIdeal, "_polarization", probe)
+    monkeypatch.setattr(sr, "_nonface_table", tabling)
+    for name in ("whisker_except_edge_ideal", "whiskered_edge_ideal"):
+        monkeypatch.setattr(ringlab.verify, name, recording(getattr(ringlab.verify, name)))
+    assert all(r.passed for r in run_theorem_A_corpus(4))
+    assert all(r.passed for r in run_theorem_B_corpus(4))
+    assert len(built) == 29 + 40 and all("_scan" in ideal.__dict__ for ideal in built)
+    assert tabled == []
+    # only thmB's square quotients, one each, are polarized by the body
+    assert len(polarized) == 40 and not any(p is b for p in polarized for b in built)
+
+
 THMB_COLLAPSED = ["v1^2", "v1*v2", "v1*v3", "v2^2", "v2*v3"]
 
 
