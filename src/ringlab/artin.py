@@ -45,6 +45,7 @@ from .linalg import Subspace, _row_space, null_space
 from .monomials import (
     Monomial,
     Presentation,
+    _generator_codes,
     format_monomial,
     monomial_degree,
     monomial_mul,
@@ -55,16 +56,12 @@ from .monomials import (
 # rings are not capped by it: kprime:e8 at order 9 needs C(16, 8) = 12,870.
 _MAX_TRUNC_MONOMIALS = 20_000
 # Largest relation matrix (rows x monomials below the order) that the general
-# path eliminates over GF(p); the largest fixture needs 6,720 cells.  Its rows
-# enter null_space sparse and stay sparse.  On one core of a 2-core x86 host
-# under Python 3.11, k[a..e]/(a^2 + bc) takes 0.04 s at order 9 (5.9e5 cells)
-# and 0.27 s at order 11 (3.9e6 cells) over GF(2), 0.10 s at order 11 over
-# GF(3) and over q.  Three dense quadrics in a..e with coefficients in
-# 1, -1, 2, 7, 1/2, 3/4, -5/4 take 0.38 s at order 8 (6.0e5 cells) over GF(3),
-# 0.62 s over GF(101) and 1.1 s over q.  Over q the cap is a tenth.  Both caps
-# sit well below what these times allow; raising them waits for a measured
-# worst case.
-_MAX_RELATION_CELLS = 1_000_000
+# path eliminates over GF(2), over GF(p) for an odd p and over q; its rows enter
+# null_space sparse and stay sparse.  Each cap is about 1 s for three dense
+# quadrics in 5 or 6 variables on one core of a 2-core x86 host (Python 3.11):
+# GF(2) 0.94 s at 2.6e7 cells, GF(101) 1.2 s at 2.4e6 (GF(3) 0.68 s), q 0.55-0.74
+# s at 5.8e5 and 2.1 s at 1.8e6.
+_MAX_RELATION_CELLS = (25_000_000, 2_000_000, 800_000)
 
 
 class LocalAlgebra:
@@ -279,7 +276,7 @@ def truncate(p: Presentation, n: int) -> LocalAlgebra:
     # one relation row per generator g and monomial u with deg(u) + mindeg(g) < n
     degrees = [g.min_degree() for g in p.gens]
     rows = sum(math.comb(n - 1 - d + p.nvars, p.nvars) for d in degrees if d < n)
-    cap = _MAX_RELATION_CELLS if p.field.p is not None else _MAX_RELATION_CELLS // 10
+    cap = _MAX_RELATION_CELLS[0 if p.field.p == 2 else 1 if p.field.p else 2]
     if rows * count > cap:
         raise ValueError(f"truncation order {n} needs a {rows} x {count} relation matrix, over {cap} cells")
     return _truncate_general(p, n)
@@ -302,7 +299,7 @@ def _coding(p: Presentation, n: int):
     """The weights w and the codes of the generators of degree <= n (no
     higher one equals a monomial walked)."""
     w = _weights(p.nvars, n)
-    return w, {sum(map(mul, m, w)) for m in p._monomials if sum(m) <= n}
+    return w, _generator_codes(p, w, n)
 
 
 def _walk(w, gens, covered: set, n: int) -> list:

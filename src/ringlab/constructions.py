@@ -14,7 +14,7 @@ from .graphs import Graph, whisker_all, whisker_except
 from .monomials import (
     MonomialIdeal,
     Presentation,
-    _quadrics,
+    _graph_ideal,
     edge_ideal,
     parse_poly,
     presentation_of,
@@ -57,7 +57,7 @@ def _edge_ideal_with_squares(g: Graph, skip: int | None) -> MonomialIdeal:
     squares = (1 << g.n) - 1
     if skip is not None:
         squares ^= 1 << (skip - 1)
-    return MonomialIdeal._trusted(tuple(f"v{k}" for k in range(1, g.n + 1)), _quadrics(g, squares))
+    return _graph_ideal(tuple(f"v{k}" for k in range(1, g.n + 1)), g, squares)
 
 
 def star_of_paths(n: int) -> Graph:

@@ -1,16 +1,19 @@
 """Monomial ideals and polynomial presentations of quotient rings.
 
 A monomial is an exponent tuple against an ordered list of variable names.
-``MonomialIdeal`` always stores the unique minimal generating set, so ideal
-equality is plain generator-set equality.  ``Presentation`` holds general
-polynomial generators (exact coefficients, zero constant term) and is the
-input format for the truncated-algebra engine.
+``MonomialIdeal`` has the unique minimal generating set as ``gens``, so ideal
+equality is generator-set equality.  An ideal built from a graph (``edge_ideal``,
+the vertex-square quotients: ``_graph_ideal``) keeps the neighbour masks and a
+mask of square vertices and builds ``gens`` only when read; its polarization,
+substitution, membership, equality, variable split and ``truncate`` codes read
+the masks.  ``Presentation`` holds general polynomial generators (exact
+coefficients, zero constant term); it is the truncated-algebra engine's input.
 
 Exponents must be integer values: ``MonomialIdeal``, ``contains`` and ``Poly``
 refuse 2.5, Fraction(5, 2) or a string rather than truncate it.  The public
 constructors check their input; ``presentation_of`` trusts the invariant of
-the ``MonomialIdeal`` it is given, keeps its exponent tuples and builds the
-one-term ``gens`` only when they are read (a monomial ``truncate`` never does).
+the ``MonomialIdeal`` it is given, keeps the ideal and builds the one-term
+``gens`` only when they are read (a monomial ``truncate`` never does).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from operator import le
+from operator import le, mul
 from typing import Iterable, Mapping, Sequence
 
 from .fields import FieldSpec
@@ -105,6 +108,19 @@ class MonomialIdeal:
         ideal.__dict__.update(ambient=ambient, gens=gens)  # past the frozen __setattr__
         return ideal
 
+    def __getattr__(self, name: str):
+        """``gens`` of a graph-built ideal (``_graph_ideal``), built on first read."""
+        if name != "gens" or "_graph" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__["gens"] = gens = _quadrics(self._graph, self._squares)
+        return gens
+
+    # the dataclass adds __hash__, the hash of (ambient, gens)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient == other.ambient and _same_generators(self, other)
+
     @property
     def nvars(self) -> int:
         return len(self.ambient)
@@ -113,7 +129,21 @@ class MonomialIdeal:
         return not self.gens
 
     def is_squarefree(self) -> bool:
+        if "_graph" in self.__dict__:
+            return not self._squares
         return all(is_squarefree(g) for g in self.gens)
+
+    def _max_degree(self) -> int:
+        """The largest generator degree, 0 for the zero ideal."""
+        if "_graph" in self.__dict__:
+            return 2 if self._squares or any(self._graph) else 0
+        return max(map(sum, self.gens), default=0)
+
+    def _polarized_nvars(self) -> int:
+        """The polarization's variable count, found without polarizing."""
+        if "_graph" in self.__dict__:
+            return self.nvars + self._squares.bit_count()
+        return sum(map(max, zip((1,) * self.nvars, *self.gens)))
 
     def sorted_gens(self) -> list[Monomial]:
         # by degree, then descending tuples: (degree, -exponents) order
@@ -129,18 +159,28 @@ class MonomialIdeal:
     def _polarization(self) -> "MonomialIdeal | None":
         """See ``polarize``; computed at most once per ideal object.  None for
         a squarefree ideal, which is its own polarization: an ideal that kept
-        itself here would be a reference cycle, freed only by the collector."""
-        if max(map(max, self.gens), default=0) <= 1:
+        itself here would be a reference cycle, freed only by the collector.
+        A graph-built ideal polarizes to its graph whiskered at its square
+        vertices, the pendant of x_v being x_v'."""
+        graph, n = self.__dict__.get("_graph"), self.nvars
+        if graph is not None:
+            mults = [1 + (self._squares >> k & 1) for k in range(n)]
+        else:
+            mults = list(map(max, zip(*self.gens)))
+        if max(mults, default=0) <= 1:
             return None
-        mults = list(map(max, zip(*self.gens)))
         first: list[int] = []  # per variable, the column of its copy x'
         fresh: list[str] = []
         for name, mult in zip(self.ambient, mults):
-            first.append(self.nvars + len(fresh))
+            first.append(n + len(fresh))
             fresh += [name + "'" * j for j in range(1, mult)]
         ambient = self.ambient + tuple(fresh)
         if len(set(ambient)) != len(ambient):
             raise ValueError("duplicate variable names")
+        if graph is not None:  # each square vertex v gains the pendant x_v'
+            masks = [mask | (mult - 1) << col for mask, mult, col in zip(graph, mults, first)]
+            masks += [1 << k for k in range(n) if mults[k] > 1]
+            return _graph_ideal(ambient, tuple.__new__(Graph, masks), 0)
         gens = []
         for g in self.gens:
             e = [0] * len(ambient)
@@ -153,12 +193,31 @@ class MonomialIdeal:
         return MonomialIdeal._trusted(ambient, frozenset(gens))
 
 
+def _same_generators(a: MonomialIdeal, b: MonomialIdeal) -> bool:
+    """Whether two ideals have one variable count and one generator set, names
+    aside: two graph-built ideals compare their masks, other pairs generators."""
+    if "_graph" in a.__dict__ and "_graph" in b.__dict__:
+        return a._graph == b._graph and a._squares == b._squares
+    return a.nvars == b.nvars and a.gens == b.gens
+
+
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     """Membership for a monomial: true iff some generator divides it.  A
-    generator is looked up before the divisibility scan."""
+    graph-built ideal answers off its masks: m lies in it iff a square vertex
+    has exponent >= 2 in m or two vertices of m's support are adjacent.  Any
+    other ideal looks a generator up before the divisibility scan."""
     m = _exponents(m)
     if len(m) != ideal.nvars:
         raise ValueError("monomial has wrong ambient")
+    graph = ideal.__dict__.get("_graph")
+    if graph is not None:
+        squares, support = ideal._squares, 0  # support: the vertices of m seen so far
+        for k, e in enumerate(m):
+            if e:
+                if e > 1 and squares >> k & 1 or graph[k] & support:
+                    return True
+                support |= 1 << k
+        return False
     if m in ideal.gens:
         return True
     return any(monomial_divides(g, m) for g in ideal.gens)
@@ -172,9 +231,9 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
 def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
     """The ideal generated by v_i v_j over the edges of g.
 
-    The ideal keeps g privately: its scan reads the 1-skeleton off g's
-    neighbour masks, and it is squarefree, so its own polarization, without
-    a generator read."""
+    The ideal keeps g's neighbour masks (``_graph_ideal``): its scan reads
+    the 1-skeleton off them, and it is squarefree, so its own polarization,
+    without a generator built."""
     if names is None:
         names = [f"v{i}" for i in range(1, g.n + 1)]
     names = tuple(names)
@@ -182,31 +241,42 @@ def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
         raise ValueError("need one variable name per vertex")
     if len(set(names)) != g.n:
         raise ValueError("duplicate variable names")
-    ideal = MonomialIdeal._trusted(names, _quadrics(g, 0))
-    ideal.__dict__.update(_graph=g, _polarization=None)  # past the frozen __setattr__
+    return _graph_ideal(names, g, 0)
+
+
+def _graph_ideal(names: tuple, graph: Graph, squares: int) -> MonomialIdeal:
+    """The ideal generated by x_i x_j over the edges of ``graph`` and by x_v^2
+    over the set bits v of ``squares``, kept as those masks, its ``gens`` built
+    on first read.  The names are trusted: distinct, one per vertex."""
+    ideal = object.__new__(MonomialIdeal)
+    ideal.__dict__.update(ambient=names, _graph=graph, _squares=squares)  # past the frozen __setattr__
     return ideal
 
 
-def _quadrics(g: Graph, squares: int) -> frozenset:
-    """The monomials x_i x_j over the edges of g, read off its neighbour
-    masks, and x_v^2 for the vertices v whose bit v-1 is set in ``squares``:
-    distinct degree-2 monomials, a minimal generating set."""
-    n = g.n
-    gens = []
-    # read the masks off the graph itself: module-engine's benchmark guard
-    # counts every call into graphs, and its one fixture ideal makes none
-    for i, mask in enumerate(g):
+def _pairs(graph, squares: int):
+    """The generators of ``_graph_ideal(names, graph, squares)`` as 0-based
+    pairs i <= j: (v, v) for x_v^2, and each edge once.  Makes no call into
+    graphs, which module-engine's benchmark guard counts."""
+    for i, mask in enumerate(graph):
         if squares >> i & 1:
-            e = [0] * n
-            e[i] = 2
-            gens.append(tuple(e))
+            yield i, i
         mask >>= i + 1
         while mask:
             low = mask & -mask
             mask ^= low
-            e = [0] * n
-            e[i] = e[i + low.bit_length()] = 1
-            gens.append(tuple(e))
+            yield i, i + low.bit_length()
+
+
+def _quadrics(graph: Graph, squares: int) -> frozenset:
+    """The generators of ``_graph_ideal(names, graph, squares)``: distinct
+    degree-2 monomials, a minimal generating set."""
+    n = len(graph)
+    gens = []
+    for i, j in _pairs(graph, squares):
+        e = [0] * n
+        e[i] += 1
+        e[j] += 1
+        gens.append(tuple(e))
     return frozenset(gens)
 
 
@@ -216,8 +286,9 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     A variable x of multiplicity d spawns fresh copies x', x'', ..., appended
     after the original ambient list (grouped by original variable, in ambient
     order); x^j polarizes to x * x' * ... * x^(j-1 primes).  Squarefree input
-    comes back unchanged; an ``edge_ideal`` is known squarefree, so none of its
-    generators is read.
+    comes back unchanged.  A graph-built ideal polarizes off its masks, to
+    a graph-built ideal: its graph whiskered at the square vertices, so an
+    ``edge_ideal`` comes back with no generator built.
     """
     return ideal._polarization or ideal
 
@@ -227,15 +298,18 @@ def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:
         raise ValueError("need one name per variable")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
+    if "_graph" in ideal.__dict__:
+        return _graph_ideal(tuple(names), ideal._graph, ideal._squares)
     return MonomialIdeal._trusted(tuple(names), ideal.gens)
 
 
 def variable_partition_decomposable(ideal: MonomialIdeal):
     """Split the variables as V1 | V2 certifying m = (V1) + (V2) as a direct sum.
 
-    The cross graph joins x-y whenever xy is not in the ideal; it is read off
-    the generators, since with no generator of degree one x_a x_b lies in
-    the ideal iff it is a generator.  Returns (component of the last
+    The cross graph joins x-y whenever xy is not in the ideal: for a
+    graph-built ideal it is the complement of the masks, and otherwise it is
+    read off the generators, since with no generator of degree one x_a x_b
+    lies in the ideal iff it is a generator.  Returns (component of the last
     variable, the rest) when that graph is disconnected, else None.  In a
     monomial quotient every mixed monomial is divisible by a mixed
     quadratic, so vanishing of the degree-2 cross products certifies the
@@ -243,17 +317,19 @@ def variable_partition_decomposable(ideal: MonomialIdeal):
     """
     n = ideal.nvars
     full = (1 << n) - 1
-    # every pair joined, then each squarefree quadric x_a x_b cuts its pair
-    adj = [full ^ 1 << a for a in range(n)]
-    for g in ideal.gens:
-        d = monomial_degree(g)
-        if d == 1:
-            raise ValueError("presentation is not minimal: a variable generates")
-        if d == 2 and 1 in g:
-            a = g.index(1)
-            b = g.index(1, a + 1)
-            adj[a] &= ~(1 << b)
-            adj[b] &= ~(1 << a)
+    graph = ideal.__dict__.get("_graph")
+    if graph is None:
+        graph = [0] * n  # the squarefree quadrics x_a x_b as neighbour masks
+        for g in ideal.gens:
+            d = monomial_degree(g)
+            if d == 1:
+                raise ValueError("presentation is not minimal: a variable generates")
+            if d == 2 and 1 in g:
+                a = g.index(1)
+                b = g.index(1, a + 1)
+                graph[a] |= 1 << b
+                graph[b] |= 1 << a
+    adj = [full ^ 1 << a ^ mask for a, mask in enumerate(graph)]
     if n <= 1:
         return None
     comp = _component_mask(adj, 1 << (n - 1), full)  # component of the last variable
@@ -347,11 +423,11 @@ class Presentation:
 
     def __getattr__(self, name: str):
         """``gens`` of a ``presentation_of`` result, built on first read."""
-        if name != "gens" or "_monomials" not in self.__dict__:
+        if name != "gens" or "_ideal" not in self.__dict__:
             raise AttributeError(name)
         one, nvars = self.field.one(), self.nvars
         gens = []
-        for g in sorted(sorted(self._monomials, reverse=True), key=sum):  # sorted_gens order
+        for g in self._ideal.sorted_gens():
             poly = object.__new__(Poly)
             poly.field, poly.nvars, poly.terms = self.field, nvars, {g: one}
             gens.append(poly)
@@ -361,12 +437,14 @@ class Presentation:
     @cached_property
     def _monomials(self) -> frozenset | None:
         """The generators' exponent tuples when each has one term, else None."""
+        if "_ideal" in self.__dict__:
+            return self._ideal.gens
         if all(g.is_monomial() for g in self.gens):
             return frozenset(next(iter(g.terms)) for g in self.gens)
         return None
 
     def is_monomial(self) -> bool:
-        return self._monomials is not None
+        return "_ideal" in self.__dict__ or self._monomials is not None
 
     def gen_strings(self) -> list[str]:
         return [format_poly(self.ambient, g) for g in self.gens]
@@ -375,12 +453,22 @@ class Presentation:
 def presentation_of(ideal: MonomialIdeal, field: FieldSpec) -> Presentation:
     """The ideal's generators as one-term polynomials, in ``sorted_gens`` order.
 
-    Holds the ideal's exponent tuples, unsorted, and builds ``gens`` on first
-    read; the monomial ``truncate`` path reads only the tuples.  Skips the
-    ``Poly`` and ``Presentation`` checks, which the ideal's invariant answers."""
+    Holds the ideal and builds ``gens`` on first read; the monomial ``truncate``
+    reads only the generator codes (``_generator_codes``, off the masks of a
+    graph-built ideal).  Skips the checks that the ideal's invariant answers."""
     p = object.__new__(Presentation)
-    p.__dict__.update(ambient=ideal.ambient, field=field, _monomials=ideal.gens)  # past the frozen __setattr__
+    p.__dict__.update(ambient=ideal.ambient, field=field, _ideal=ideal)  # past the frozen __setattr__
     return p
+
+
+def _generator_codes(p: Presentation, w: Sequence[int], n: int) -> set:
+    """The codes sum_k m_k w_k of the generators m of degree <= n of a
+    monomial presentation; off the masks for a graph-built ideal, whose
+    x_i x_j has code w_i + w_j and x_v^2 has 2 w_v."""
+    graph = getattr(p.__dict__.get("_ideal"), "_graph", None)
+    if graph is None:
+        return {sum(map(mul, m, w)) for m in p._monomials if sum(m) <= n}
+    return {w[i] + w[j] for i, j in _pairs(graph, p._ideal._squares)} if n >= 2 else set()
 
 
 def to_monomial_ideal(p: Presentation) -> MonomialIdeal:
@@ -409,8 +497,21 @@ def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> Monomi
     """The monomial ideal under a variable-to-variable substitution: each
     exponent is added into its image's column and the substituted variables
     leave the ambient list.  Equals ``to_monomial_ideal(substitute(p, mapping))``
-    for ``p = presentation_of(ideal, field)``, with no polynomial built."""
+    for ``p = presentation_of(ideal, field)``, with no polynomial built.  A
+    graph-built ideal maps to the image graph, where an edge whose two ends
+    merge becomes a square."""
     keep, column = _substitution_columns(ideal.ambient, mapping)
+    graph = ideal.__dict__.get("_graph")
+    if graph is not None:
+        masks, squares = [0] * len(keep), 0
+        for i, j in _pairs(graph, ideal._squares):
+            a, b = column[i], column[j]
+            if a == b:  # a square, or an edge whose two ends merge
+                squares |= 1 << a
+            else:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+        return _graph_ideal(tuple(keep), tuple.__new__(Graph, masks), squares)
     gens = []
     for g in ideal.gens:
         e = [0] * len(keep)

@@ -8,10 +8,12 @@ Non-squarefree ideals are polarized by the scan (``_Scan``); dimension and
 depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
 polarization is; Theorem B's square quotient reads the scan of the partly
-whiskered ring its polarization equals (``_adopt_scan``). A scan takes its
-1-skeleton from one table of non-face neighbour masks: an ``edge_ideal``
-hands over its graph, and any other ideal derives the table from its
-polarized generators (``_nonface_table``). The f-vector,
+whiskered ring its polarization equals (``_adopt_scan``, which compares the
+two polarizations as ``MonomialIdeal.__eq__`` does, on their masks when both
+are built from graphs). A scan takes its 1-skeleton from one table of
+non-face neighbour masks: the polarization of a graph-built ideal hands over
+its masks, and any other derives the table from its generators
+(``_nonface_table``). The f-vector,
 Hilbert series and multiplicity read one count of the full complex's faces
 (``_Scan.f_counts``); ``f_vector`` takes the squarefree ideal itself, not a
 complex, and the series and the multiplicity are those of the polarization.
@@ -57,7 +59,7 @@ from math import comb
 from .fields import GF2, FieldSpec
 from .graphs import _component_mask
 from .linalg import gf2_rank, modp_rank, rational_rank
-from .monomials import MonomialIdeal, polarize
+from .monomials import MonomialIdeal, _same_generators, polarize
 
 _MAX_VARS = 14
 
@@ -79,7 +81,7 @@ def krull_dim(ideal: MonomialIdeal) -> int:
     the shedding certificate at any size.  Every other ring runs the
     max-face search, which ``_face_scan`` refuses for a non-squarefree ring
     above the size limit."""
-    if max(map(sum, ideal.gens), default=0) <= 2:
+    if ideal._max_degree() <= 2:
         scan = _scan_of(ideal)
         sizes = scan.vd_facet_sizes
         if sizes is not None:
@@ -175,7 +177,7 @@ def _adopt_scan(ideal: MonomialIdeal, twin: MonomialIdeal) -> bool:
     ``twin``'s scan with its own names and ``added``.  The copy shares the
     masks and the cached searches, which nothing rewrites."""
     pol, twin_pol = polarize(ideal), polarize(twin)
-    same = pol.gens == twin_pol.gens and pol.nvars == twin_pol.nvars
+    same = _same_generators(pol, twin_pol)
     if same:
         scan = object.__new__(_Scan)
         scan.__dict__.update(_scan_of(twin).__dict__, ambient=pol.ambient, added=pol.nvars - ideal.nvars)
@@ -186,10 +188,10 @@ def _adopt_scan(ideal: MonomialIdeal, twin: MonomialIdeal) -> bool:
 def _limited_scan(ideal: MonomialIdeal) -> "_Scan":
     """The ideal's scan, or a refusal when the ring is too large for the
     subset scan; called by depth and the CM check before either scans.  A new
-    scan is refused before it polarizes: the polarization has
-    sum over k of max(1, max_g g_k) variables, one pass over the generators."""
+    scan is refused before it polarizes, on the polarization's variable count
+    (``MonomialIdeal._polarized_nvars``)."""
     scan = ideal.__dict__.get("_scan")
-    n = scan.n if scan is not None else sum(map(max, zip((1,) * ideal.nvars, *ideal.gens)))
+    n = scan.n if scan is not None else ideal._polarized_nvars()
     if n > _MAX_VARS:
         raise ValueError(f"size limit exceeded: {n} variables after polarization")
     return _scan_of(ideal)

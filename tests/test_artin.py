@@ -94,11 +94,14 @@ def test_truncate_size_cap_admits_the_largest_corpus():
 
 
 def test_relation_cap_admits_over_gf2_what_it_refuses_over_q(monkeypatch):
-    # a 252 x 792 relation matrix: refused over q (tests/test_cli.py), built over GF(2)
+    # a 792 x 2002 relation matrix: refused over q (tests/test_cli.py), built
+    # over GF(2) and GF(3); one order lower is built over q too
     import ringlab.artin
 
     monkeypatch.setattr(ringlab.artin, "_truncate_general", lambda p, n: "built")
-    assert truncate(pres(list("abcde"), ["a^2 + b*c"], GF2), 8) == "built"
+    for f in (GF2, FieldSpec.prime(3)):
+        assert truncate(pres(list("abcde"), ["a^2 + b*c"], f), 10) == "built"
+    assert truncate(pres(list("abcde"), ["a^2 + b*c"], QQ), 9) == "built"
 
 
 def test_truncate_order_one_is_residue_field():

@@ -507,13 +507,13 @@ def test_oversized_truncation_exits_two_without_building(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "names, field, order, shape",
     [
-        # 12,870 monomials below order 9 in 8 variables pass the monomial cap,
-        # but one quadric needs 3,003 relation rows: ~3.9e7 dense cells
-        ("abcdefgh", "fp:2", "9", "3003 x 12870"),
-        # 2.0e5 cells pass the GF(p) cap but take ~30 s over the rationals
-        ("abcde", "q", "8", "252 x 792"),
+        # the smallest order of one quadric in five variables above each
+        # field's cap: 3.7e7 cells over GF(2), 3.9e6 over GF(3), 1.6e6 over q
+        ("abcde", "fp:2", "14", "4368 x 8568"),
+        ("abcde", "fp:3", "11", "1287 x 3003"),
+        ("abcde", "q", "10", "792 x 2002"),
     ],
-    ids=["fp:2", "q"],
+    ids=["fp:2", "fp:3", "q"],
 )
 def test_oversized_relation_matrix_exits_two_without_building(names, field, order, shape, tmp_path, monkeypatch, capsys):
     import ringlab.artin

@@ -408,27 +408,30 @@ def test_theorem_runners_scan_each_ideal_once(monkeypatch):
     assert len(built) == 29 and [sum(s is b for s in scanned) for b in built] == [1] * 29
 
 
-def test_theorem_runners_read_the_edge_rings_scans_off_their_graphs(monkeypatch):
-    # Sigma_G and the partly whiskered ring are edge ideals: their scans take
-    # the 1-skeleton from the graph, so no ideal of either corpus enters the
-    # generator-to-mask loop (thmB's square quotient adopts its scan), and
-    # no edge ideal runs the polarization body, which reads the generators
-    from functools import cached_property
-
+def test_graph_runners_build_no_generator_tuple(monkeypatch):
+    # every ideal of these corpora is built from a graph and kept as its
+    # masks: no generator set is built (``_quadrics``) or checked
+    # (``MonomialIdeal.__init__``), the scans take their 1-skeleton from the
+    # masks (thmB's square quotient adopts its scan), so no ideal enters the
+    # generator-to-mask loop
     import ringlab.sr_invariants as sr
     import ringlab.verify
     from ringlab.monomials import MonomialIdeal
 
-    tabled, polarized, built = [], [], []
-    real_table, real_body = sr._nonface_table, MonomialIdeal._polarization.func
+    tabled, quadrics, inits, built = [], [], [], []
+    real_table, real_quadrics, real_init = sr._nonface_table, ringlab.monomials._quadrics, MonomialIdeal.__init__
 
     def tabling(gens, bits):
         tabled.append(gens)
         return real_table(gens, bits)
 
-    def counting(ideal):
-        polarized.append(ideal)
-        return real_body(ideal)
+    def building(graph, squares):
+        quadrics.append(graph)
+        return real_quadrics(graph, squares)
+
+    def checking(ideal, *args):
+        inits.append(args)
+        real_init(ideal, *args)
 
     def recording(real):
         def build(*args):
@@ -437,18 +440,21 @@ def test_theorem_runners_read_the_edge_rings_scans_off_their_graphs(monkeypatch)
 
         return build
 
-    probe = cached_property(counting)
-    probe.__set_name__(MonomialIdeal, "_polarization")
-    monkeypatch.setattr(MonomialIdeal, "_polarization", probe)
     monkeypatch.setattr(sr, "_nonface_table", tabling)
+    monkeypatch.setattr(ringlab.monomials, "_quadrics", building)
+    monkeypatch.setattr(MonomialIdeal, "__init__", checking)
     for name in ("whisker_except_edge_ideal", "whiskered_edge_ideal"):
         monkeypatch.setattr(ringlab.verify, name, recording(getattr(ringlab.verify, name)))
     assert all(r.passed for r in run_theorem_A_corpus(4))
     assert all(r.passed for r in run_theorem_B_corpus(4))
     assert len(built) == 29 + 40 and all("_scan" in ideal.__dict__ for ideal in built)
-    assert tabled == []
-    # only thmB's square quotients, one each, are polarized by the body
-    assert len(polarized) == 40 and not any(p is b for p in polarized for b in built)
+    for report in (run_socle_clique_corpus(4), run_star_split_corpus(4), run_gorenstein_corpus(4)):
+        assert report.passed
+    assert tabled == [] and quadrics == [] and inits == []
+    # the probes see a generator read and a tuple-built ideal
+    ideal = built[0]
+    MonomialIdeal(ideal.ambient, ideal.gens)
+    assert len(quadrics) == 1 and len(inits) == 1
 
 
 THMB_COLLAPSED = ["v1^2", "v1*v2", "v1*v3", "v2^2", "v2*v3"]
