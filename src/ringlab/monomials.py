@@ -223,6 +223,21 @@ def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
     return any(monomial_divides(g, m) for g in ideal.gens)
 
 
+def _pair_mask(ideal: MonomialIdeal, k: int) -> int:
+    """The mask of the variables x_j (bit j) with x_k x_j in the ideal: off the
+    masks of a graph-built ideal, else one ``contains`` call per j."""
+    graph = ideal.__dict__.get("_graph")
+    if graph is not None:
+        return graph[k] | ideal._squares & 1 << k
+    mask, e = 0, [0] * ideal.nvars
+    e[k] = 1
+    for j in range(ideal.nvars):
+        e[j] += 1
+        mask |= contains(ideal, e) << j
+        e[j] -= 1
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # constructions on ideals
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ vertex-decomposable, hence shellable and sequentially Cohen-Macaulay over
 every field (Bjorner-Wachs), so its depth is its smallest facet size, its
 dimension its largest facet size (the largest face of any complex is a facet),
 and it is Cohen-Macaulay iff pure. The shedding search strips cone apexes
-before it looks for a shedding vertex, so a whiskered cone costs one step per
-whisker. Only an uncertified ring runs the max-face search. A pure
+before it looks for a shedding vertex, and settles a base that is a whiskered
+graph in one step: such a graph is vertex-decomposable (Dochtermann-Engstrom,
+Electron. J. Combin. 16, 2009, Thm 4.4), and each facet holds one vertex of
+each whisker, so Sigma_G is certified at its root. Only an uncertified ring
+runs the max-face search. A pure
 certificate is audited before it answers the CM check, as a wedge of
 top-dimensional spheres: its reduced mod-2 Betti numbers must vanish below
 the top degree and equal its reduced Euler characteristic, up to sign, there
@@ -323,8 +326,15 @@ class _Scan:
 
         The graph has the non-faces {a, b} as edges. Its isolated vertices
         are cone apexes: they are stripped first, the base is certified, and
-        every facet gains the apexes. A vertex v with a neighbour w such that
-        N[w] lies in N[v] is a shedding vertex (Woodroofe), so the complex is
+        every facet gains the apexes. A base that is a whiskered graph (its
+        leaves and their one neighbours form pairs that are equal or disjoint
+        and cover it) settles at once: it is vertex-decomposable
+        (Dochtermann-Engstrom, Electron. J. Combin. 16, 2009, Thm 4.4), and
+        every facet holds exactly one vertex of each of its p pairs, at most
+        one since the two are adjacent and at least one since a facet
+        missing both could take the leaf, so its facet sizes are (p, p).
+        Otherwise a vertex v with a neighbour w such that N[w] lies in N[v]
+        is a shedding vertex (Woodroofe), so the complex is
         vertex-decomposable when both its deletion G - v and its link
         G - N[v] are; its facets are those of the deletion and those of the
         link coned by v. Only the first such v is tried at each step, so
@@ -345,6 +355,27 @@ class _Scan:
                 if closed[bit.bit_length() - 1] & mask == bit:
                     base ^= bit
             return base, mask.bit_count() - base.bit_count()
+
+        def whisker_pairs(base: int) -> int | None:
+            """The number of pairs (leaf, its one neighbour) of an apex-free
+            base when they are pairwise equal or disjoint and cover it, else
+            None.  A K2 is one pair, seen from both ends."""
+            if base.bit_count() & 1:  # the pairs would partition it
+                return None
+            covered = pairs = 0
+            scan = base
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                near = closed[bit.bit_length() - 1] & base
+                nbrs = near ^ bit
+                if nbrs & (nbrs - 1) == 0:  # one neighbour: a leaf
+                    if not near & covered:
+                        covered |= near
+                        pairs += 1
+                    elif not bit & covered:  # its neighbour is in another pair
+                        return None
+            return pairs if covered == base else None
 
         def shedding(base: int) -> tuple[int, int] | None:
             """(first shedding vertex v, N[v]) of an apex-free base, or None."""
@@ -373,9 +404,10 @@ class _Scan:
                 stack.pop()
                 continue
             if base not in parts:
-                shed = shedding(base)
-                if shed is None:
-                    memo[base] = None
+                pairs = whisker_pairs(base)
+                shed = pairs is None and shedding(base)
+                if not shed:  # a whiskered base, or one with no shedding vertex
+                    memo[base] = pairs and (pairs, pairs)
                     stack.pop()
                     continue
                 parts[base] = (strip(base ^ shed[0]), strip(base & ~shed[1]))

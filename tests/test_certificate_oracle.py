@@ -22,7 +22,7 @@ from ringlab.constructions import (
     whiskered_edge_ideal,
 )
 from ringlab.fields import GF2, QQ, FieldSpec
-from ringlab.graphs import Graph, enumerate_graphs
+from ringlab.graphs import Graph, enumerate_graphs, whisker_all, whisker_except
 from ringlab.monomials import MonomialIdeal, edge_ideal, polarize
 from ringlab.sr_invariants import (
     _Scan,
@@ -254,10 +254,55 @@ def facet_sizes(g: Graph) -> tuple[int, int]:
     return min(sizes), max(sizes)
 
 
+def test_whiskered_rings_match_the_brute_force_facet_sizes():
+    # Sigma_G settles at its root by the whisker rule, and a partly
+    # whiskered ring's search meets whiskered sub-bases; the facet sizes are
+    # isomorphism invariants, so the brute force runs once per class
+    perms = {n: list(itertools.permutations(range(1, n + 1))) for n in range(1, 6)}
+    brute: dict = {}
+    rings = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            keys = orbit_keys(g, perms[n])
+            pairs = [(None, whisker_all(g))] + [(v, whisker_except(g, v)) for v in range(1, n + 1)]
+            for v, h in pairs:
+                key = (n, keys[v])
+                if key not in brute:
+                    brute[key] = facet_sizes(h)
+                assert _Scan(edge_ideal(h)).vd_facet_sizes == brute[key], (g, v)
+                rings += 1
+    assert rings == 6_504
+
+
+def test_the_whisker_rule_leaves_other_bases_to_the_search():
+    # bases that are not whiskered: the rule must not settle them, and the
+    # shedding search gives their true facet sizes.  P3's two leaves share
+    # their neighbour; K1,3 has three; a whiskered edge with a second leaf
+    # on one hub has two pairs that overlap.  P3 and that graph have an odd
+    # vertex count, which no set of disjoint pairs covers, so the claw and
+    # a whiskered edge with a second leaf on both hubs test the overlap
+    p3 = Graph(3, [(1, 2), (2, 3)])
+    claw = Graph(4, [(1, 2), (1, 3), (1, 4)])
+    extra_leaf = Graph(5, [(1, 2), (1, 3), (2, 4), (1, 5)])
+    two_extra = Graph(6, [(1, 2), (1, 3), (2, 4), (1, 5), (2, 6)])
+    for g, want in ((p3, (1, 2)), (claw, (1, 3)), (extra_leaf, (2, 3)), (two_extra, (3, 4))):
+        assert facet_sizes(g) == want, g
+        assert _Scan(edge_ideal(g)).vd_facet_sizes == want, g
+
+
+def test_the_whisker_rule_settles_whiskered_bases():
+    # disjoint K2s (each one pair, seen from both ends), and a whiskered
+    # graph beside an isolated apex, which is stripped first
+    disjoint = Graph(6, [(1, 2), (3, 4), (5, 6)])
+    apex = Graph(9, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 5), (3, 6), (7, 8)])
+    for g, want in ((disjoint, (3, 3)), (apex, (5, 5))):
+        assert facet_sizes(g) == want, g
+        assert _Scan(edge_ideal(g)).vd_facet_sizes == want, g
+
+
 def test_dimension_of_a_certified_ring_skips_the_face_search(monkeypatch):
-    # sigma(E20) has 40 variables; the max-face search took 6.2 s on it.  Each
-    # shedding step leaves its whisker as a cone apex, which is stripped, so
-    # the certificate answers in one step per whisker
+    # sigma(E20) has 40 variables; the max-face search took 6.2 s on it.  It
+    # is a whiskered graph, so the certificate answers at its root
     import ringlab.sr_invariants as sr
 
     def refuse(self):
@@ -284,8 +329,13 @@ def test_cones_certify_through_their_apexes(m):
 
 
 def test_the_shedding_search_runs_past_the_recursion_limit():
-    # sigma(E1000) takes 1,000 shedding steps in a row, one per whisker: the
-    # search keeps them on its own stack, not Python's
+    # 1,000 disjoint paths on three vertices are no whiskered graph (each
+    # path's two leaves share their neighbour), so the search sheds one
+    # middle vertex per step, 1,000 steps in a row: it keeps them on its own
+    # stack, not Python's.  Each facet holds the middle or both ends of
+    # every path.  sigma(E1000) is whiskered and settles at its root
+    paths = Graph(3000, [(3 * c + k, 3 * c + k + 1) for c in range(1000) for k in (1, 2)])
+    assert _Scan(edge_ideal(paths)).vd_facet_sizes == (1000, 2000)
     assert krull_dim(whiskered_edge_ideal(Graph(1000, []))) == 1000
 
 

@@ -21,6 +21,7 @@ from ringlab.graphs import Graph, enumerate_graphs, star_vertices
 from ringlab.monomials import (
     MonomialIdeal,
     _minimalize,
+    _pair_mask,
     Poly,
     Presentation,
     contains,
@@ -286,6 +287,25 @@ def test_contains_examples():
     assert not contains(i, mono(["x", "y"], "x^2"))
     k3 = edge_ideal(named_graph("k3"))
     assert contains(k3, mono(k3.ambient, "v1*v2*v3"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_mask_matches_the_membership_loop(n):
+    # bit j of _pair_mask(ideal, k) iff x_k x_j lies in the ideal: read off
+    # the masks of a graph-built ideal, and by contains on its tuple twin
+    from test_certificate_oracle import kinds
+
+    for g in enumerate_graphs(n):
+        for _, _, built in kinds(g):
+            for ideal in (built, MonomialIdeal(built.ambient, built.gens)):
+                for k in range(ideal.nvars):
+                    want = 0
+                    for j in range(ideal.nvars):
+                        e = [0] * ideal.nvars
+                        e[k] += 1
+                        e[j] += 1
+                        want |= contains(ideal, e) << j
+                    assert _pair_mask(ideal, k) == want, (ideal, k)
 
 
 # -- decomposability ----------------------------------------------------------

@@ -92,7 +92,7 @@ def test_thmB_witness_keys_keep_their_order(monkeypatch):
     monkeypatch.setattr(v, "depth", lambda ideal, f: 9 if f is QQ else real_depth(ideal, f))
     monkeypatch.setattr(v, "_adopt_scan", lambda ideal, twin: False)
     monkeypatch.setattr(v, "substitute_ideal", lambda ideal, mapping: ideal)
-    monkeypatch.setattr(v, "contains", lambda ideal, mono: max(mono) == 2)
+    monkeypatch.setattr(v, "_pair_mask", lambda ideal, k: 1 << k)  # only the star's square
     g = named_graph("k3")
     reports = check_theorem_B_fields(g, 3, (QQ, GF2))
     shared = ["substitution_mismatch", "polarization_mismatch", "star_product_nonzero", "star_square_zero"]
@@ -455,6 +455,19 @@ def test_graph_runners_build_no_generator_tuple(monkeypatch):
     ideal = built[0]
     MonomialIdeal(ideal.ambient, ideal.gens)
     assert len(quadrics) == 1 and len(inits) == 1
+
+
+def test_theorem_runners_make_no_membership_call(monkeypatch):
+    # the star tests read one mask of products per ideal, off its graph
+    import ringlab.monomials
+    import ringlab.verify
+
+    calls = []
+    for module in (ringlab.monomials, ringlab.verify):
+        monkeypatch.setattr(module, "contains", lambda ideal, m: calls.append(m), raising=False)
+    assert all(r.passed for r in run_theorem_A_corpus(4))
+    assert all(r.passed for r in run_theorem_B_corpus(4))
+    assert calls == []
 
 
 THMB_COLLAPSED = ["v1^2", "v1*v2", "v1*v3", "v2^2", "v2*v3"]
