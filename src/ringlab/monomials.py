@@ -2,11 +2,15 @@
 
 A monomial is an exponent tuple against an ordered list of variable names.
 ``MonomialIdeal`` has the unique minimal generating set as ``gens``, so ideal
-equality is generator-set equality.  An ideal built from a graph (``edge_ideal``,
-the vertex-square quotients: ``_graph_ideal``) keeps the neighbour masks and a
-mask of square vertices and builds ``gens`` only when read; its polarization,
-substitution, membership, equality, variable split and ``truncate`` codes read
-the masks.  ``Presentation`` holds general polynomial generators (exact
+equality is generator-set equality.  Every ideal holds that set in one form:
+its squarefree quadrics as a ``Graph`` of neighbour masks (``_graph``), its
+squares x_v^2 as a mask of variables (``_squares``), and its other generators,
+of degree 1 or >= 3, as exponent tuples (``_rest``).  ``gens`` is built from
+the three when first read.  Polarization, substitution, membership, equality,
+the variable split, the scan and ``truncate``'s codes read the masks, then
+loop over ``_rest``; an ideal built from a graph (``edge_ideal``, the
+vertex-square quotients: ``_graph_ideal``) has an empty ``_rest`` and builds
+no tuple.  ``Presentation`` holds general polynomial generators (exact
 coefficients, zero constant term); it is the truncated-algebra engine's input.
 
 Exponents must be integer values: ``MonomialIdeal``, ``contains`` and ``Poly``
@@ -45,10 +49,6 @@ def monomial_divides(a: Monomial, b: Monomial) -> bool:
 
 def monomial_degree(a: Monomial) -> int:
     return sum(a)
-
-
-def is_squarefree(a: Monomial) -> bool:
-    return all(e <= 1 for e in a)
 
 
 def _exponents(m) -> Monomial:
@@ -97,22 +97,15 @@ class MonomialIdeal:
             if not any(g):
                 raise ValueError("unit generator not allowed")
             norm.add(g)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "gens", _minimalize(norm))
-
-    @classmethod
-    def _trusted(cls, ambient: tuple, gens: frozenset) -> "MonomialIdeal":
-        """An ideal whose distinct-named ambient and minimal set of nonzero
-        exponent tuples of its length hold by construction, built unchecked."""
-        ideal = object.__new__(cls)
-        ideal.__dict__.update(ambient=ambient, gens=gens)  # past the frozen __setattr__
-        return ideal
+        gens = _minimalize(norm)
+        graph, squares, rest = _split(gens, n)  # stored below, past the frozen __setattr__
+        self.__dict__.update(ambient=ambient, gens=gens, _graph=graph, _squares=squares, _rest=rest)
 
     def __getattr__(self, name: str):
-        """``gens`` of a graph-built ideal (``_graph_ideal``), built on first read."""
-        if name != "gens" or "_graph" not in self.__dict__:
+        """``gens``, built from the masks and ``_rest`` on first read."""
+        if name != "gens":
             raise AttributeError(name)
-        self.__dict__["gens"] = gens = _quadrics(self._graph, self._squares)
+        self.__dict__["gens"] = gens = _quadrics(self._graph, self._squares) | self._rest
         return gens
 
     # the dataclass adds __hash__, the hash of (ambient, gens)
@@ -125,25 +118,34 @@ class MonomialIdeal:
     def nvars(self) -> int:
         return len(self.ambient)
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def is_squarefree(self) -> bool:
-        if "_graph" in self.__dict__:
-            return not self._squares
-        return all(is_squarefree(g) for g in self.gens)
+        if self._squares:
+            return False
+        for g in self._rest:
+            if max(g) > 1:
+                return False
+        return True
 
     def _max_degree(self) -> int:
         """The largest generator degree, 0 for the zero ideal."""
-        if "_graph" in self.__dict__:
-            return 2 if self._squares or any(self._graph) else 0
-        return max(map(sum, self.gens), default=0)
+        top = 2 if self._squares or any(self._graph) else 0
+        for g in self._rest:
+            top = max(top, sum(g))
+        return top
+
+    def _multiplicities(self) -> list[int]:
+        """Per variable, its largest exponent in a generator, at least 1."""
+        squares = self._squares
+        mults = [1 + (squares >> k & 1) for k in range(self.nvars)]
+        for g in self._rest:
+            for k, e in enumerate(g):
+                if e > mults[k]:
+                    mults[k] = e
+        return mults
 
     def _polarized_nvars(self) -> int:
         """The polarization's variable count, found without polarizing."""
-        if "_graph" in self.__dict__:
-            return self.nvars + self._squares.bit_count()
-        return sum(map(max, zip((1,) * self.nvars, *self.gens)))
+        return sum(self._multiplicities()) if self._rest else self.nvars + self._squares.bit_count()
 
     def sorted_gens(self) -> list[Monomial]:
         # by degree, then descending tuples: (degree, -exponents) order
@@ -159,14 +161,8 @@ class MonomialIdeal:
     def _polarization(self) -> "MonomialIdeal | None":
         """See ``polarize``; computed at most once per ideal object.  None for
         a squarefree ideal, which is its own polarization: an ideal that kept
-        itself here would be a reference cycle, freed only by the collector.
-        A graph-built ideal polarizes to its graph whiskered at its square
-        vertices, the pendant of x_v being x_v'."""
-        graph, n = self.__dict__.get("_graph"), self.nvars
-        if graph is not None:
-            mults = [1 + (self._squares >> k & 1) for k in range(n)]
-        else:
-            mults = list(map(max, zip(*self.gens)))
+        itself here would be a reference cycle, freed only by the collector."""
+        n, mults = self.nvars, self._multiplicities()
         if max(mults, default=0) <= 1:
             return None
         first: list[int] = []  # per variable, the column of its copy x'
@@ -177,64 +173,57 @@ class MonomialIdeal:
         ambient = self.ambient + tuple(fresh)
         if len(set(ambient)) != len(ambient):
             raise ValueError("duplicate variable names")
-        if graph is not None:  # each square vertex v gains the pendant x_v'
-            masks = [mask | (mult - 1) << col for mask, mult, col in zip(graph, mults, first)]
-            masks += [1 << k for k in range(n) if mults[k] > 1]
-            return _graph_ideal(ambient, tuple.__new__(Graph, masks), 0)
-        gens = []
-        for g in self.gens:
+        masks = list(self._graph) + [0] * len(fresh)
+        for k in range(n):
+            if self._squares >> k & 1:
+                masks[k] |= 1 << first[k]
+                masks[first[k]] = 1 << k
+        rest = []
+        for g in self._rest:
             e = [0] * len(ambient)
             for k, exp in enumerate(g):
                 if exp:
                     e[k] = 1
                     e[first[k] : first[k] + exp - 1] = [1] * (exp - 1)
-            gens.append(tuple(e))
+            rest.append(tuple(e))
         # u | v iff pol(u) | pol(v), so a minimal set polarizes to a minimal set
-        return MonomialIdeal._trusted(ambient, frozenset(gens))
+        return _graph_ideal(ambient, tuple.__new__(Graph, masks), 0, frozenset(rest))
 
 
 def _same_generators(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     """Whether two ideals have one variable count and one generator set, names
-    aside: two graph-built ideals compare their masks, other pairs generators."""
-    if "_graph" in a.__dict__ and "_graph" in b.__dict__:
-        return a._graph == b._graph and a._squares == b._squares
-    return a.nvars == b.nvars and a.gens == b.gens
+    aside: the same masks and the same ``_rest``."""
+    return a._graph == b._graph and a._squares == b._squares and a._rest == b._rest
 
 
 def contains(ideal: MonomialIdeal, m: Monomial) -> bool:
-    """Membership for a monomial: true iff some generator divides it.  A
-    graph-built ideal answers off its masks: m lies in it iff a square vertex
-    has exponent >= 2 in m or two vertices of m's support are adjacent.  Any
-    other ideal looks a generator up before the divisibility scan."""
+    """Membership for a monomial: true iff some generator divides it, a
+    quadric when a square vertex has exponent >= 2 in m or two vertices of
+    m's support are adjacent, else one of ``_rest``."""
     m = _exponents(m)
     if len(m) != ideal.nvars:
         raise ValueError("monomial has wrong ambient")
-    graph = ideal.__dict__.get("_graph")
-    if graph is not None:
-        squares, support = ideal._squares, 0  # support: the vertices of m seen so far
-        for k, e in enumerate(m):
-            if e:
-                if e > 1 and squares >> k & 1 or graph[k] & support:
-                    return True
-                support |= 1 << k
-        return False
-    if m in ideal.gens:
-        return True
-    return any(monomial_divides(g, m) for g in ideal.gens)
+    graph, squares, support = ideal._graph, ideal._squares, 0  # support: the vertices of m seen so far
+    for k, e in enumerate(m):
+        if e:
+            if e > 1 and squares >> k & 1 or graph[k] & support:
+                return True
+            support |= 1 << k
+    for g in ideal._rest:
+        if monomial_divides(g, m):
+            return True
+    return False
 
 
 def _pair_mask(ideal: MonomialIdeal, k: int) -> int:
-    """The mask of the variables x_j (bit j) with x_k x_j in the ideal: off the
-    masks of a graph-built ideal, else one ``contains`` call per j."""
-    graph = ideal.__dict__.get("_graph")
-    if graph is not None:
-        return graph[k] | ideal._squares & 1 << k
-    mask, e = 0, [0] * ideal.nvars
-    e[k] = 1
-    for j in range(ideal.nvars):
-        e[j] += 1
-        mask |= contains(ideal, e) << j
-        e[j] -= 1
+    """The mask of the variables x_j (bit j) with x_k x_j in the ideal: off
+    the masks, plus bit j for a linear generator x_j, and every bit when
+    x_k itself generates."""
+    mask = ideal._graph[k] | ideal._squares & 1 << k
+    for g in ideal._rest:
+        if sum(g) == 1:
+            j = g.index(1)
+            mask |= (1 << ideal.nvars) - 1 if j == k else 1 << j
     return mask
 
 
@@ -247,8 +236,8 @@ def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
     """The ideal generated by v_i v_j over the edges of g.
 
     The ideal keeps g's neighbour masks (``_graph_ideal``): its scan reads
-    the 1-skeleton off them, and it is squarefree, so its own polarization,
-    without a generator built."""
+    the 1-skeleton off them, and it is its own polarization, without a
+    generator built."""
     if names is None:
         names = [f"v{i}" for i in range(1, g.n + 1)]
     names = tuple(names)
@@ -259,17 +248,36 @@ def edge_ideal(g: Graph, names: Sequence[str] | None = None) -> MonomialIdeal:
     return _graph_ideal(names, g, 0)
 
 
-def _graph_ideal(names: tuple, graph: Graph, squares: int) -> MonomialIdeal:
-    """The ideal generated by x_i x_j over the edges of ``graph`` and by x_v^2
-    over the set bits v of ``squares``, kept as those masks, its ``gens`` built
-    on first read.  The names are trusted: distinct, one per vertex."""
+def _graph_ideal(names: tuple, graph: Graph, squares: int, rest: frozenset = frozenset()) -> MonomialIdeal:
+    """The ideal generated by x_i x_j over the edges of ``graph``, by x_v^2
+    over the set bits v of ``squares`` and by ``rest``, kept as those three.
+    Trusted: distinct names, one per vertex, and a minimal generating set
+    with every quadric in the masks."""
     ideal = object.__new__(MonomialIdeal)
-    ideal.__dict__.update(ambient=names, _graph=graph, _squares=squares)  # past the frozen __setattr__
+    ideal.__dict__.update(ambient=names, _graph=graph, _squares=squares, _rest=rest)  # past the frozen __setattr__
     return ideal
 
 
+def _split(gens: frozenset, n: int) -> tuple[Graph, int, frozenset]:
+    """A minimal generating set in n variables as the arguments of
+    ``_graph_ideal``: the squarefree quadrics as neighbour masks, the
+    squares as a mask, and the other generators as they are."""
+    masks, squares, rest = [0] * n, 0, []
+    for g in gens:
+        if sum(g) != 2:
+            rest.append(g)
+        elif 2 in g:
+            squares |= 1 << g.index(2)
+        else:
+            a = g.index(1)
+            b = g.index(1, a + 1)
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return tuple.__new__(Graph, masks), squares, frozenset(rest)
+
+
 def _pairs(graph, squares: int):
-    """The generators of ``_graph_ideal(names, graph, squares)`` as 0-based
+    """The quadrics of ``_graph_ideal(names, graph, squares)`` as 0-based
     pairs i <= j: (v, v) for x_v^2, and each edge once.  Makes no call into
     graphs, which module-engine's benchmark guard counts."""
     for i, mask in enumerate(graph):
@@ -283,8 +291,8 @@ def _pairs(graph, squares: int):
 
 
 def _quadrics(graph: Graph, squares: int) -> frozenset:
-    """The generators of ``_graph_ideal(names, graph, squares)``: distinct
-    degree-2 monomials, a minimal generating set."""
+    """The quadrics of ``_graph_ideal(names, graph, squares)`` as exponent
+    tuples: distinct degree-2 monomials, a minimal generating set."""
     n = len(graph)
     gens = []
     for i, j in _pairs(graph, squares):
@@ -301,9 +309,8 @@ def polarize(ideal: MonomialIdeal) -> MonomialIdeal:
     A variable x of multiplicity d spawns fresh copies x', x'', ..., appended
     after the original ambient list (grouped by original variable, in ambient
     order); x^j polarizes to x * x' * ... * x^(j-1 primes).  Squarefree input
-    comes back unchanged.  A graph-built ideal polarizes off its masks, to
-    a graph-built ideal: its graph whiskered at the square vertices, so an
-    ``edge_ideal`` comes back with no generator built.
+    comes back unchanged, so an ``edge_ideal`` with no generator built.  The
+    quadrics polarize off the masks: x_v^2 becomes the edge x_v x_v'.
     """
     return ideal._polarization or ideal
 
@@ -313,38 +320,26 @@ def rename_ideal(ideal: MonomialIdeal, names: Sequence[str]) -> MonomialIdeal:
         raise ValueError("need one name per variable")
     if len(set(names)) != len(names):
         raise ValueError("duplicate variable names")
-    if "_graph" in ideal.__dict__:
-        return _graph_ideal(tuple(names), ideal._graph, ideal._squares)
-    return MonomialIdeal._trusted(tuple(names), ideal.gens)
+    return _graph_ideal(tuple(names), ideal._graph, ideal._squares, ideal._rest)
 
 
 def variable_partition_decomposable(ideal: MonomialIdeal):
     """Split the variables as V1 | V2 certifying m = (V1) + (V2) as a direct sum.
 
-    The cross graph joins x-y whenever xy is not in the ideal: for a
-    graph-built ideal it is the complement of the masks, and otherwise it is
-    read off the generators, since with no generator of degree one x_a x_b
-    lies in the ideal iff it is a generator.  Returns (component of the last
+    The cross graph joins x-y whenever xy is not in the ideal: with no
+    generator of degree one x_a x_b lies in the ideal iff it is a generator,
+    so the cross graph is the complement of the masks.  Returns (component of the last
     variable, the rest) when that graph is disconnected, else None.  In a
     monomial quotient every mixed monomial is divisible by a mixed
     quadratic, so vanishing of the degree-2 cross products certifies the
     full direct-sum decomposition.
     """
+    for g in ideal._rest:
+        if sum(g) == 1:
+            raise ValueError("presentation is not minimal: a variable generates")
     n = ideal.nvars
     full = (1 << n) - 1
-    graph = ideal.__dict__.get("_graph")
-    if graph is None:
-        graph = [0] * n  # the squarefree quadrics x_a x_b as neighbour masks
-        for g in ideal.gens:
-            d = monomial_degree(g)
-            if d == 1:
-                raise ValueError("presentation is not minimal: a variable generates")
-            if d == 2 and 1 in g:
-                a = g.index(1)
-                b = g.index(1, a + 1)
-                graph[a] |= 1 << b
-                graph[b] |= 1 << a
-    adj = [full ^ 1 << a ^ mask for a, mask in enumerate(graph)]
+    adj = [full ^ 1 << a ^ mask for a, mask in enumerate(ideal._graph)]
     if n <= 1:
         return None
     comp = _component_mask(adj, 1 << (n - 1), full)  # component of the last variable
@@ -438,7 +433,7 @@ class Presentation:
 
     def __getattr__(self, name: str):
         """``gens`` of a ``presentation_of`` result, built on first read."""
-        if name != "gens" or "_ideal" not in self.__dict__:
+        if name != "gens":
             raise AttributeError(name)
         one, nvars = self.field.one(), self.nvars
         gens = []
@@ -450,16 +445,15 @@ class Presentation:
         return gens
 
     @cached_property
-    def _monomials(self) -> frozenset | None:
-        """The generators' exponent tuples when each has one term, else None."""
-        if "_ideal" in self.__dict__:
-            return self._ideal.gens
+    def _ideal(self) -> MonomialIdeal | None:
+        """The ideal of the generators when each has one term, else None; set
+        by ``presentation_of``."""
         if all(g.is_monomial() for g in self.gens):
-            return frozenset(next(iter(g.terms)) for g in self.gens)
+            return MonomialIdeal(self.ambient, (next(iter(g.terms)) for g in self.gens))
         return None
 
     def is_monomial(self) -> bool:
-        return "_ideal" in self.__dict__ or self._monomials is not None
+        return self._ideal is not None
 
     def gen_strings(self) -> list[str]:
         return [format_poly(self.ambient, g) for g in self.gens]
@@ -468,9 +462,9 @@ class Presentation:
 def presentation_of(ideal: MonomialIdeal, field: FieldSpec) -> Presentation:
     """The ideal's generators as one-term polynomials, in ``sorted_gens`` order.
 
-    Holds the ideal and builds ``gens`` on first read; the monomial ``truncate``
-    reads only the generator codes (``_generator_codes``, off the masks of a
-    graph-built ideal).  Skips the checks that the ideal's invariant answers."""
+    Holds the ideal as its ``_ideal`` and builds ``gens`` on first read; the
+    monomial ``truncate`` reads only the generator codes (``_generator_codes``).
+    Skips the checks that the ideal's invariant answers."""
     p = object.__new__(Presentation)
     p.__dict__.update(ambient=ideal.ambient, field=field, _ideal=ideal)  # past the frozen __setattr__
     return p
@@ -478,18 +472,21 @@ def presentation_of(ideal: MonomialIdeal, field: FieldSpec) -> Presentation:
 
 def _generator_codes(p: Presentation, w: Sequence[int], n: int) -> set:
     """The codes sum_k m_k w_k of the generators m of degree <= n of a
-    monomial presentation; off the masks for a graph-built ideal, whose
-    x_i x_j has code w_i + w_j and x_v^2 has 2 w_v."""
-    graph = getattr(p.__dict__.get("_ideal"), "_graph", None)
-    if graph is None:
-        return {sum(map(mul, m, w)) for m in p._monomials if sum(m) <= n}
-    return {w[i] + w[j] for i, j in _pairs(graph, p._ideal._squares)} if n >= 2 else set()
+    monomial presentation's ideal: off the masks, x_i x_j has code
+    w_i + w_j and x_v^2 has 2 w_v."""
+    ideal = p._ideal
+    codes = {w[i] + w[j] for i, j in _pairs(ideal._graph, ideal._squares)} if n >= 2 else set()
+    for m in ideal._rest:
+        if sum(m) <= n:
+            codes.add(sum(map(mul, m, w)))
+    return codes
 
 
 def to_monomial_ideal(p: Presentation) -> MonomialIdeal:
-    if not p.is_monomial():
+    ideal = p._ideal
+    if ideal is None:
         raise ValueError("presentation has non-monomial generators")
-    return MonomialIdeal(p.ambient, p._monomials)
+    return ideal
 
 
 def _substitution_columns(ambient: Sequence[str], mapping: Mapping[str, str]) -> tuple[list, list]:
@@ -512,29 +509,29 @@ def substitute_ideal(ideal: MonomialIdeal, mapping: Mapping[str, str]) -> Monomi
     """The monomial ideal under a variable-to-variable substitution: each
     exponent is added into its image's column and the substituted variables
     leave the ambient list.  Equals ``to_monomial_ideal(substitute(p, mapping))``
-    for ``p = presentation_of(ideal, field)``, with no polynomial built.  A
-    graph-built ideal maps to the image graph, where an edge whose two ends
-    merge becomes a square."""
+    for ``p = presentation_of(ideal, field)``, with no polynomial built.  The
+    quadrics map to the image graph, where an edge whose two ends merge
+    becomes a square."""
     keep, column = _substitution_columns(ideal.ambient, mapping)
-    graph = ideal.__dict__.get("_graph")
-    if graph is not None:
-        masks, squares = [0] * len(keep), 0
-        for i, j in _pairs(graph, ideal._squares):
-            a, b = column[i], column[j]
-            if a == b:  # a square, or an edge whose two ends merge
-                squares |= 1 << a
-            else:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-        return _graph_ideal(tuple(keep), tuple.__new__(Graph, masks), squares)
-    gens = []
-    for g in ideal.gens:
+    masks, squares = [0] * len(keep), 0
+    for i, j in _pairs(ideal._graph, ideal._squares):
+        a, b = column[i], column[j]
+        if a == b:  # a square, or an edge whose two ends merge
+            squares |= 1 << a
+        else:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    graph = tuple.__new__(Graph, masks)
+    if not ideal._rest:  # distinct quadrics never divide each other
+        return _graph_ideal(tuple(keep), graph, squares)
+    gens = list(_quadrics(graph, squares))
+    for g in ideal._rest:
         e = [0] * len(keep)
         for k, exp in enumerate(g):
             e[column[k]] += exp
         gens.append(tuple(e))
     # kept names are distinct ambient names, and each image keeps its degree
-    return MonomialIdeal._trusted(tuple(keep), _minimalize(gens))
+    return _graph_ideal(tuple(keep), *_split(_minimalize(gens), len(keep)))
 
 
 def _rewrite(p: Poly, ambient: Sequence[str], column: Sequence[int | None]) -> Poly:

@@ -9,11 +9,11 @@ depth drop by the number of added variables.  Every invariant below reads the
 ideal's one scan (``_scan_of``), built at most once per ideal object, as its
 polarization is; Theorem B's square quotient reads the scan of the partly
 whiskered ring its polarization equals (``_adopt_scan``, which compares the
-two polarizations as ``MonomialIdeal.__eq__`` does, on their masks when both
-are built from graphs). A scan takes its 1-skeleton from one table of
-non-face neighbour masks: the polarization of a graph-built ideal hands over
-its masks, and any other derives the table from its generators
-(``_nonface_table``). The f-vector,
+two polarizations as ``MonomialIdeal.__eq__`` does). A scan takes its
+1-skeleton from the polarization's neighbour masks, which are its non-face
+pairs, and reads its face vertices and its larger non-faces off the
+polarization's other generators (``_rest``): the linear ones are the
+variables that are no face vertex. The f-vector,
 Hilbert series and multiplicity read one count of the full complex's faces
 (``_Scan.f_counts``); ``f_vector`` takes the squarefree ideal itself, not a
 complex, and the series and the multiplicity are those of the polarization.
@@ -208,26 +208,6 @@ def _face_scan(ideal: MonomialIdeal) -> "_Scan":
     return _scan_of(ideal) if ideal.is_squarefree() else _limited_scan(ideal)
 
 
-def _nonface_table(gens, bits: list[int]) -> tuple[list[int], int, list[int]]:
-    """The non-face pairs of a squarefree ideal's complex as neighbour masks
-    (bit b of table[a] iff x_a x_b is a generator), its face vertices (the
-    variables that do not generate) and its generator masks of degree >= 3."""
-    table = [0] * len(bits)
-    face_verts = (1 << len(bits)) - 1
-    big = []
-    for mask in (sum(compress(bits, g)) for g in gens):
-        size = mask.bit_count()
-        if size == 1:
-            face_verts ^= mask
-        elif size == 2:
-            low = mask & -mask
-            table[low.bit_length() - 1] |= mask ^ low
-            table[mask.bit_length() - 1] |= low
-        else:
-            big.append(mask)
-    return table, face_verts, big
-
-
 class _Scan:
     """Face combinatorics of the polarization of one monomial ideal, on
     bitmasks; ``added`` counts the variables the polarization added."""
@@ -238,15 +218,17 @@ class _Scan:
         n = self.n = work.nvars
         self.added = n - ideal.nvars
         bits = [1 << k for k in range(n)]
-        # the non-face pairs {a,b} as neighbour masks: an edge ideal's own graph
-        graph = work.__dict__.get("_graph")
-        if graph is None:
-            table, face_verts, big = _nonface_table(work.gens, bits)
-        else:
-            table, face_verts, big = graph, (1 << n) - 1, []
+        # a linear generator removes a face vertex, and a larger one is a non-face
+        face_verts, big = (1 << n) - 1, []
+        for g in work._rest:
+            mask = sum(compress(bits, g))
+            if mask & (mask - 1):
+                big.append(mask)
+            else:
+                face_verts ^= mask
         self.face_verts = face_verts
-        # 1-skeleton compatibility: bit b of compat[a] iff {a,b} is a face
-        self.compat = [face_verts & ~(bit | nbrs) if face_verts & bit else 0 for bit, nbrs in zip(bits, table)]
+        # bit b of compat[a] iff {a,b} is a face: the masks are the non-face pairs
+        self.compat = [face_verts & ~(bit | nbrs) if face_verts & bit else 0 for bit, nbrs in zip(bits, work._graph)]
         self.flag = not big
         self.gens_by_vertex = [[m for m in big if m & bit] for bit in bits]
 

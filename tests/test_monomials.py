@@ -1,13 +1,16 @@
 import json
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ringlab
 from ringlab.constructions import (
     edge_ideal_all_squares,
     edge_ideal_squares_except,
@@ -62,7 +65,7 @@ def test_edge_ideal_whiskered_k2():
 
 
 def test_edge_ideal_edgeless_is_zero():
-    assert edge_ideal(Graph(3)).is_zero()
+    assert not edge_ideal(Graph(3)).gens
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -276,6 +279,20 @@ def test_fiber_product_round_trips_through_json():
     back = presentation_from_json(text)
     assert back.ambient == fp.ambient == ("x", "x_")
     assert back.gen_strings() == fp.gen_strings() == ["x^2", "x_^2", "x*x_"]
+
+
+# -- the one form of an ideal ---------------------------------------------------
+
+
+def test_only_the_ideal_and_its_scan_read_its_form():
+    # every ideal is its masks and its other generators: only monomials.py and
+    # the scan name the three parts, and no module asks an instance which
+    # form it has.  A module listed here has started to read them
+    package = Path(ringlab.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    users = [name for name, text in sources.items() if re.search(r"\b_(graph|squares|rest)\b", text)]
+    assert users == ["monomials.py", "sr_invariants.py"]
+    assert [name for name, text in sources.items() if '"_graph"' in text or '"_ideal"' in text] == []
 
 
 # -- membership --------------------------------------------------------------
@@ -531,7 +548,7 @@ def _assert_trusted_presentation(i):
         unread = presentation_of(i, field)
         assert "gens" not in vars(unread)
         assert unread.is_monomial() and want.is_monomial()
-        assert unread._monomials == want._monomials == i.gens
+        assert unread._ideal.gens == want._ideal.gens == i.gens
         assert hash(presentation_of(i, field)) == hash(want)
         restored = pickle.loads(pickle.dumps(presentation_of(i, field)))
         assert "gens" not in vars(restored) and restored == want
@@ -549,8 +566,9 @@ def _assert_trusted_presentation(i):
 
 
 def test_to_monomial_ideal_reads_the_exponent_tuples(monkeypatch):
-    """It builds through the validating constructor from the exponent tuples,
-    so a presentation_of result keeps its gens unread."""
+    """A presentation_of result hands back the ideal it holds, with nothing
+    built and its gens unread; a hand-built presentation builds its ideal
+    once, through the validating constructor, from the exponent tuples."""
     built = []
     init = MonomialIdeal.__init__
 
@@ -561,13 +579,14 @@ def test_to_monomial_ideal_reads_the_exponent_tuples(monkeypatch):
     i = edge_ideal_all_squares(named_graph("c4"))
     p = presentation_of(i, QQ)
     monkeypatch.setattr(MonomialIdeal, "__init__", counted)
-    assert to_monomial_ideal(p) == i and len(built) == 1 and "gens" not in vars(p)
+    assert to_monomial_ideal(p) is i and built == [] and "gens" not in vars(p)
     # a hand-built presentation is minimalized by that constructor: x*y | 3*x^2*y
     raw = Presentation(["x", "y"], [Poly(QQ, 2, {(1, 1): 1}), Poly(QQ, 2, {(2, 1): 3})], QQ)
-    assert to_monomial_ideal(raw).gens == frozenset({(1, 1)}) and len(built) == 2
+    assert to_monomial_ideal(raw).gens == frozenset({(1, 1)}) and len(built) == 1
+    assert to_monomial_ideal(raw) is to_monomial_ideal(raw) and len(built) == 1
     with pytest.raises(ValueError, match="^presentation has non-monomial generators$"):
         to_monomial_ideal(Presentation(["x", "y"], [Poly(QQ, 2, {(1, 0): 1, (0, 2): 1})], QQ))
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

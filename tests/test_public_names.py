@@ -18,6 +18,7 @@ ALLOWED = {
     "tor": "ROADMAP item 1 gives it a caller in its table",
     "fiber_product_presentation": "ROADMAP item 1 gives it a caller",
     "dual_module": "the acceptance test of biduality calls it",
+    "contains": "the public membership test of a monomial; the README documents its exponent checks",
 }
 
 

@@ -410,20 +410,14 @@ def test_theorem_runners_scan_each_ideal_once(monkeypatch):
 
 def test_graph_runners_build_no_generator_tuple(monkeypatch):
     # every ideal of these corpora is built from a graph and kept as its
-    # masks: no generator set is built (``_quadrics``) or checked
-    # (``MonomialIdeal.__init__``), the scans take their 1-skeleton from the
-    # masks (thmB's square quotient adopts its scan), so no ideal enters the
-    # generator-to-mask loop
-    import ringlab.sr_invariants as sr
+    # masks: no generator set is built (``_quadrics``) or checked and split
+    # (``MonomialIdeal.__init__``), and the scans take their 1-skeleton from
+    # the masks (thmB's square quotient adopts its scan)
     import ringlab.verify
     from ringlab.monomials import MonomialIdeal
 
-    tabled, quadrics, inits, built = [], [], [], []
-    real_table, real_quadrics, real_init = sr._nonface_table, ringlab.monomials._quadrics, MonomialIdeal.__init__
-
-    def tabling(gens, bits):
-        tabled.append(gens)
-        return real_table(gens, bits)
+    quadrics, inits, built = [], [], []
+    real_quadrics, real_init = ringlab.monomials._quadrics, MonomialIdeal.__init__
 
     def building(graph, squares):
         quadrics.append(graph)
@@ -440,7 +434,6 @@ def test_graph_runners_build_no_generator_tuple(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(sr, "_nonface_table", tabling)
     monkeypatch.setattr(ringlab.monomials, "_quadrics", building)
     monkeypatch.setattr(MonomialIdeal, "__init__", checking)
     for name in ("whisker_except_edge_ideal", "whiskered_edge_ideal"):
@@ -450,7 +443,7 @@ def test_graph_runners_build_no_generator_tuple(monkeypatch):
     assert len(built) == 29 + 40 and all("_scan" in ideal.__dict__ for ideal in built)
     for report in (run_socle_clique_corpus(4), run_star_split_corpus(4), run_gorenstein_corpus(4)):
         assert report.passed
-    assert tabled == [] and quadrics == [] and inits == []
+    assert quadrics == [] and inits == []
     # the probes see a generator read and a tuple-built ideal
     ideal = built[0]
     MonomialIdeal(ideal.ambient, ideal.gens)
