@@ -29,11 +29,14 @@ vertex-decomposable, hence shellable and sequentially Cohen-Macaulay over
 every field (Bjorner-Wachs), so its depth is its smallest facet size, its
 dimension its largest facet size (the largest face of any complex is a facet),
 and it is Cohen-Macaulay iff pure. The shedding search strips cone apexes
-before it looks for a shedding vertex, and settles a base that is a whiskered
-graph in one step: such a graph is vertex-decomposable (Dochtermann-Engstrom,
-Electron. J. Combin. 16, 2009, Thm 4.4), and each facet holds one vertex of
-each whisker, so Sigma_G is certified at its root. Only an uncertified ring
-runs the max-face search. A pure
+before it looks for a shedding vertex, and settles in one step a base that is
+a whiskered graph, or one with a single vertex beside its whiskers: such a
+graph is vertex-decomposable (Dochtermann-Engstrom, Electron. J. Combin. 16,
+2009, Thm 4.4, and Woodroofe's shedding lemma), and each facet holds one
+vertex of each whisker. So Sigma_G is certified at its root, and so is a
+partly whiskered ring whose unwhiskered vertex is no leaf of G, which holds for
+every Theorem B ring with n >= 3. Only an uncertified ring runs the max-face
+search. A pure
 certificate is audited before it answers the CM check, as a wedge of
 top-dimensional spheres: its reduced mod-2 Betti numbers must vanish below
 the top degree and equal its reduced Euler characteristic, up to sign, there
@@ -308,29 +311,51 @@ class _Scan:
 
         The graph has the non-faces {a, b} as edges. Its isolated vertices
         are cone apexes: they are stripped first, the base is certified, and
-        every facet gains the apexes. A base that is a whiskered graph (its
-        leaves and their one neighbours form pairs that are equal or disjoint
-        and cover it) settles at once: it is vertex-decomposable
-        (Dochtermann-Engstrom, Electron. J. Combin. 16, 2009, Thm 4.4), and
-        every facet holds exactly one vertex of each of its p pairs, at most
-        one since the two are adjacent and at least one since a facet
-        missing both could take the leaf, so its facet sizes are (p, p).
+        every facet gains the apexes. A base whose leaves and their one
+        neighbours (hubs) form p pairs that are pairwise equal or disjoint
+        settles at once when the pairs cover it, a whiskered graph, or cover
+        all of it but one vertex s:
+
+        - every facet holds exactly one vertex of each pair: at most one,
+          since the two are adjacent, and at least one, since a facet
+          missing both could take the leaf;
+        - a whiskered graph is vertex-decomposable (Dochtermann-Engstrom,
+          Electron. J. Combin. 16, 2009, Thm 4.4), and its facet sizes are
+          (p, p);
+        - when s is left over, it is no leaf, and each leaf is adjacent only
+          to its hub, so s touches only hubs. Call a graph that is p such
+          pairs plus at most one vertex touching only hubs a one-short
+          graph. Each hub h is a shedding vertex, since N[leaf] lies in N[h]
+          (Woodroofe). If s is an apex, the complex is a cone over a
+          whiskered one. Otherwise shed a hub h next to s: its link
+          G - N[h] loses s and is a whiskered graph beside apexes, and its
+          deletion G - h is a one-short graph with one pair fewer beside
+          the apex its leaf became (its s may now be a leaf, which the class
+          allows). So the complex is vertex-decomposable by induction on p;
+        - a facet through s holds s and one vertex of each pair, size
+          p + 1 (s and every leaf is one), and a facet avoiding s holds one
+          vertex of each pair, size p. One exists, since s is no apex and
+          so has a hub neighbour h: h and every other leaf. The facet sizes
+          are (p, p + 1).
+
         Otherwise a vertex v with a neighbour w such that N[w] lies in N[v]
         is a shedding vertex (Woodroofe), so the complex is
         vertex-decomposable when both its deletion G - v and its link
         G - N[v] are; its facets are those of the deletion and those of the
         link coned by v. Only the first such v is tried at each step, so
         None proves nothing about the complex. The steps run on an explicit
-        stack, so the search has no recursion depth to exceed."""
+        stack, so the search has no recursion depth to exceed, and each
+        step strips only the vertices whose neighbourhood it changed."""
         if not self.flag:
             return None
         fv = self.face_verts
         closed = [fv & ~c for c in self.compat]  # read only at face vertices
 
-        def strip(mask: int) -> tuple[int, int]:
-            """(mask without its cone apexes, how many were stripped)."""
+        def strip(mask: int, touched: int) -> tuple[int, int]:
+            """(mask without its cone apexes, how many were stripped), where
+            only the vertices of ``touched`` can be apexes of the mask."""
             base = mask
-            scan = mask
+            scan = mask & touched
             while scan:
                 bit = scan & -scan
                 scan ^= bit
@@ -338,12 +363,11 @@ class _Scan:
                     base ^= bit
             return base, mask.bit_count() - base.bit_count()
 
-        def whisker_pairs(base: int) -> int | None:
-            """The number of pairs (leaf, its one neighbour) of an apex-free
-            base when they are pairwise equal or disjoint and cover it, else
-            None.  A K2 is one pair, seen from both ends."""
-            if base.bit_count() & 1:  # the pairs would partition it
-                return None
+        def whisker_pairs(base: int) -> tuple[int, int] | None:
+            """The facet sizes (p, p) of an apex-free base whose p pairs
+            (leaf, its one neighbour) are pairwise equal or disjoint and
+            cover it, (p, p + 1) when they cover all of it but one vertex,
+            else None.  A K2 is one pair, seen from both ends."""
             covered = pairs = 0
             scan = base
             while scan:
@@ -357,7 +381,10 @@ class _Scan:
                         pairs += 1
                     elif not bit & covered:  # its neighbour is in another pair
                         return None
-            return pairs if covered == base else None
+            rest = base ^ covered
+            if rest & (rest - 1):
+                return None
+            return pairs, pairs + (rest != 0)
 
         def shedding(base: int) -> tuple[int, int] | None:
             """(first shedding vertex v, N[v]) of an apex-free base, or None."""
@@ -378,7 +405,7 @@ class _Scan:
         # each stripped, are settled before it
         memo: dict[int, tuple[int, int] | None] = {0: (0, 0)}
         parts: dict[int, tuple] = {}
-        root, apexes = strip(fv)
+        root, apexes = strip(fv, fv)
         stack = [root]
         while stack:
             base = stack[-1]
@@ -386,13 +413,22 @@ class _Scan:
                 stack.pop()
                 continue
             if base not in parts:
-                pairs = whisker_pairs(base)
-                shed = pairs is None and shedding(base)
-                if not shed:  # a whiskered base, or one with no shedding vertex
-                    memo[base] = pairs and (pairs, pairs)
+                sizes = whisker_pairs(base)
+                shed = sizes is None and shedding(base)
+                if not shed:  # settled by the whisker rule, or no shedding vertex
+                    memo[base] = sizes
                     stack.pop()
                     continue
-                parts[base] = (strip(base ^ shed[0]), strip(base & ~shed[1]))
+                bit, near = shed
+                # the deletion changes N[v]'s neighbourhoods, the link those
+                # of every vertex next to N[v]
+                reach = 0
+                scan = near
+                while scan:
+                    w = scan & -scan
+                    scan ^= w
+                    reach |= closed[w.bit_length() - 1]
+                parts[base] = (strip(base ^ bit, near), strip(base & ~near, reach))
             (dele, d_apexes), (link, l_apexes) = parts[base]
             waiting = [b for b in (dele, link) if b not in memo]
             if waiting:

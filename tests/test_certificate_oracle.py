@@ -275,29 +275,50 @@ def test_whiskered_rings_match_the_brute_force_facet_sizes():
 
 
 def test_the_whisker_rule_leaves_other_bases_to_the_search():
-    # bases that are not whiskered: the rule must not settle them, and the
-    # shedding search gives their true facet sizes.  P3's two leaves share
-    # their neighbour; K1,3 has three; a whiskered edge with a second leaf
-    # on one hub has two pairs that overlap.  P3 and that graph have an odd
-    # vertex count, which no set of disjoint pairs covers, so the claw and
-    # a whiskered edge with a second leaf on both hubs test the overlap
+    # bases that the rule must not settle, whose true facet sizes the
+    # shedding search gives.  P3's two leaves share their neighbour; K1,3
+    # has three; a whiskered edge with a second leaf on one or on both hubs
+    # has two pairs that overlap.  The n = 2 partly whiskered ring is P3,
+    # its spared vertex a leaf beside a whisker.  P6 leaves two middle
+    # vertices over, and a whiskered edge plus a vertex joined to one leaf
+    # and its hub turns that leaf into a non-leaf, which leaves three over
     p3 = Graph(3, [(1, 2), (2, 3)])
     claw = Graph(4, [(1, 2), (1, 3), (1, 4)])
     extra_leaf = Graph(5, [(1, 2), (1, 3), (2, 4), (1, 5)])
     two_extra = Graph(6, [(1, 2), (1, 3), (2, 4), (1, 5), (2, 6)])
-    for g, want in ((p3, (1, 2)), (claw, (1, 3)), (extra_leaf, (2, 3)), (two_extra, (3, 4))):
+    partial_k2 = whisker_except(Graph(2, [(1, 2)]), 1)
+    p6 = Graph(6, [(v, v + 1) for v in range(1, 6)])
+    leaf_joined = Graph(5, [(1, 2), (1, 3), (2, 4), (5, 3), (5, 1)])
+    for g, want in (
+        (p3, (1, 2)),
+        (claw, (1, 3)),
+        (extra_leaf, (2, 3)),
+        (two_extra, (3, 4)),
+        (partial_k2, (1, 2)),
+        (p6, (2, 3)),
+        (leaf_joined, (2, 2)),
+    ):
         assert facet_sizes(g) == want, g
         assert _Scan(edge_ideal(g)).vd_facet_sizes == want, g
 
 
 def test_the_whisker_rule_settles_whiskered_bases():
     # disjoint K2s (each one pair, seen from both ends), and a whiskered
-    # graph beside an isolated apex, which is stripped first
+    # graph beside an isolated apex, which is stripped first.  The pairs of
+    # a one-short base cover all of it but one vertex: the partly whiskered
+    # claw, whose centre is left over, and P5, whose middle vertex is
     disjoint = Graph(6, [(1, 2), (3, 4), (5, 6)])
     apex = Graph(9, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 5), (3, 6), (7, 8)])
-    for g, want in ((disjoint, (3, 3)), (apex, (5, 5))):
+    partial_claw = whisker_except(Graph(4, [(1, 2), (1, 3), (1, 4)]), 1)
+    p5 = Graph(5, [(v, v + 1) for v in range(1, 5)])
+    for g, want in ((disjoint, (3, 3)), (apex, (5, 5)), (partial_claw, (3, 4)), (p5, (2, 3))):
         assert facet_sizes(g) == want, g
         assert _Scan(edge_ideal(g)).vd_facet_sizes == want, g
+    # the partly whiskered K1,999, too large for the brute force, settles at
+    # its root (one shedding step per hub took 1.9 s): its centre and every
+    # leaf is a largest facet, and the 999 hubs a smallest
+    big = whisker_except(Graph(1000, [(1, v) for v in range(2, 1001)]), 1)
+    assert _Scan(edge_ideal(big)).vd_facet_sizes == (999, 1000)
 
 
 def test_dimension_of_a_certified_ring_skips_the_face_search(monkeypatch):
